@@ -1,0 +1,7 @@
+"""Make the benchmark's modules and the repository's sources importable."""
+
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+sys.path[:0] = [str(HERE.parent.parent / "src"), str(HERE.parent)]

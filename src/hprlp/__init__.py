@@ -21,6 +21,7 @@ from .engine import (
     FrozenAffineMap,
     NormalEquationSolver,
     PrStepTrace,
+    StepWorkspace,
     epr_accumulate,
     frozen_affine_map,
     halpern_step,
@@ -78,6 +79,7 @@ __all__ = [
     "SolveResult",
     "SolverConfig",
     "SparseMatrix",
+    "StepWorkspace",
     "TraceRecord",
     "apply_scaling",
     "box_support",

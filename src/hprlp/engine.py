@@ -21,14 +21,21 @@ relaxation factor gamma in [0, 1] (gamma = 1 recovers "hpr").
 When every row is an equality A x = b, an exact y-update through the
 normal equations A A^T y_bar = rhs replaces the zeta/projection route
 (``t1_zero_path``).
+
+``pr_step`` and ``halpern_step`` write their results into preallocated
+vectors (a ``StepWorkspace`` and an ``out`` iterate) with numpy ``out=``
+updates, in the same operations and order as the formulas above, so a
+run on reused buffers is bit-identical to one on fresh arrays.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.blas import ddot
 
 from .model import Iterate, LpProblem, project_box
 from .sparse import SparseMatrix
@@ -36,6 +43,7 @@ from .sparse import SparseMatrix
 __all__ = [
     "EngineConfig",
     "PrStepTrace",
+    "StepWorkspace",
     "ActiveSets",
     "EprAverages",
     "FrozenAffineMap",
@@ -99,13 +107,36 @@ class PrStepTrace:
     the proximal point w_bar, and the reflected point w_hat.
 
     zeta is None on the normal-equations path, where no row projection
-    is formed.
+    is formed.  xi and zeta are new arrays on every step.  w_bar and
+    w_hat are the ``bar`` and ``hat`` iterates of the step's workspace
+    (w_hat is w_bar itself in mode "hdr"): the next ``pr_step`` on the
+    same workspace overwrites them.  A step called without a workspace
+    gets one of its own, so its trace is never overwritten.
     """
 
     xi: np.ndarray
     zeta: np.ndarray | None
     w_bar: Iterate
     w_hat: Iterate
+
+
+class StepWorkspace:
+    """Preallocated vectors of ``pr_step`` for an m x n problem.
+
+    ``bar`` receives the proximal point w_bar, ``hat`` the reflected
+    point w_hat (its x block first holds 2 x_bar - x, the argument of
+    the row product, which full reflection keeps as x_hat), and
+    ``tmp_m`` / ``tmp_n`` are scratch.  The iterate a step starts from
+    must not share memory with any of them.
+    """
+
+    __slots__ = ("bar", "hat", "tmp_m", "tmp_n")
+
+    def __init__(self, m: int, n: int):
+        self.bar = Iterate(np.empty(m), np.empty(n), np.empty(n))
+        self.hat = Iterate(np.empty(m), np.empty(n), np.empty(n))
+        self.tmp_m = np.empty(m)
+        self.tmp_n = np.empty(n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,14 +188,21 @@ class NormalEquationSolver:
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve A A^T y = rhs with one round of iterative refinement so
-        the residual stays below 1e-10 * (1 + ||rhs||)."""
-        y = scipy.linalg.cho_solve(self._factor, rhs)
+        the residual stays below 1e-10 * (1 + ||rhs||).
+
+        Raises ArithmeticError when that bound is not reached, which
+        includes every rhs with a NaN or infinite entry.
+        """
+        # the factor was checked when it was made; rhs is checked by tol
+        y = scipy.linalg.cho_solve(self._factor, rhs, check_finite=False)
         tol = 1e-10 * (1.0 + float(np.linalg.norm(rhs)))
+        if not math.isfinite(tol):
+            raise ArithmeticError("normal-equations right-hand side is not finite")
         for _ in range(2):
             resid = rhs - self._gram @ y
             if float(np.linalg.norm(resid)) <= tol:
                 return y
-            y = y + scipy.linalg.cho_solve(self._factor, resid)
+            y = y + scipy.linalg.cho_solve(self._factor, resid, check_finite=False)
         resid = rhs - self._gram @ y
         if not float(np.linalg.norm(resid)) <= tol:
             raise ArithmeticError(
@@ -186,18 +224,43 @@ def y_update_t1_zero(
     return factor.solve(rhs)
 
 
-def _reflect(w_bar: Iterate, w: Iterate, mode: str, gamma: float) -> Iterate:
-    if mode == "hdr":
+def _reflect_into(
+    out: np.ndarray, bar: np.ndarray, prev: np.ndarray, gamma: float,
+    tmp: np.ndarray | None,
+) -> np.ndarray:
+    """out = (1 + gamma) * bar - gamma * prev, as 2 * bar - prev when
+    gamma = 1 (the two agree bit for bit there).  ``out`` may not be
+    ``prev``; ``tmp`` is scratch for gamma != 1."""
+    if gamma == 1.0:
+        np.multiply(2.0, bar, out=out)
+    else:
+        np.multiply(1.0 + gamma, bar, out=out)
+        prev = np.multiply(gamma, prev, out=tmp)
+    return np.subtract(out, prev, out=out)
+
+
+def _reflect(w_bar: Iterate, w: Iterate, cfg: EngineConfig, work: StepWorkspace) -> Iterate:
+    """w_hat for the step's mode, into ``work.hat``; "hdr" returns w_bar.
+
+    ``work.hat.x`` must already hold 2 x_bar - x, which full reflection
+    keeps as its x block.
+    """
+    if cfg.mode == "hdr":
         return w_bar
-    if mode == "rhpdhg":
-        g = gamma
-        return Iterate(
-            (1.0 + g) * w_bar.y - g * w.y,
-            (1.0 + g) * w_bar.z - g * w.z,
-            (1.0 + g) * w_bar.x - g * w.x,
-        )
-    # hpr / pr / epr: full reflection
-    return Iterate(2.0 * w_bar.y - w.y, 2.0 * w_bar.z - w.z, 2.0 * w_bar.x - w.x)
+    # hpr / pr / epr: full reflection; rhpdhg: relaxed by gamma
+    gamma = cfg.gamma if cfg.mode == "rhpdhg" else 1.0
+    hat = work.hat
+    _reflect_into(hat.y, w_bar.y, w.y, gamma, work.tmp_m)
+    _reflect_into(hat.z, w_bar.z, w.z, gamma, work.tmp_n)
+    if gamma != 1.0:
+        _reflect_into(hat.x, w_bar.x, w.x, gamma, work.tmp_n)
+    return hat
+
+
+def _sum_squares(v: np.ndarray) -> float:
+    """<v, v> through BLAS ddot, which, unlike np.dot, sets off no numpy
+    overflow warning when the sum exceeds the float range."""
+    return ddot(v, v) if v.size else 0.0
 
 
 def pr_step(
@@ -205,49 +268,71 @@ def pr_step(
     prob: LpProblem,
     cfg: EngineConfig,
     normal_eq: NormalEquationSolver | None = None,
+    work: StepWorkspace | None = None,
 ) -> PrStepTrace:
     """One proximal-reflection step at w.
 
     With ``cfg.t1_zero_path`` and a prepared ``normal_eq`` solver the
     y-step is computed exactly through A A^T and ``zeta`` is None.
+    The step writes w_bar and w_hat into ``work`` (a new workspace when
+    None); see ``PrStepTrace`` for what a later step overwrites.
     Raises ArithmeticError when the step produces non-finite values.
     """
+    if work is None:
+        work = StepWorkspace(*prob.A.shape)
+    bar = work.bar
     sigma = cfg.sigma
-    xi = w.x + sigma * (prob.A.rmatvec(w.y) - prob.c)
-    x_bar = project_box(xi, prob.l_var, prob.u_var)
-    z_bar = (x_bar - xi) / sigma
+    xi = prob.A.rmatvec(w.y)
+    np.subtract(xi, prob.c, out=xi)
+    np.multiply(sigma, xi, out=xi)
+    np.add(w.x, xi, out=xi)
+    project_box(xi, prob.l_var, prob.u_var, out=bar.x)
+    np.subtract(bar.x, xi, out=bar.z)
+    np.divide(bar.z, sigma, out=bar.z)
+    # 2 x_bar - x: the row product's argument and, under full reflection, x_hat
+    x2 = _reflect_into(work.hat.x, bar.x, w.x, 1.0, None)
 
     if cfg.t1_zero_path and normal_eq is not None:
         zeta = None
-        y_bar = y_update_t1_zero(z_bar, x_bar, prob, sigma, normal_eq)
+        np.copyto(bar.y, y_update_t1_zero(bar.z, bar.x, prob, sigma, normal_eq))
     else:
         slam = sigma * cfg.lambda_A
-        zeta = prob.A.matvec(2.0 * x_bar - w.x) - slam * w.y
-        y_bar = (project_box(zeta, prob.l_con, prob.u_con) - zeta) / slam
+        zeta = prob.A.matvec(x2)
+        np.subtract(zeta, np.multiply(slam, w.y, out=work.tmp_m), out=zeta)
+        project_box(zeta, prob.l_con, prob.u_con, out=bar.y)
+        np.subtract(bar.y, zeta, out=bar.y)
+        np.divide(bar.y, slam, out=bar.y)
 
-    w_bar = Iterate(y_bar, z_bar, x_bar)
-    w_hat = _reflect(w_bar, w, cfg.mode, cfg.gamma)
+    w_hat = _reflect(bar, w, cfg, work)
 
-    guard = float(np.dot(w_hat.x, w_hat.x)) + float(np.dot(w_hat.y, w_hat.y))
+    guard = _sum_squares(w_hat.x) + _sum_squares(w_hat.y)
     if not guard < _DIVERGENCE_GUARD:
         raise ArithmeticError("iterate diverged (non-finite or overflowing step)")
-    return PrStepTrace(xi=xi, zeta=zeta, w_bar=w_bar, w_hat=w_hat)
+    return PrStepTrace(xi=xi, zeta=zeta, w_bar=bar, w_hat=w_hat)
 
 
-def halpern_step(w_anchor: Iterate, w_hat: Iterate, t: int) -> Iterate:
+def halpern_step(
+    w_anchor: Iterate, w_hat: Iterate, t: int, out: Iterate | None = None
+) -> Iterate:
     """Anchored average 1/(t+2) * w_anchor + (t+1)/(t+2) * w_hat.
 
     Computed as w_anchor + (t+1)/(t+2) * (w_hat - w_anchor), which is
-    exact when the two points coincide.
+    exact when the two points coincide.  The result is written into
+    ``out`` (new arrays when None), which may be w_hat or the iterate
+    the step started from, but must not share memory with w_anchor.
     """
     if t < 0:
         raise ValueError(f"step counter must be >= 0, got {t}")
+    if out is None:
+        out = Iterate(np.empty(np.shape(w_anchor.y)), np.empty(np.shape(w_anchor.z)),
+                      np.empty(np.shape(w_anchor.x)))
     beta = (t + 1.0) / (t + 2.0)
-    return Iterate(
-        w_anchor.y + beta * (w_hat.y - w_anchor.y),
-        w_anchor.z + beta * (w_hat.z - w_anchor.z),
-        w_anchor.x + beta * (w_hat.x - w_anchor.x),
-    )
+    for a, h, o in ((w_anchor.y, w_hat.y, out.y), (w_anchor.z, w_hat.z, out.z),
+                    (w_anchor.x, w_hat.x, out.x)):
+        np.subtract(h, a, out=o)
+        np.multiply(beta, o, out=o)
+        np.add(a, o, out=o)
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -381,15 +466,17 @@ class FrozenAffineMap:
 
     def __call__(self, w: Iterate) -> Iterate:
         prob, cfg = self.prob, self.cfg
+        work = StepWorkspace(*prob.A.shape)
         sigma = cfg.sigma
         xi = w.x + sigma * (prob.A.rmatvec(w.y) - prob.c)
         x_bar = self._proj_c(xi)
         z_bar = (x_bar - xi) / sigma
         slam = sigma * cfg.lambda_A
-        zeta = prob.A.matvec(2.0 * x_bar - w.x) - slam * w.y
+        x2 = _reflect_into(work.hat.x, x_bar, w.x, 1.0, None)
+        zeta = prob.A.matvec(x2) - slam * w.y
         y_bar = (self._proj_k(zeta) - zeta) / slam
         w_bar = Iterate(y_bar, z_bar, x_bar)
-        return _reflect(w_bar, w, cfg.mode, cfg.gamma)
+        return _reflect(w_bar, w, cfg, work)
 
     @property
     def offset(self) -> Iterate:

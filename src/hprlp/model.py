@@ -41,18 +41,22 @@ def _as_float_vector(v, n, name):
     return arr
 
 
-def project_box(v: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+def project_box(
+    v: np.ndarray, lo: np.ndarray, hi: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """Componentwise projection of v onto the box [lo, hi].
 
     Bounds may be -inf/+inf; the projection is the identity in those
-    components.  Requires lo <= hi componentwise.
+    components.  Requires lo <= hi componentwise.  With ``out`` the
+    result is written there (it may be v itself) and returned.
     """
     v = np.asarray(v, dtype=np.float64)
     if v.shape != np.shape(lo) or v.shape != np.shape(hi):
         raise ValueError(
             f"shape mismatch: v {v.shape}, lo {np.shape(lo)}, hi {np.shape(hi)}"
         )
-    return np.minimum(np.maximum(v, lo), hi)
+    out = np.maximum(v, lo, out=out)
+    return np.minimum(out, hi, out=out)
 
 
 def box_support(s: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> float:

@@ -35,6 +35,7 @@ from .engine import (
     EngineConfig,
     EprAverages,
     NormalEquationSolver,
+    StepWorkspace,
     epr_accumulate,
     halpern_step,
     pr_step,
@@ -278,6 +279,12 @@ class _Best:
         self.residuals = residuals
 
 
+def _assign(dst: Iterate, src: Iterate):
+    np.copyto(dst.y, src.y)
+    np.copyto(dst.z, src.z)
+    np.copyto(dst.x, src.x)
+
+
 def _report(
     prob: LpProblem,
     status: str,
@@ -407,15 +414,21 @@ def solve(prob: LpProblem, cfg: SolverConfig | None = None) -> SolveResult:
     r = 0
     averages = EprAverages.start(w) if mode == "epr" else None
 
+    # every vector of the loop, allocated once: the iterate w (which the
+    # anchored average overwrites), the restart point, the step's
+    # workspace, and w - w_hat for the merit (whose z block it ignores)
+    step_work = StepWorkspace(m, n)
+    anchor = w.copy()
+    diff = Iterate(np.empty(m), np.empty(0), np.empty(n))
+
     while True:
-        anchor = w
         merit0 = 0.0
         merit_prev = 0.0
         t = 0
         restarted = False
         while True:
             try:
-                step = pr_step(w, work, ecfg, normal_eq)
+                step = pr_step(w, work, ecfg, normal_eq, step_work)
             except ArithmeticError as exc:
                 if best.w is None:
                     inf3 = (float("inf"), float("inf"), float("inf"))
@@ -424,21 +437,21 @@ def solve(prob: LpProblem, cfg: SolverConfig | None = None) -> SolveResult:
                     prob, "numerical_error", best.w, best.residuals, k, r,
                     started, trace, events, str(exc),
                 )
-            diff = w - step.w_hat
+            np.subtract(w.y, step.w_hat.y, out=diff.y)
+            np.subtract(w.x, step.w_hat.x, out=diff.x)
             merit = m_norm(diff, mctx)
             if t == 0:
                 merit0 = merit
                 merit_prev = merit
 
             if anchored:
-                w_next = halpern_step(anchor, step.w_hat, t)
+                halpern_step(anchor, step.w_hat, t, out=w)
             else:  # pr / epr: pure reflection
-                w_next = step.w_hat
+                _assign(w, step.w_hat)
             t += 1
             k += 1
             if mode == "epr":
-                averages = epr_accumulate(averages, step.w_bar, w_next, averages.n_bar + 1)
-            w = w_next
+                averages = epr_accumulate(averages, step.w_bar, w, averages.n_bar + 1)
 
             candidate = averages.w_bar_avg if mode == "epr" else step.w_bar
 
@@ -499,7 +512,8 @@ def solve(prob: LpProblem, cfg: SolverConfig | None = None) -> SolveResult:
                         sigma_before=sigma_old, sigma_after=sigma,
                     )
                 )
-                w = candidate
+                _assign(w, candidate)
+                _assign(anchor, candidate)
                 if mode == "epr":
                     averages = EprAverages.start(w)
                 r += 1

@@ -1,8 +1,11 @@
 """Immutable sparse-matrix wrapper and a power-method norm estimate.
 
 Storage is compressed sparse column with a CSR mirror so that both A x
-and A^T y run against a row-major layout.  Backed by scipy.sparse; all
-products are single-threaded and deterministic.
+and A^T y run against a row-major layout.  The CSR mirror of A is a copy;
+A^T needs none, since the CSC arrays of A, read as CSR, are A^T.  That
+CSR view of A^T is built once and shares the CSC's read-only data,
+indices and indptr.  Backed by scipy.sparse; all products are
+single-threaded and deterministic.
 """
 
 from __future__ import annotations
@@ -14,7 +17,8 @@ __all__ = ["SparseMatrix", "spmv", "spmv_t", "estimate_lambda_A"]
 
 
 class SparseMatrix:
-    """CSC sparse matrix (canonical) with a CSR mirror.
+    """CSC sparse matrix (canonical) with a CSR mirror for A x and a
+    CSR view of A^T on the CSC arrays for A^T y.
 
     Duplicate entries are summed and indices sorted at construction;
     the stored arrays are read-only afterwards.
@@ -31,6 +35,10 @@ class SparseMatrix:
         for a in (csc.data, csc.indices, csc.indptr, self._csr.data,
                   self._csr.indices, self._csr.indptr):
             a.setflags(write=False)
+        # what csc.T returns, kept: rebuilding it per product rescans indices
+        self._csr_t = sp.csr_matrix(
+            (csc.data, csc.indices, csc.indptr), shape=csc.shape[::-1], copy=False
+        )
 
     # -- constructors -------------------------------------------------
 
@@ -98,7 +106,7 @@ class SparseMatrix:
         """A^T y."""
         if np.shape(y) != (self.shape[0],):
             raise ValueError(f"y must have shape ({self.shape[0]},), got {np.shape(y)}")
-        return self._csc.T @ y
+        return self._csr_t @ y
 
 
 def spmv(A: SparseMatrix, x: np.ndarray) -> np.ndarray:

@@ -7,12 +7,15 @@ from hprlp import (
     EprAverages,
     Iterate,
     LpProblem,
+    MNormContext,
     NormalEquationSolver,
     SparseMatrix,
+    StepWorkspace,
     epr_accumulate,
     frozen_affine_map,
     halpern_step,
     identify_active_sets,
+    m_norm,
     pr_step,
     rhpdhg_step,
     y_update_t1_zero,
@@ -286,6 +289,16 @@ def test_normal_equation_row_cap():
         NormalEquationSolver(SparseMatrix.identity(2001))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_normal_equation_rejects_nonfinite_rhs(bad):
+    rng = np.random.default_rng(10)
+    solver = NormalEquationSolver(SparseMatrix.from_dense(rng.standard_normal((4, 7))))
+    rhs = rng.standard_normal(4)
+    rhs[2] = bad
+    with pytest.raises(ArithmeticError):
+        solver.solve(rhs)
+
+
 def test_pr_step_t1_path_matches_projection_path():
     """On equality rows the exact y-update agrees with the proximal one in
     the limit lambda_A -> the projection route's own fixed parameters; both
@@ -401,3 +414,86 @@ def test_frozen_map_rejects_normal_equations_route():
     act = identify_active_sets(tr, prob)
     with pytest.raises(ValueError, match="zeta"):
         frozen_affine_map(act, prob, EngineConfig(t1_zero_path=True))
+
+
+# ---------------------------------------------------------------------------
+# preallocated workspace
+
+
+def _run_steps(prob, cfg, normal_eq, reuse, steps=200):
+    """The solve loop in miniature: anchored or plain steps from a fixed
+    start, a sigma change at step 70, a restart at the proximal point at
+    step 120.  With ``reuse`` every vector is allocated once, as in
+    ``solve``; without it every call allocates.  Returns per-step copies
+    of w, w_bar and the merit."""
+    m, n = prob.A.shape
+    rng = np.random.default_rng(4)
+    w = Iterate(rng.standard_normal(m), rng.standard_normal(n), rng.standard_normal(n))
+    anchor = w.copy()
+    anchored = cfg.mode in ("hpr", "hdr", "rhpdhg")
+    work = StepWorkspace(m, n) if reuse else None
+    ctx = MNormContext(cfg.sigma, cfg.lambda_A, prob.A, t1_zero=normal_eq is not None)
+    history = []
+    t = 0
+    for k in range(steps):
+        if k == 70:
+            cfg = cfg.with_sigma(1.7 * cfg.sigma)
+            ctx = ctx.with_sigma(cfg.sigma)
+        step = pr_step(w, prob, cfg, normal_eq, work)
+        merit = m_norm(w - step.w_hat, ctx)
+        if not reuse:
+            w = halpern_step(anchor, step.w_hat, t) if anchored else step.w_hat
+        elif anchored:
+            halpern_step(anchor, step.w_hat, t, out=w)
+        else:
+            for dst, src in zip((w.y, w.z, w.x), (step.w_hat.y, step.w_hat.z, step.w_hat.x)):
+                np.copyto(dst, src)
+        t += 1
+        history.append((w.copy(), step.w_bar.copy(), merit))
+        if k == 120:
+            anchor = step.w_bar.copy()
+            w = step.w_bar.copy()
+            t = 0
+    return history
+
+
+@pytest.mark.parametrize(
+    "mode, equality",
+    [("hpr", False), ("hdr", False), ("pr", False), ("epr", False),
+     ("rhpdhg", False), ("hpr", True)],
+)
+def test_reused_workspace_is_bit_identical(mode, equality):
+    rng = np.random.default_rng(12)
+    prob = random_lp(rng, 9, 5, style="equality" if equality else "two_sided")
+    lam = 1.05 * np.linalg.norm(prob.A.to_dense(), 2) ** 2
+    cfg = EngineConfig(sigma=0.6, lambda_A=lam, mode=mode, gamma=0.5,
+                       t1_zero_path=equality)
+    normal_eq = NormalEquationSolver(prob.A) if equality else None
+    fresh = _run_steps(prob, cfg, normal_eq, reuse=False)
+    reused = _run_steps(prob, cfg, normal_eq, reuse=True)
+    for (wf, bf, mf), (wr, br, mr) in zip(fresh, reused):
+        for a, b in ((wf, wr), (bf, br)):
+            assert np.array_equal(a.y, b.y)
+            assert np.array_equal(a.z, b.z)
+            assert np.array_equal(a.x, b.x)
+        assert mf == mr
+
+
+def test_trace_without_workspace_is_not_overwritten():
+    rng = np.random.default_rng(13)
+    prob = random_lp(rng, 6, 4)
+    cfg = EngineConfig(sigma=0.9, lambda_A=40.0)
+    w = Iterate(rng.standard_normal(4), rng.standard_normal(6), rng.standard_normal(6))
+    first = pr_step(w, prob, cfg)
+    kept = [first.xi.copy(), first.zeta.copy(), first.w_bar.copy(), first.w_hat.copy()]
+    work = StepWorkspace(4, 6)
+    nxt = w
+    for _ in range(3):
+        nxt = pr_step(nxt, prob, cfg).w_hat
+        pr_step(w.copy(), prob, cfg.with_sigma(2.0), work=work)
+    npt.assert_array_equal(first.xi, kept[0])
+    npt.assert_array_equal(first.zeta, kept[1])
+    for now, then in ((first.w_bar, kept[2]), (first.w_hat, kept[3])):
+        npt.assert_array_equal(now.y, then.y)
+        npt.assert_array_equal(now.z, then.z)
+        npt.assert_array_equal(now.x, then.x)

@@ -103,3 +103,26 @@ def test_lambda_estimate_zero_matrix_raises():
     A = SparseMatrix.from_coo(2, 2, [], [], [])
     with pytest.raises(ValueError, match="all-zero"):
         estimate_lambda_A(A)
+
+
+def test_rmatvec_matches_csc_transpose_bitwise():
+    """The cached A^T gives exactly what csc.T @ y gives, empty rows and
+    columns included, and reads the CSC's own read-only arrays."""
+    rng = np.random.default_rng(17)
+    for _ in range(10):
+        m, n = rng.integers(1, 30, size=2)
+        dense = rng.standard_normal((m, n))
+        dense[rng.uniform(size=(m, n)) < 0.6] = 0.0
+        dense[rng.integers(m)] = 0.0
+        dense[:, rng.integers(n)] = 0.0
+        A = SparseMatrix.from_dense(dense)
+        y = rng.standard_normal(m)
+        assert np.array_equal(A.rmatvec(y), A.to_csc().T @ y)
+
+        csc, at = A.to_csc(), A._csr_t
+        for mine, theirs in ((at.data, csc.data), (at.indices, csc.indices),
+                             (at.indptr, csc.indptr)):
+            assert theirs.size == 0 or np.shares_memory(mine, theirs)
+            assert not mine.flags.writeable
+        with pytest.raises(ValueError):
+            at.indptr[0] = 1

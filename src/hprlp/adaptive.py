@@ -10,6 +10,9 @@ with T1 = lambda_A * I - A A^T, which collapses to
 
     <w, M w> = sigma*lambda_A*||y||^2 + 2 <A^T y, x> + ||x||^2 / sigma.
 
+The cross term equals 2 <y, A x>, so a caller that already holds A x
+can pass it and skip the product.
+
 With T1 = 0 (normal-equations path) the y-block is sigma * A A^T
 instead, giving <w, M w> = || sqrt(sigma) A^T y + x / sqrt(sigma) ||^2.
 The z-block never contributes.
@@ -62,11 +65,21 @@ class MNormContext:
         return MNormContext(sigma, self.lambda_A, self.A, self.t1_zero)
 
 
-def m_norm_squared(w: Iterate, ctx: MNormContext) -> float:
+def m_norm_squared(
+    w: Iterate, ctx: MNormContext, ax: np.ndarray | None = None
+) -> float:
     """Raw quadratic form <w, M w>; may be a tiny negative number in
-    floating point.  The z component is ignored."""
-    aty = ctx.A.rmatvec(w.y)
-    cross = 2.0 * float(np.dot(aty, w.x))
+    floating point.  The z component is ignored.
+
+    ``ax``, when given, is A w.x, and the cross term is formed as
+    2 <w.y, A w.x> (= 2 <A^T w.y, w.x>) without a product of its own.
+    The T1 = 0 form needs A^T w.y for its y-block and ignores ``ax``.
+    """
+    if ax is None or ctx.t1_zero:
+        aty = ctx.A.rmatvec(w.y)
+        cross = 2.0 * float(np.dot(aty, w.x))
+    else:
+        cross = 2.0 * float(np.dot(w.y, ax))
     xx = float(np.dot(w.x, w.x)) / ctx.sigma
     if ctx.t1_zero:
         yy = ctx.sigma * float(np.dot(aty, aty))
@@ -75,9 +88,9 @@ def m_norm_squared(w: Iterate, ctx: MNormContext) -> float:
     return yy + cross + xx
 
 
-def m_norm(w: Iterate, ctx: MNormContext) -> float:
-    """Seminorm sqrt(max(<w, M w>, 0))."""
-    return float(np.sqrt(max(m_norm_squared(w, ctx), 0.0)))
+def m_norm(w: Iterate, ctx: MNormContext, ax: np.ndarray | None = None) -> float:
+    """Seminorm sqrt(max(<w, M w>, 0)); ``ax`` as in ``m_norm_squared``."""
+    return float(np.sqrt(max(m_norm_squared(w, ctx, ax), 0.0)))
 
 
 class RestartReason(enum.Enum):

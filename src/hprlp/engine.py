@@ -100,22 +100,33 @@ class EngineConfig:
     def with_sigma(self, sigma: float) -> "EngineConfig":
         return replace(self, sigma=sigma)
 
+    @property
+    def reflection(self) -> float:
+        """Reflection factor of the mode: w_hat = (1 + g) w_bar - g w,
+        with g = 0 for "hdr", ``gamma`` for "rhpdhg" and 1 otherwise."""
+        if self.mode == "hdr":
+            return 0.0
+        return self.gamma if self.mode == "rhpdhg" else 1.0
+
 
 @dataclass(frozen=True, eq=False)
 class PrStepTrace:
     """Intermediates of one step: the pre-projection points xi / zeta,
-    the proximal point w_bar, and the reflected point w_hat.
+    the row product ax2 = A (2 x_bar - x) that zeta is formed from, the
+    proximal point w_bar, and the reflected point w_hat.
 
-    zeta is None on the normal-equations path, where no row projection
-    is formed.  xi and zeta are new arrays on every step.  w_bar and
-    w_hat are the ``bar`` and ``hat`` iterates of the step's workspace
-    (w_hat is w_bar itself in mode "hdr"): the next ``pr_step`` on the
-    same workspace overwrites them.  A step called without a workspace
-    gets one of its own, so its trace is never overwritten.
+    zeta and ax2 are None on the normal-equations path, where no row
+    projection is formed.  xi, zeta and ax2 are new arrays on every
+    step.  w_bar and w_hat are the ``bar`` and ``hat`` iterates of the
+    step's workspace (w_hat is w_bar itself in mode "hdr"): the next
+    ``pr_step`` on the same workspace overwrites them.  A step called
+    without a workspace gets one of its own, so its trace is never
+    overwritten.
     """
 
     xi: np.ndarray
     zeta: np.ndarray | None
+    ax2: np.ndarray | None
     w_bar: Iterate
     w_hat: Iterate
 
@@ -179,12 +190,14 @@ class NormalEquationSolver:
             raise ValueError(
                 f"normal-equations path supports up to {self.MAX_ROWS} rows, got {m}"
             )
-        gram = A.transpose_dot_self_dense()
+        # A A^T is symmetric, so its transpose is the same matrix in the
+        # Fortran order that LAPACK factors in place, without a copy
+        gram = A.transpose_dot_self_dense().T
         try:
-            self._factor = scipy.linalg.cho_factor(gram, lower=True)
+            self._factor = scipy.linalg.cho_factor(gram, lower=True, overwrite_a=True)
         except scipy.linalg.LinAlgError as exc:
             raise ValueError(f"A A^T is not positive definite: {exc}") from exc
-        self._gram = gram
+        self._A = A
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve A A^T y = rhs with one round of iterative refinement so
@@ -198,12 +211,14 @@ class NormalEquationSolver:
         tol = 1e-10 * (1.0 + float(np.linalg.norm(rhs)))
         if not math.isfinite(tol):
             raise ArithmeticError("normal-equations right-hand side is not finite")
+        # residuals through the sparse A: two products on nnz entries
+        # instead of a dense m x m one
         for _ in range(2):
-            resid = rhs - self._gram @ y
+            resid = rhs - self._A.matvec(self._A.rmatvec(y))
             if float(np.linalg.norm(resid)) <= tol:
                 return y
             y = y + scipy.linalg.cho_solve(self._factor, resid, check_finite=False)
-        resid = rhs - self._gram @ y
+        resid = rhs - self._A.matvec(self._A.rmatvec(y))
         if not float(np.linalg.norm(resid)) <= tol:
             raise ArithmeticError(
                 "normal-equations solve failed to reach residual tolerance"
@@ -248,7 +263,7 @@ def _reflect(w_bar: Iterate, w: Iterate, cfg: EngineConfig, work: StepWorkspace)
     if cfg.mode == "hdr":
         return w_bar
     # hpr / pr / epr: full reflection; rhpdhg: relaxed by gamma
-    gamma = cfg.gamma if cfg.mode == "rhpdhg" else 1.0
+    gamma = cfg.reflection
     hat = work.hat
     _reflect_into(hat.y, w_bar.y, w.y, gamma, work.tmp_m)
     _reflect_into(hat.z, w_bar.z, w.z, gamma, work.tmp_n)
@@ -293,12 +308,12 @@ def pr_step(
     x2 = _reflect_into(work.hat.x, bar.x, w.x, 1.0, None)
 
     if cfg.t1_zero_path and normal_eq is not None:
-        zeta = None
+        zeta = ax2 = None
         np.copyto(bar.y, y_update_t1_zero(bar.z, bar.x, prob, sigma, normal_eq))
     else:
         slam = sigma * cfg.lambda_A
-        zeta = prob.A.matvec(x2)
-        np.subtract(zeta, np.multiply(slam, w.y, out=work.tmp_m), out=zeta)
+        ax2 = prob.A.matvec(x2)
+        zeta = np.subtract(ax2, np.multiply(slam, w.y, out=work.tmp_m))
         project_box(zeta, prob.l_con, prob.u_con, out=bar.y)
         np.subtract(bar.y, zeta, out=bar.y)
         np.divide(bar.y, slam, out=bar.y)
@@ -308,7 +323,7 @@ def pr_step(
     guard = _sum_squares(w_hat.x) + _sum_squares(w_hat.y)
     if not guard < _DIVERGENCE_GUARD:
         raise ArithmeticError("iterate diverged (non-finite or overflowing step)")
-    return PrStepTrace(xi=xi, zeta=zeta, w_bar=bar, w_hat=w_hat)
+    return PrStepTrace(xi=xi, zeta=zeta, ax2=ax2, w_bar=bar, w_hat=w_hat)
 
 
 def halpern_step(

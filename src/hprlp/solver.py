@@ -285,6 +285,55 @@ def _assign(dst: Iterate, src: Iterate):
     np.copyto(dst.x, src.x)
 
 
+class _RowProducts:
+    """A x of the iterate and of the anchor, carried alongside them.
+
+    The step gives A (2 x_bar - x).  Since x - x_hat = ((1+g)/2) (x -
+    (2 x_bar - x)) for reflection factor g, and the anchored average is
+    linear in x, A (x - x_hat), A x_hat and the next A x follow without
+    a product, and the merit's cross term <A^T dy, dx> is formed as
+    <dy, A dx>.  ``reset`` takes one exact product at a restart, which
+    clears the carried rounding.  Only the merit reads these vectors;
+    the iterate is computed as without them.  Their rounding is absolute,
+    about eps |A| |x|, so when a step is tiny against the iterate the
+    merit differs from the product form by more than its last bits.
+    """
+
+    def __init__(self, A: SparseMatrix, reflection: float, x: np.ndarray):
+        m = A.shape[0]
+        self.A = A
+        self.half_factor = 0.5 * (1.0 + reflection)
+        self.ax = np.empty(m)
+        self.anchor = np.empty(m)
+        self.diff = np.empty(m)
+        self._hat = np.empty(m)
+        self.hat = self._hat
+        self.reset(x)
+
+    def reset(self, x: np.ndarray):
+        np.copyto(self.ax, self.A.matvec(x))
+        np.copyto(self.anchor, self.ax)
+
+    def step_diff(self, ax2: np.ndarray) -> np.ndarray:
+        """A (x - x_hat) for the step whose row product is ``ax2``, also
+        leaving A x_hat in ``hat``.  The difference is taken before the
+        scaling, so no rounded A x_hat enters it."""
+        np.subtract(self.ax, ax2, out=self.diff)
+        if self.half_factor == 1.0:  # full reflection: x_hat = 2 x_bar - x
+            self.hat = ax2
+        else:
+            np.multiply(self.half_factor, self.diff, out=self.diff)
+            self.hat = np.subtract(self.ax, self.diff, out=self._hat)
+        return self.diff
+
+    def average(self, t: int):
+        """A x of the anchored average, in ``halpern_step``'s operations."""
+        beta = (t + 1.0) / (t + 2.0)
+        np.subtract(self.hat, self.anchor, out=self.ax)
+        np.multiply(beta, self.ax, out=self.ax)
+        np.add(self.anchor, self.ax, out=self.ax)
+
+
 def _report(
     prob: LpProblem,
     status: str,
@@ -412,6 +461,7 @@ def solve(prob: LpProblem, cfg: SolverConfig | None = None) -> SolveResult:
 
     k = 0
     r = 0
+    deadline = started + cfg.time_limit
     averages = EprAverages.start(w) if mode == "epr" else None
 
     # every vector of the loop, allocated once: the iterate w (which the
@@ -420,6 +470,12 @@ def solve(prob: LpProblem, cfg: SolverConfig | None = None) -> SolveResult:
     step_work = StepWorkspace(m, n)
     anchor = w.copy()
     diff = Iterate(np.empty(m), np.empty(0), np.empty(n))
+    # A x for the merit's cross term, in the anchored modes on the
+    # proximal route; pr / epr restart on merit increases, which rounding
+    # decides, and the normal-equations merit needs A^T dy anyway
+    rows = None
+    if anchored and not t1_active:
+        rows = _RowProducts(work.A, ecfg.reflection, w.x)
 
     while True:
         merit0 = 0.0
@@ -439,13 +495,18 @@ def solve(prob: LpProblem, cfg: SolverConfig | None = None) -> SolveResult:
                 )
             np.subtract(w.y, step.w_hat.y, out=diff.y)
             np.subtract(w.x, step.w_hat.x, out=diff.x)
-            merit = m_norm(diff, mctx)
+            if rows is not None:
+                merit = m_norm(diff, mctx, rows.step_diff(step.ax2))
+            else:
+                merit = m_norm(diff, mctx)
             if t == 0:
                 merit0 = merit
                 merit_prev = merit
 
             if anchored:
                 halpern_step(anchor, step.w_hat, t, out=w)
+                if rows is not None:
+                    rows.average(t)
             else:  # pr / epr: pure reflection
                 _assign(w, step.w_hat)
             t += 1
@@ -461,7 +522,11 @@ def solve(prob: LpProblem, cfg: SolverConfig | None = None) -> SolveResult:
             merit_prev = merit
 
             hit_iter = k >= cfg.iter_limit
-            due = (k % cfg.check_interval == 0) or hit_iter or reason != RestartReason.NONE
+            hit_time = time.perf_counter() > deadline
+            due = (
+                k % cfg.check_interval == 0 or hit_iter or hit_time
+                or reason != RestartReason.NONE
+            )
             if due:
                 res, wb = checkpoint(candidate, k, r, t, merit)
                 if max(res) <= cfg.tol:
@@ -478,7 +543,7 @@ def solve(prob: LpProblem, cfg: SolverConfig | None = None) -> SolveResult:
                         prob, "iter_limit", best.w, best.residuals, k, r,
                         started, trace, events, message,
                     )
-                if time.perf_counter() - started > cfg.time_limit:
+                if time.perf_counter() > deadline:
                     return _report(
                         prob, "time_limit", best.w, best.residuals, k, r,
                         started, trace, events, message,
@@ -514,6 +579,8 @@ def solve(prob: LpProblem, cfg: SolverConfig | None = None) -> SolveResult:
                 )
                 _assign(w, candidate)
                 _assign(anchor, candidate)
+                if rows is not None:
+                    rows.reset(w.x)
                 if mode == "epr":
                     averages = EprAverages.start(w)
                 r += 1

@@ -40,6 +40,32 @@ def test_m_norm_t1_zero_block():
     assert m_norm_squared(w, ctx) == 4.0
 
 
+def test_m_norm_from_carried_row_product():
+    """Given A w.x, the cross term 2 <w.y, A w.x> replaces 2 <A^T w.y, w.x>;
+    the T1 = 0 form takes its A^T w.y anyway and ignores the vector."""
+    ctx = ctx_1x1()
+    w2 = Iterate(np.array([1.0]), np.array([0.0]), np.array([1.0]))
+    assert m_norm_squared(w2, ctx, np.array([1.0])) == 4.0
+    assert m_norm(w2, ctx, np.array([1.0])) == 2.0
+    w = Iterate(np.array([1.0]), np.array([7.0]), np.array([-1.0]))
+    assert m_norm_squared(w, ctx, np.array([-1.0])) == 0.0
+    rng = np.random.default_rng(21)
+    for t1_zero in (False, True):
+        for _ in range(50):
+            m, n = rng.integers(1, 9, size=2)
+            dense = rng.standard_normal((m, n))
+            A = SparseMatrix.from_dense(dense)
+            lam = np.linalg.norm(dense, 2) ** 2 * 1.05
+            ctx = MNormContext(rng.uniform(0.1, 3.0), lam, A, t1_zero)
+            w = Iterate(rng.standard_normal(m), rng.standard_normal(n), rng.standard_normal(n))
+            ref = m_norm(w, ctx)
+            assert abs(m_norm(w, ctx, A.matvec(w.x)) - ref) <= 1e-12 * ref
+    # the T1 = 0 form never reads the vector
+    w = Iterate(np.array([1.0]), np.array([0.0]), np.array([0.0]))
+    ctx = MNormContext(1.0, 9.0, SparseMatrix.from_dense([[2.0]]), t1_zero=True)
+    assert m_norm_squared(w, ctx, np.array([np.nan])) == 4.0
+
+
 def test_m_norm_clamps_roundoff():
     # (y + x)^2 with y = -x can come out as a tiny negative number
     ctx = ctx_1x1()

@@ -1,6 +1,9 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.linalg
+
+import hprlp.solver
 
 from hprlp import (
     EngineConfig,
@@ -9,6 +12,7 @@ from hprlp import (
     LpProblem,
     MNormContext,
     NormalEquationSolver,
+    SolverConfig,
     SparseMatrix,
     StepWorkspace,
     epr_accumulate,
@@ -18,6 +22,7 @@ from hprlp import (
     m_norm,
     pr_step,
     rhpdhg_step,
+    solve,
     y_update_t1_zero,
 )
 
@@ -269,13 +274,22 @@ def test_normal_equation_hand_value():
 
 def test_normal_equation_solver_accuracy():
     rng = np.random.default_rng(9)
-    dense = rng.standard_normal((5, 8))
-    A = SparseMatrix.from_dense(dense)
-    solver = NormalEquationSolver(A)
-    rhs = rng.standard_normal(5)
-    y = solver.solve(rhs)
-    resid = rhs - (dense @ dense.T) @ y
-    assert np.linalg.norm(resid) <= 1e-10 * (1.0 + np.linalg.norm(rhs))
+    for m, n, density in ((5, 8, 1.0), (40, 90, 0.2)):
+        dense = rng.standard_normal((m, n)) * (rng.uniform(size=(m, n)) < density)
+        dense[np.arange(m), np.arange(m)] += 1.0  # full row rank
+        A = SparseMatrix.from_dense(dense)
+        solver = NormalEquationSolver(A)
+        # the factor of the same Gram matrix, made without the in-place route
+        factor = scipy.linalg.cho_factor(A.transpose_dot_self_dense(), lower=True)
+        for scale in (1.0, 1e6):
+            rhs = scale * rng.standard_normal(m)
+            y = solver.solve(rhs)
+            # no refinement once the first solve meets the bound
+            assert np.array_equal(y, scipy.linalg.cho_solve(factor, rhs))
+            npt.assert_allclose(y, np.linalg.solve(dense @ dense.T, rhs),
+                                rtol=1e-10, atol=1e-10 * scale)
+            resid = rhs - (dense @ dense.T) @ y
+            assert np.linalg.norm(resid) <= 1e-10 * (1.0 + np.linalg.norm(rhs))
 
 
 def test_normal_equation_rejects_rank_deficient():
@@ -497,3 +511,37 @@ def test_trace_without_workspace_is_not_overwritten():
         npt.assert_array_equal(now.y, then.y)
         npt.assert_array_equal(now.z, then.z)
         npt.assert_array_equal(now.x, then.x)
+
+
+# ---------------------------------------------------------------------------
+# merit from the carried row product
+
+
+@pytest.mark.parametrize("mode", ["hpr", "hdr", "rhpdhg"])
+def test_carried_row_product_keeps_trajectory(mode, monkeypatch):
+    """The anchored modes form the merit's cross term from a carried A x.
+    Solving again with the driver's m_norm forced onto the A^T dy product
+    gives the same iterates, restarts and iteration counts; the merits
+    differ by rounding, which is absolute in A x, so they are compared on
+    the scale of the run's largest merit."""
+    cfg = SolverConfig(tol=1e-8, iter_limit=5000,
+                       engine=EngineConfig(lambda_A=None, mode=mode, gamma=0.5))
+    m_norm_carried = hprlp.solver.m_norm
+    for seed, (n, m, style) in enumerate([(12, 6, "two_sided"), (30, 15, "upper"),
+                                          (25, 10, "equality"), (40, 20, "two_sided")]):
+        prob = random_lp(np.random.default_rng(100 + seed), n, m, style=style)
+        monkeypatch.setattr(hprlp.solver, "m_norm", m_norm_carried)
+        carried = solve(prob, cfg)
+        monkeypatch.setattr(hprlp.solver, "m_norm", lambda w, ctx, ax=None: m_norm(w, ctx))
+        product = solve(prob, cfg)
+        assert carried.status == product.status
+        assert carried.iterations == product.iterations
+        assert carried.events == product.events
+        for v in ("x", "y", "z"):
+            assert np.array_equal(getattr(carried, v), getattr(product, v))
+        assert len(carried.trace) == len(product.trace)
+        scale = max(rec.merit for rec in product.trace)
+        for a, b in zip(carried.trace, product.trace):
+            assert (a.k, a.r, a.t, a.sigma) == (b.k, b.r, b.t, b.sigma)
+            assert (a.rel_gap, a.rel_primal, a.rel_dual) == (b.rel_gap, b.rel_primal, b.rel_dual)
+            assert abs(a.merit - b.merit) <= 1e-6 * max(b.merit, 1e-3 * scale)

@@ -283,6 +283,25 @@ def test_time_limit():
     assert res.solve_seconds < 30.0
 
 
+def test_time_limit_read_every_iteration():
+    """With no checkpoint due for a million iterations and no restarts, the
+    solve still stops at the time limit, checkpointing the iteration that
+    passed it."""
+    rng = np.random.default_rng(94)
+    prob = random_lp(rng, 300, 150, density=0.3)
+    limit = 0.3
+    res = solve(prob, quick_cfg(tol=1e-14, time_limit=limit, iter_limit=10**6,
+                                check_interval=10**6,
+                                restart=RestartConfig(enabled=False)))
+    assert res.status == "time_limit"
+    last = res.trace[-1]
+    assert last.k == res.iterations
+    per_iter = last.seconds / res.iterations
+    assert last.seconds - limit <= 0.05 + 5 * per_iter
+    assert res.solve_seconds - limit <= 0.25
+    assert np.all(np.isfinite(res.x)) and np.all(np.isfinite(res.y))
+
+
 def test_divergence_detected():
     # free growth direction with a huge gradient: iterates blow up fast
     prob = LpProblem(

@@ -405,12 +405,16 @@ def solve(prob: LpProblem, cfg: SolverConfig | None = None) -> SolveResult:
     normal_eq = None
     t1_active = False
     message = ""
-    if cfg.engine.t1_zero_path and work.rows_are_equalities() and m > 0:
-        try:
-            normal_eq = NormalEquationSolver(work.A)
-            t1_active = True
-        except ValueError as exc:
-            message = f"normal-equations path unavailable ({exc}); using proximal y-step"
+    if cfg.engine.t1_zero_path and m > 0:
+        if not work.rows_are_equalities():
+            message = ("normal-equations path unavailable (not every row is an "
+                       "equality); using proximal y-step")
+        else:
+            try:
+                normal_eq = NormalEquationSolver(work.A)
+                t1_active = True
+            except ValueError as exc:
+                message = f"normal-equations path unavailable ({exc}); using proximal y-step"
 
     mode = cfg.engine.mode
     anchored = mode in ("hpr", "hdr", "rhpdhg")

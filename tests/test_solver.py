@@ -202,6 +202,7 @@ def test_t1_zero_path_matches_projection_path():
         quick_cfg(engine=EngineConfig(lambda_A=None, t1_zero_path=True)),
     )
     assert r_proj.status == "optimal" and r_exact.status == "optimal"
+    assert r_exact.message == ""  # the requested path was taken
     assert r_exact.primal_obj == pytest.approx(r_proj.primal_obj, rel=1e-6, abs=1e-8)
 
 
@@ -211,9 +212,13 @@ def test_t1_zero_path_falls_back_on_inequality_rows():
     res = solve(
         prob, quick_cfg(engine=EngineConfig(lambda_A=None, t1_zero_path=True))
     )
-    # two-sided rows cannot use the normal-equations route; silently
-    # handled by the driver (no message -- the rows simply do not qualify)
+    # two-sided rows cannot use the normal-equations route; the driver
+    # takes the proximal y-step and says so
     assert res.status == "optimal"
+    assert res.message == (
+        "normal-equations path unavailable (not every row is an equality); "
+        "using proximal y-step"
+    )
 
 
 def test_explicit_lambda_below_norm_rejected():

@@ -15,19 +15,14 @@ from .adaptive import (
     sigma_update,
 )
 from .engine import (
-    ActiveSets,
     EngineConfig,
     EprAverages,
-    FrozenAffineMap,
     NormalEquationSolver,
     PrStepTrace,
     StepWorkspace,
     epr_accumulate,
-    frozen_affine_map,
     halpern_step,
-    identify_active_sets,
     pr_step,
-    rhpdhg_step,
     y_update_t1_zero,
 )
 from .model import (
@@ -44,25 +39,20 @@ from .model import (
 from .mps import MpsDocument, MpsParseError, build_problem, parse_mps
 from .oracle import OracleSolution, oracle_solve
 from .solver import (
-    ComplexityReport,
     RestartEvent,
     SolveResult,
     SolverConfig,
     TraceRecord,
     apply_scaling,
-    complexity_diagnostics,
     solve,
 )
-from .sparse import SparseMatrix, estimate_lambda_A, spmv, spmv_t
+from .sparse import SparseMatrix, estimate_lambda_A
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ActiveSets",
-    "ComplexityReport",
     "EngineConfig",
     "EprAverages",
-    "FrozenAffineMap",
     "Iterate",
     "KktResidual",
     "LpProblem",
@@ -85,13 +75,10 @@ __all__ = [
     "box_support",
     "build_problem",
     "check_restart",
-    "complexity_diagnostics",
     "dual_objective",
     "epr_accumulate",
     "estimate_lambda_A",
-    "frozen_affine_map",
     "halpern_step",
-    "identify_active_sets",
     "kkt_residual",
     "m_norm",
     "oracle_solve",
@@ -100,10 +87,7 @@ __all__ = [
     "primal_objective",
     "project_box",
     "relative_residuals",
-    "rhpdhg_step",
     "sigma_update",
     "solve",
-    "spmv",
-    "spmv_t",
     "y_update_t1_zero",
 ]

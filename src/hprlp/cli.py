@@ -65,7 +65,9 @@ def _solver_config(args) -> SolverConfig:
         enabled=not (args.no_restart or args.fixed_restart is not None),
         fixed_period=args.fixed_restart,
     )
-    engine = EngineConfig(lambda_A=None, mode=args.mode, gamma=args.gamma)
+    engine = EngineConfig(
+        sigma=args.sigma0, lambda_A=None, mode=args.mode, gamma=args.gamma
+    )
     return SolverConfig(
         tol=args.tol,
         time_limit=args.time_limit,
@@ -73,7 +75,6 @@ def _solver_config(args) -> SolverConfig:
         check_interval=args.check_interval,
         engine=engine,
         restart=restart,
-        sigma0=args.sigma0,
         adaptive_sigma=not args.no_adaptive_sigma,
         scaling=args.scaling,
         lambda_safety=args.lambda_safety,

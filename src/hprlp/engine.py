@@ -13,10 +13,13 @@ followed by a reflection w_hat = 2 w_bar - w and the anchored average
 
     w_next = 1/(t+2) * w_anchor + (t+1)/(t+2) * w_hat.
 
-Variants: "hdr" drops the reflection (w_hat = w_bar), "pr" drops the
-anchor (pure reflection steps), "epr" runs pure reflection steps while
-tracking ergodic averages, and "rhpdhg" scales the reflection by a
-relaxation factor gamma in [0, 1] (gamma = 1 recovers "hpr").
+The five modes are points of one space of switches, which
+``EngineConfig`` resolves once: anchored or not, a reflection factor g
+(w_hat = (1 + g) w_bar - g w), and ergodic averaging or not.  "hpr" is
+anchored with g = 1, "hdr" anchored with g = 0 (w_hat = w_bar),
+"rhpdhg" anchored with g = gamma (gamma = 1 recovers "hpr"), "pr" plain
+reflection steps with g = 1, and "epr" plain reflection steps with
+ergodic averages.
 
 When every row is an equality A x = b, an exact y-update through the
 normal equations A A^T y_bar = rhs replaces the zeta/projection route
@@ -44,17 +47,12 @@ __all__ = [
     "EngineConfig",
     "PrStepTrace",
     "StepWorkspace",
-    "ActiveSets",
     "EprAverages",
-    "FrozenAffineMap",
     "NormalEquationSolver",
     "pr_step",
     "halpern_step",
     "epr_accumulate",
-    "rhpdhg_step",
     "y_update_t1_zero",
-    "identify_active_sets",
-    "frozen_affine_map",
 ]
 
 MODES = ("hpr", "hdr", "pr", "epr", "rhpdhg")
@@ -75,6 +73,9 @@ class EngineConfig:
     gamma        : reflection factor for mode "rhpdhg", in [0, 1].
     t1_zero_path : solve the y-step through A A^T normal equations
                    (equality-row problems only).
+
+    The mode is read through the switches ``anchored``, ``ergodic``,
+    ``restarts`` and ``reflection``, resolved once here.
     """
 
     sigma: float = 1.0
@@ -96,17 +97,34 @@ class EngineConfig:
         object.__setattr__(self, "mode", mode)
         if not (0.0 <= self.gamma <= 1.0):
             raise ValueError(f"gamma must lie in [0, 1], got {self.gamma}")
+        reflection = 0.0 if mode == "hdr" else self.gamma if mode == "rhpdhg" else 1.0
+        object.__setattr__(self, "_anchored", mode in ("hpr", "hdr", "rhpdhg"))
+        object.__setattr__(self, "_ergodic", mode == "epr")
+        object.__setattr__(self, "_reflection", reflection)
 
     def with_sigma(self, sigma: float) -> "EngineConfig":
         return replace(self, sigma=sigma)
 
     @property
+    def anchored(self) -> bool:
+        """Halpern anchoring to the restart point: "hpr", "hdr", "rhpdhg"."""
+        return self._anchored
+
+    @property
+    def ergodic(self) -> bool:
+        """Plain reflection steps judged on their ergodic average: "epr"."""
+        return self._ergodic
+
+    @property
+    def restarts(self) -> bool:
+        """Whether the driver restarts; "pr" is the one mode that does not."""
+        return self._anchored or self._ergodic
+
+    @property
     def reflection(self) -> float:
-        """Reflection factor of the mode: w_hat = (1 + g) w_bar - g w,
-        with g = 0 for "hdr", ``gamma`` for "rhpdhg" and 1 otherwise."""
-        if self.mode == "hdr":
-            return 0.0
-        return self.gamma if self.mode == "rhpdhg" else 1.0
+        """Reflection factor g of w_hat = (1 + g) w_bar - g w: 0 for "hdr",
+        ``gamma`` for "rhpdhg" and 1 otherwise."""
+        return self._reflection
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,10 +136,10 @@ class PrStepTrace:
     zeta and ax2 are None on the normal-equations path, where no row
     projection is formed.  xi, zeta and ax2 are new arrays on every
     step.  w_bar and w_hat are the ``bar`` and ``hat`` iterates of the
-    step's workspace (w_hat is w_bar itself in mode "hdr"): the next
-    ``pr_step`` on the same workspace overwrites them.  A step called
-    without a workspace gets one of its own, so its trace is never
-    overwritten.
+    step's workspace (w_hat is w_bar itself at reflection factor 0): the
+    next ``pr_step`` on the same workspace overwrites them.  A step
+    called without a workspace gets one of its own, so its trace is
+    never overwritten.
     """
 
     xi: np.ndarray
@@ -148,30 +166,6 @@ class StepWorkspace:
         self.hat = Iterate(np.empty(m), np.empty(n), np.empty(n))
         self.tmp_m = np.empty(m)
         self.tmp_n = np.empty(n)
-
-
-@dataclass(frozen=True, eq=False)
-class ActiveSets:
-    """Indices of box faces hit by the projections in one step.
-
-    i_c holds variable indices where proj_C landed on a finite bound,
-    i_k row indices where proj_K landed on a finite bound; c_values /
-    k_values are the corresponding bound values.  Ties (both bounds
-    equal) count as active.
-    """
-
-    i_c: np.ndarray
-    i_k: np.ndarray
-    c_values: np.ndarray
-    k_values: np.ndarray
-
-    def same_as(self, other: "ActiveSets") -> bool:
-        return (
-            np.array_equal(self.i_c, other.i_c)
-            and np.array_equal(self.i_k, other.i_k)
-            and np.array_equal(self.c_values, other.c_values)
-            and np.array_equal(self.k_values, other.k_values)
-        )
 
 
 class NormalEquationSolver:
@@ -226,17 +220,13 @@ class NormalEquationSolver:
         y = self._sweeps(rhs)
         # residuals through the sparse A: two products on nnz entries
         # instead of a dense m x m one
-        for _ in range(2):
+        for refinements_left in (2, 1, 0):
             resid = rhs - self._A.matvec(self._A.rmatvec(y))
             if float(np.linalg.norm(resid)) <= tol:
                 return y
-            y = y + self._sweeps(resid)
-        resid = rhs - self._A.matvec(self._A.rmatvec(y))
-        if not float(np.linalg.norm(resid)) <= tol:
-            raise ArithmeticError(
-                "normal-equations solve failed to reach residual tolerance"
-            )
-        return y
+            if refinements_left:
+                y = y + self._sweeps(resid)
+        raise ArithmeticError("normal-equations solve failed to reach residual tolerance")
 
 
 def y_update_t1_zero(
@@ -268,15 +258,15 @@ def _reflect_into(
 
 
 def _reflect(w_bar: Iterate, w: Iterate, cfg: EngineConfig, work: StepWorkspace) -> Iterate:
-    """w_hat for the step's mode, into ``work.hat``; "hdr" returns w_bar.
+    """w_hat for the step's reflection factor, into ``work.hat``; factor
+    0 returns w_bar itself.
 
     ``work.hat.x`` must already hold 2 x_bar - x, which full reflection
     keeps as its x block.
     """
-    if cfg.mode == "hdr":
-        return w_bar
-    # hpr / pr / epr: full reflection; rhpdhg: relaxed by gamma
     gamma = cfg.reflection
+    if gamma == 0.0:
+        return w_bar
     hat = work.hat
     _reflect_into(hat.y, w_bar.y, w.y, gamma, work.tmp_m)
     _reflect_into(hat.z, w_bar.z, w.z, gamma, work.tmp_n)
@@ -404,129 +394,3 @@ def epr_accumulate(
         bar_avg = _mean_update(state.w_bar_avg, w_bar, count)
     w_avg = _mean_update(state.w_avg, w, count + 1)
     return EprAverages(w_bar_avg=bar_avg, w_avg=w_avg, n_bar=count)
-
-
-def rhpdhg_step(
-    u: tuple[np.ndarray, np.ndarray],
-    u0: tuple[np.ndarray, np.ndarray],
-    prob: LpProblem,
-    eta: float,
-    omega: float,
-    gamma: float,
-    k: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One reflected primal-dual step with anchored averaging.
-
-    For the state u = (y, x):
-
-        x_bar  = proj_C(x - (eta/omega) (c - A^T y))
-        q      = A (2 x_bar - x)
-        y_bar  = y - eta*omega*q - eta*omega * proj_{-K}(y/(eta*omega) - q)
-        u_next = (k+1)/(k+2) * ((1+gamma) (y_bar, x_bar) - gamma u)
-                 + 1/(k+2) * u0
-
-    With gamma = 1, step sizes eta/omega matching sigma = eta/omega and
-    lambda_A = 1/eta^2, the (y, x) trajectory coincides with the one
-    generated by ``pr_step`` + ``halpern_step``.
-    """
-    if eta <= 0.0 or omega <= 0.0:
-        raise ValueError("step sizes eta and omega must be positive")
-    if not (0.0 <= gamma <= 1.0):
-        raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
-    y, x = u
-    y0, x0 = u0
-    x_bar = project_box(
-        x - (eta / omega) * (prob.c - prob.A.rmatvec(y)), prob.l_var, prob.u_var
-    )
-    q = prob.A.matvec(2.0 * x_bar - x)
-    ew = eta * omega
-    # proj onto -K = [-u_con, -l_con]
-    y_bar = y - ew * q - ew * project_box(y / ew - q, -prob.u_con, -prob.l_con)
-    wk = (k + 1.0) / (k + 2.0)
-    w0 = 1.0 / (k + 2.0)
-    y_next = wk * ((1.0 + gamma) * y_bar - gamma * y) + w0 * y0
-    x_next = wk * ((1.0 + gamma) * x_bar - gamma * x) + w0 * x0
-    return y_next, x_next
-
-
-def identify_active_sets(trace: PrStepTrace, prob: LpProblem) -> ActiveSets:
-    """Faces hit by the two projections in a step.
-
-    A component is active when the projected point equals a finite
-    bound (exact comparison; clipping returns bound values exactly).
-    Requires the zeta route, i.e. not the normal-equations path.
-    """
-    if trace.zeta is None:
-        raise ValueError("active sets are undefined on the normal-equations path")
-    x_bar = trace.w_bar.x
-    at_lo = np.isfinite(prob.l_var) & (x_bar == prob.l_var)
-    at_hi = np.isfinite(prob.u_var) & (x_bar == prob.u_var)
-    i_c = np.flatnonzero(at_lo | at_hi)
-    c_values = x_bar[i_c].copy()
-
-    pk = project_box(trace.zeta, prob.l_con, prob.u_con)
-    at_lo_k = np.isfinite(prob.l_con) & (pk == prob.l_con)
-    at_hi_k = np.isfinite(prob.u_con) & (pk == prob.u_con)
-    i_k = np.flatnonzero(at_lo_k | at_hi_k)
-    k_values = pk[i_k].copy()
-    return ActiveSets(i_c=i_c, i_k=i_k, c_values=c_values, k_values=k_values)
-
-
-@dataclass(frozen=True, eq=False)
-class FrozenAffineMap:
-    """The step map w -> w_hat with both projections frozen to fixed
-    faces, which makes it affine.  The map is applied through
-    matrix-vector products; ``offset`` is its value at zero."""
-
-    active: ActiveSets
-    prob: LpProblem
-    cfg: EngineConfig
-
-    def _proj_c(self, v: np.ndarray) -> np.ndarray:
-        out = v.copy()
-        out[self.active.i_c] = self.active.c_values
-        return out
-
-    def _proj_k(self, v: np.ndarray) -> np.ndarray:
-        out = v.copy()
-        out[self.active.i_k] = self.active.k_values
-        return out
-
-    def __call__(self, w: Iterate) -> Iterate:
-        prob, cfg = self.prob, self.cfg
-        work = StepWorkspace(*prob.A.shape)
-        sigma = cfg.sigma
-        xi = w.x + sigma * (prob.A.rmatvec(w.y) - prob.c)
-        x_bar = self._proj_c(xi)
-        z_bar = (x_bar - xi) / sigma
-        slam = sigma * cfg.lambda_A
-        x2 = _reflect_into(work.hat.x, x_bar, w.x, 1.0, None)
-        zeta = prob.A.matvec(x2) - slam * w.y
-        y_bar = (self._proj_k(zeta) - zeta) / slam
-        w_bar = Iterate(y_bar, z_bar, x_bar)
-        return _reflect(w_bar, w, cfg, work)
-
-    @property
-    def offset(self) -> Iterate:
-        """Value of the map at the zero iterate."""
-        m, n = self.prob.A.shape
-        return self(Iterate.zeros(m, n))
-
-    def apply_linear(self, w: Iterate) -> Iterate:
-        """Linear part: F(w) - F(0)."""
-        off = self.offset
-        fw = self(w)
-        return Iterate(fw.y - off.y, fw.z - off.z, fw.x - off.x)
-
-
-def frozen_affine_map(
-    active: ActiveSets, prob: LpProblem, cfg: EngineConfig
-) -> FrozenAffineMap:
-    """Affine restriction of the step map to the given active faces.
-
-    Agrees with ``pr_step`` at every point whose own active sets equal
-    ``active``.
-    """
-    if cfg.t1_zero_path:
-        raise ValueError("frozen maps are defined for the zeta route only")
-    return FrozenAffineMap(active=active, prob=prob, cfg=cfg)

@@ -1,11 +1,14 @@
 """Restarted solve driver with scaling, penalty updates and tracing.
 
-The driver runs inner loops of reflection steps with anchored
-averaging.  Each inner loop starts from the latest restart point, which
-doubles as the anchor.  A loop ends when the step-length merit decays
-enough, stalls, or the loop grows too long relative to the global
-iteration count; the proximal point of the last step becomes the next
-start, and the penalty parameter is re-fit to the observed primal/dual
+``solve`` is setup (scaling, lambda_A, the optional normal-equations
+factor), one loop of reflection steps, and a report.  The loop's
+switches come resolved from ``EngineConfig``: anchored modes average
+each step with the latest restart point, ergodic mode judges the
+running mean of the proximal points, and every mode but pr restarts.
+A restart fires when the step-length merit decays enough, stalls, or
+the run since the last restart grows too long relative to the global
+iteration count; the candidate becomes the new start and anchor, and
+the penalty parameter is re-fit to the observed primal/dual
 displacements.  The global iteration counter never resets.
 
 Termination is decided on the proximal (bar) sequence against the
@@ -44,7 +47,6 @@ from .model import (
     Iterate,
     LpProblem,
     dual_objective,
-    kkt_residual,
     project_box,
     relative_residuals,
 )
@@ -56,12 +58,10 @@ __all__ = [
     "TraceRecord",
     "RestartEvent",
     "RuizScaling",
-    "ComplexityReport",
     "solve",
     "apply_scaling",
     "unscale_iterate",
     "scale_iterate",
-    "complexity_diagnostics",
 ]
 
 _DIVERGENCE_NORM = 1e12
@@ -71,9 +71,9 @@ _DIVERGENCE_NORM = 1e12
 class SolverConfig:
     """Knobs of the solve driver.
 
-    engine.sigma and engine.lambda_A act as overrides: the driver
-    manages sigma starting from ``sigma0`` and estimates lambda_A from
-    the (scaled) matrix when the override is None.
+    engine.sigma is the starting penalty, which the driver re-fits at
+    restarts when ``adaptive_sigma`` is on.  engine.lambda_A = None lets
+    the driver estimate lambda_A from the (scaled) matrix.
     """
 
     tol: float = 1e-8
@@ -82,7 +82,6 @@ class SolverConfig:
     check_interval: int = 100
     engine: EngineConfig = field(default_factory=lambda: EngineConfig(lambda_A=None))
     restart: RestartConfig = field(default_factory=RestartConfig)
-    sigma0: float = 1.0
     adaptive_sigma: bool = True
     scaling: str = "ruiz"
     ruiz_iters: int = 10
@@ -98,8 +97,6 @@ class SolverConfig:
             raise ValueError(f"time_limit must be positive, got {self.time_limit}")
         if self.check_interval < 1:
             raise ValueError(f"check_interval must be >= 1, got {self.check_interval}")
-        if not self.sigma0 > 0.0:
-            raise ValueError(f"sigma0 must be positive, got {self.sigma0}")
         if self.scaling not in ("none", "ruiz"):
             raise ValueError(f"scaling must be 'none' or 'ruiz', got {self.scaling!r}")
         if self.ruiz_iters < 0:
@@ -262,21 +259,69 @@ def scale_iterate(w: Iterate, scaling: RuizScaling) -> Iterate:
 # solve driver
 
 
-class _Best:
-    """Best point seen at any checkpoint, by worst relative residual."""
+_NO_RESIDUALS = (float("inf"), float("inf"), float("inf"))
 
-    def __init__(self):
-        self.score = float("inf")
-        self.w: Iterate | None = None
-        self.residuals = (float("inf"), float("inf"), float("inf"))
+
+class _RunLog:
+    """What a solve reports, on the original data: the checkpoint trace,
+    the restart events, and the best checkpoint by worst relative
+    residual."""
+
+    def __init__(self, prob: LpProblem, scaling: RuizScaling, started: float):
+        self.prob = prob
+        self.scaling = scaling
+        self.started = started
+        self.trace: list[TraceRecord] = []
+        self.events: list[RestartEvent] = []
+        self.best_w: Iterate | None = None
+        self.best_residuals = _NO_RESIDUALS
 
     def offer(self, w: Iterate, residuals: tuple[float, float, float]):
-        score = max(residuals)
-        if self.w is not None and not score < self.score:
-            return
-        self.score = score
-        self.w = w
-        self.residuals = residuals
+        if self.best_w is None or max(residuals) < max(self.best_residuals):
+            self.best_w, self.best_residuals = w, residuals
+
+    def checkpoint(self, candidate: Iterate, k: int, r: int, t: int,
+                   sigma: float, merit: float):
+        """Evaluate a working-space candidate on the original data and
+        log it; returns the unscaled point and its residual triple."""
+        wb = unscale_iterate(candidate, self.scaling)
+        res = relative_residuals(wb, self.prob)
+        self.offer(wb, res)
+        seconds = time.perf_counter() - self.started
+        self.trace.append(TraceRecord(k, r, t, sigma, *res, merit, seconds))
+        return wb, res
+
+    def report(
+        self,
+        status: str,
+        w: Iterate,
+        residuals: tuple[float, float, float],
+        iterations: int,
+        restarts: int,
+        message: str,
+    ) -> SolveResult:
+        prob = self.prob
+        sign = prob.objective_sign
+        pobj = sign * (float(np.dot(prob.c, w.x)) + prob.obj_constant)
+        dual = dual_objective(w.y, w.z, prob)
+        dobj = sign * (-dual + prob.obj_constant) if np.isfinite(dual) else float("nan")
+        return SolveResult(
+            status=status,
+            x=w.x.copy(),
+            y=w.y.copy(),
+            z=w.z.copy(),
+            primal_obj=pobj,
+            dual_obj=dobj,
+            rel_gap=residuals[0],
+            rel_primal=residuals[1],
+            rel_dual=residuals[2],
+            iterations=iterations,
+            restarts=restarts,
+            solve_seconds=time.perf_counter() - self.started,
+            trace=tuple(self.trace),
+            events=tuple(self.events),
+            message=message,
+        )
 
 
 def _assign(dst: Iterate, src: Iterate):
@@ -334,61 +379,18 @@ class _RowProducts:
         np.add(self.anchor, self.ax, out=self.ax)
 
 
-def _report(
-    prob: LpProblem,
-    status: str,
-    w: Iterate,
-    residuals: tuple[float, float, float],
-    iterations: int,
-    restarts: int,
-    started: float,
-    trace: list[TraceRecord],
-    events: list[RestartEvent],
-    message: str = "",
-) -> SolveResult:
-    sign = prob.objective_sign
-    pobj = sign * (float(np.dot(prob.c, w.x)) + prob.obj_constant)
-    dual = dual_objective(w.y, w.z, prob)
-    dobj = sign * (-dual + prob.obj_constant) if np.isfinite(dual) else float("nan")
-    return SolveResult(
-        status=status,
-        x=w.x.copy(),
-        y=w.y.copy(),
-        z=w.z.copy(),
-        primal_obj=pobj,
-        dual_obj=dobj,
-        rel_gap=residuals[0],
-        rel_primal=residuals[1],
-        rel_dual=residuals[2],
-        iterations=iterations,
-        restarts=restarts,
-        solve_seconds=time.perf_counter() - started,
-        trace=tuple(trace),
-        events=tuple(events),
-        message=message,
-    )
-
-
-def solve(prob: LpProblem, cfg: SolverConfig | None = None) -> SolveResult:
-    """Solve the LP to the configured relative tolerance.
-
-    Returns status "optimal" when the gap, primal and dual measures on
-    the original data all fall below ``cfg.tol``; "iter_limit" /
-    "time_limit" return the best checkpoint seen so far;
-    "numerical_error" flags divergence (reflection modes without an
-    anchor can and do diverge).
-    """
-    cfg = cfg or SolverConfig()
-    started = time.perf_counter()
-
+def _setup(
+    prob: LpProblem, cfg: SolverConfig
+) -> tuple[LpProblem, RuizScaling, float, NormalEquationSolver | None, str]:
+    """The working problem and its scaling, lambda_A for the working
+    matrix, the normal-equations factor when that y-step applies, and a
+    message that says why it does not when it was asked for."""
     work, scaling = (
         apply_scaling(prob, "ruiz", cfg.ruiz_iters)
         if cfg.scaling == "ruiz"
         else (prob, RuizScaling.identity(prob.m, prob.n))
     )
-    m, n = work.A.shape
 
-    # resolve lambda_A against the working matrix
     if work.A.nnz == 0:
         lam = 1.0
     elif cfg.engine.lambda_A is not None:
@@ -403,22 +405,51 @@ def solve(prob: LpProblem, cfg: SolverConfig | None = None) -> SolveResult:
 
     # normal-equations path only for pure equality rows
     normal_eq = None
-    t1_active = False
     message = ""
-    if cfg.engine.t1_zero_path and m > 0:
+    if cfg.engine.t1_zero_path and work.m > 0:
         if not work.rows_are_equalities():
             message = ("normal-equations path unavailable (not every row is an "
                        "equality); using proximal y-step")
         else:
             try:
                 normal_eq = NormalEquationSolver(work.A)
-                t1_active = True
             except ValueError as exc:
                 message = f"normal-equations path unavailable ({exc}); using proximal y-step"
+    return work, scaling, lam, normal_eq, message
 
-    mode = cfg.engine.mode
-    anchored = mode in ("hpr", "hdr", "rhpdhg")
-    sigma = float(cfg.sigma0)
+
+def _fit_sigma(
+    candidate: Iterate, anchor: Iterate, sigma: float, A: SparseMatrix,
+    lam: float, t1_zero: bool,
+) -> float:
+    """The penalty re-fit at a restart to the primal and dual
+    displacements since the last one; the dual one is measured through
+    A^T on the normal-equations path."""
+    dx = float(np.linalg.norm(candidate.x - anchor.x))
+    dy_vec = candidate.y - anchor.y
+    if t1_zero:
+        dy = float(np.linalg.norm(A.rmatvec(dy_vec)))
+    else:
+        dy = float(np.sqrt(lam)) * float(np.linalg.norm(dy_vec))
+    scales = float(np.linalg.norm(candidate.x)), float(np.linalg.norm(candidate.y))
+    return sigma_update(SigmaUpdateInputs(dx, dy, *scales), sigma)
+
+
+def solve(prob: LpProblem, cfg: SolverConfig | None = None) -> SolveResult:
+    """Solve the LP to the configured relative tolerance.
+
+    Returns status "optimal" when the gap, primal and dual measures on
+    the original data all fall below ``cfg.tol``; "iter_limit" /
+    "time_limit" return the best checkpoint seen so far;
+    "numerical_error" flags divergence (reflection modes without an
+    anchor can and do diverge).
+    """
+    cfg = cfg or SolverConfig()
+    started = time.perf_counter()
+    work, scaling, lam, normal_eq, message = _setup(prob, cfg)
+    m, n = work.A.shape
+    t1_active = normal_eq is not None
+    sigma = float(cfg.engine.sigma)
     ecfg = dataclasses.replace(
         cfg.engine, sigma=sigma, lambda_A=lam, t1_zero_path=t1_active
     )
@@ -430,268 +461,105 @@ def solve(prob: LpProblem, cfg: SolverConfig | None = None) -> SolveResult:
         x0 = project_box(np.zeros(n), work.l_var, work.u_var)
         w = Iterate(np.zeros(m), np.zeros(n), x0)
 
-    trace: list[TraceRecord] = []
-    events: list[RestartEvent] = []
-    best = _Best()
-
-    def checkpoint(wb_work: Iterate, k: int, r: int, t: int, merit: float):
-        """Evaluate a candidate on the original data; returns the
-        residual triple after logging."""
-        wb = unscale_iterate(wb_work, scaling)
-        res = relative_residuals(wb, prob)
-        best.offer(wb, res)
-        trace.append(
-            TraceRecord(
-                k=k,
-                r=r,
-                t=t,
-                sigma=sigma,
-                rel_gap=res[0],
-                rel_primal=res[1],
-                rel_dual=res[2],
-                merit=merit,
-                seconds=time.perf_counter() - started,
-            )
-        )
-        return res, wb
-
+    log = _RunLog(prob, scaling, started)
     if cfg.iter_limit == 0:
-        res0 = relative_residuals(unscale_iterate(w, scaling), prob)
-        best.offer(unscale_iterate(w, scaling), res0)
-        return _report(
-            prob, "iter_limit", best.w, best.residuals, 0, 0, started, trace, events,
+        w0 = unscale_iterate(w, scaling)
+        return log.report(
+            "iter_limit", w0, relative_residuals(w0, prob), 0, 0,
             "iteration limit is zero",
         )
 
-    k = 0
-    r = 0
+    # switches and limits, read once
+    anchored, ergodic, restarts = ecfg.anchored, ecfg.ergodic, ecfg.restarts
+    tol, iter_limit, check_interval = cfg.tol, cfg.iter_limit, cfg.check_interval
+    restart_cfg = cfg.restart
     deadline = started + cfg.time_limit
-    averages = EprAverages.start(w) if mode == "epr" else None
+    no_restart = RestartReason.NONE
 
-    # every vector of the loop, allocated once: the iterate w (which the
+    # the iteration state, allocated once: the iterate w (which the
     # anchored average overwrites), the restart point, the step's
-    # workspace, and w - w_hat for the merit (whose z block it ignores)
-    step_work = StepWorkspace(m, n)
+    # workspace, w - w_hat for the merit (whose z block it ignores), the
+    # ergodic means, and A x for the merit's cross term in the anchored
+    # modes on the proximal route (pr / epr restart on merit increases,
+    # which rounding decides, and the normal-equations merit needs
+    # A^T dy anyway); k counts all steps, r restarts, t steps since the
+    # last restart
     anchor = w.copy()
+    step_work = StepWorkspace(m, n)
     diff = Iterate(np.empty(m), np.empty(0), np.empty(n))
-    # A x for the merit's cross term, in the anchored modes on the
-    # proximal route; pr / epr restart on merit increases, which rounding
-    # decides, and the normal-equations merit needs A^T dy anyway
+    averages = EprAverages.start(w) if ergodic else None
     rows = None
     if anchored and not t1_active:
         rows = _RowProducts(work.A, ecfg.reflection, w.x)
+    k = r = t = 0
+    status = None
 
-    while True:
-        merit0 = 0.0
-        merit_prev = 0.0
-        t = 0
-        restarted = False
-        while True:
-            try:
-                step = pr_step(w, work, ecfg, normal_eq, step_work)
-            except ArithmeticError as exc:
-                if best.w is None:
-                    inf3 = (float("inf"), float("inf"), float("inf"))
-                    best.offer(unscale_iterate(w, scaling), inf3)
-                return _report(
-                    prob, "numerical_error", best.w, best.residuals, k, r,
-                    started, trace, events, str(exc),
-                )
-            np.subtract(w.y, step.w_hat.y, out=diff.y)
-            np.subtract(w.x, step.w_hat.x, out=diff.x)
-            if rows is not None:
-                merit = m_norm(diff, mctx, rows.step_diff(step.ax2))
-            else:
-                merit = m_norm(diff, mctx)
-            if t == 0:
-                merit0 = merit
-                merit_prev = merit
-
-            if anchored:
-                halpern_step(anchor, step.w_hat, t, out=w)
-                if rows is not None:
-                    rows.average(t)
-            else:  # pr / epr: pure reflection
-                _assign(w, step.w_hat)
-            t += 1
-            k += 1
-            if mode == "epr":
-                averages = epr_accumulate(averages, step.w_bar, w, averages.n_bar + 1)
-
-            candidate = averages.w_bar_avg if mode == "epr" else step.w_bar
-
-            reason = RestartReason.NONE
-            if mode != "pr":
-                reason = check_restart(merit0, merit_prev, merit, t, k, cfg.restart)
-            merit_prev = merit
-
-            hit_iter = k >= cfg.iter_limit
-            hit_time = time.perf_counter() > deadline
-            due = (
-                k % cfg.check_interval == 0 or hit_iter or hit_time
-                or reason != RestartReason.NONE
-            )
-            if due:
-                res, wb = checkpoint(candidate, k, r, t, merit)
-                if max(res) <= cfg.tol:
-                    return _report(
-                        prob, "optimal", wb, res, k, r, started, trace, events, message
-                    )
-                if candidate.max_abs() > _DIVERGENCE_NORM:
-                    return _report(
-                        prob, "numerical_error", best.w, best.residuals, k, r,
-                        started, trace, events, "iterate norm exceeded 1e12",
-                    )
-                if hit_iter:
-                    return _report(
-                        prob, "iter_limit", best.w, best.residuals, k, r,
-                        started, trace, events, message,
-                    )
-                if time.perf_counter() > deadline:
-                    return _report(
-                        prob, "time_limit", best.w, best.residuals, k, r,
-                        started, trace, events, message,
-                    )
-
-            if reason != RestartReason.NONE:
-                tau = t
-                sigma_old = sigma
-                if cfg.adaptive_sigma:
-                    dx = float(np.linalg.norm(candidate.x - anchor.x))
-                    dy_vec = candidate.y - anchor.y
-                    if t1_active:
-                        dy = float(np.linalg.norm(work.A.rmatvec(dy_vec)))
-                    else:
-                        dy = float(np.sqrt(lam)) * float(np.linalg.norm(dy_vec))
-                    sigma = sigma_update(
-                        SigmaUpdateInputs(
-                            delta_x=dx,
-                            delta_y=dy,
-                            x_scale=float(np.linalg.norm(candidate.x)),
-                            y_scale=float(np.linalg.norm(candidate.y)),
-                        ),
-                        sigma_old,
-                    )
-                    if sigma != sigma_old:
-                        ecfg = ecfg.with_sigma(sigma)
-                        mctx = mctx.with_sigma(sigma)
-                events.append(
-                    RestartEvent(
-                        k=k, r=r, tau=tau, reason=reason.value,
-                        sigma_before=sigma_old, sigma_after=sigma,
-                    )
-                )
-                _assign(w, candidate)
-                _assign(anchor, candidate)
-                if rows is not None:
-                    rows.reset(w.x)
-                if mode == "epr":
-                    averages = EprAverages.start(w)
-                r += 1
-                restarted = True
-                break
-        if not restarted:  # pragma: no cover - inner loop only exits via return/restart
+    while status is None:
+        try:
+            step = pr_step(w, work, ecfg, normal_eq, step_work)
+        except ArithmeticError as exc:
+            if log.best_w is None:
+                log.offer(unscale_iterate(w, scaling), _NO_RESIDUALS)
+            status, message = "numerical_error", str(exc)
             break
-
-
-# ---------------------------------------------------------------------
-# complexity diagnostics
-
-
-@dataclass(frozen=True)
-class ComplexityReport:
-    """Per-iteration violation ratios of the O(1/k) guarantees of the
-    anchored method with fixed penalty: the weighted step norm, the KKT
-    residual, and the two-sided dual objective-error bound.  A ratio is
-    lhs / bound; values <= 1 mean the guarantee holds."""
-
-    r0: float
-    norm_a: float
-    kkt_constant: float
-    ratios_step: np.ndarray
-    ratios_kkt: np.ndarray
-    ratios_obj_upper: np.ndarray
-    ratios_obj_lower: np.ndarray
-
-    @property
-    def max_ratio(self) -> float:
-        parts = [
-            r for r in (
-                self.ratios_step, self.ratios_kkt,
-                self.ratios_obj_upper, self.ratios_obj_lower,
-            ) if r.size
-        ]
-        return float(max(np.max(p) for p in parts)) if parts else 0.0
-
-
-def _operator_norm(A: SparseMatrix) -> float:
-    m, n = A.shape
-    if A.nnz == 0:
-        return 0.0
-    if min(m, n) <= 1500:
-        return float(np.linalg.norm(A.to_dense(), 2))
-    est = estimate_lambda_A(A, rel_tol=1e-6, safety=1.0)
-    return float(np.sqrt(est) * (1.0 + 1e-6))
-
-
-def _safe_ratio(lhs: float, rhs: float) -> float:
-    if rhs > 0.0:
-        return lhs / rhs
-    return 0.0 if lhs <= 0.0 else float("inf")
-
-
-def complexity_diagnostics(
-    prob: LpProblem,
-    cfg: EngineConfig,
-    w0: Iterate,
-    w_star: Iterate,
-    num_iters: int,
-) -> ComplexityReport:
-    """Run ``num_iters`` anchored steps with fixed penalty (no restarts)
-    and report how close each O(1/k) bound comes to being violated.
-
-    w_star must be a solution (its dual support values must be finite);
-    use a high-accuracy solve to produce it.
-    """
-    if cfg.mode != "hpr":
-        raise ValueError("diagnostics cover the anchored full-reflection mode")
-    if cfg.lambda_A is None:
-        raise ValueError("cfg.lambda_A must be resolved")
-    ctx = MNormContext(cfg.sigma, cfg.lambda_A, prob.A)
-    r0 = m_norm(w0 - w_star, ctx)
-    norm_a = _operator_norm(prob.A)
-    sqrt_sigma = float(np.sqrt(cfg.sigma))
-    kkt_c = (cfg.sigma * (norm_a + float(np.sqrt(cfg.lambda_A))) + 1.0) / sqrt_sigma
-    dual_ref = dual_objective(w_star.y, w_star.z, prob)
-    if not np.isfinite(dual_ref):
-        raise ValueError("reference point has an infinite dual objective")
-    x_star_term = float(np.linalg.norm(w_star.x)) / sqrt_sigma
-
-    ratios_step = np.empty(num_iters)
-    ratios_kkt = np.empty(num_iters)
-    ratios_up = np.empty(num_iters)
-    ratios_lo = np.empty(num_iters)
-    w = w0
-    for k in range(num_iters):
-        step = pr_step(w, prob, cfg)
-        wb = step.w_bar
-        inv = r0 / (k + 1.0)
-        ratios_step[k] = _safe_ratio(m_norm(wb - w, ctx), inv)
-        ratios_kkt[k] = _safe_ratio(kkt_residual(wb, prob).norm, kkt_c * inv)
-        h = dual_objective(wb.y, wb.z, prob) - dual_ref
-        if h >= 0.0:
-            ratios_up[k] = _safe_ratio(h, (3.0 * r0 + x_star_term) * inv)
-            ratios_lo[k] = 0.0
+        np.subtract(w.y, step.w_hat.y, out=diff.y)
+        np.subtract(w.x, step.w_hat.x, out=diff.x)
+        if rows is not None:
+            merit = m_norm(diff, mctx, rows.step_diff(step.ax2))
         else:
-            ratios_up[k] = 0.0
-            ratios_lo[k] = _safe_ratio(-h, x_star_term * inv)
-        w = halpern_step(w0, step.w_hat, k)
-    return ComplexityReport(
-        r0=r0,
-        norm_a=norm_a,
-        kkt_constant=kkt_c,
-        ratios_step=ratios_step,
-        ratios_kkt=ratios_kkt,
-        ratios_obj_upper=ratios_up,
-        ratios_obj_lower=ratios_lo,
-    )
+            merit = m_norm(diff, mctx)
+        if t == 0:  # the restart tests measure against the first merit
+            merit0 = merit_prev = merit
+
+        if anchored:
+            halpern_step(anchor, step.w_hat, t, out=w)
+            if rows is not None:
+                rows.average(t)
+        else:
+            _assign(w, step.w_hat)
+        t += 1
+        k += 1
+        if ergodic:
+            averages = epr_accumulate(averages, step.w_bar, w, averages.n_bar + 1)
+            candidate = averages.w_bar_avg
+        else:
+            candidate = step.w_bar
+
+        reason = no_restart
+        if restarts:
+            reason = check_restart(merit0, merit_prev, merit, t, k, restart_cfg)
+        merit_prev = merit
+
+        hit_iter = k >= iter_limit
+        hit_time = time.perf_counter() > deadline
+        if k % check_interval == 0 or hit_iter or hit_time or reason != no_restart:
+            wb, res = log.checkpoint(candidate, k, r, t, sigma, merit)
+            if max(res) <= tol:
+                status = "optimal"
+            elif candidate.max_abs() > _DIVERGENCE_NORM:
+                status, message = "numerical_error", "iterate norm exceeded 1e12"
+            elif hit_iter:
+                status = "iter_limit"
+            elif time.perf_counter() > deadline:
+                status = "time_limit"
+
+        if status is None and reason != no_restart:
+            sigma_old = sigma
+            if cfg.adaptive_sigma:
+                sigma = _fit_sigma(candidate, anchor, sigma, work.A, lam, t1_active)
+                if sigma != sigma_old:
+                    ecfg = ecfg.with_sigma(sigma)
+                    mctx = mctx.with_sigma(sigma)
+            log.events.append(RestartEvent(k, r, t, reason.value, sigma_old, sigma))
+            _assign(w, candidate)
+            _assign(anchor, candidate)
+            if rows is not None:
+                rows.reset(w.x)
+            if ergodic:
+                averages = EprAverages.start(w)
+            r += 1
+            t = 0
+
+    if status != "optimal":  # report the best checkpoint, not the last
+        wb, res = log.best_w, log.best_residuals
+    return log.report(status, wb, res, k, r, message)

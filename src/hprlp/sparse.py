@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-__all__ = ["SparseMatrix", "spmv", "spmv_t", "estimate_lambda_A"]
+__all__ = ["SparseMatrix", "estimate_lambda_A"]
 
 
 class SparseMatrix:
@@ -107,16 +107,6 @@ class SparseMatrix:
         if np.shape(y) != (self.shape[0],):
             raise ValueError(f"y must have shape ({self.shape[0]},), got {np.shape(y)}")
         return self._csr_t @ y
-
-
-def spmv(A: SparseMatrix, x: np.ndarray) -> np.ndarray:
-    """Matrix-vector product A x."""
-    return A.matvec(x)
-
-
-def spmv_t(A: SparseMatrix, y: np.ndarray) -> np.ndarray:
-    """Transposed product A^T y."""
-    return A.rmatvec(y)
 
 
 def estimate_lambda_A(

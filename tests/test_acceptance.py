@@ -25,23 +25,25 @@ from hprlp import (
     SolverConfig,
     SparseMatrix,
     build_problem,
-    complexity_diagnostics,
     epr_accumulate,
     estimate_lambda_A,
-    frozen_affine_map,
     halpern_step,
-    identify_active_sets,
     m_norm,
     oracle_solve,
     parse_mps,
     pr_step,
-    rhpdhg_step,
     solve,
 )
 from hprlp.adaptive import m_norm_squared
 from hprlp.cli import sgm10
 
 from conftest import ACCEPTANCE_LINES, random_lp
+from theory import (
+    complexity_diagnostics,
+    frozen_affine_map,
+    identify_active_sets,
+    rhpdhg_step,
+)
 
 INF = np.inf
 

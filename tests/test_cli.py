@@ -83,6 +83,14 @@ def test_solve_json_output(fixtures_dir, capsys):
         }
 
 
+def test_solve_sigma0_sets_the_starting_penalty(fixtures_dir, capsys):
+    code = main(["solve", str(fixtures_dir / "simple_l.mps"), "--json",
+                 "--sigma0", "7"])
+    assert code == EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["trace"][0]["sigma"] == 7.0
+
+
 def test_solve_missing_file(capsys):
     code = main(["solve", "/no/such/file.mps"])
     assert code == EXIT_DATA

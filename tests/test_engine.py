@@ -17,17 +17,15 @@ from hprlp import (
     SparseMatrix,
     StepWorkspace,
     epr_accumulate,
-    frozen_affine_map,
     halpern_step,
-    identify_active_sets,
     m_norm,
     pr_step,
-    rhpdhg_step,
     solve,
     y_update_t1_zero,
 )
 
 from conftest import random_lp
+from theory import frozen_affine_map, identify_active_sets, rhpdhg_step
 
 
 def prob_corner():
@@ -74,6 +72,24 @@ def test_config_mode_case_and_with_sigma():
     assert cfg.mode == "hpr"
     assert cfg.with_sigma(3.0).sigma == 3.0
     assert cfg.with_sigma(3.0).mode == "hpr"
+
+
+@pytest.mark.parametrize(
+    "mode, gamma, anchored, ergodic, restarts, reflection",
+    [
+        ("hpr", 1.0, True, False, True, 1.0),
+        ("hdr", 1.0, True, False, True, 0.0),
+        ("rhpdhg", 0.25, True, False, True, 0.25),
+        ("pr", 1.0, False, False, False, 1.0),
+        ("epr", 1.0, False, True, True, 1.0),
+    ],
+)
+def test_config_resolves_mode_into_switches(mode, gamma, anchored, ergodic,
+                                            restarts, reflection):
+    cfg = EngineConfig(mode=mode.upper(), gamma=gamma).with_sigma(2.0)
+    assert (cfg.anchored, cfg.ergodic, cfg.restarts, cfg.reflection) == (
+        anchored, ergodic, restarts, reflection
+    )
 
 
 def test_config_allows_deferred_lambda():

@@ -10,13 +10,13 @@ from hprlp import (
     SolverConfig,
     SparseMatrix,
     apply_scaling,
-    complexity_diagnostics,
     solve,
 )
 from hprlp.adaptive import SIGMA_MAX, SIGMA_MIN
 from hprlp.solver import scale_iterate, unscale_iterate
 
 from conftest import random_lp
+from theory import complexity_diagnostics
 
 
 def prob_corner():
@@ -168,7 +168,7 @@ def test_solve_no_rows():
 
 
 @pytest.mark.parametrize("mode", ["hpr", "hdr", "epr", "rhpdhg"])
-def test_all_anchored_modes_converge(mode):
+def test_restarted_modes_converge(mode):
     rng = np.random.default_rng(55)
     prob = random_lp(rng, 5, 3)
     gamma = 0.5 if mode == "rhpdhg" else 1.0
@@ -178,6 +178,31 @@ def test_all_anchored_modes_converge(mode):
     )
     assert res.status == "optimal", res.message
     assert max(res.rel_residuals) <= 1e-8
+
+
+@pytest.mark.parametrize("gamma, same_as", [(1.0, "hpr"), (0.0, "hdr")])
+def test_rhpdhg_end_points_are_hpr_and_hdr(gamma, same_as):
+    """The modes are points of one space: rhpdhg at gamma = 1 is hpr and
+    at gamma = 0 is hdr, run for run."""
+    rng = np.random.default_rng(57)
+    for style in ("two_sided", "equality", "two_sided"):
+        prob = random_lp(rng, int(rng.integers(4, 12)), int(rng.integers(2, 8)), style=style)
+        a = solve(prob, quick_cfg(
+            engine=EngineConfig(lambda_A=None, mode="rhpdhg", gamma=gamma)))
+        b = solve(prob, quick_cfg(engine=EngineConfig(lambda_A=None, mode=same_as)))
+        assert a.status == b.status
+        assert a.iterations == b.iterations and a.events == b.events
+        assert a.restarts > 0
+        for got, want in ((a.x, b.x), (a.y, b.y), (a.z, b.z)):
+            assert np.array_equal(got, want)
+
+
+def test_engine_sigma_is_the_starting_penalty():
+    rng = np.random.default_rng(58)
+    prob = random_lp(rng, 5, 3)
+    res = solve(prob, quick_cfg(engine=EngineConfig(lambda_A=None, sigma=7.0)))
+    assert res.trace[0].sigma == 7.0
+    assert res.events[0].sigma_before == 7.0
 
 
 def test_pure_reflection_mode_runs_without_restarts():

@@ -2,7 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from hprlp import SparseMatrix, estimate_lambda_A, spmv, spmv_t
+from hprlp import SparseMatrix, estimate_lambda_A
 
 
 def test_from_coo_sums_duplicates():
@@ -43,8 +43,8 @@ def test_matvec_and_rmatvec_agree_with_dense():
         A = SparseMatrix.from_dense(dense)
         x = rng.standard_normal(n)
         y = rng.standard_normal(m)
-        npt.assert_allclose(spmv(A, x), dense @ x, rtol=1e-12, atol=1e-12)
-        npt.assert_allclose(spmv_t(A, y), dense.T @ y, rtol=1e-12, atol=1e-12)
+        npt.assert_allclose(A.matvec(x), dense @ x, rtol=1e-12, atol=1e-12)
+        npt.assert_allclose(A.rmatvec(y), dense.T @ y, rtol=1e-12, atol=1e-12)
 
 
 def test_adjoint_identity():

@@ -1,0 +1,283 @@
+"""Theory-checking helpers: code that verifies the paper's claims about
+the iteration and is not part of the solver.
+
+- ``rhpdhg_step``: the reflected primal-dual form of the anchored step,
+  which criterion 3 checks against ``pr_step`` + ``halpern_step``;
+- ``identify_active_sets`` / ``frozen_affine_map``: the step restricted to
+  fixed projection faces, an affine map on which criterion 4 checks the
+  Halpern/Picard identity and criterion 6 the hpr/epr equivalence;
+- ``complexity_diagnostics``: the O(1/k) bounds of criterion 5.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, replace
+
+import numpy as np
+
+from hprlp import (
+    EngineConfig,
+    Iterate,
+    LpProblem,
+    MNormContext,
+    PrStepTrace,
+    SparseMatrix,
+    dual_objective,
+    estimate_lambda_A,
+    halpern_step,
+    kkt_residual,
+    m_norm,
+    pr_step,
+    project_box,
+)
+
+
+# ---------------------------------------------------------------------
+# reflected primal-dual form
+
+
+def rhpdhg_step(
+    u: tuple[np.ndarray, np.ndarray],
+    u0: tuple[np.ndarray, np.ndarray],
+    prob: LpProblem,
+    eta: float,
+    omega: float,
+    gamma: float,
+    k: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """One reflected primal-dual step with anchored averaging.
+
+    For the state u = (y, x):
+
+        x_bar  = proj_C(x - (eta/omega) (c - A^T y))
+        q      = A (2 x_bar - x)
+        y_bar  = y - eta*omega*q - eta*omega * proj_{-K}(y/(eta*omega) - q)
+        u_next = (k+1)/(k+2) * ((1+gamma) (y_bar, x_bar) - gamma u)
+                 + 1/(k+2) * u0
+
+    With gamma = 1, step sizes eta/omega matching sigma = eta/omega and
+    lambda_A = 1/eta^2, the (y, x) trajectory coincides with the one
+    generated by ``pr_step`` + ``halpern_step``.
+    """
+    if eta <= 0.0 or omega <= 0.0:
+        raise ValueError("step sizes eta and omega must be positive")
+    if not (0.0 <= gamma <= 1.0):
+        raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
+    y, x = u
+    y0, x0 = u0
+    x_bar = project_box(
+        x - (eta / omega) * (prob.c - prob.A.rmatvec(y)), prob.l_var, prob.u_var
+    )
+    q = prob.A.matvec(2.0 * x_bar - x)
+    ew = eta * omega
+    # proj onto -K = [-u_con, -l_con]
+    y_bar = y - ew * q - ew * project_box(y / ew - q, -prob.u_con, -prob.l_con)
+    wk = (k + 1.0) / (k + 2.0)
+    w0 = 1.0 / (k + 2.0)
+    y_next = wk * ((1.0 + gamma) * y_bar - gamma * y) + w0 * y0
+    x_next = wk * ((1.0 + gamma) * x_bar - gamma * x) + w0 * x0
+    return y_next, x_next
+
+
+# ---------------------------------------------------------------------
+# active sets and the frozen affine map
+
+
+@dataclass(frozen=True, eq=False)
+class ActiveSets:
+    """Indices of box faces hit by the projections in one step.
+
+    i_c holds variable indices where proj_C landed on a finite bound,
+    i_k row indices where proj_K landed on a finite bound; c_values /
+    k_values are the corresponding bound values.  Ties (both bounds
+    equal) count as active.
+    """
+
+    i_c: np.ndarray
+    i_k: np.ndarray
+    c_values: np.ndarray
+    k_values: np.ndarray
+
+    def same_as(self, other: "ActiveSets") -> bool:
+        return (
+            np.array_equal(self.i_c, other.i_c)
+            and np.array_equal(self.i_k, other.i_k)
+            and np.array_equal(self.c_values, other.c_values)
+            and np.array_equal(self.k_values, other.k_values)
+        )
+
+
+def identify_active_sets(trace: PrStepTrace, prob: LpProblem) -> ActiveSets:
+    """Faces hit by the two projections in a step.
+
+    A component is active when the projected point equals a finite
+    bound (exact comparison; clipping returns bound values exactly).
+    Requires the zeta route, i.e. not the normal-equations path.
+    """
+    if trace.zeta is None:
+        raise ValueError("active sets are undefined on the normal-equations path")
+    x_bar = trace.w_bar.x
+    at_lo = np.isfinite(prob.l_var) & (x_bar == prob.l_var)
+    at_hi = np.isfinite(prob.u_var) & (x_bar == prob.u_var)
+    i_c = np.flatnonzero(at_lo | at_hi)
+    c_values = x_bar[i_c].copy()
+
+    pk = project_box(trace.zeta, prob.l_con, prob.u_con)
+    at_lo_k = np.isfinite(prob.l_con) & (pk == prob.l_con)
+    at_hi_k = np.isfinite(prob.u_con) & (pk == prob.u_con)
+    i_k = np.flatnonzero(at_lo_k | at_hi_k)
+    k_values = pk[i_k].copy()
+    return ActiveSets(i_c=i_c, i_k=i_k, c_values=c_values, k_values=k_values)
+
+
+@dataclass(frozen=True, eq=False)
+class FrozenAffineMap:
+    """The step map w -> w_hat with both projections frozen to fixed
+    faces, which makes it affine.  It is ``pr_step`` on ``pinned``: the
+    problem whose boxes are the single points of the active faces and
+    free everywhere else.  ``offset`` is its value at zero."""
+
+    pinned: LpProblem
+    cfg: EngineConfig
+
+    def __call__(self, w: Iterate) -> Iterate:
+        return pr_step(w, self.pinned, self.cfg).w_hat
+
+    @property
+    def offset(self) -> Iterate:
+        """Value of the map at the zero iterate."""
+        m, n = self.pinned.A.shape
+        return self(Iterate.zeros(m, n))
+
+    def apply_linear(self, w: Iterate) -> Iterate:
+        """Linear part: F(w) - F(0)."""
+        off = self.offset
+        fw = self(w)
+        return Iterate(fw.y - off.y, fw.z - off.z, fw.x - off.x)
+
+
+def _pinned_box(size: int, idx: np.ndarray, values: np.ndarray):
+    lo = np.full(size, -np.inf)
+    hi = np.full(size, np.inf)
+    lo[idx] = values
+    hi[idx] = values
+    return lo, hi
+
+
+def frozen_affine_map(
+    active: ActiveSets, prob: LpProblem, cfg: EngineConfig
+) -> FrozenAffineMap:
+    """Affine restriction of the step map to the given active faces.
+
+    Agrees with ``pr_step`` at every point whose own active sets equal
+    ``active``.
+    """
+    if cfg.t1_zero_path:
+        raise ValueError("frozen maps are defined for the zeta route only")
+    l_var, u_var = _pinned_box(prob.n, active.i_c, active.c_values)
+    l_con, u_con = _pinned_box(prob.m, active.i_k, active.k_values)
+    pinned = replace(prob, l_con=l_con, u_con=u_con, l_var=l_var, u_var=u_var)
+    return FrozenAffineMap(pinned=pinned, cfg=cfg)
+
+
+# ---------------------------------------------------------------------
+# complexity diagnostics
+
+
+@dataclass(frozen=True)
+class ComplexityReport:
+    """Per-iteration violation ratios of the O(1/k) guarantees of the
+    anchored method with fixed penalty: the weighted step norm, the KKT
+    residual, and the two-sided dual objective-error bound.  A ratio is
+    lhs / bound; values <= 1 mean the guarantee holds."""
+
+    r0: float
+    norm_a: float
+    kkt_constant: float
+    ratios_step: np.ndarray
+    ratios_kkt: np.ndarray
+    ratios_obj_upper: np.ndarray
+    ratios_obj_lower: np.ndarray
+
+    @property
+    def max_ratio(self) -> float:
+        parts = [
+            r for r in (
+                self.ratios_step, self.ratios_kkt,
+                self.ratios_obj_upper, self.ratios_obj_lower,
+            ) if r.size
+        ]
+        return float(max(np.max(p) for p in parts)) if parts else 0.0
+
+
+def _operator_norm(A: SparseMatrix) -> float:
+    m, n = A.shape
+    if A.nnz == 0:
+        return 0.0
+    if min(m, n) <= 1500:
+        return float(np.linalg.norm(A.to_dense(), 2))
+    est = estimate_lambda_A(A, rel_tol=1e-6, safety=1.0)
+    return float(np.sqrt(est) * (1.0 + 1e-6))
+
+
+def _safe_ratio(lhs: float, rhs: float) -> float:
+    if rhs > 0.0:
+        return lhs / rhs
+    return 0.0 if lhs <= 0.0 else float("inf")
+
+
+def complexity_diagnostics(
+    prob: LpProblem,
+    cfg: EngineConfig,
+    w0: Iterate,
+    w_star: Iterate,
+    num_iters: int,
+) -> ComplexityReport:
+    """Run ``num_iters`` anchored steps with fixed penalty (no restarts)
+    and report how close each O(1/k) bound comes to being violated.
+
+    w_star must be a solution (its dual support values must be finite);
+    use a high-accuracy solve to produce it.
+    """
+    if cfg.mode != "hpr":
+        raise ValueError("diagnostics cover the anchored full-reflection mode")
+    if cfg.lambda_A is None:
+        raise ValueError("cfg.lambda_A must be resolved")
+    ctx = MNormContext(cfg.sigma, cfg.lambda_A, prob.A)
+    r0 = m_norm(w0 - w_star, ctx)
+    norm_a = _operator_norm(prob.A)
+    sqrt_sigma = float(np.sqrt(cfg.sigma))
+    kkt_c = (cfg.sigma * (norm_a + float(np.sqrt(cfg.lambda_A))) + 1.0) / sqrt_sigma
+    dual_ref = dual_objective(w_star.y, w_star.z, prob)
+    if not np.isfinite(dual_ref):
+        raise ValueError("reference point has an infinite dual objective")
+    x_star_term = float(np.linalg.norm(w_star.x)) / sqrt_sigma
+
+    ratios_step = np.empty(num_iters)
+    ratios_kkt = np.empty(num_iters)
+    ratios_up = np.empty(num_iters)
+    ratios_lo = np.empty(num_iters)
+    w = w0
+    for k in range(num_iters):
+        step = pr_step(w, prob, cfg)
+        wb = step.w_bar
+        inv = r0 / (k + 1.0)
+        ratios_step[k] = _safe_ratio(m_norm(wb - w, ctx), inv)
+        ratios_kkt[k] = _safe_ratio(kkt_residual(wb, prob).norm, kkt_c * inv)
+        h = dual_objective(wb.y, wb.z, prob) - dual_ref
+        if h >= 0.0:
+            ratios_up[k] = _safe_ratio(h, (3.0 * r0 + x_star_term) * inv)
+            ratios_lo[k] = 0.0
+        else:
+            ratios_up[k] = 0.0
+            ratios_lo[k] = _safe_ratio(-h, x_star_term * inv)
+        w = halpern_step(w0, step.w_hat, k)
+    return ComplexityReport(
+        r0=r0,
+        norm_a=norm_a,
+        kkt_constant=kkt_c,
+        ratios_step=ratios_step,
+        ratios_kkt=ratios_kkt,
+        ratios_obj_upper=ratios_up,
+        ratios_obj_lower=ratios_lo,
+    )

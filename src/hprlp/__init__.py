@@ -27,12 +27,9 @@ from .engine import (
 )
 from .model import (
     Iterate,
-    KktResidual,
     LpProblem,
     box_support,
     dual_objective,
-    kkt_residual,
-    primal_objective,
     project_box,
     relative_residuals,
 )
@@ -54,7 +51,6 @@ __all__ = [
     "EngineConfig",
     "EprAverages",
     "Iterate",
-    "KktResidual",
     "LpProblem",
     "MNormContext",
     "MpsDocument",
@@ -79,12 +75,10 @@ __all__ = [
     "epr_accumulate",
     "estimate_lambda_A",
     "halpern_step",
-    "kkt_residual",
     "m_norm",
     "oracle_solve",
     "parse_mps",
     "pr_step",
-    "primal_objective",
     "project_box",
     "relative_residuals",
     "sigma_update",

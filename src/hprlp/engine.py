@@ -28,7 +28,9 @@ normal equations A A^T y_bar = rhs replaces the zeta/projection route
 ``pr_step`` and ``halpern_step`` write their results into preallocated
 vectors (a ``StepWorkspace`` and an ``out`` iterate) with numpy ``out=``
 updates, in the same operations and order as the formulas above, so a
-run on reused buffers is bit-identical to one on fresh arrays.
+run on reused buffers is bit-identical to one on fresh arrays.  Updates
+of whole iterates run over ``model.blocks``: one call on packed
+iterates, one per block otherwise, with the same values.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg.blas import ddot, dtrsv
 
-from .model import Iterate, LpProblem, project_box
+from .model import Iterate, LpProblem, blocks, project_box
 from .sparse import SparseMatrix
 
 __all__ = [
@@ -154,18 +156,18 @@ class StepWorkspace:
 
     ``bar`` receives the proximal point w_bar, ``hat`` the reflected
     point w_hat (its x block first holds 2 x_bar - x, the argument of
-    the row product, which full reflection keeps as x_hat), and
-    ``tmp_m`` / ``tmp_n`` are scratch.  The iterate a step starts from
-    must not share memory with any of them.
+    the row product, which full reflection keeps as x_hat), and ``tmp``
+    is scratch; all three are packed.
+    The iterate a step starts from must not share memory with any of
+    them.
     """
 
-    __slots__ = ("bar", "hat", "tmp_m", "tmp_n")
+    __slots__ = ("bar", "hat", "tmp")
 
     def __init__(self, m: int, n: int):
-        self.bar = Iterate(np.empty(m), np.empty(n), np.empty(n))
-        self.hat = Iterate(np.empty(m), np.empty(n), np.empty(n))
-        self.tmp_m = np.empty(m)
-        self.tmp_n = np.empty(n)
+        self.bar = Iterate.empty(m, n)
+        self.hat = Iterate.empty(m, n)
+        self.tmp = Iterate.empty(m, n)
 
 
 class NormalEquationSolver:
@@ -267,12 +269,9 @@ def _reflect(w_bar: Iterate, w: Iterate, cfg: EngineConfig, work: StepWorkspace)
     gamma = cfg.reflection
     if gamma == 0.0:
         return w_bar
-    hat = work.hat
-    _reflect_into(hat.y, w_bar.y, w.y, gamma, work.tmp_m)
-    _reflect_into(hat.z, w_bar.z, w.z, gamma, work.tmp_n)
-    if gamma != 1.0:
-        _reflect_into(hat.x, w_bar.x, w.x, gamma, work.tmp_n)
-    return hat
+    for out, bar, prev, tmp in blocks(work.hat, w_bar, w, work.tmp, x=gamma != 1.0):
+        _reflect_into(out, bar, prev, gamma, tmp)
+    return work.hat
 
 
 def _sum_squares(v: np.ndarray) -> float:
@@ -316,7 +315,7 @@ def pr_step(
     else:
         slam = sigma * cfg.lambda_A
         ax2 = prob.A.matvec(x2)
-        zeta = np.subtract(ax2, np.multiply(slam, w.y, out=work.tmp_m))
+        zeta = np.subtract(ax2, np.multiply(slam, w.y, out=work.tmp.y))
         project_box(zeta, prob.l_con, prob.u_con, out=bar.y)
         np.subtract(bar.y, zeta, out=bar.y)
         np.divide(bar.y, slam, out=bar.y)
@@ -336,61 +335,45 @@ def halpern_step(
 
     Computed as w_anchor + (t+1)/(t+2) * (w_hat - w_anchor), which is
     exact when the two points coincide.  The result is written into
-    ``out`` (new arrays when None), which may be w_hat or the iterate
-    the step started from, but must not share memory with w_anchor.
+    ``out`` (a new packed iterate when None), which may be w_hat or the
+    iterate the step started from, but must not share memory with
+    w_anchor.
     """
     if t < 0:
         raise ValueError(f"step counter must be >= 0, got {t}")
     if out is None:
-        out = Iterate(np.empty(np.shape(w_anchor.y)), np.empty(np.shape(w_anchor.z)),
-                      np.empty(np.shape(w_anchor.x)))
+        out = Iterate.empty(w_anchor.y.size, w_anchor.x.size)
     beta = (t + 1.0) / (t + 2.0)
-    for a, h, o in ((w_anchor.y, w_hat.y, out.y), (w_anchor.z, w_hat.z, out.z),
-                    (w_anchor.x, w_hat.x, out.x)):
+    for a, h, o in blocks(w_anchor, w_hat, out):
         np.subtract(h, a, out=o)
         np.multiply(beta, o, out=o)
         np.add(a, o, out=o)
     return out
 
 
-@dataclass(frozen=True, eq=False)
 class EprAverages:
-    """Uniform running means of the proximal points and of the reflection
-    iterates.  The iterate mean is seeded with the start point, so after
-    k+1 steps it averages w^0 .. w^{k+1}; the proximal mean averages
-    w_bar^1 .. w_bar^{k+1}."""
+    """Uniform running mean ``w_bar_avg`` of the proximal points
+    w_bar^1 .. w_bar^k folded in since it was made, updated in place on a
+    packed iterate; ``n_bar`` is k, and the mean is undefined while it
+    is 0."""
 
-    w_bar_avg: Iterate | None
-    w_avg: Iterate
-    n_bar: int
+    __slots__ = ("w_bar_avg", "n_bar", "_tmp")
 
-    @classmethod
-    def start(cls, w0: Iterate) -> "EprAverages":
-        return cls(w_bar_avg=None, w_avg=w0.copy(), n_bar=0)
-
-
-def _mean_update(avg: Iterate, v: Iterate, count: int) -> Iterate:
-    inv = 1.0 / count
-    return Iterate(
-        avg.y + inv * (v.y - avg.y),
-        avg.z + inv * (v.z - avg.z),
-        avg.x + inv * (v.x - avg.x),
-    )
+    def __init__(self, m: int, n: int):
+        self.w_bar_avg = Iterate.empty(m, n)
+        self.n_bar = 0
+        self._tmp = Iterate.empty(m, n)
 
 
-def epr_accumulate(
-    state: EprAverages, w_bar: Iterate, w: Iterate, count: int
-) -> EprAverages:
-    """Fold the step's (w_bar, w) pair into the running means.
-
-    ``count`` is the number of steps taken so far including this one;
-    it must advance by exactly one per call.
-    """
-    if count != state.n_bar + 1:
-        raise ValueError(f"count must be {state.n_bar + 1}, got {count}")
-    if state.w_bar_avg is None:
-        bar_avg = w_bar.copy()
-    else:
-        bar_avg = _mean_update(state.w_bar_avg, w_bar, count)
-    w_avg = _mean_update(state.w_avg, w, count + 1)
-    return EprAverages(w_bar_avg=bar_avg, w_avg=w_avg, n_bar=count)
+def epr_accumulate(state: EprAverages, w_bar: Iterate) -> None:
+    """Fold the step's proximal point into the running mean, in place as
+    avg + (1 / count) (w_bar - avg)."""
+    state.n_bar += 1
+    if state.n_bar == 1:
+        state.w_bar_avg.assign(w_bar)
+        return
+    inv = 1.0 / state.n_bar
+    for avg, v, d in blocks(state.w_bar_avg, w_bar, state._tmp):
+        np.subtract(v, avg, out=d)
+        np.multiply(inv, d, out=d)
+        np.add(avg, d, out=avg)

@@ -15,6 +15,7 @@ variable-bound box C.  Maximization problems are stored in minimize form
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,11 +25,9 @@ from .sparse import SparseMatrix
 __all__ = [
     "LpProblem",
     "Iterate",
-    "KktResidual",
+    "blocks",
     "project_box",
     "box_support",
-    "kkt_residual",
-    "primal_objective",
     "dual_objective",
     "relative_residuals",
 ]
@@ -152,18 +151,46 @@ class LpProblem:
 @dataclass(frozen=True, eq=False)
 class Iterate:
     """A primal-dual point w = (y, z, x): row multipliers, bound
-    multipliers, and primal variables."""
+    multipliers, and primal variables.
+
+    A packed iterate, as ``empty``, ``zeros`` and ``copy`` make, also
+    holds ``buf``: one contiguous vector laid out z, y, x whose slices
+    are the three blocks, so that an elementwise update of the whole
+    point is one numpy call (see ``blocks``).  In that order the z and y
+    blocks are one slice, ``zy``, and ``buf[n:]`` holds y and x.
+    """
 
     y: np.ndarray
     z: np.ndarray
     x: np.ndarray
+    buf: np.ndarray | None = field(default=None, init=False, repr=False)
+    zy: np.ndarray | None = field(default=None, init=False, repr=False)
+
+    @classmethod
+    def _on(cls, buf: np.ndarray, m: int, n: int) -> "Iterate":
+        w = cls(buf[n:n + m], buf[:n], buf[n + m:])
+        object.__setattr__(w, "buf", buf)
+        object.__setattr__(w, "zy", buf[:n + m])
+        return w
+
+    @classmethod
+    def empty(cls, m: int, n: int) -> "Iterate":
+        """A packed iterate with uninitialised values."""
+        return cls._on(np.empty(m + 2 * n), m, n)
 
     @classmethod
     def zeros(cls, m: int, n: int) -> "Iterate":
-        return cls(np.zeros(m), np.zeros(n), np.zeros(n))
+        return cls._on(np.zeros(m + 2 * n), m, n)
 
     def copy(self) -> "Iterate":
-        return Iterate(self.y.copy(), self.z.copy(), self.x.copy())
+        """A packed copy."""
+        return Iterate._on(np.concatenate((self.z, self.y, self.x)),
+                           self.y.size, self.z.size)
+
+    def assign(self, src: "Iterate"):
+        """Copy the values of ``src`` into this iterate's arrays."""
+        for dst, v in blocks(self, src):
+            np.copyto(dst, v)
 
     def __add__(self, other: "Iterate") -> "Iterate":
         return Iterate(self.y + other.y, self.z + other.z, self.x + other.x)
@@ -185,41 +212,17 @@ class Iterate:
         return float(np.max(vals)) if not np.any(np.isnan(vals)) else float("nan")
 
 
-@dataclass(frozen=True)
-class KktResidual:
-    """Raw KKT residual blocks at w = (y, z, x).
-
-    primal   : A x - proj_K(A x - y)
-    dual_box : x - proj_C(x - z)
-    dual_eq  : c - A^T y - z
-    """
-
-    primal: np.ndarray
-    dual_box: np.ndarray
-    dual_eq: np.ndarray
-    norm: float = field(init=False)
-
-    def __post_init__(self):
-        total = np.sqrt(
-            float(np.dot(self.primal, self.primal))
-            + float(np.dot(self.dual_box, self.dual_box))
-            + float(np.dot(self.dual_eq, self.dual_eq))
-        )
-        object.__setattr__(self, "norm", float(total))
-
-
-def kkt_residual(w: Iterate, prob: LpProblem) -> KktResidual:
-    """Residual of the optimality system; zero exactly at saddle points."""
-    ax = prob.A.matvec(w.x)
-    primal = ax - project_box(ax - w.y, prob.l_con, prob.u_con)
-    dual_box = w.x - project_box(w.x - w.z, prob.l_var, prob.u_var)
-    dual_eq = prob.c - prob.A.rmatvec(w.y) - w.z
-    return KktResidual(primal, dual_box, dual_eq)
-
-
-def primal_objective(x: np.ndarray, prob: LpProblem) -> float:
-    """<c, x> + obj_constant in the internal minimize form."""
-    return float(np.dot(prob.c, x)) + prob.obj_constant
+def blocks(*iterates: Iterate, x: bool = True) -> Iterable[tuple[np.ndarray, ...]]:
+    """The arrays an elementwise operation on ``iterates`` runs over, one
+    tuple of same-shaped arrays per numpy call: the packed buffers when
+    every iterate is packed, else the y, z and x blocks in turn.  Both
+    give the same values bit for bit.  Without ``x`` the x blocks are
+    left out, and packed iterates give their ``zy`` slices."""
+    bufs = tuple([w.buf if x else w.zy for w in iterates])  # cheaper than all(...)
+    for buf in bufs:
+        if buf is None:
+            return zip(*((w.y, w.z, w.x) if x else (w.y, w.z) for w in iterates))
+    return (bufs,)
 
 
 def dual_objective(y: np.ndarray, z: np.ndarray, prob: LpProblem) -> float:

@@ -324,12 +324,6 @@ class _RunLog:
         )
 
 
-def _assign(dst: Iterate, src: Iterate):
-    np.copyto(dst.y, src.y)
-    np.copyto(dst.z, src.z)
-    np.copyto(dst.x, src.x)
-
-
 class _RowProducts:
     """A x of the iterate and of the anchor, carried alongside them.
 
@@ -477,17 +471,20 @@ def solve(prob: LpProblem, cfg: SolverConfig | None = None) -> SolveResult:
     no_restart = RestartReason.NONE
 
     # the iteration state, allocated once: the iterate w (which the
-    # anchored average overwrites), the restart point, the step's
-    # workspace, w - w_hat for the merit (whose z block it ignores), the
-    # ergodic means, and A x for the merit's cross term in the anchored
-    # modes on the proximal route (pr / epr restart on merit increases,
-    # which rounding decides, and the normal-equations merit needs
-    # A^T dy anyway); k counts all steps, r restarts, t steps since the
-    # last restart
-    anchor = w.copy()
+    # anchored average overwrites) and the restart point, both packed
+    # (``Iterate.copy``), the step's workspace, w - w_hat for the merit
+    # (whose z block it ignores, so it holds y and x back to back as the
+    # packed iterates do), the ergodic mean, and A x for the merit's
+    # cross term in the anchored modes on the proximal route (pr / epr
+    # restart on merit increases, which rounding decides, and the
+    # normal-equations merit needs A^T dy anyway); k counts all steps,
+    # r restarts, t steps since the last restart
+    w, anchor = w.copy(), w.copy()
+    w_yx = w.buf[n:]
     step_work = StepWorkspace(m, n)
-    diff = Iterate(np.empty(m), np.empty(0), np.empty(n))
-    averages = EprAverages.start(w) if ergodic else None
+    diff_yx = np.empty(m + n)
+    diff = Iterate(diff_yx[:m], diff_yx[:0], diff_yx[m:])
+    averages = EprAverages(m, n) if ergodic else None
     rows = None
     if anchored and not t1_active:
         rows = _RowProducts(work.A, ecfg.reflection, w.x)
@@ -502,8 +499,7 @@ def solve(prob: LpProblem, cfg: SolverConfig | None = None) -> SolveResult:
                 log.offer(unscale_iterate(w, scaling), _NO_RESIDUALS)
             status, message = "numerical_error", str(exc)
             break
-        np.subtract(w.y, step.w_hat.y, out=diff.y)
-        np.subtract(w.x, step.w_hat.x, out=diff.x)
+        np.subtract(w_yx, step.w_hat.buf[n:], out=diff_yx)
         if rows is not None:
             merit = m_norm(diff, mctx, rows.step_diff(step.ax2))
         else:
@@ -516,11 +512,11 @@ def solve(prob: LpProblem, cfg: SolverConfig | None = None) -> SolveResult:
             if rows is not None:
                 rows.average(t)
         else:
-            _assign(w, step.w_hat)
+            w.assign(step.w_hat)
         t += 1
         k += 1
         if ergodic:
-            averages = epr_accumulate(averages, step.w_bar, w, averages.n_bar + 1)
+            epr_accumulate(averages, step.w_bar)
             candidate = averages.w_bar_avg
         else:
             candidate = step.w_bar
@@ -551,12 +547,12 @@ def solve(prob: LpProblem, cfg: SolverConfig | None = None) -> SolveResult:
                     ecfg = ecfg.with_sigma(sigma)
                     mctx = mctx.with_sigma(sigma)
             log.events.append(RestartEvent(k, r, t, reason.value, sigma_old, sigma))
-            _assign(w, candidate)
-            _assign(anchor, candidate)
+            w.assign(candidate)
+            anchor.assign(candidate)
             if rows is not None:
                 rows.reset(w.x)
             if ergodic:
-                averages = EprAverages.start(w)
+                averages = EprAverages(m, n)
             r += 1
             t = 0
 

@@ -4,8 +4,9 @@ Storage is compressed sparse column with a CSR mirror so that both A x
 and A^T y run against a row-major layout.  The CSR mirror of A is a copy;
 A^T needs none, since the CSC arrays of A, read as CSR, are A^T.  That
 CSR view of A^T is built once and shares the CSC's read-only data,
-indices and indptr.  Backed by scipy.sparse; all products are
-single-threaded and deterministic.
+indices and indptr.  Backed by scipy.sparse.  A matrix of at most
+``DENSE_MAX_ENTRIES`` entries also keeps a dense copy, and both products
+run on it through BLAS dgemv instead.  All products are deterministic.
 """
 
 from __future__ import annotations
@@ -15,10 +16,27 @@ import scipy.sparse as sp
 
 __all__ = ["SparseMatrix", "estimate_lambda_A"]
 
+# Up to this many entries (m * n) the products run on a dense copy of A.
+# There a product is mostly call overhead, and numpy's dgemv call costs
+# less than scipy's sparse dispatch; above it the dense arithmetic costs
+# more.  Microseconds per product, CSR against dense, best of 9 repeats
+# in two runs on one OpenBLAS thread of a 2-vCPU Xeon:
+#   shape       nnz    A x: CSR / dense    A^T y: CSR / dense
+#   60 x 150    1,800  5.9-6.4 / 2.5-3.8   9.9 / 4.4-4.7
+#   100 x 250   1,250  8.1-8.4 / 6.6-7.4   7.8-9.6 / 5.2-8.1
+#   120 x 250   1,500  6.2-8.0 / 6.9-7.7   7.3-8.0 / 6.2-7.1
+#   200 x 400   1,600  7.8 / 10.8-15.6     9.8-10.7 / 16.3-16.4
+#   600 x 1500  6,030  12-15 / 390         17 / 395
+# The routes break even near 25,000 entries at low density; denser
+# matrices break even later, so the cutoff errs towards CSR.
+DENSE_MAX_ENTRIES = 25_000
+
 
 class SparseMatrix:
     """CSC sparse matrix (canonical) with a CSR mirror for A x and a
-    CSR view of A^T on the CSC arrays for A^T y.
+    CSR view of A^T on the CSC arrays for A^T y, or, for a matrix of at
+    most ``DENSE_MAX_ENTRIES`` entries, one C-ordered dense copy for
+    both products.
 
     Duplicate entries are summed and indices sorted at construction;
     the stored arrays are read-only afterwards.
@@ -39,6 +57,12 @@ class SparseMatrix:
         self._csr_t = sp.csr_matrix(
             (csc.data, csc.indices, csc.indptr), shape=csc.shape[::-1], copy=False
         )
+        # the operands of A x and A^T y; the dense A^T is a view of the copy
+        self._ax, self._aty = self._csr, self._csr_t
+        if csc.shape[0] * csc.shape[1] <= DENSE_MAX_ENTRIES:
+            dense = csc.toarray(order="C")
+            dense.setflags(write=False)
+            self._ax, self._aty = dense, dense.T
 
     # -- constructors -------------------------------------------------
 
@@ -100,13 +124,13 @@ class SparseMatrix:
         """A x."""
         if np.shape(x) != (self.shape[1],):
             raise ValueError(f"x must have shape ({self.shape[1]},), got {np.shape(x)}")
-        return self._csr @ x
+        return self._ax @ x
 
     def rmatvec(self, y: np.ndarray) -> np.ndarray:
         """A^T y."""
         if np.shape(y) != (self.shape[0],):
             raise ValueError(f"y must have shape ({self.shape[0]},), got {np.shape(y)}")
-        return self._csr_t @ y
+        return self._aty @ y
 
 
 def estimate_lambda_A(

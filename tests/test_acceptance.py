@@ -17,7 +17,6 @@ import numpy as np
 import hprlp
 from hprlp import (
     EngineConfig,
-    EprAverages,
     Iterate,
     LpProblem,
     MNormContext,
@@ -25,7 +24,6 @@ from hprlp import (
     SolverConfig,
     SparseMatrix,
     build_problem,
-    epr_accumulate,
     estimate_lambda_A,
     halpern_step,
     m_norm,
@@ -39,6 +37,7 @@ from hprlp.cli import sgm10
 
 from conftest import ACCEPTANCE_LINES, random_lp
 from theory import (
+    IterateMean,
     complexity_diagnostics,
     frozen_affine_map,
     identify_active_sets,
@@ -336,7 +335,7 @@ def test_criterion_06_ergodic_segment_equivalence():
         base = identify_active_sets(pr_step(w0, prob, cfg_h), prob)
         w_h = w0.copy()
         w_e = w0.copy()
-        averages = EprAverages.start(w0)
+        mean = IterateMean(w0)
         constant = True
         worst = 0.0
         for k in range(500):
@@ -350,9 +349,9 @@ def test_criterion_06_ergodic_segment_equivalence():
                 break
             w_h = halpern_step(w0, step_h.w_hat, k)
             w_e = step_e.w_hat
-            averages = epr_accumulate(averages, step_e.w_bar, w_e, k + 1)
-            diff = w_h - averages.w_avg
-            scale = 1.0 + averages.w_avg.max_abs()
+            mean.add(w_e)
+            diff = w_h - mean.mean
+            scale = 1.0 + mean.mean.max_abs()
             worst = max(worst, diff.max_abs() / scale)
         if not constant:
             continue

@@ -1,9 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 import scipy.linalg
 from scipy.linalg.blas import dtrsv
 
+import hprlp.engine
+import hprlp.model
 import hprlp.solver
 
 from hprlp import (
@@ -23,9 +27,10 @@ from hprlp import (
     solve,
     y_update_t1_zero,
 )
+from hprlp.model import blocks
 
 from conftest import random_lp
-from theory import frozen_affine_map, identify_active_sets, rhpdhg_step
+from theory import IterateMean, frozen_affine_map, identify_active_sets, rhpdhg_step
 
 
 def prob_corner():
@@ -205,29 +210,23 @@ def test_halpern_rejects_negative_counter():
 
 
 def test_epr_running_means():
-    w0 = Iterate(np.array([0.0]), np.array([0.0]), np.array([0.0]))
-    st = EprAverages.start(w0)
-    assert st.w_bar_avg is None and st.n_bar == 0
+    st = EprAverages(1, 1)
+    assert st.n_bar == 0
 
     w_bar1 = Iterate(np.array([2.0]), np.array([0.0]), np.array([0.0]))
-    w1 = Iterate(np.array([4.0]), np.array([0.0]), np.array([0.0]))
-    st = epr_accumulate(st, w_bar1, w1, count=1)
-    npt.assert_array_equal(st.w_bar_avg.y, [2.0])
-    # iterate mean includes the start point: (0 + 4)/2
-    npt.assert_array_equal(st.w_avg.y, [2.0])
-
     w_bar2 = Iterate(np.array([4.0]), np.array([0.0]), np.array([0.0]))
-    w2 = Iterate(np.array([5.0]), np.array([0.0]), np.array([0.0]))
-    st = epr_accumulate(st, w_bar2, w2, count=2)
+    epr_accumulate(st, w_bar1)
+    npt.assert_array_equal(st.w_bar_avg.y, [2.0])
+    epr_accumulate(st, w_bar2)
     npt.assert_array_equal(st.w_bar_avg.y, [3.0])  # (2 + 4)/2
-    npt.assert_array_equal(st.w_avg.y, [3.0])      # (0 + 4 + 5)/3
+    assert st.n_bar == 2
 
-
-def test_epr_count_must_advance_by_one():
-    st = EprAverages.start(Iterate.zeros(1, 1))
-    w = Iterate.zeros(1, 1)
-    with pytest.raises(ValueError, match="count"):
-        epr_accumulate(st, w, w, count=2)
+    # the iterate mean of criterion 6 includes the start point
+    mean = IterateMean(Iterate(np.array([0.0]), np.array([0.0]), np.array([0.0])))
+    mean.add(Iterate(np.array([4.0]), np.array([0.0]), np.array([0.0])))
+    npt.assert_array_equal(mean.mean.y, [2.0])      # (0 + 4)/2
+    mean.add(Iterate(np.array([5.0]), np.array([0.0]), np.array([0.0])))
+    npt.assert_array_equal(mean.mean.y, [3.0])      # (0 + 4 + 5)/3
 
 
 # ---------------------------------------------------------------------------
@@ -481,16 +480,24 @@ def test_frozen_map_rejects_normal_equations_route():
 # preallocated workspace
 
 
-def _run_steps(prob, cfg, normal_eq, reuse, steps=200):
+def _unpacked(w):
+    return Iterate(w.y.copy(), w.z.copy(), w.x.copy())
+
+
+def _run_steps(prob, cfg, normal_eq, reuse, packed=True, steps=200):
     """The solve loop in miniature: anchored or plain steps from a fixed
     start, a sigma change at step 70, a restart at the proximal point at
     step 120.  With ``reuse`` every vector is allocated once, as in
-    ``solve``; without it every call allocates.  Returns per-step copies
-    of w, w_bar and the merit."""
+    ``solve``; without it every call allocates.  Without ``packed`` the
+    iterate and the anchor hold three separate arrays, so every update
+    of them runs block by block.  Returns per-step copies of w, w_bar
+    and the merit."""
     m, n = prob.A.shape
     rng = np.random.default_rng(4)
     w = Iterate(rng.standard_normal(m), rng.standard_normal(n), rng.standard_normal(n))
-    anchor = w.copy()
+    w = w.copy() if packed else w
+    anchor = w.copy() if packed else _unpacked(w)
+    assert (w.buf is not None) == (anchor.buf is not None) == packed
     anchored = cfg.mode in ("hpr", "hdr", "rhpdhg")
     work = StepWorkspace(m, n) if reuse else None
     ctx = MNormContext(cfg.sigma, cfg.lambda_A, prob.A, t1_zero=normal_eq is not None)
@@ -507,13 +514,12 @@ def _run_steps(prob, cfg, normal_eq, reuse, steps=200):
         elif anchored:
             halpern_step(anchor, step.w_hat, t, out=w)
         else:
-            for dst, src in zip((w.y, w.z, w.x), (step.w_hat.y, step.w_hat.z, step.w_hat.x)):
-                np.copyto(dst, src)
+            w.assign(step.w_hat)
         t += 1
         history.append((w.copy(), step.w_bar.copy(), merit))
         if k == 120:
-            anchor = step.w_bar.copy()
-            w = step.w_bar.copy()
+            anchor = step.w_bar.copy() if packed else _unpacked(step.w_bar)
+            w = step.w_bar.copy() if packed else _unpacked(step.w_bar)
             t = 0
     return history
 
@@ -532,12 +538,41 @@ def test_reused_workspace_is_bit_identical(mode, equality):
     normal_eq = NormalEquationSolver(prob.A) if equality else None
     fresh = _run_steps(prob, cfg, normal_eq, reuse=False)
     reused = _run_steps(prob, cfg, normal_eq, reuse=True)
-    for (wf, bf, mf), (wr, br, mr) in zip(fresh, reused):
-        for a, b in ((wf, wr), (bf, br)):
-            assert np.array_equal(a.y, b.y)
-            assert np.array_equal(a.z, b.z)
-            assert np.array_equal(a.x, b.x)
-        assert mf == mr
+    per_block = _run_steps(prob, cfg, normal_eq, reuse=True, packed=False)
+    for other in (reused, per_block):
+        for (wf, bf, mf), (wr, br, mr) in zip(fresh, other, strict=True):
+            for a, b in ((wf, wr), (bf, br)):
+                assert np.array_equal(a.y, b.y)
+                assert np.array_equal(a.z, b.z)
+                assert np.array_equal(a.x, b.x)
+            assert mf == mr
+
+
+def _per_block(*iterates, x=True):
+    """``blocks`` on unpacked stand-ins for the same arrays."""
+    return blocks(*(Iterate(w.y, w.z, w.x) for w in iterates), x=x)
+
+
+@pytest.mark.parametrize("mode", ["hpr", "hdr", "pr", "epr", "rhpdhg"])
+def test_packed_iterates_match_per_block_path(mode, monkeypatch):
+    """``solve`` updates its packed iterates with one numpy call each;
+    run again with every such update forced block by block, it gives the
+    same iterates, events and trace records apart from the clock."""
+    rng = np.random.default_rng(21)
+    prob = random_lp(rng, 30, 14)
+    cfg = SolverConfig(tol=1e-8, iter_limit=3000,
+                       engine=EngineConfig(lambda_A=None, mode=mode, gamma=0.5))
+    packed = solve(prob, cfg)
+    monkeypatch.setattr(hprlp.model, "blocks", _per_block)
+    monkeypatch.setattr(hprlp.engine, "blocks", _per_block)
+    per_block = solve(prob, cfg)
+    assert packed.events or mode == "pr"  # restarts copy into the packed iterates
+    assert packed.events == per_block.events
+    assert (packed.status, packed.iterations) == (per_block.status, per_block.iterations)
+    for v in ("x", "y", "z"):
+        assert np.array_equal(getattr(packed, v), getattr(per_block, v))
+    assert [replace(rec, seconds=0.0) for rec in packed.trace] == [
+        replace(rec, seconds=0.0) for rec in per_block.trace]
 
 
 def test_trace_without_workspace_is_not_overwritten():

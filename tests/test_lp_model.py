@@ -10,13 +10,12 @@ from hprlp import (
     SparseMatrix,
     box_support,
     dual_objective,
-    kkt_residual,
-    primal_objective,
     project_box,
     relative_residuals,
 )
 
 from conftest import random_lp
+from theory import kkt_residual, primal_objective
 
 
 def tiny_problem():

@@ -2,7 +2,11 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from hprlp import SparseMatrix, estimate_lambda_A
+import hprlp.sparse
+from hprlp import LpProblem, SolverConfig, SparseMatrix, estimate_lambda_A, solve
+from hprlp.sparse import DENSE_MAX_ENTRIES
+
+from conftest import random_lp
 
 
 def test_from_coo_sums_duplicates():
@@ -106,11 +110,13 @@ def test_lambda_estimate_zero_matrix_raises():
 
 
 def test_rmatvec_matches_csc_transpose_bitwise():
-    """The cached A^T gives exactly what csc.T @ y gives, empty rows and
-    columns included, and reads the CSC's own read-only arrays."""
+    """Above the dense cutoff the cached A^T gives exactly what csc.T @ y
+    gives, empty rows and columns included, and reads the CSC's own
+    read-only arrays."""
     rng = np.random.default_rng(17)
     for _ in range(10):
-        m, n = rng.integers(1, 30, size=2)
+        m, n = rng.integers(160, 200, size=2)
+        assert m * n > DENSE_MAX_ENTRIES
         dense = rng.standard_normal((m, n))
         dense[rng.uniform(size=(m, n)) < 0.6] = 0.0
         dense[rng.integers(m)] = 0.0
@@ -126,3 +132,64 @@ def test_rmatvec_matches_csc_transpose_bitwise():
             assert not mine.flags.writeable
         with pytest.raises(ValueError):
             at.indptr[0] = 1
+
+
+# ---------------------------------------------------------------------------
+# dense route for small matrices
+
+
+def _sparse_matrix(rng, m, n, density=0.3):
+    dense = rng.standard_normal((m, n))
+    dense[rng.uniform(size=(m, n)) >= density] = 0.0
+    dense[rng.integers(m)] = 0.0
+    dense[:, rng.integers(n)] = 0.0
+    return dense
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (7, 3), (40, 90), (100, 250), (0, 5),
+                                   (5, 0), (101, 250), (160, 300)])
+def test_products_agree_across_routes(shape):
+    """Up to DENSE_MAX_ENTRIES entries both products run on one dense,
+    read-only copy and agree with the CSR products to a few ulps of
+    |A| |x|, empty rows and columns included; above it no copy is made."""
+    m, n = shape
+    rng = np.random.default_rng(m * 1000 + n)
+    dense = _sparse_matrix(rng, m, n) if m and n else np.zeros(shape)
+    A = SparseMatrix.from_dense(dense)
+    is_dense = isinstance(A._ax, np.ndarray)
+    assert is_dense == (m * n <= DENSE_MAX_ENTRIES)
+    if not is_dense:
+        assert A._ax is A.to_csr() and A._aty is A._csr_t
+        return
+    assert A._aty.base is A._ax and A._ax.flags.c_contiguous
+    for arr in (A._ax, A._aty):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[...] = 1.0
+    abs_csr = abs(A.to_csr())
+    for _ in range(5):
+        x = rng.standard_normal(n)
+        y = rng.standard_normal(m)
+        bound = 8 * np.finfo(float).eps * (abs_csr @ np.abs(x))
+        assert np.all(np.abs(A.matvec(x) - A.to_csr() @ x) <= bound)
+        bound = 8 * np.finfo(float).eps * (abs_csr.T @ np.abs(y))
+        assert np.all(np.abs(A.rmatvec(y) - A.to_csc().T @ y) <= bound)
+    # an empty row or column gives an exact zero
+    if m > 1 and n > 1:
+        assert np.any(A.matvec(rng.standard_normal(n)) == 0.0)
+        assert np.any(A.rmatvec(rng.standard_normal(m)) == 0.0)
+
+
+def test_small_lp_solves_on_both_routes(monkeypatch):
+    rng = np.random.default_rng(8)
+    prob = random_lp(rng, 40, 20)
+    cfg = SolverConfig(tol=1e-8)
+    dense = solve(prob, cfg)
+    monkeypatch.setattr(hprlp.sparse, "DENSE_MAX_ENTRIES", -1)
+    csr = LpProblem(prob.c, SparseMatrix(prob.A.to_csc()), prob.l_con, prob.u_con,
+                    prob.l_var, prob.u_var)
+    assert not isinstance(csr.A._ax, np.ndarray)
+    sparse = solve(csr, cfg)
+    assert dense.status == sparse.status == "optimal"
+    for a, b in ((dense.primal_obj, sparse.primal_obj), (dense.dual_obj, sparse.dual_obj)):
+        assert abs(a - b) <= cfg.tol * (1.0 + abs(a) + abs(b))

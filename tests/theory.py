@@ -6,12 +6,16 @@ the iteration and is not part of the solver.
 - ``identify_active_sets`` / ``frozen_affine_map``: the step restricted to
   fixed projection faces, an affine map on which criterion 4 checks the
   Halpern/Picard identity and criterion 6 the hpr/epr equivalence;
-- ``complexity_diagnostics``: the O(1/k) bounds of criterion 5.
+- ``complexity_diagnostics``: the O(1/k) bounds of criterion 5, which
+  read the KKT residual (``kkt_residual`` / ``KktResidual``);
+- ``primal_objective``: <c, x> plus the constant, for the model tests;
+- ``IterateMean``: the running mean of the reflection iterates, which
+  criterion 6 compares with the anchored iterates.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -25,11 +29,68 @@ from hprlp import (
     dual_objective,
     estimate_lambda_A,
     halpern_step,
-    kkt_residual,
     m_norm,
     pr_step,
     project_box,
 )
+
+
+# ---------------------------------------------------------------------
+# KKT residual and objective
+
+
+@dataclass(frozen=True)
+class KktResidual:
+    """Raw KKT residual blocks at w = (y, z, x).
+
+    primal   : A x - proj_K(A x - y)
+    dual_box : x - proj_C(x - z)
+    dual_eq  : c - A^T y - z
+    """
+
+    primal: np.ndarray
+    dual_box: np.ndarray
+    dual_eq: np.ndarray
+    norm: float = field(init=False)
+
+    def __post_init__(self):
+        total = np.sqrt(
+            float(np.dot(self.primal, self.primal))
+            + float(np.dot(self.dual_box, self.dual_box))
+            + float(np.dot(self.dual_eq, self.dual_eq))
+        )
+        object.__setattr__(self, "norm", float(total))
+
+
+def kkt_residual(w: Iterate, prob: LpProblem) -> KktResidual:
+    """Residual of the optimality system; zero exactly at saddle points."""
+    ax = prob.A.matvec(w.x)
+    primal = ax - project_box(ax - w.y, prob.l_con, prob.u_con)
+    dual_box = w.x - project_box(w.x - w.z, prob.l_var, prob.u_var)
+    dual_eq = prob.c - prob.A.rmatvec(w.y) - w.z
+    return KktResidual(primal, dual_box, dual_eq)
+
+
+def primal_objective(x: np.ndarray, prob: LpProblem) -> float:
+    """<c, x> + obj_constant in the internal minimize form."""
+    return float(np.dot(prob.c, x)) + prob.obj_constant
+
+
+# ---------------------------------------------------------------------
+# ergodic mean of the iterates
+
+
+class IterateMean:
+    """Uniform running mean of the reflection iterates w^0 .. w^k, seeded
+    with the start point, as avg + (1 / count) (w - avg)."""
+
+    def __init__(self, w0: Iterate):
+        self.mean = w0.copy()
+        self.count = 1
+
+    def add(self, w: Iterate):
+        self.count += 1
+        self.mean = self.mean + (1.0 / self.count) * (w - self.mean)
 
 
 # ---------------------------------------------------------------------

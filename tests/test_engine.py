@@ -4,7 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 import scipy.linalg
-from scipy.linalg.blas import dtrsv
+from scipy.linalg.blas import dtpsv
 
 import hprlp.engine
 import hprlp.model
@@ -296,22 +296,31 @@ def test_normal_equation_solver_accuracy():
         A = SparseMatrix.from_dense(dense)
         solver = NormalEquationSolver(A)
         # the factor of the same Gram matrix, made without the in-place route
-        lower, _ = scipy.linalg.cho_factor(A.transpose_dot_self_dense(), lower=True)
+        packed = _packed_lower(A)
+        assert np.array_equal(solver._packed, packed)
         for scale in (1.0, 1e6):
             rhs = scale * rng.standard_normal(m)
             y = solver.solve(rhs)
             # no refinement once the first solve meets the bound
-            assert np.array_equal(y, _triangular_sweeps(lower, rhs))
+            assert np.array_equal(y, _triangular_sweeps(packed, rhs))
             npt.assert_allclose(y, np.linalg.solve(dense @ dense.T, rhs),
                                 rtol=1e-10, atol=1e-10 * scale)
             resid = rhs - (dense @ dense.T) @ y
             assert np.linalg.norm(resid) <= 1e-10 * (1.0 + np.linalg.norm(rhs))
 
 
-def _triangular_sweeps(lower, rhs):
-    """L L^T y = rhs by two BLAS triangular solves on the lower factor."""
-    t = dtrsv(lower, rhs, lower=1)
-    return dtrsv(lower, t, lower=1, trans=1)
+def _packed_lower(A):
+    """The lower Cholesky factor of A A^T, packed column by column: the
+    upper triangle of its transpose, row by row."""
+    lower, _ = scipy.linalg.cho_factor(A.transpose_dot_self_dense(), lower=True)
+    return lower.T[np.triu_indices(A.shape[0])]
+
+
+def _triangular_sweeps(packed, rhs):
+    """L L^T y = rhs by two BLAS triangular solves on the packed lower factor."""
+    m = rhs.size
+    t = dtpsv(m, packed, rhs, lower=1)
+    return dtpsv(m, packed, t, lower=1, trans=1)
 
 
 def test_normal_equation_solver_refines_once():
@@ -323,18 +332,17 @@ def test_normal_equation_solver_refines_once():
     dense[1] = dense[0] + 2e-4 * rng.standard_normal(120)
     A = SparseMatrix.from_dense(dense)
     solver = NormalEquationSolver(A)
-    # BLAS reads the stored factor in place only in this layout
-    assert solver._lower.flags.f_contiguous and solver._lower.dtype == np.float64
-    lower, _ = scipy.linalg.cho_factor(A.transpose_dot_self_dense(), lower=True)
+    packed = _packed_lower(A)
+    assert np.array_equal(solver._packed, packed)
     rhs = rng.standard_normal(60)
     bound = 1e-10 * (1.0 + np.linalg.norm(rhs))
 
-    first = _triangular_sweeps(lower, rhs)
+    first = _triangular_sweeps(packed, rhs)
     resid = rhs - A.matvec(A.rmatvec(first))
     assert np.linalg.norm(resid) > bound
 
     y = solver.solve(rhs)
-    assert np.array_equal(y, first + _triangular_sweeps(lower, resid))
+    assert np.array_equal(y, first + _triangular_sweeps(packed, resid))
     assert np.linalg.norm(rhs - A.matvec(A.rmatvec(y))) <= bound
 
 

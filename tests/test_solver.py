@@ -16,7 +16,7 @@ from hprlp.adaptive import SIGMA_MAX, SIGMA_MIN
 from hprlp.solver import scale_iterate, unscale_iterate
 
 from conftest import random_lp
-from theory import complexity_diagnostics
+from theory import complexity_diagnostics, product_form_scaling
 
 
 def prob_corner():
@@ -79,6 +79,92 @@ def test_ruiz_column_norms_near_one():
     scaled, _ = apply_scaling(prob, "ruiz")
     col_norms = np.linalg.norm(scaled.A.to_dense(), axis=0)
     npt.assert_allclose(col_norms, 1.0, rtol=1e-8)
+
+
+def _lp_on(A: SparseMatrix, rng) -> LpProblem:
+    m, n = A.shape
+    return LpProblem(
+        c=rng.standard_normal(n),
+        A=A,
+        l_con=-rng.uniform(0.5, 2.0, m),
+        u_con=np.where(rng.uniform(size=m) < 0.3, np.inf, rng.uniform(0.5, 2.0, m)),
+        l_var=np.where(rng.uniform(size=n) < 0.3, -np.inf, -rng.uniform(0.5, 2.0, n)),
+        u_var=rng.uniform(0.5, 2.0, n),
+    )
+
+
+def _assert_same_scaling(got, want):
+    """Every field of the scaled problem and both diagonals, bit for bit."""
+    (p, s), (q, t) = got, want
+    a, b = p.A.to_csc(), q.A.to_csc()
+    pairs = [(a.data, b.data), (a.indices, b.indices), (a.indptr, b.indptr),
+             (p.c, q.c), (p.l_con, q.l_con), (p.u_con, q.u_con),
+             (p.l_var, q.l_var), (p.u_var, q.u_var), (s.row, t.row), (s.col, t.col)]
+    for x, y in pairs:
+        assert x.dtype == y.dtype and np.array_equal(x, y)
+
+
+def _random_scaling_lp(rng, m, n):
+    """Triplets with empty rows and columns, stored zeros and magnitudes
+    from 1e-6 to 1e6."""
+    nnz = int(rng.integers(0, m * n + 1))
+    rows = rng.integers(0, max(m - 1, 1), nnz)  # the last row stays empty when m > 1
+    cols = rng.integers(0, max(n - 1, 1), nnz)
+    vals = rng.standard_normal(nnz) * 10.0 ** rng.uniform(-6.0, 6.0, nnz)
+    vals[rng.uniform(size=nnz) < 0.15] = 0.0
+    return _lp_on(SparseMatrix.from_coo(m, n, rows, cols, vals), rng)
+
+
+@pytest.mark.parametrize("ruiz_iters", [0, 1, 10])
+def test_ruiz_matches_product_form_bitwise(ruiz_iters):
+    rng = np.random.default_rng(100 + ruiz_iters)
+    probs = [  # 1x1, one-row and one-column matrices, every entry nonzero
+        _lp_on(SparseMatrix.from_dense(
+            rng.standard_normal(shape) * 10.0 ** rng.uniform(-6.0, 6.0, shape)), rng)
+        for shape in ((1, 1), (1, 7), (7, 1))
+    ]
+    probs += [_random_scaling_lp(rng, *map(int, rng.integers(1, 30, 2))) for _ in range(40)]
+    for prob in probs:
+        _assert_same_scaling(
+            apply_scaling(prob, "ruiz", ruiz_iters), product_form_scaling(prob, ruiz_iters)
+        )
+
+
+def test_ruiz_leaves_signed_permutation_unchanged():
+    """Every row and column maximum is already 1, so the first sweep
+    stops and the column norms are 1."""
+    rng = np.random.default_rng(12)
+    n = 8
+    A = SparseMatrix.from_coo(n, n, np.arange(n), rng.permutation(n),
+                              rng.choice([-1.0, 1.0], n))
+    prob = _lp_on(A, rng)
+    got = apply_scaling(prob, "ruiz")
+    _assert_same_scaling(got, product_form_scaling(prob))
+    scaled, sc = got
+    assert sc.is_identity
+    assert np.array_equal(scaled.A.to_dense(), A.to_dense())
+
+
+def test_ruiz_drops_stored_and_underflowing_zeros():
+    """Zeros stored in the input, and an entry that underflows to 0 in
+    a sweep, are gone from the scaled matrix, as the product form drops
+    every product that is exactly zero."""
+    rng = np.random.default_rng(13)
+    rows = np.array([0, 0, 1, 1, 2, 2, 3])
+    cols = np.array([0, 1, 1, 2, 0, 3, 3])
+    vals = np.array([2.0, 0.0, 1e300, 1e-300, 0.0, -3.0, 0.0])
+    mixed = _lp_on(SparseMatrix.from_coo(4, 5, rows, cols, vals), rng)
+    zeros_only = _lp_on(SparseMatrix.from_coo(3, 3, [0, 1], [1, 2], [0.0, 0.0]), rng)
+    # (without a sweep the column norm of 1e300 overflows, so the mixed
+    # matrix is scaled with at least one)
+    for prob, iters, nnz in ((mixed, 1, 3), (mixed, 10, 3), (zeros_only, 0, 0),
+                             (zeros_only, 10, 0)):
+        assert np.any(prob.A.values == 0.0)
+        got = apply_scaling(prob, "ruiz", iters)
+        _assert_same_scaling(got, product_form_scaling(prob, iters))
+        # 1e-300 underflows in the first sweep; the stored zeros go with it
+        assert got[0].A.nnz == nnz
+        assert np.all(got[0].A.values != 0.0)
 
 
 def test_scaling_none_is_identity():

@@ -10,7 +10,9 @@ the iteration and is not part of the solver.
   read the KKT residual (``kkt_residual`` / ``KktResidual``);
 - ``primal_objective``: <c, x> plus the constant, for the model tests;
 - ``IterateMean``: the running mean of the reflection iterates, which
-  criterion 6 compares with the anchored iterates.
+  criterion 6 compares with the anchored iterates;
+- ``product_form_scaling``: Ruiz scaling written as scipy matrix
+  products, the reference that ``apply_scaling`` must equal bit for bit.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+import scipy.sparse as sp
 
 from hprlp import (
     EngineConfig,
@@ -33,6 +36,7 @@ from hprlp import (
     pr_step,
     project_box,
 )
+from hprlp.solver import RuizScaling
 
 
 # ---------------------------------------------------------------------
@@ -342,3 +346,60 @@ def complexity_diagnostics(
         ratios_obj_upper=ratios_up,
         ratios_obj_lower=ratios_lo,
     )
+
+
+# ---------------------------------------------------------------------
+# Ruiz scaling as matrix products
+
+
+def _sparse_row_abs_max(W: sp.csr_matrix) -> np.ndarray:
+    out = np.ones(W.shape[0])
+    absW = sp.csr_matrix(
+        (np.abs(W.data), W.indices, W.indptr), shape=W.shape
+    )
+    mx = absW.max(axis=1).toarray().ravel()
+    nz = mx > 0.0
+    out[nz] = mx[nz]
+    return out
+
+
+def product_form_scaling(
+    prob: LpProblem, ruiz_iters: int = 10
+) -> tuple[LpProblem, RuizScaling]:
+    """``apply_scaling(prob, "ruiz", ruiz_iters)`` with every sweep
+    written as scipy products ``diags(1/r) @ W @ diags(1/c)``."""
+    m, n = prob.A.shape
+    if prob.A.nnz == 0 or m == 0 or n == 0:
+        return prob, RuizScaling.identity(m, n)
+
+    W = prob.A.to_csr().copy()
+    row_acc = np.ones(m)
+    col_acc = np.ones(n)
+    for _ in range(ruiz_iters):
+        rmax = _sparse_row_abs_max(W)
+        cmax = _sparse_row_abs_max(sp.csr_matrix(W.T))
+        if np.max(np.abs(1.0 - rmax)) <= 1e-8 and np.max(np.abs(1.0 - cmax)) <= 1e-8:
+            break
+        r = np.sqrt(rmax)
+        c = np.sqrt(cmax)
+        W = sp.diags(1.0 / r) @ W @ sp.diags(1.0 / c)
+        W = sp.csr_matrix(W)
+        row_acc /= r
+        col_acc /= c
+    # one column 2-norm pass
+    cn = np.sqrt(np.asarray(W.multiply(W).sum(axis=0)).ravel())
+    cn[cn == 0.0] = 1.0
+    W = sp.csr_matrix(W @ sp.diags(1.0 / cn))
+    col_acc /= cn
+
+    scaled = LpProblem(
+        c=prob.c * col_acc,
+        A=SparseMatrix(W),
+        l_con=prob.l_con * row_acc,
+        u_con=prob.u_con * row_acc,
+        l_var=prob.l_var / col_acc,
+        u_var=prob.u_var / col_acc,
+        obj_constant=prob.obj_constant,
+        obj_sense=prob.obj_sense,
+    )
+    return scaled, RuizScaling(row=row_acc, col=col_acc)

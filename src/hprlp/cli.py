@@ -13,6 +13,7 @@ import json
 import math
 import os
 import sys
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -100,10 +101,12 @@ def _add_solver_flags(p: argparse.ArgumentParser, time_limit_default: float):
     p.add_argument("--scaling", choices=("none", "ruiz"), default="ruiz")
 
 
-def _solve_file(path: str, cfg: SolverConfig) -> SolveResult:
-    doc = parse_mps(path)
-    prob = build_problem(doc)
-    return solve(prob, cfg)
+def _solve_file(path: str, cfg: SolverConfig) -> tuple[SolveResult, float]:
+    """The result, and the seconds taken to read the file (parse + build)."""
+    started = time.perf_counter()
+    prob = build_problem(parse_mps(path))
+    read_seconds = time.perf_counter() - started
+    return solve(prob, cfg), read_seconds
 
 
 def _write_trace(result: SolveResult, path: str):
@@ -129,7 +132,7 @@ def _status_code(status: str) -> int:
 
 def cmd_solve(args) -> int:
     try:
-        result = _solve_file(args.file, _solver_config(args))
+        result, read_seconds = _solve_file(args.file, _solver_config(args))
     except (MpsParseError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
@@ -146,6 +149,7 @@ def cmd_solve(args) -> int:
             "iterations": result.iterations,
             "restarts": result.restarts,
             "solve_seconds": result.solve_seconds,
+            "read_seconds": read_seconds,
             "message": result.message,
             "x": list(result.x),
             "y": list(result.y),
@@ -174,6 +178,7 @@ def cmd_solve(args) -> int:
             f"iterations: {result.iterations}  restarts: {result.restarts}  "
             f"seconds: {result.solve_seconds:.3f}"
         )
+        print(f"read: {read_seconds:.3f} s")
         if result.message:
             print(f"note: {result.message}")
     return _status_code(result.status)
@@ -198,7 +203,7 @@ def _bench_worker(job):
     path, mode, flags = job
     args = argparse.Namespace(**flags, mode=mode)
     try:
-        result = _solve_file(path, _solver_config(args))
+        result, _ = _solve_file(path, _solver_config(args))
         return {
             "instance": os.path.basename(path),
             "mode": mode,

@@ -252,8 +252,20 @@ def apply_scaling(
         data = (1.0 / r)[rows] * data * (1.0 / c)[cols]
         row_acc /= r
         col_acc /= c
-    # one column 2-norm pass
-    cn = np.sqrt(np.bincount(cols, weights=data * data, minlength=n))
+    # one column 2-norm pass; a column whose squares overflow (an entry
+    # above about 1.3e154, possible only without a sweep) takes its norm
+    # again with its largest magnitude factored out
+    with np.errstate(over="ignore"):
+        square = data * data
+    cn = np.sqrt(np.bincount(cols, weights=square, minlength=n))
+    over = np.isinf(cn)
+    if over.any():
+        big = over[cols]
+        big_cols, mag = cols[big], np.abs(data[big])
+        top = np.zeros(n)
+        np.maximum.at(top, big_cols, mag)
+        ratio = mag / top[big_cols]
+        cn[over] = (top * np.sqrt(np.bincount(big_cols, weights=ratio * ratio, minlength=n)))[over]
     cn[cn == 0.0] = 1.0
     data = data * (1.0 / cn)[cols]
     col_acc /= cn
@@ -459,12 +471,23 @@ def _fit_sigma(
     return sigma_update(SigmaUpdateInputs(dx, dy, *scales), sigma)
 
 
+def _limit_message(message: str, residuals: tuple[float, float, float],
+                   tol: float) -> str:
+    """``message`` with the residual that blocked termination appended:
+    the largest of the three, all being measured against one ``tol``."""
+    names = ("rel_gap", "rel_primal", "rel_dual")
+    worst = int(np.argmax(residuals))
+    blocking = f"blocking residual: {names[worst]} = {residuals[worst]:.3e}, tol = {tol:.1e}"
+    return f"{message}; {blocking}" if message else blocking
+
+
 def solve(prob: LpProblem, cfg: SolverConfig | None = None) -> SolveResult:
     """Solve the LP to the configured relative tolerance.
 
     Returns status "optimal" when the gap, primal and dual measures on
     the original data all fall below ``cfg.tol``; "iter_limit" /
-    "time_limit" return the best checkpoint seen so far;
+    "time_limit" return the best checkpoint seen so far, and their
+    message names the residual that blocked termination;
     "numerical_error" flags divergence (reflection modes without an
     anchor can and do diverge).
     """
@@ -488,9 +511,10 @@ def solve(prob: LpProblem, cfg: SolverConfig | None = None) -> SolveResult:
     log = _RunLog(prob, scaling, started)
     if cfg.iter_limit == 0:
         w0 = unscale_iterate(w, scaling)
+        res = relative_residuals(w0, prob)
         return log.report(
-            "iter_limit", w0, relative_residuals(w0, prob), 0, 0,
-            "iteration limit is zero",
+            "iter_limit", w0, res, 0, 0,
+            _limit_message("iteration limit is zero", res, cfg.tol),
         )
 
     # switches and limits, read once
@@ -588,4 +612,6 @@ def solve(prob: LpProblem, cfg: SolverConfig | None = None) -> SolveResult:
 
     if status != "optimal":  # report the best checkpoint, not the last
         wb, res = log.best_w, log.best_residuals
+    if status in ("iter_limit", "time_limit"):
+        message = _limit_message(message, res, tol)
     return log.report(status, wb, res, k, r, message)

@@ -83,6 +83,20 @@ def test_solve_json_output(fixtures_dir, capsys):
         }
 
 
+def test_solve_reports_read_time(fixtures_dir, capsys):
+    """Both outputs give the seconds spent reading the file (parse +
+    build), apart from the solve's own seconds."""
+    path = str(fixtures_dir / "simple_l.mps")
+    assert main(["solve", path, "--json"]) == EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    assert isinstance(payload["read_seconds"], float)
+    assert 0.0 < payload["read_seconds"] < 10.0
+    assert main(["solve", path]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    (read,) = [line for line in lines if line.startswith("read: ")]
+    assert read.endswith(" s") and float(read.split()[1]) >= 0.0
+
+
 def test_solve_sigma0_sets_the_starting_penalty(fixtures_dir, capsys):
     code = main(["solve", str(fixtures_dir / "simple_l.mps"), "--json",
                  "--sigma0", "7"])

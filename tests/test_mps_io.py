@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.sparse as sp
 
 from hprlp import LpProblem, MpsParseError, SparseMatrix, build_problem, parse_mps
 
@@ -23,6 +24,14 @@ def load(fixtures_dir, name, expect_warnings=False):
         prob = build_problem(doc)
         assert doc.warnings == []
     return doc, prob
+
+
+def assert_same_entries(doc, ref):
+    """The COLUMNS entry arrays of two documents are equal, dtype included."""
+    for name in ("entry_cols", "entry_rows", "entry_values"):
+        got, want = getattr(doc, name), getattr(ref, name)
+        assert got.dtype == want.dtype
+        npt.assert_array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +160,7 @@ def test_gzip_input(fixtures_dir, tmp_path):
         fh.write(raw)
     doc = parse_mps(gz)
     ref = parse_mps(fixtures_dir / "simple_l.mps")
-    assert doc.entries == ref.entries
+    assert_same_entries(doc, ref)
     assert doc.rhs_entries == ref.rhs_entries
 
 
@@ -161,7 +170,7 @@ def test_stream_input(fixtures_dir):
     assert doc.name == "SIMPLE"
     with open(fixtures_dir / "simple_l.mps") as fh:
         doc2 = parse_mps(fh)
-    assert doc2.entries == doc.entries
+    assert_same_entries(doc2, doc)
 
 
 # ---------------------------------------------------------------------------
@@ -287,12 +296,12 @@ def emit_mps(prob: LpProblem) -> str:
             rows.append((name, "L", hi, hi - lo))
         out.append(f" {rows[-1][1]}  {name}")
     out.append("COLUMNS")
-    dense = prob.A.to_dense()
+    ptr, rows_of, vals = prob.A.col_ptrs, prob.A.row_idx.tolist(), prob.A.values.tolist()
     for j in range(prob.n):
         out.append(f"    C{j}  OBJ  {float(prob.c[j])!r}")
-        for i in range(prob.m):
-            if dense[i, j] != 0.0:
-                out.append(f"    C{j}  R{i}  {float(dense[i, j])!r}")
+        for k in range(ptr[j], ptr[j + 1]):
+            if vals[k] != 0.0:
+                out.append(f"    C{j}  R{rows_of[k]}  {vals[k]!r}")
     out.append("RHS")
     for name, _, rhs, _ in rows:
         if rhs != 0.0:
@@ -350,3 +359,265 @@ def test_round_trip_infinite_bounds():
     npt.assert_array_equal(back.u_con, prob.u_con)
     npt.assert_array_equal(back.l_var, prob.l_var)
     npt.assert_array_equal(back.u_var, prob.u_var)
+
+
+# ---------------------------------------------------------------------------
+# block reader: format edges, entry layout, block boundaries, memory
+
+
+def sparse_lp(rng, m: int, n: int, nnz: int) -> LpProblem:
+    """A sparse LP whose rows are upper-bounded, lower-bounded or
+    equalities and whose variables are boxed, free or one-sided, so that
+    every bound survives the MPS round trip exactly."""
+    A = sp.random(m, n, density=nnz / (m * n), random_state=rng, format="csc",
+                  data_rvs=rng.standard_normal)
+    act = rng.standard_normal(m)
+    kind = rng.integers(0, 3, m)
+    l_var = np.where(rng.uniform(size=n) < 0.2, -INF, -rng.uniform(0.0, 2.0, n))
+    u_var = np.where(rng.uniform(size=n) < 0.2, INF, rng.uniform(0.0, 2.0, n))
+    return LpProblem(
+        c=rng.standard_normal(n),
+        A=SparseMatrix(A),
+        l_con=np.where(kind == 0, -INF, act),
+        u_con=np.where(kind == 1, INF, act),
+        l_var=l_var,
+        u_var=u_var,
+    )
+
+
+def assert_same_problem(got: LpProblem, want: LpProblem):
+    """Every array of the two problems bit for bit, dtype included."""
+    a, b = got.A.to_csc(), want.A.to_csc()
+    pairs = [(a.data, b.data), (a.indices, b.indices), (a.indptr, b.indptr)]
+    pairs += [(getattr(got, k), getattr(want, k))
+              for k in ("c", "l_con", "u_con", "l_var", "u_var")]
+    for x, y in pairs:
+        assert x.dtype == y.dtype
+        assert np.array_equal(x.view(np.uint8), y.view(np.uint8))
+    assert got.obj_constant == want.obj_constant
+    assert got.obj_sense == want.obj_sense
+
+
+EDGE_LINES = (
+    "* comment in column 1 before NAME",
+    "NAME\tEDGES",
+    "ROWS",
+    " N\tCOST",
+    "",
+    " L  LIM",
+    "\tG\tDEM",
+    " E  BAL",
+    "COLUMNS",
+    "* comment in column 1 inside COLUMNS",
+    "    X1\tCOST\t1.5",
+    "   * indented comment inside COLUMNS",
+    "",
+    "    X1  LIM  2.0",
+    "    MARKER  'MARKER'  'INTORG'",
+    "\tX2\tCOST\t-1.0",
+    "    X2  DEM  1.0",
+    "    MARKER  'MARKER'  'INTEND'",
+    "    X3  BAL  4.0",
+    "RHS",
+    "* comment in column 1 inside RHS",
+    "    RHS  LIM  10.0",
+    "  \t* indented comment inside RHS",
+    "    RHS  DEM  1.0",
+    "\t \t",
+    "    RHS  BAL  3.0",
+    "BOUNDS",
+    "* comment in column 1 inside BOUNDS",
+    " UP BND  X1  8.0",
+    "   * indented comment inside BOUNDS",
+    " MI BND  X2",
+    " LO\tBND\tX3\t-1.0",
+    "ENDATA",
+)
+
+
+def test_format_edges_read_as_the_plain_file(tmp_path):
+    """CRLF endings, tab separators, blank lines and '*' comments (in
+    column 1 and indented) change nothing: the document and the problem
+    equal those of the same file without them, bit for bit."""
+    plain = [(" " if line[0].isspace() else "") + " ".join(line.split())
+             for line in EDGE_LINES if line.strip() and not line.lstrip().startswith("*")]
+    ref_doc = parse_mps(io.StringIO("\n".join(plain) + "\n"))
+    with pytest.warns(UserWarning, match="integrality relaxed for 1"):
+        ref = build_problem(ref_doc)
+    npt.assert_array_equal(ref.c, [1.5, -1.0, 0.0])
+    npt.assert_array_equal(ref.A.to_dense(), [[2.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+                                              [0.0, 0.0, 4.0]])
+    npt.assert_array_equal(ref.l_con, [-INF, 1.0, 3.0])
+    npt.assert_array_equal(ref.u_con, [10.0, INF, 3.0])
+    npt.assert_array_equal(ref.l_var, [0.0, -INF, -1.0])
+    npt.assert_array_equal(ref.u_var, [8.0, INF, INF])
+
+    crlf = ("\r\n".join(EDGE_LINES) + "\r\n").encode()
+    path = tmp_path / "edges.mps"
+    path.write_bytes(crlf)
+    for source in (path, io.BytesIO(crlf)):
+        doc = parse_mps(source)
+        assert doc.name == "EDGES"
+        assert list(doc.row_types.items()) == list(ref_doc.row_types.items())
+        assert doc.column_order == ["X1", "X2", "X3"]
+        assert doc.integer_columns == ["X2"]
+        assert_same_entries(doc, ref_doc)
+        assert doc.rhs_entries == ref_doc.rhs_entries
+        assert doc.bound_entries == ref_doc.bound_entries
+        with pytest.warns(UserWarning, match="integrality relaxed for 1"):
+            assert_same_problem(build_problem(doc), ref)
+
+
+def test_two_pairs_per_line_and_unnamed_sets():
+    """COLUMNS, RHS and RANGES lines may carry two (row, value) pairs, and
+    RHS and RANGES lines may leave out the set name."""
+    text = (
+        "ROWS\n N  OBJ\n L  R1\n G  R2\n E  R3\n"
+        "COLUMNS\n"
+        "    X1  OBJ  1.25  R1  2.5\n"
+        "    X1  R2  -0.75  R3  3.0\n"
+        "    X2  R1  1.0\n"
+        "RHS\n"
+        "    RHS  R1  4.0  R2  -1.5\n"
+        "    R3  2.0  OBJ  6.0\n"
+        "RANGES\n"
+        "    RNG  R1  1.0  R2  2.5\n"
+        "    R3  -0.5\n"
+        "ENDATA\n"
+    )
+    doc = parse_mps(io.StringIO(text))
+    npt.assert_array_equal(doc.entry_cols, [0, 0, 0, 0, 1])
+    npt.assert_array_equal(doc.entry_rows, [0, 1, 2, 3, 1])
+    npt.assert_array_equal(doc.entry_values, [1.25, 2.5, -0.75, 3.0, 1.0])
+    assert doc.rhs_entries == [("R1", 4.0), ("R2", -1.5), ("R3", 2.0), ("OBJ", 6.0)]
+    assert doc.range_entries == [("R1", 1.0), ("R2", 2.5), ("R3", -0.5)]
+    prob = build_problem(doc)
+    npt.assert_array_equal(prob.c, [1.25, 0.0])
+    npt.assert_array_equal(prob.A.to_dense(), [[2.5, 1.0], [-0.75, 0.0], [3.0, 0.0]])
+    npt.assert_array_equal(prob.l_con, [3.0, -1.5, 1.5])
+    npt.assert_array_equal(prob.u_con, [4.0, 1.0, 2.0])
+    assert prob.obj_constant == -6.0
+
+
+def test_integer_markers_around_split_columns():
+    """Columns first seen between INTORG and INTEND are integer; a later
+    line of a column that began outside the markers does not make it so."""
+    text = (
+        "ROWS\n N  OBJ\n L  R1\nCOLUMNS\n"
+        "    X1  OBJ  1.0\n"
+        "    M1  'MARKER'  'INTORG'\n"
+        "    X2  R1  1.0\n"
+        "    X1  R1  2.0\n"
+        "    M2  'MARKER'  'INTEND'\n"
+        "    X3  R1  3.0\n"
+        "ENDATA\n"
+    )
+    doc = parse_mps(io.StringIO(text))
+    assert doc.column_order == ["X1", "X2", "X3"]
+    assert doc.integer_columns == ["X2"]
+    npt.assert_array_equal(doc.entry_cols, [0, 1, 0, 2])
+
+
+def test_split_column_entries_merge():
+    """A column whose lines are not adjacent is one column, and its
+    entries from every line land in it."""
+    text = (
+        "ROWS\n N  OBJ\n L  R1\n L  R2\nCOLUMNS\n"
+        "    X1  OBJ  1.0  R1  2.0\n"
+        "    X2  R1  5.0\n"
+        "    X1  R2  3.0\n"
+        "    X2  OBJ  -1.0\n"
+        "ENDATA\n"
+    )
+    doc = parse_mps(io.StringIO(text))
+    assert doc.column_order == ["X1", "X2"]
+    npt.assert_array_equal(doc.entry_cols, [0, 0, 1, 0, 1])
+    prob = build_problem(doc)
+    assert doc.warnings == []
+    npt.assert_array_equal(prob.c, [1.0, -1.0])
+    npt.assert_array_equal(prob.A.to_dense(), [[2.0, 5.0], [3.0, 0.0]])
+
+
+def test_three_duplicates_sum_in_file_order():
+    """Duplicates of one cell, and of one objective coefficient, are added
+    one by one in file order: (1e16 + 1) + 1 rounds to 1e16 twice, where
+    1e16 + (1 + 1) would give 1e16 + 2."""
+    text = (
+        "ROWS\n N  OBJ\n L  R1\nCOLUMNS\n"
+        "    X1  R1  1e16  OBJ  1e16\n"
+        "    X1  R1  1.0   OBJ  1.0\n"
+        "    X1  R1  1.0   OBJ  1.0\n"
+        "ENDATA\n"
+    )
+    doc = parse_mps(io.StringIO(text))
+    with pytest.warns(UserWarning, match="4 duplicate matrix/objective entries summed"):
+        prob = build_problem(doc)
+    in_order = (1e16 + 1.0) + 1.0
+    assert in_order == 1e16 != 1e16 + (1.0 + 1.0)
+    npt.assert_array_equal(prob.A.values, [in_order])
+    npt.assert_array_equal(prob.c, [in_order])
+
+
+def test_round_trip_across_read_blocks():
+    """A file several read blocks long comes back bit for bit."""
+    from hprlp.mps import _BLOCK_CHARS
+
+    prob = sparse_lp(np.random.default_rng(7), 300, 500, 6_000)
+    text = emit_mps(prob)
+    assert len(text) > 3 * _BLOCK_CHARS
+    assert_same_problem(build_problem(parse_mps(io.StringIO(text))), prob)
+
+
+def test_error_past_the_first_block_has_its_line_number():
+    from hprlp.mps import _BLOCK_CHARS
+
+    lines = emit_mps(sparse_lp(np.random.default_rng(8), 200, 400, 6_000)).splitlines()
+    ends = np.cumsum([len(line) + 1 for line in lines])
+    # the first matrix entry that starts past two blocks
+    at = next(i for i in range(1, len(lines)) if ends[i - 1] > 2 * _BLOCK_CHARS
+              and lines[i].split()[0].startswith("C") and "R" in lines[i])
+    tok = lines[at].split()
+    lines[at] = f"    {tok[0]}  NOPE  {tok[2]}"
+    err = perr("\n".join(lines) + "\n")
+    assert err.line_no == at + 1
+    assert str(err) == f"line {at + 1}: unknown row 'NOPE' in COLUMNS"
+
+
+def test_error_malformed_number_in_rhs():
+    text = (
+        "ROWS\n N  OBJ\n L  R1\nCOLUMNS\n    X1 OBJ 1.0\n"
+        "RHS\n    RHS R1 1.0\n    RHS R1 1..5\n"
+    )
+    err = perr(text)
+    assert err.line_no == 8
+    assert str(err) == "line 8: malformed numeric field '1..5'"
+
+
+def test_error_malformed_number_in_bounds():
+    text = (
+        "ROWS\n N  OBJ\nCOLUMNS\n    X1 OBJ 1.0\n"
+        "BOUNDS\n UP BND X1 1.0\n* comment\n LO BND X1 1e\n"
+    )
+    err = perr(text)
+    assert err.line_no == 8
+    assert str(err) == "line 8: malformed numeric field '1e'"
+
+
+def test_reader_peak_memory_is_a_few_times_the_file(tmp_path):
+    """Reading and building a 20,000-entry file allocates at its peak
+    less than five times the file's size (tracemalloc counts numpy's
+    buffers as well as Python objects)."""
+    import tracemalloc
+
+    prob = sparse_lp(np.random.default_rng(9), 1_000, 2_000, 20_000)
+    path = tmp_path / "big.mps"
+    path.write_text(emit_mps(prob))
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        back = build_problem(parse_mps(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back.A.nnz >= 20_000
+    assert peak < 5 * size, f"peak {peak / size:.1f}x the file's {size} bytes"

@@ -167,6 +167,26 @@ def test_ruiz_drops_stored_and_underflowing_zeros():
         assert np.all(got[0].A.values != 0.0)
 
 
+def test_column_norm_pass_survives_overflowing_squares():
+    """Without a sweep, 1e300 squared overflows; its column's norm is
+    taken with the column maximum factored out, so no column drops out
+    and no bound turns into NaN or an infinity."""
+    prob = LpProblem(
+        c=[1.0, 1.0],
+        A=SparseMatrix.from_dense([[1e300, 1.0], [2.0, 3.0]]),
+        l_con=[-1.0, -1.0],
+        u_con=[1.0, 1.0],
+        l_var=[0.0, -2.0],
+        u_var=[5.0, 0.0],
+    )
+    scaled, scaling = apply_scaling(prob, "ruiz", 0)
+    assert scaled.A.nnz == 4
+    npt.assert_allclose(np.linalg.norm(scaled.A.to_dense(), axis=0), 1.0, rtol=1e-15)
+    assert np.all(np.isfinite(scaling.col)) and np.all(scaling.col > 0.0)
+    for got in (scaled.l_var, scaled.u_var):
+        assert np.all(np.isfinite(got))
+
+
 def test_scaling_none_is_identity():
     prob = prob_corner()
     scaled, sc = apply_scaling(prob, "none")
@@ -388,6 +408,23 @@ def test_iter_limit_returns_best_checkpoint():
     assert res.status == "iter_limit"
     assert res.iterations == 5
     assert np.all(np.isfinite(res.x))
+
+
+def test_limit_exit_names_blocking_residual():
+    """An iter_limit exit names the residual furthest above tol, with its
+    value and tol, after any message the solve already had."""
+    rng = np.random.default_rng(92)
+    prob = random_lp(rng, 6, 4)
+    names = ("rel_gap", "rel_primal", "rel_dual")
+    for limit, before in ((5, ""), (0, "iteration limit is zero; ")):
+        res = solve(prob, quick_cfg(iter_limit=limit, tol=1e-6))
+        assert res.status == "iter_limit"
+        worst = int(np.argmax(res.rel_residuals))
+        assert res.rel_residuals[worst] > 1e-6
+        assert res.message == (
+            f"{before}blocking residual: {names[worst]} = "
+            f"{res.rel_residuals[worst]:.3e}, tol = 1.0e-06"
+        )
 
 
 def test_time_limit():

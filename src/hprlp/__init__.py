@@ -6,10 +6,8 @@ Public surface: problem data (`LpProblem`, `Iterate`), the solve driver
 """
 
 from .adaptive import (
-    MNormContext,
     RestartConfig,
     RestartReason,
-    SigmaUpdateInputs,
     check_restart,
     m_norm,
     sigma_update,
@@ -52,7 +50,6 @@ __all__ = [
     "EprAverages",
     "Iterate",
     "LpProblem",
-    "MNormContext",
     "MpsDocument",
     "MpsParseError",
     "NormalEquationSolver",
@@ -61,7 +58,6 @@ __all__ = [
     "RestartConfig",
     "RestartEvent",
     "RestartReason",
-    "SigmaUpdateInputs",
     "SolveResult",
     "SolverConfig",
     "SparseMatrix",

@@ -16,6 +16,9 @@ can pass it and skip the product.
 With T1 = 0 (normal-equations path) the y-block is sigma * A A^T
 instead, giving <w, M w> = || sqrt(sigma) A^T y + x / sqrt(sigma) ||^2.
 The z-block never contributes.
+
+sigma, lambda_A and the route are those of the resolved ``EngineConfig``
+that drives the steps being measured.
 """
 
 from __future__ import annotations
@@ -25,14 +28,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .engine import EngineConfig
 from .model import Iterate
 from .sparse import SparseMatrix
 
 __all__ = [
-    "MNormContext",
     "RestartConfig",
     "RestartReason",
-    "SigmaUpdateInputs",
     "m_norm",
     "m_norm_squared",
     "check_restart",
@@ -45,52 +47,36 @@ SIGMA_MIN = 1e-8
 SIGMA_MAX = 1e8
 
 
-@dataclass(frozen=True)
-class MNormContext:
-    """Fixed data of the seminorm: penalty sigma, shift lambda_A, the
-    matrix, and whether the T1 = 0 block form applies."""
-
-    sigma: float
-    lambda_A: float
-    A: SparseMatrix
-    t1_zero: bool = False
-
-    def __post_init__(self):
-        if not (self.sigma > 0.0 and np.isfinite(self.sigma)):
-            raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
-        if not (self.lambda_A > 0.0 and np.isfinite(self.lambda_A)):
-            raise ValueError(f"lambda_A must be positive, got {self.lambda_A}")
-
-    def with_sigma(self, sigma: float) -> "MNormContext":
-        return MNormContext(sigma, self.lambda_A, self.A, self.t1_zero)
-
-
 def m_norm_squared(
-    w: Iterate, ctx: MNormContext, ax: np.ndarray | None = None
+    w: Iterate, cfg: EngineConfig, A: SparseMatrix, ax: np.ndarray | None = None
 ) -> float:
-    """Raw quadratic form <w, M w>; may be a tiny negative number in
-    floating point.  The z component is ignored.
+    """Raw quadratic form <w, M w> for the penalty, shift and y-step
+    route of ``cfg``; may be a tiny negative number in floating point.
+    The z component is ignored.
 
     ``ax``, when given, is A w.x, and the cross term is formed as
     2 <w.y, A w.x> (= 2 <A^T w.y, w.x>) without a product of its own.
     The T1 = 0 form needs A^T w.y for its y-block and ignores ``ax``.
     """
-    if ax is None or ctx.t1_zero:
-        aty = ctx.A.rmatvec(w.y)
+    t1_zero = cfg.t1_zero_path
+    if ax is None or t1_zero:
+        aty = A.rmatvec(w.y)
         cross = 2.0 * float(np.dot(aty, w.x))
     else:
         cross = 2.0 * float(np.dot(w.y, ax))
-    xx = float(np.dot(w.x, w.x)) / ctx.sigma
-    if ctx.t1_zero:
-        yy = ctx.sigma * float(np.dot(aty, aty))
+    xx = float(np.dot(w.x, w.x)) / cfg.sigma
+    if t1_zero:
+        yy = cfg.sigma * float(np.dot(aty, aty))
     else:
-        yy = ctx.sigma * ctx.lambda_A * float(np.dot(w.y, w.y))
+        yy = cfg.sigma * cfg.lambda_A * float(np.dot(w.y, w.y))
     return yy + cross + xx
 
 
-def m_norm(w: Iterate, ctx: MNormContext, ax: np.ndarray | None = None) -> float:
+def m_norm(
+    w: Iterate, cfg: EngineConfig, A: SparseMatrix, ax: np.ndarray | None = None
+) -> float:
     """Seminorm sqrt(max(<w, M w>, 0)); ``ax`` as in ``m_norm_squared``."""
-    return float(np.sqrt(max(m_norm_squared(w, ctx, ax), 0.0)))
+    return float(np.sqrt(max(m_norm_squared(w, cfg, A, ax), 0.0)))
 
 
 class RestartReason(enum.Enum):
@@ -160,42 +146,28 @@ def check_restart(
     return RestartReason.NONE
 
 
-@dataclass(frozen=True)
-class SigmaUpdateInputs:
-    """Displacements over the finished inner loop.
-
-    delta_x = ||x_bar - x_anchor||; delta_y is the y displacement in
-    the norm matching the active path: sqrt(lambda_A) * ||y_bar - y_anchor||
-    on the proximal route, ||A^T (y_bar - y_anchor)|| on the
-    normal-equations route.  x_scale / y_scale are magnitude references
-    for the near-zero safeguard.
-    """
-
-    delta_x: float
-    delta_y: float
-    x_scale: float = 0.0
-    y_scale: float = 0.0
-
-    def __post_init__(self):
-        if self.delta_x < 0.0 or self.delta_y < 0.0:
-            raise ValueError("displacements must be nonnegative")
-
-
 def sigma_update(
-    inputs: SigmaUpdateInputs,
+    delta_x: float,
+    delta_y: float,
+    x_scale: float,
+    y_scale: float,
     sigma_prev: float,
     sigma_min: float = SIGMA_MIN,
     sigma_max: float = SIGMA_MAX,
 ) -> float:
     """New penalty delta_x / delta_y, clamped to [sigma_min, sigma_max].
 
-    When either displacement is at machine-epsilon scale the previous
-    value is kept unchanged (a ratio of vanishing displacements carries
-    no information).
+    delta_x = ||x_bar - x_anchor|| is the primal displacement over the
+    finished inner loop, and delta_y the dual one in the norm of the
+    active y-step: sqrt(lambda_A) * ||y_bar - y_anchor|| on the proximal
+    route, ||A^T (y_bar - y_anchor)|| on the normal-equations route.
+    When either is at machine-epsilon scale relative to its magnitude
+    reference (x_scale, y_scale) the previous value is kept unchanged (a
+    ratio of vanishing displacements carries no information).
     """
+    if delta_x < 0.0 or delta_y < 0.0:
+        raise ValueError("displacements must be nonnegative")
     eps = np.finfo(np.float64).eps
-    if inputs.delta_x <= eps * (1.0 + inputs.x_scale):
+    if delta_x <= eps * (1.0 + x_scale) or delta_y <= eps * (1.0 + y_scale):
         return sigma_prev
-    if inputs.delta_y <= eps * (1.0 + inputs.y_scale):
-        return sigma_prev
-    return float(min(max(inputs.delta_x / inputs.delta_y, sigma_min), sigma_max))
+    return float(min(max(delta_x / delta_y, sigma_min), sigma_max))

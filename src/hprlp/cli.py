@@ -15,7 +15,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .adaptive import RestartConfig
 from .engine import MODES, EngineConfig
@@ -66,9 +66,7 @@ def _solver_config(args) -> SolverConfig:
         enabled=not (args.no_restart or args.fixed_restart is not None),
         fixed_period=args.fixed_restart,
     )
-    engine = EngineConfig(
-        sigma=args.sigma0, lambda_A=None, mode=args.mode, gamma=args.gamma
-    )
+    engine = EngineConfig(sigma=args.sigma0, mode=args.mode, gamma=args.gamma)
     return SolverConfig(
         tol=args.tol,
         time_limit=args.time_limit,
@@ -200,10 +198,10 @@ class BenchReport:
 
 
 def _bench_worker(job):
-    path, mode, flags = job
-    args = argparse.Namespace(**flags, mode=mode)
+    path, cfg = job
+    mode = cfg.engine.mode
     try:
-        result, _ = _solve_file(path, _solver_config(args))
+        result, _ = _solve_file(path, cfg)
         return {
             "instance": os.path.basename(path),
             "mode": mode,
@@ -233,7 +231,7 @@ def _worker_cap() -> int:
     return os.cpu_count() or 1
 
 
-def run_bench(directory: str, modes: list[str], flags: dict) -> BenchReport:
+def run_bench(directory: str, modes: list[str], cfg: SolverConfig) -> BenchReport:
     paths = sorted(
         os.path.join(directory, f)
         for f in os.listdir(directory)
@@ -241,7 +239,11 @@ def run_bench(directory: str, modes: list[str], flags: dict) -> BenchReport:
     )
     if not paths:
         raise FileNotFoundError(f"no .mps or .mps.gz files under {directory!r}")
-    jobs = [(p, mode, flags) for p in paths for mode in modes]
+    jobs = [
+        (p, replace(cfg, engine=replace(cfg.engine, mode=mode)))
+        for p in paths
+        for mode in modes
+    ]
     workers = min(_worker_cap(), len(jobs))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -250,7 +252,7 @@ def run_bench(directory: str, modes: list[str], flags: dict) -> BenchReport:
         rows = [_bench_worker(j) for j in jobs]
     rows.sort(key=lambda row: (row["instance"], row["mode"]))
 
-    limit = flags["time_limit"]
+    limit = cfg.time_limit
     sgm = {}
     solved = {}
     for mode in modes:
@@ -274,22 +276,9 @@ def cmd_bench(args) -> int:
     if bad or not modes:
         print(f"error: invalid mode list {args.modes!r}", file=sys.stderr)
         return EXIT_USAGE
-    flags = dict(
-        tol=args.tol,
-        time_limit=args.time_limit,
-        iter_limit=args.iter_limit,
-        gamma=args.gamma,
-        sigma0=args.sigma0,
-        lambda_safety=args.lambda_safety,
-        no_restart=args.no_restart,
-        fixed_restart=args.fixed_restart,
-        no_adaptive_sigma=args.no_adaptive_sigma,
-        check_interval=args.check_interval,
-        scaling=args.scaling,
-    )
     try:
-        report = run_bench(args.directory, modes, flags)
-    except (FileNotFoundError, NotADirectoryError) as exc:
+        report = run_bench(args.directory, modes, _solver_config(args))
+    except (FileNotFoundError, NotADirectoryError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -68,9 +68,10 @@ class EngineConfig:
     """Parameters of one inner iteration.
 
     sigma        : penalty parameter, > 0.
-    lambda_A     : proximal shift, must dominate ||A||_2^2; None lets
-                   the solve driver fit it from an operator-norm
-                   estimate.
+    lambda_A     : proximal shift, must dominate ||A||_2^2; None (the
+                   default) lets ``solve`` fit it from an operator-norm
+                   estimate.  ``pr_step`` on the proximal route needs it
+                   resolved.
     mode         : one of "hpr", "hdr", "pr", "epr", "rhpdhg".
     gamma        : reflection factor for mode "rhpdhg", in [0, 1].
     t1_zero_path : solve the y-step through A A^T normal equations
@@ -81,7 +82,7 @@ class EngineConfig:
     """
 
     sigma: float = 1.0
-    lambda_A: float | None = 1.0
+    lambda_A: float | None = None
     mode: str = "hpr"
     gamma: float = 1.0
     t1_zero_path: bool = False
@@ -307,7 +308,8 @@ def pr_step(
     y-step is computed exactly through A A^T and ``zeta`` is None.
     The step writes w_bar and w_hat into ``work`` (a new workspace when
     None); see ``PrStepTrace`` for what a later step overwrites.
-    Raises ArithmeticError when the step produces non-finite values.
+    Raises ArithmeticError when the step produces non-finite values, and
+    ValueError when the proximal y-step finds ``cfg.lambda_A`` unresolved.
     """
     if work is None:
         work = StepWorkspace(*prob.A.shape)
@@ -327,6 +329,8 @@ def pr_step(
         zeta = ax2 = None
         np.copyto(bar.y, y_update_t1_zero(bar.z, bar.x, prob, sigma, normal_eq))
     else:
+        if cfg.lambda_A is None:
+            raise ValueError("lambda_A is unresolved; the proximal y-step needs a value")
         slam = sigma * cfg.lambda_A
         ax2 = prob.A.matvec(x2)
         zeta = np.subtract(ax2, np.multiply(slam, w.y, out=work.tmp.y))

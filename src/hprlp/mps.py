@@ -37,8 +37,9 @@ recorded but relaxed: the built problem is the continuous relaxation.
 
 from __future__ import annotations
 
+import codecs
+import contextlib
 import gzip
-import io
 import os
 import warnings as _warnings
 from dataclasses import dataclass, field
@@ -148,24 +149,29 @@ def _stride(start: np.ndarray, count: np.ndarray) -> np.ndarray:
     return np.repeat(start, count) + 2 * (np.arange(total) - base)
 
 
-def _open_source(source):
-    """A text stream over the source: a path, a .gz path or an open stream."""
+def _chunks(source):
+    """The source's text, read ``_BLOCK_CHARS`` characters or bytes at a
+    time: a path, a .gz path, or an open text or bytes stream, which is
+    left open.  Bytes decode as UTF-8, a character split between two
+    reads included, so a chunk may be empty."""
     if hasattr(source, "read"):
-        data = source.read()
-        if isinstance(data, bytes):
-            data = data.decode("utf-8")
-        return io.StringIO(data)
-    path = os.fspath(source)
-    if path.endswith(".gz"):
-        return gzip.open(path, "rt", encoding="utf-8")
-    return open(path, "r", encoding="utf-8")
+        stream = contextlib.nullcontext(source)
+    elif os.fspath(source).endswith(".gz"):
+        stream = gzip.open(source, "rt", encoding="utf-8")
+    else:
+        stream = open(source, "r", encoding="utf-8")
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    with stream as fh:
+        while data := fh.read(_BLOCK_CHARS):
+            yield data if isinstance(data, str) else decoder.decode(data)
+    yield decoder.decode(b"", final=True)
 
 
-def _blocks(fh):
-    """The stream's text in blocks of whole lines; only the last block
-    may lack a final newline."""
+def _blocks(chunks):
+    """The text of ``chunks`` in blocks of whole lines; only the last
+    block may lack a final newline."""
     parts = []
-    while chunk := fh.read(_BLOCK_CHARS):
+    for chunk in chunks:
         cut = chunk.rfind("\n") + 1
         if not cut:
             parts.append(chunk)
@@ -430,8 +436,8 @@ def parse_mps(source) -> MpsDocument:
     ENDATA only warns.
     """
     reader = _Reader()
-    with _open_source(source) as fh:
-        for text in _blocks(fh):
+    with contextlib.closing(_chunks(source)) as chunks:
+        for text in _blocks(chunks):
             reader.feed(text)
             if reader.done:
                 break

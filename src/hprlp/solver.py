@@ -26,10 +26,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .adaptive import (
-    MNormContext,
     RestartConfig,
     RestartReason,
-    SigmaUpdateInputs,
     check_restart,
     m_norm,
     sigma_update,
@@ -71,16 +69,19 @@ _DIVERGENCE_NORM = 1e12
 class SolverConfig:
     """Knobs of the solve driver.
 
-    engine.sigma is the starting penalty, which the driver re-fits at
-    restarts when ``adaptive_sigma`` is on.  engine.lambda_A = None lets
-    the driver estimate lambda_A from the (scaled) matrix.
+    ``engine`` holds the step's parameters: the starting penalty sigma,
+    re-fit at restarts when ``adaptive_sigma`` is on; lambda_A, estimated
+    from the (scaled) matrix when None (the default) and checked against
+    that estimate otherwise; and the y-step route.  ``solve`` resolves
+    them once into the one copy that the steps, the seminorm and the
+    penalty re-fit read.
     """
 
     tol: float = 1e-8
     time_limit: float = float("inf")
     iter_limit: int = 1_000_000
     check_interval: int = 100
-    engine: EngineConfig = field(default_factory=lambda: EngineConfig(lambda_A=None))
+    engine: EngineConfig = field(default_factory=EngineConfig)
     restart: RestartConfig = field(default_factory=RestartConfig)
     adaptive_sigma: bool = True
     scaling: str = "ruiz"
@@ -421,11 +422,7 @@ def _setup(
     """The working problem and its scaling, lambda_A for the working
     matrix, the normal-equations factor when that y-step applies, and a
     message that says why it does not when it was asked for."""
-    work, scaling = (
-        apply_scaling(prob, "ruiz", cfg.ruiz_iters)
-        if cfg.scaling == "ruiz"
-        else (prob, RuizScaling.identity(prob.m, prob.n))
-    )
+    work, scaling = apply_scaling(prob, cfg.scaling, cfg.ruiz_iters)
 
     if work.A.nnz == 0:
         lam = 1.0
@@ -455,20 +452,19 @@ def _setup(
 
 
 def _fit_sigma(
-    candidate: Iterate, anchor: Iterate, sigma: float, A: SparseMatrix,
-    lam: float, t1_zero: bool,
+    candidate: Iterate, anchor: Iterate, ecfg: EngineConfig, A: SparseMatrix
 ) -> float:
     """The penalty re-fit at a restart to the primal and dual
     displacements since the last one; the dual one is measured through
     A^T on the normal-equations path."""
     dx = float(np.linalg.norm(candidate.x - anchor.x))
     dy_vec = candidate.y - anchor.y
-    if t1_zero:
+    if ecfg.t1_zero_path:
         dy = float(np.linalg.norm(A.rmatvec(dy_vec)))
     else:
-        dy = float(np.sqrt(lam)) * float(np.linalg.norm(dy_vec))
+        dy = float(np.sqrt(ecfg.lambda_A)) * float(np.linalg.norm(dy_vec))
     scales = float(np.linalg.norm(candidate.x)), float(np.linalg.norm(candidate.y))
-    return sigma_update(SigmaUpdateInputs(dx, dy, *scales), sigma)
+    return sigma_update(dx, dy, *scales, ecfg.sigma)
 
 
 def _limit_message(message: str, residuals: tuple[float, float, float],
@@ -495,12 +491,10 @@ def solve(prob: LpProblem, cfg: SolverConfig | None = None) -> SolveResult:
     started = time.perf_counter()
     work, scaling, lam, normal_eq, message = _setup(prob, cfg)
     m, n = work.A.shape
-    t1_active = normal_eq is not None
-    sigma = float(cfg.engine.sigma)
     ecfg = dataclasses.replace(
-        cfg.engine, sigma=sigma, lambda_A=lam, t1_zero_path=t1_active
+        cfg.engine, sigma=float(cfg.engine.sigma), lambda_A=lam,
+        t1_zero_path=normal_eq is not None,
     )
-    mctx = MNormContext(sigma, lam, work.A, t1_zero=t1_active)
 
     if cfg.initial_iterate is not None:
         w = scale_iterate(cfg.initial_iterate, scaling)
@@ -540,7 +534,7 @@ def solve(prob: LpProblem, cfg: SolverConfig | None = None) -> SolveResult:
     diff = Iterate(diff_yx[:m], diff_yx[:0], diff_yx[m:])
     averages = EprAverages(m, n) if ergodic else None
     rows = None
-    if anchored and not t1_active:
+    if anchored and not ecfg.t1_zero_path:
         rows = _RowProducts(work.A, ecfg.reflection, w.x)
     k = r = t = 0
     status = None
@@ -555,9 +549,9 @@ def solve(prob: LpProblem, cfg: SolverConfig | None = None) -> SolveResult:
             break
         np.subtract(w_yx, step.w_hat.buf[n:], out=diff_yx)
         if rows is not None:
-            merit = m_norm(diff, mctx, rows.step_diff(step.ax2))
+            merit = m_norm(diff, ecfg, work.A, rows.step_diff(step.ax2))
         else:
-            merit = m_norm(diff, mctx)
+            merit = m_norm(diff, ecfg, work.A)
         if t == 0:  # the restart tests measure against the first merit
             merit0 = merit_prev = merit
 
@@ -583,7 +577,7 @@ def solve(prob: LpProblem, cfg: SolverConfig | None = None) -> SolveResult:
         hit_iter = k >= iter_limit
         hit_time = time.perf_counter() > deadline
         if k % check_interval == 0 or hit_iter or hit_time or reason != no_restart:
-            wb, res = log.checkpoint(candidate, k, r, t, sigma, merit)
+            wb, res = log.checkpoint(candidate, k, r, t, ecfg.sigma, merit)
             if max(res) <= tol:
                 status = "optimal"
             elif candidate.max_abs() > _DIVERGENCE_NORM:
@@ -594,13 +588,10 @@ def solve(prob: LpProblem, cfg: SolverConfig | None = None) -> SolveResult:
                 status = "time_limit"
 
         if status is None and reason != no_restart:
-            sigma_old = sigma
+            sigma_old = ecfg.sigma
             if cfg.adaptive_sigma:
-                sigma = _fit_sigma(candidate, anchor, sigma, work.A, lam, t1_active)
-                if sigma != sigma_old:
-                    ecfg = ecfg.with_sigma(sigma)
-                    mctx = mctx.with_sigma(sigma)
-            log.events.append(RestartEvent(k, r, t, reason.value, sigma_old, sigma))
+                ecfg = ecfg.with_sigma(_fit_sigma(candidate, anchor, ecfg, work.A))
+            log.events.append(RestartEvent(k, r, t, reason.value, sigma_old, ecfg.sigma))
             w.assign(candidate)
             anchor.assign(candidate)
             if rows is not None:

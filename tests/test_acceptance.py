@@ -19,7 +19,6 @@ from hprlp import (
     EngineConfig,
     Iterate,
     LpProblem,
-    MNormContext,
     RestartConfig,
     SolverConfig,
     SparseMatrix,
@@ -446,28 +445,26 @@ def test_criterion_08_seminorm_properties():
         n = int(rng.integers(1, 7))
         dense = rng.standard_normal((m, n))
         lam = float(np.linalg.norm(dense, 2) ** 2 * rng.uniform(1.0, 3.0))
-        ctx = MNormContext(
-            float(rng.uniform(0.1, 10.0)), lam, SparseMatrix.from_dense(dense)
-        )
+        cfg = EngineConfig(sigma=float(rng.uniform(0.1, 10.0)), lambda_A=lam)
+        A = SparseMatrix.from_dense(dense)
         w = Iterate(
             rng.standard_normal(m), rng.standard_normal(n), rng.standard_normal(n)
         )
         norm_sq = float(
             np.dot(w.y, w.y) + np.dot(w.z, w.z) + np.dot(w.x, w.x)
         )
-        q = m_norm_squared(w, ctx)
+        q = m_norm_squared(w, cfg, A)
         if q < -1e-12 * max(norm_sq, 1.0):
             return False, f"quadratic form came out {q:.2e} on ||w||^2 = {norm_sq:.2e}"
         floor = min(floor, q / max(norm_sq, 1.0))
 
     dense = rng.standard_normal((5, 7))
-    ctx = MNormContext(
-        1.7, float(np.linalg.norm(dense, 2) ** 2 * 1.05), SparseMatrix.from_dense(dense)
-    )
+    cfg = EngineConfig(sigma=1.7, lambda_A=float(np.linalg.norm(dense, 2) ** 2 * 1.05))
+    A = SparseMatrix.from_dense(dense)
     for _ in range(200):
         a = Iterate(rng.standard_normal(5), rng.standard_normal(7), rng.standard_normal(7))
         b = Iterate(rng.standard_normal(5), rng.standard_normal(7), rng.standard_normal(7))
-        if m_norm(a + b, ctx) > m_norm(a, ctx) + m_norm(b, ctx) + 1e-10:
+        if m_norm(a + b, cfg, A) > m_norm(a, cfg, A) + m_norm(b, cfg, A) + 1e-10:
             return False, "triangle inequality violated"
     return True, (
         f"1000 points PSD (floor {floor:.1e} of ||w||^2), "

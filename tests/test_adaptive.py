@@ -1,12 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from hprlp import (
+    EngineConfig,
     Iterate,
-    MNormContext,
     RestartConfig,
     RestartReason,
-    SigmaUpdateInputs,
     SparseMatrix,
     check_restart,
     m_norm,
@@ -15,8 +16,12 @@ from hprlp import (
 from hprlp.adaptive import SIGMA_MAX, SIGMA_MIN, m_norm_squared
 
 
-def ctx_1x1(sigma=1.0, lam=1.0, t1_zero=False):
-    return MNormContext(sigma, lam, SparseMatrix.from_dense([[1.0]]), t1_zero)
+A_1X1 = SparseMatrix.from_dense([[1.0]])
+A_2 = SparseMatrix.from_dense([[2.0]])
+
+
+def cfg_of(sigma=1.0, lam=1.0, t1_zero=False):
+    return EngineConfig(sigma=sigma, lambda_A=lam, t1_zero_path=t1_zero)
 
 
 # ---------------------------------------------------------------------------
@@ -24,31 +29,31 @@ def ctx_1x1(sigma=1.0, lam=1.0, t1_zero=False):
 
 
 def test_m_norm_hand_values():
-    ctx = ctx_1x1()
+    cfg = cfg_of()
     # <w, M w> = y^2 + 2 y x + x^2 = (y + x)^2 for A = [1], sigma = lam = 1
     w = Iterate(np.array([1.0]), np.array([7.0]), np.array([-1.0]))
-    assert m_norm_squared(w, ctx) == 0.0  # z never contributes
+    assert m_norm_squared(w, cfg, A_1X1) == 0.0  # z never contributes
     w2 = Iterate(np.array([1.0]), np.array([0.0]), np.array([1.0]))
-    assert m_norm_squared(w2, ctx) == 4.0
-    assert m_norm(w2, ctx) == 2.0
+    assert m_norm_squared(w2, cfg, A_1X1) == 4.0
+    assert m_norm(w2, cfg, A_1X1) == 2.0
 
 
 def test_m_norm_t1_zero_block():
     # with T1 = 0 the y block is sigma ||A^T y||^2; here A = [2]
-    ctx = MNormContext(1.0, 9.0, SparseMatrix.from_dense([[2.0]]), t1_zero=True)
+    cfg = cfg_of(1.0, 9.0, t1_zero=True)
     w = Iterate(np.array([1.0]), np.array([0.0]), np.array([0.0]))
-    assert m_norm_squared(w, ctx) == 4.0
+    assert m_norm_squared(w, cfg, A_2) == 4.0
 
 
 def test_m_norm_from_carried_row_product():
     """Given A w.x, the cross term 2 <w.y, A w.x> replaces 2 <A^T w.y, w.x>;
     the T1 = 0 form takes its A^T w.y anyway and ignores the vector."""
-    ctx = ctx_1x1()
+    cfg = cfg_of()
     w2 = Iterate(np.array([1.0]), np.array([0.0]), np.array([1.0]))
-    assert m_norm_squared(w2, ctx, np.array([1.0])) == 4.0
-    assert m_norm(w2, ctx, np.array([1.0])) == 2.0
+    assert m_norm_squared(w2, cfg, A_1X1, np.array([1.0])) == 4.0
+    assert m_norm(w2, cfg, A_1X1, np.array([1.0])) == 2.0
     w = Iterate(np.array([1.0]), np.array([7.0]), np.array([-1.0]))
-    assert m_norm_squared(w, ctx, np.array([-1.0])) == 0.0
+    assert m_norm_squared(w, cfg, A_1X1, np.array([-1.0])) == 0.0
     rng = np.random.default_rng(21)
     for t1_zero in (False, True):
         for _ in range(50):
@@ -56,21 +61,20 @@ def test_m_norm_from_carried_row_product():
             dense = rng.standard_normal((m, n))
             A = SparseMatrix.from_dense(dense)
             lam = np.linalg.norm(dense, 2) ** 2 * 1.05
-            ctx = MNormContext(rng.uniform(0.1, 3.0), lam, A, t1_zero)
+            cfg = cfg_of(rng.uniform(0.1, 3.0), lam, t1_zero)
             w = Iterate(rng.standard_normal(m), rng.standard_normal(n), rng.standard_normal(n))
-            ref = m_norm(w, ctx)
-            assert abs(m_norm(w, ctx, A.matvec(w.x)) - ref) <= 1e-12 * ref
+            ref = m_norm(w, cfg, A)
+            assert abs(m_norm(w, cfg, A, A.matvec(w.x)) - ref) <= 1e-12 * ref
     # the T1 = 0 form never reads the vector
     w = Iterate(np.array([1.0]), np.array([0.0]), np.array([0.0]))
-    ctx = MNormContext(1.0, 9.0, SparseMatrix.from_dense([[2.0]]), t1_zero=True)
-    assert m_norm_squared(w, ctx, np.array([np.nan])) == 4.0
+    cfg = cfg_of(1.0, 9.0, t1_zero=True)
+    assert m_norm_squared(w, cfg, A_2, np.array([np.nan])) == 4.0
 
 
 def test_m_norm_clamps_roundoff():
     # (y + x)^2 with y = -x can come out as a tiny negative number
-    ctx = ctx_1x1()
     w = Iterate(np.array([0.1]), np.array([0.0]), np.array([-0.1]))
-    assert m_norm(w, ctx) >= 0.0
+    assert m_norm(w, cfg_of(), A_1X1) >= 0.0
 
 
 def test_m_norm_positive_semidefinite_random():
@@ -80,31 +84,38 @@ def test_m_norm_positive_semidefinite_random():
         m, n = rng.integers(1, 7, size=2)
         dense = rng.standard_normal((m, n))
         lam = np.linalg.norm(dense, 2) ** 2 * 1.01
-        ctx = MNormContext(0.5, lam, SparseMatrix.from_dense(dense))
+        A = SparseMatrix.from_dense(dense)
         w = Iterate(rng.standard_normal(m), rng.standard_normal(n), rng.standard_normal(n))
         norm_w = np.sqrt(np.dot(w.y, w.y) + np.dot(w.x, w.x))
-        assert m_norm_squared(w, ctx) >= -1e-12 * max(norm_w**2, 1.0)
+        assert m_norm_squared(w, cfg_of(0.5, lam), A) >= -1e-12 * max(norm_w**2, 1.0)
 
 
 def test_m_norm_triangle_inequality():
     rng = np.random.default_rng(13)
     dense = rng.standard_normal((4, 6))
     lam = np.linalg.norm(dense, 2) ** 2 * 1.05
-    ctx = MNormContext(2.0, lam, SparseMatrix.from_dense(dense))
+    cfg, A = cfg_of(2.0, lam), SparseMatrix.from_dense(dense)
     for _ in range(50):
         a = Iterate(rng.standard_normal(4), rng.standard_normal(6), rng.standard_normal(6))
         b = Iterate(rng.standard_normal(4), rng.standard_normal(6), rng.standard_normal(6))
-        assert m_norm(a + b, ctx) <= m_norm(a, ctx) + m_norm(b, ctx) + 1e-10
+        assert m_norm(a + b, cfg, A) <= m_norm(a, cfg, A) + m_norm(b, cfg, A) + 1e-10
 
 
-def test_m_norm_context_validation_and_with_sigma():
+def test_m_norm_reads_the_step_parameters_of_the_config():
+    """The seminorm's sigma, lambda_A and route are those of the
+    EngineConfig, which rejects invalid values, so a re-fit penalty
+    reaches it through ``with_sigma``."""
     with pytest.raises(ValueError):
-        MNormContext(-1.0, 1.0, SparseMatrix.from_dense([[1.0]]))
+        cfg_of(-1.0, 1.0)
     with pytest.raises(ValueError):
-        MNormContext(1.0, 0.0, SparseMatrix.from_dense([[1.0]]))
-    ctx = ctx_1x1()
-    assert ctx.with_sigma(3.0).sigma == 3.0
-    assert ctx.with_sigma(3.0).lambda_A == ctx.lambda_A
+        cfg_of(1.0, 0.0)
+    # sigma*lam*y^2 + 2 y x + x^2 / sigma for A = [1]
+    w = Iterate(np.array([1.0]), np.array([0.0]), np.array([1.0]))
+    cfg = cfg_of(1.0, 4.0)
+    assert m_norm_squared(w, cfg, A_1X1) == 7.0
+    assert m_norm_squared(w, cfg.with_sigma(2.0), A_1X1) == 10.5
+    # the T1 = 0 route ignores lambda_A: sigma (A^T y)^2 + 2 y x + x^2 / sigma
+    assert m_norm_squared(w, replace(cfg, t1_zero_path=True), A_1X1) == 4.0
 
 
 # ---------------------------------------------------------------------------
@@ -182,24 +193,26 @@ def test_restart_zero_merit_anchor():
 
 
 def test_sigma_update_ratio():
-    got = sigma_update(SigmaUpdateInputs(delta_x=2.0, delta_y=1.0), sigma_prev=7.0)
+    got = sigma_update(delta_x=2.0, delta_y=1.0, x_scale=0.0, y_scale=0.0, sigma_prev=7.0)
     assert got == 2.0
 
 
 def test_sigma_update_clamped():
-    assert sigma_update(SigmaUpdateInputs(1e20, 1.0), 1.0) == SIGMA_MAX
-    assert sigma_update(SigmaUpdateInputs(1e-12, 1e4), 1.0) == SIGMA_MIN
+    assert sigma_update(1e20, 1.0, 0.0, 0.0, 1.0) == SIGMA_MAX
+    assert sigma_update(1e-12, 1e4, 0.0, 0.0, 1.0) == SIGMA_MIN
 
 
 def test_sigma_update_vanishing_displacements_keep_previous():
     eps = np.finfo(np.float64).eps
-    assert sigma_update(SigmaUpdateInputs(0.0, 1.0), 3.5) == 3.5
-    assert sigma_update(SigmaUpdateInputs(1.0, 0.0), 3.5) == 3.5
+    assert sigma_update(0.0, 1.0, 0.0, 0.0, 3.5) == 3.5
+    assert sigma_update(1.0, 0.0, 0.0, 0.0, 3.5) == 3.5
     # scale-relative threshold
-    got = sigma_update(SigmaUpdateInputs(eps * 50.0, 1.0, x_scale=100.0), 3.5)
+    got = sigma_update(eps * 50.0, 1.0, 100.0, 0.0, 3.5)
     assert got == 3.5
 
 
 def test_sigma_update_rejects_negative():
     with pytest.raises(ValueError):
-        SigmaUpdateInputs(-1.0, 1.0)
+        sigma_update(-1.0, 1.0, 0.0, 0.0, 1.0)
+    with pytest.raises(ValueError):
+        sigma_update(1.0, -1.0, 0.0, 0.0, 1.0)

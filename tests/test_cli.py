@@ -1,6 +1,8 @@
 import csv
 import json
 import math
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from hprlp.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_USAGE,
+    build_parser,
     main,
     sgm10,
 )
@@ -262,3 +265,26 @@ def test_bench_empty_directory(tmp_path, capsys):
 
 def test_bench_invalid_modes(tmp_path, capsys):
     assert main(["bench", str(tmp_path), "--modes", "hpr,warp"]) == EXIT_USAGE
+
+
+def test_bench_rejects_an_invalid_config(fixtures_dir, tmp_path, capsys):
+    bench_dir = tmp_path / "suite"
+    bench_dir.mkdir()
+    (bench_dir / "simple_l.mps").write_text((fixtures_dir / "simple_l.mps").read_text())
+    assert main(["bench", str(bench_dir), "--tol", "-1"]) == EXIT_DATA
+    assert "tol must be positive" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# documentation
+
+
+def test_readme_command_lines_parse():
+    """Every ``hprlp ...`` line of the README's command-line block is
+    accepted by the parser (parsing only, nothing runs)."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line) for line in block.splitlines() if line.startswith("hprlp ")]
+    assert len(commands) >= 4
+    for argv in commands:
+        build_parser().parse_args(argv[1:])

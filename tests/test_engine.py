@@ -15,7 +15,6 @@ from hprlp import (
     EprAverages,
     Iterate,
     LpProblem,
-    MNormContext,
     NormalEquationSolver,
     SolverConfig,
     SparseMatrix,
@@ -101,6 +100,17 @@ def test_config_allows_deferred_lambda():
     assert EngineConfig(lambda_A=None).lambda_A is None
 
 
+def test_unresolved_lambda_is_the_default_and_the_proximal_step_rejects_it():
+    assert EngineConfig().lambda_A is None
+    with pytest.raises(ValueError, match="lambda_A is unresolved"):
+        pr_step(Iterate.zeros(1, 1), prob_corner(), EngineConfig())
+    # the normal-equations y-step does not read lambda_A
+    prob = random_lp(np.random.default_rng(5), 6, 3, style="equality")
+    cfg = EngineConfig(t1_zero_path=True)
+    step = pr_step(Iterate.zeros(3, 6), prob, cfg, NormalEquationSolver(prob.A))
+    assert step.zeta is None and np.isfinite(step.w_hat.y).all()
+
+
 # ---------------------------------------------------------------------------
 # pr_step hand values
 
@@ -149,7 +159,7 @@ def test_pr_step_general_parameters():
 
 def test_pr_step_hdr_skips_reflection():
     prob = prob_corner()
-    tr = pr_step(Iterate.zeros(1, 1), prob, EngineConfig(mode="hdr"))
+    tr = pr_step(Iterate.zeros(1, 1), prob, EngineConfig(lambda_A=1.0, mode="hdr"))
     npt.assert_array_equal(tr.w_hat.x, tr.w_bar.x)
     npt.assert_array_equal(tr.w_hat.y, tr.w_bar.y)
 
@@ -157,7 +167,7 @@ def test_pr_step_hdr_skips_reflection():
 def test_pr_step_relaxed_reflection():
     prob = prob_corner()
     w = Iterate.zeros(1, 1)
-    tr = pr_step(w, prob, EngineConfig(mode="rhpdhg", gamma=0.5))
+    tr = pr_step(w, prob, EngineConfig(lambda_A=1.0, mode="rhpdhg", gamma=0.5))
     # (1 + 0.5) * w_bar - 0.5 * w with w = 0
     npt.assert_array_equal(tr.w_hat.x, [1.5])
 
@@ -166,7 +176,7 @@ def test_pr_step_divergence_guard():
     prob = prob_corner()
     w = Iterate(np.array([1e160]), np.array([0.0]), np.array([0.0]))
     with pytest.raises(ArithmeticError, match="diverged"):
-        pr_step(w, prob, EngineConfig())
+        pr_step(w, prob, EngineConfig(lambda_A=1.0))
 
 
 def test_fixed_points_are_invariant():
@@ -396,7 +406,7 @@ def test_pr_step_t1_path_matches_projection_path():
 
 def test_identify_active_sets():
     prob = prob_corner()
-    tr = pr_step(Iterate.zeros(1, 1), prob, EngineConfig())
+    tr = pr_step(Iterate.zeros(1, 1), prob, EngineConfig(lambda_A=1.0))
     act = identify_active_sets(tr, prob)
     # x_bar = 1 hits the variable upper bound; zeta = 2 hits the row upper bound
     npt.assert_array_equal(act.i_c, [0])
@@ -414,14 +424,14 @@ def test_identify_active_sets_interior():
         l_var=[0.0],
         u_var=[10.0],
     )
-    tr = pr_step(Iterate.zeros(1, 1), prob, EngineConfig())
+    tr = pr_step(Iterate.zeros(1, 1), prob, EngineConfig(lambda_A=1.0))
     act = identify_active_sets(tr, prob)
     assert act.i_c.size == 0 and act.i_k.size == 0
 
 
 def test_active_sets_comparison():
     prob = prob_corner()
-    tr = pr_step(Iterate.zeros(1, 1), prob, EngineConfig())
+    tr = pr_step(Iterate.zeros(1, 1), prob, EngineConfig(lambda_A=1.0))
     a = identify_active_sets(tr, prob)
     b = identify_active_sets(tr, prob)
     assert a.same_as(b)
@@ -478,7 +488,7 @@ def test_frozen_map_is_affine():
 
 def test_frozen_map_rejects_normal_equations_route():
     prob = prob_corner()
-    tr = pr_step(Iterate.zeros(1, 1), prob, EngineConfig())
+    tr = pr_step(Iterate.zeros(1, 1), prob, EngineConfig(lambda_A=1.0))
     act = identify_active_sets(tr, prob)
     with pytest.raises(ValueError, match="zeta"):
         frozen_affine_map(act, prob, EngineConfig(t1_zero_path=True))
@@ -508,15 +518,13 @@ def _run_steps(prob, cfg, normal_eq, reuse, packed=True, steps=200):
     assert (w.buf is not None) == (anchor.buf is not None) == packed
     anchored = cfg.mode in ("hpr", "hdr", "rhpdhg")
     work = StepWorkspace(m, n) if reuse else None
-    ctx = MNormContext(cfg.sigma, cfg.lambda_A, prob.A, t1_zero=normal_eq is not None)
     history = []
     t = 0
     for k in range(steps):
         if k == 70:
             cfg = cfg.with_sigma(1.7 * cfg.sigma)
-            ctx = ctx.with_sigma(cfg.sigma)
         step = pr_step(w, prob, cfg, normal_eq, work)
-        merit = m_norm(w - step.w_hat, ctx)
+        merit = m_norm(w - step.w_hat, cfg, prob.A)
         if not reuse:
             w = halpern_step(anchor, step.w_hat, t) if anchored else step.w_hat
         elif anchored:
@@ -622,7 +630,7 @@ def test_carried_row_product_keeps_trajectory(mode, monkeypatch):
         prob = random_lp(np.random.default_rng(100 + seed), n, m, style=style)
         monkeypatch.setattr(hprlp.solver, "m_norm", m_norm_carried)
         carried = solve(prob, cfg)
-        monkeypatch.setattr(hprlp.solver, "m_norm", lambda w, ctx, ax=None: m_norm(w, ctx))
+        monkeypatch.setattr(hprlp.solver, "m_norm", lambda w, cfg, A, ax=None: m_norm(w, cfg, A))
         product = solve(prob, cfg)
         assert carried.status == product.status
         assert carried.iterations == product.iterations

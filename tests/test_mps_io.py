@@ -621,3 +621,51 @@ def test_reader_peak_memory_is_a_few_times_the_file(tmp_path):
         tracemalloc.stop()
     assert back.A.nnz >= 20_000
     assert peak < 5 * size, f"peak {peak / size:.1f}x the file's {size} bytes"
+
+
+class _ReadLog:
+    """A stream wrapper that records the size of every ``read``."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.sizes = []
+
+    def read(self, size=-1):
+        self.sizes.append(size)
+        return self.inner.read(size)
+
+
+def test_streams_read_in_blocks_as_the_path(tmp_path):
+    """Text and bytes streams are read a block at a time and left open,
+    and give the path's document bit for bit, also where a multi-byte
+    character of a bytes stream is split between two reads."""
+    import re
+
+    from hprlp.mps import _BLOCK_CHARS
+
+    prob = sparse_lp(np.random.default_rng(10), 300, 500, 6_000)
+    body = re.sub(r"\bC(\d)", "€\\1", emit_mps(prob))  # 3-byte column names
+    # a leading comment shifts the last euro sign of the first block onto
+    # its boundary: its first byte is the block's last
+    at = [i + 2 * k for k, i in enumerate(m.start() for m in re.finditer("€", body))]
+    pad = _BLOCK_CHARS - 1 - max(b for b in at if b < _BLOCK_CHARS - 3)
+    text = "*" + "-" * (pad - 2) + "\n" + body
+    raw = text.encode("utf-8")
+    assert raw[_BLOCK_CHARS - 1:_BLOCK_CHARS + 2] == "€".encode("utf-8")
+    path = tmp_path / "euro.mps"
+    path.write_bytes(raw)
+    ref = parse_mps(path)
+    want = build_problem(ref)
+    for inner in (io.StringIO(text), io.BytesIO(raw)):
+        stream = _ReadLog(inner)
+        doc = parse_mps(stream)
+        assert len(stream.sizes) > 3
+        assert all(isinstance(s, int) and s > 0 for s in stream.sizes), stream.sizes
+        assert not inner.closed
+        assert doc.column_order == ref.column_order
+        assert doc.column_order[0] == "€0"
+        assert_same_entries(doc, ref)
+        for name in ("name", "row_types", "rhs_entries", "range_entries",
+                     "bound_entries", "warnings"):
+            assert getattr(doc, name) == getattr(ref, name), name
+        assert_same_problem(build_problem(doc), want)

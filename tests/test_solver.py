@@ -352,6 +352,24 @@ def test_t1_zero_path_falls_back_on_inequality_rows():
     )
 
 
+def test_default_engine_config_estimates_lambda():
+    """An EngineConfig that names only the mode leaves lambda_A to the
+    estimate, here about 1.7 on the scaled matrix, above the shift 1.0
+    that a set value would claim."""
+    prob = LpProblem(
+        c=[1.0, 1.0],
+        A=SparseMatrix.from_dense([[3.0, 1.0], [1.0, 2.0]]),
+        l_con=[1.0, 1.0],
+        u_con=[np.inf, np.inf],
+        l_var=[0.0, 0.0],
+        u_var=[10.0, 10.0],
+    )
+    res = solve(prob, SolverConfig(engine=EngineConfig(mode="hdr")))
+    assert res.status == "optimal"
+    npt.assert_allclose(res.x, [0.2, 0.4], atol=1e-7)
+    assert SolverConfig().engine == EngineConfig()
+
+
 def test_explicit_lambda_below_norm_rejected():
     prob = LpProblem(
         c=[0.0],

@@ -26,7 +26,6 @@ from hprlp import (
     EngineConfig,
     Iterate,
     LpProblem,
-    MNormContext,
     PrStepTrace,
     SparseMatrix,
     dual_objective,
@@ -308,8 +307,7 @@ def complexity_diagnostics(
         raise ValueError("diagnostics cover the anchored full-reflection mode")
     if cfg.lambda_A is None:
         raise ValueError("cfg.lambda_A must be resolved")
-    ctx = MNormContext(cfg.sigma, cfg.lambda_A, prob.A)
-    r0 = m_norm(w0 - w_star, ctx)
+    r0 = m_norm(w0 - w_star, cfg, prob.A)
     norm_a = _operator_norm(prob.A)
     sqrt_sigma = float(np.sqrt(cfg.sigma))
     kkt_c = (cfg.sigma * (norm_a + float(np.sqrt(cfg.lambda_A))) + 1.0) / sqrt_sigma
@@ -327,7 +325,7 @@ def complexity_diagnostics(
         step = pr_step(w, prob, cfg)
         wb = step.w_bar
         inv = r0 / (k + 1.0)
-        ratios_step[k] = _safe_ratio(m_norm(wb - w, ctx), inv)
+        ratios_step[k] = _safe_ratio(m_norm(wb - w, cfg, prob.A), inv)
         ratios_kkt[k] = _safe_ratio(kkt_residual(wb, prob).norm, kkt_c * inv)
         h = dual_objective(wb.y, wb.z, prob) - dual_ref
         if h >= 0.0:

@@ -46,6 +46,11 @@ __all__ = [
 SIGMA_MIN = 1e-8
 SIGMA_MAX = 1e8
 
+# restart thresholds: a restart fires on a merit decay to ALPHA1 of the
+# inner loop's first merit, on a decay to ALPHA2 that has stopped
+# progressing, or once the inner loop is ALPHA3 of the global count long
+ALPHA1, ALPHA2, ALPHA3 = 0.2, 0.8, 0.36
+
 
 def m_norm_squared(
     w: Iterate, cfg: EngineConfig, A: SparseMatrix, ax: np.ndarray | None = None
@@ -89,28 +94,16 @@ class RestartReason(enum.Enum):
 
 @dataclass(frozen=True)
 class RestartConfig:
-    """Restart thresholds.
-
-    alpha1 < alpha2 gate the decay tests on the step-length merit,
-    alpha3 bounds the inner-loop length as a fraction of the total
-    iteration count.  ``enabled`` switches the three adaptive tests;
+    """Which restarts fire: ``enabled`` switches the three adaptive
+    tests, whose thresholds are ALPHA1, ALPHA2 and ALPHA3;
     ``fixed_period`` adds a plain every-N restart used on its own for
     fixed-frequency runs.
     """
 
-    alpha1: float = 0.2
-    alpha2: float = 0.8
-    alpha3: float = 0.36
     enabled: bool = True
     fixed_period: int | None = None
 
     def __post_init__(self):
-        if not (0.0 < self.alpha1 < self.alpha2 < 1.0):
-            raise ValueError(
-                f"need 0 < alpha1 < alpha2 < 1, got {self.alpha1}, {self.alpha2}"
-            )
-        if not (0.0 < self.alpha3 < 1.0):
-            raise ValueError(f"need 0 < alpha3 < 1, got {self.alpha3}")
         if self.fixed_period is not None and self.fixed_period < 1:
             raise ValueError(f"fixed_period must be >= 1, got {self.fixed_period}")
 
@@ -125,9 +118,9 @@ def check_restart(
 ) -> RestartReason:
     """Decide whether the inner loop should restart.
 
-    In priority order: sufficient decay (merit_curr <= alpha1 * merit0),
-    necessary decay without progress (merit_curr <= alpha2 * merit0 and
-    merit_curr > merit_prev), long inner loop (t >= alpha3 * k), fixed
+    In priority order: sufficient decay (merit_curr <= ALPHA1 * merit0),
+    necessary decay without progress (merit_curr <= ALPHA2 * merit0 and
+    merit_curr > merit_prev), long inner loop (t >= ALPHA3 * k), fixed
     period.  The first three require ``cfg.enabled``.
     """
     if min(merit0, merit_prev, merit_curr) < 0.0:
@@ -135,11 +128,11 @@ def check_restart(
     if t < 1 or k < 1:
         raise ValueError(f"counters must be >= 1, got t={t}, k={k}")
     if cfg.enabled:
-        if merit_curr <= cfg.alpha1 * merit0:
+        if merit_curr <= ALPHA1 * merit0:
             return RestartReason.SUFFICIENT
-        if merit_curr <= cfg.alpha2 * merit0 and merit_curr > merit_prev:
+        if merit_curr <= ALPHA2 * merit0 and merit_curr > merit_prev:
             return RestartReason.NECESSARY_NO_PROGRESS
-        if t >= cfg.alpha3 * k:
+        if t >= ALPHA3 * k:
             return RestartReason.LONG_LOOP
     if cfg.fixed_period is not None and t >= cfg.fixed_period:
         return RestartReason.FIXED
@@ -152,10 +145,8 @@ def sigma_update(
     x_scale: float,
     y_scale: float,
     sigma_prev: float,
-    sigma_min: float = SIGMA_MIN,
-    sigma_max: float = SIGMA_MAX,
 ) -> float:
-    """New penalty delta_x / delta_y, clamped to [sigma_min, sigma_max].
+    """New penalty delta_x / delta_y, clamped to [SIGMA_MIN, SIGMA_MAX].
 
     delta_x = ||x_bar - x_anchor|| is the primal displacement over the
     finished inner loop, and delta_y the dual one in the norm of the
@@ -170,4 +161,4 @@ def sigma_update(
     eps = np.finfo(np.float64).eps
     if delta_x <= eps * (1.0 + x_scale) or delta_y <= eps * (1.0 + y_scale):
         return sigma_prev
-    return float(min(max(delta_x / delta_y, sigma_min), sigma_max))
+    return float(min(max(delta_x / delta_y, SIGMA_MIN), SIGMA_MAX))

@@ -61,12 +61,12 @@ def sgm10(times, shift: float = 10.0) -> float:
     return math.exp(total / len(times)) - shift
 
 
-def _solver_config(args) -> SolverConfig:
+def _solver_config(args, mode: str) -> SolverConfig:
     restart = RestartConfig(
         enabled=not (args.no_restart or args.fixed_restart is not None),
         fixed_period=args.fixed_restart,
     )
-    engine = EngineConfig(sigma=args.sigma0, mode=args.mode, gamma=args.gamma)
+    engine = EngineConfig(sigma=args.sigma0, mode=mode, gamma=args.gamma)
     return SolverConfig(
         tol=args.tol,
         time_limit=args.time_limit,
@@ -85,7 +85,6 @@ def _add_solver_flags(p: argparse.ArgumentParser, time_limit_default: float):
     p.add_argument("--time-limit", type=float, default=time_limit_default,
                    help="wall-clock limit in seconds")
     p.add_argument("--iter-limit", type=int, default=1_000_000)
-    p.add_argument("--mode", choices=MODES, default="hpr")
     p.add_argument("--gamma", type=float, default=1.0,
                    help="reflection factor for mode rhpdhg")
     p.add_argument("--sigma0", type=float, default=1.0, help="initial penalty")
@@ -130,7 +129,7 @@ def _status_code(status: str) -> int:
 
 def cmd_solve(args) -> int:
     try:
-        result, read_seconds = _solve_file(args.file, _solver_config(args))
+        result, read_seconds = _solve_file(args.file, _solver_config(args, args.mode))
     except (MpsParseError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
@@ -277,7 +276,7 @@ def cmd_bench(args) -> int:
         print(f"error: invalid mode list {args.modes!r}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        report = run_bench(args.directory, modes, _solver_config(args))
+        report = run_bench(args.directory, modes, _solver_config(args, modes[0]))
     except (FileNotFoundError, NotADirectoryError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
@@ -363,6 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="solve one MPS file")
     p_solve.add_argument("file", help="path to .mps or .mps.gz")
+    p_solve.add_argument("--mode", choices=MODES, default="hpr")
     _add_solver_flags(p_solve, time_limit_default=float("inf"))
     p_solve.add_argument("--trace", metavar="FILE", default=None,
                          help="write the iteration trace as CSV")
@@ -370,7 +370,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="print a JSON report instead of text")
     p_solve.set_defaults(func=cmd_solve)
 
-    p_bench = sub.add_parser("bench", help="run all MPS files in a directory")
+    # no abbreviations: they would read solve's --mode as --modes
+    p_bench = sub.add_parser("bench", help="run all MPS files in a directory",
+                             allow_abbrev=False)
     p_bench.add_argument("directory")
     p_bench.add_argument("--modes", default="hpr",
                          help="comma-separated list of modes to compare")

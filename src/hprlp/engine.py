@@ -28,9 +28,9 @@ normal equations A A^T y_bar = rhs replaces the zeta/projection route
 ``pr_step`` and ``halpern_step`` write their results into preallocated
 vectors (a ``StepWorkspace`` and an ``out`` iterate) with numpy ``out=``
 updates, in the same operations and order as the formulas above, so a
-run on reused buffers is bit-identical to one on fresh arrays.  Updates
-of whole iterates run over ``model.blocks``: one call on packed
-iterates, one per block otherwise, with the same values.
+run on reused buffers is bit-identical to one on fresh arrays.  An
+update of whole iterates is one call on their packed ``Iterate.buf``
+vectors.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg.blas import ddot, dtpsv
 
-from .model import Iterate, LpProblem, blocks, project_box
+from .model import Iterate, LpProblem, project_box
 from .sparse import SparseMatrix
 
 __all__ = [
@@ -69,9 +69,8 @@ class EngineConfig:
 
     sigma        : penalty parameter, > 0.
     lambda_A     : proximal shift, must dominate ||A||_2^2; None (the
-                   default) lets ``solve`` fit it from an operator-norm
-                   estimate.  ``pr_step`` on the proximal route needs it
-                   resolved.
+                   default) for ``solve``, which fits it itself.
+                   ``pr_step`` on the proximal route needs a value.
     mode         : one of "hpr", "hdr", "pr", "epr", "rhpdhg".
     gamma        : reflection factor for mode "rhpdhg", in [0, 1].
     t1_zero_path : solve the y-step through A A^T normal equations
@@ -158,9 +157,8 @@ class StepWorkspace:
     ``bar`` receives the proximal point w_bar, ``hat`` the reflected
     point w_hat (its x block first holds 2 x_bar - x, the argument of
     the row product, which full reflection keeps as x_hat), and ``tmp``
-    is scratch; all three are packed.
-    The iterate a step starts from must not share memory with any of
-    them.
+    is scratch.  The iterate a step starts from must not share memory
+    with any of them.
     """
 
     __slots__ = ("bar", "hat", "tmp")
@@ -284,8 +282,10 @@ def _reflect(w_bar: Iterate, w: Iterate, cfg: EngineConfig, work: StepWorkspace)
     gamma = cfg.reflection
     if gamma == 0.0:
         return w_bar
-    for out, bar, prev, tmp in blocks(work.hat, w_bar, w, work.tmp, x=gamma != 1.0):
-        _reflect_into(out, bar, prev, gamma, tmp)
+    if gamma == 1.0:
+        _reflect_into(work.hat.zy, w_bar.zy, w.zy, gamma, None)
+    else:
+        _reflect_into(work.hat.buf, w_bar.buf, w.buf, gamma, work.tmp.buf)
     return work.hat
 
 
@@ -353,7 +353,7 @@ def halpern_step(
 
     Computed as w_anchor + (t+1)/(t+2) * (w_hat - w_anchor), which is
     exact when the two points coincide.  The result is written into
-    ``out`` (a new packed iterate when None), which may be w_hat or the
+    ``out`` (a new iterate when None), which may be w_hat or the
     iterate the step started from, but must not share memory with
     w_anchor.
     """
@@ -362,18 +362,17 @@ def halpern_step(
     if out is None:
         out = Iterate.empty(w_anchor.y.size, w_anchor.x.size)
     beta = (t + 1.0) / (t + 2.0)
-    for a, h, o in blocks(w_anchor, w_hat, out):
-        np.subtract(h, a, out=o)
-        np.multiply(beta, o, out=o)
-        np.add(a, o, out=o)
+    a, o = w_anchor.buf, out.buf
+    np.subtract(w_hat.buf, a, out=o)
+    np.multiply(beta, o, out=o)
+    np.add(a, o, out=o)
     return out
 
 
 class EprAverages:
     """Uniform running mean ``w_bar_avg`` of the proximal points
-    w_bar^1 .. w_bar^k folded in since it was made, updated in place on a
-    packed iterate; ``n_bar`` is k, and the mean is undefined while it
-    is 0."""
+    w_bar^1 .. w_bar^k folded in since it was made, updated in place;
+    ``n_bar`` is k, and the mean is undefined while it is 0."""
 
     __slots__ = ("w_bar_avg", "n_bar", "_tmp")
 
@@ -390,8 +389,7 @@ def epr_accumulate(state: EprAverages, w_bar: Iterate) -> None:
     if state.n_bar == 1:
         state.w_bar_avg.assign(w_bar)
         return
-    inv = 1.0 / state.n_bar
-    for avg, v, d in blocks(state.w_bar_avg, w_bar, state._tmp):
-        np.subtract(v, avg, out=d)
-        np.multiply(inv, d, out=d)
-        np.add(avg, d, out=avg)
+    avg, d = state.w_bar_avg.buf, state._tmp.buf
+    np.subtract(w_bar.buf, avg, out=d)
+    np.multiply(1.0 / state.n_bar, d, out=d)
+    np.add(avg, d, out=avg)

@@ -15,7 +15,6 @@ variable-bound box C.  Maximization problems are stored in minimize form
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,7 +24,6 @@ from .sparse import SparseMatrix
 __all__ = [
     "LpProblem",
     "Iterate",
-    "blocks",
     "project_box",
     "box_support",
     "dual_objective",
@@ -148,34 +146,52 @@ class LpProblem:
         )
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Iterate:
     """A primal-dual point w = (y, z, x): row multipliers, bound
     multipliers, and primal variables.
 
-    A packed iterate, as ``empty``, ``zeros`` and ``copy`` make, also
-    holds ``buf``: one contiguous vector laid out z, y, x whose slices
-    are the three blocks, so that an elementwise update of the whole
-    point is one numpy call (see ``blocks``).  In that order the z and y
-    blocks are one slice, ``zy``, and ``buf[n:]`` holds y and x.
+    The three blocks are slices of one contiguous float64 vector
+    ``buf``, laid out z, y, x, so that an elementwise update of the
+    whole point is one numpy call.  In that order the z and y blocks are
+    one slice, ``zy``, and ``buf[n:]`` holds y and x.
+    ``Iterate(y, z, x)`` copies its arguments into a new ``buf``; z and
+    x must have the same size.
     """
 
     y: np.ndarray
     z: np.ndarray
     x: np.ndarray
-    buf: np.ndarray | None = field(default=None, init=False, repr=False)
-    zy: np.ndarray | None = field(default=None, init=False, repr=False)
+    buf: np.ndarray = field(repr=False)
+    zy: np.ndarray = field(repr=False)
+
+    def __init__(self, y: np.ndarray, z: np.ndarray, x: np.ndarray):
+        n = np.size(x)
+        if np.size(z) != n:
+            raise ValueError(f"z and x must have the same size, got {np.size(z)} and {n}")
+        self._view(np.concatenate((z, y, x), dtype=np.float64), np.size(y), n)
+
+    def _view(self, buf: np.ndarray, m: int, n: int):
+        views = dict(buf=buf, zy=buf[:n + m], z=buf[:n], y=buf[n:n + m], x=buf[n + m:])
+        for name, view in views.items():
+            object.__setattr__(self, name, view)
 
     @classmethod
     def _on(cls, buf: np.ndarray, m: int, n: int) -> "Iterate":
-        w = cls(buf[n:n + m], buf[:n], buf[n + m:])
-        object.__setattr__(w, "buf", buf)
-        object.__setattr__(w, "zy", buf[:n + m])
+        w = cls.__new__(cls)
+        w._view(buf, m, n)
         return w
+
+    def __reduce__(self):
+        # pickle and copy rebuild the views, which they would copy apart
+        return Iterate, (self.y, self.z, self.x)
+
+    def _like(self, buf: np.ndarray) -> "Iterate":
+        return Iterate._on(buf, self.y.size, self.x.size)
 
     @classmethod
     def empty(cls, m: int, n: int) -> "Iterate":
-        """A packed iterate with uninitialised values."""
+        """An iterate with uninitialised values."""
         return cls._on(np.empty(m + 2 * n), m, n)
 
     @classmethod
@@ -183,46 +199,26 @@ class Iterate:
         return cls._on(np.zeros(m + 2 * n), m, n)
 
     def copy(self) -> "Iterate":
-        """A packed copy."""
-        return Iterate._on(np.concatenate((self.z, self.y, self.x)),
-                           self.y.size, self.z.size)
+        return self._like(self.buf.copy())
 
     def assign(self, src: "Iterate"):
         """Copy the values of ``src`` into this iterate's arrays."""
-        for dst, v in blocks(self, src):
-            np.copyto(dst, v)
+        np.copyto(self.buf, src.buf)
 
     def __add__(self, other: "Iterate") -> "Iterate":
-        return Iterate(self.y + other.y, self.z + other.z, self.x + other.x)
+        return self._like(self.buf + other.buf)
 
     def __sub__(self, other: "Iterate") -> "Iterate":
-        return Iterate(self.y - other.y, self.z - other.z, self.x - other.x)
+        return self._like(self.buf - other.buf)
 
     def __rmul__(self, a: float) -> "Iterate":
-        return Iterate(a * self.y, a * self.z, a * self.x)
+        return self._like(a * self.buf)
 
     __mul__ = __rmul__
 
     def max_abs(self) -> float:
         """Largest magnitude over all components (NaN if any NaN present)."""
-        parts = [p for p in (self.y, self.z, self.x) if p.size]
-        if not parts:
-            return 0.0
-        vals = np.array([np.max(np.abs(p)) for p in parts])
-        return float(np.max(vals)) if not np.any(np.isnan(vals)) else float("nan")
-
-
-def blocks(*iterates: Iterate, x: bool = True) -> Iterable[tuple[np.ndarray, ...]]:
-    """The arrays an elementwise operation on ``iterates`` runs over, one
-    tuple of same-shaped arrays per numpy call: the packed buffers when
-    every iterate is packed, else the y, z and x blocks in turn.  Both
-    give the same values bit for bit.  Without ``x`` the x blocks are
-    left out, and packed iterates give their ``zy`` slices."""
-    bufs = tuple([w.buf if x else w.zy for w in iterates])  # cheaper than all(...)
-    for buf in bufs:
-        if buf is None:
-            return zip(*((w.y, w.z, w.x) if x else (w.y, w.z) for w in iterates))
-    return (bufs,)
+        return float(np.max(np.abs(self.buf), initial=0.0))
 
 
 def dual_objective(y: np.ndarray, z: np.ndarray, prob: LpProblem) -> float:

@@ -70,11 +70,11 @@ class SolverConfig:
     """Knobs of the solve driver.
 
     ``engine`` holds the step's parameters: the starting penalty sigma,
-    re-fit at restarts when ``adaptive_sigma`` is on; lambda_A, estimated
-    from the (scaled) matrix when None (the default) and checked against
-    that estimate otherwise; and the y-step route.  ``solve`` resolves
-    them once into the one copy that the steps, the seminorm and the
-    penalty re-fit read.
+    re-fit at restarts when ``adaptive_sigma`` is on; lambda_A, which
+    ``solve`` fits to the scaled matrix (an operator-norm estimate times
+    ``lambda_safety``), so it must be left None; and the y-step route.
+    ``solve`` resolves them once into the one copy that the steps, the
+    seminorm and the penalty re-fit read.
     """
 
     tol: float = 1e-8
@@ -85,7 +85,6 @@ class SolverConfig:
     restart: RestartConfig = field(default_factory=RestartConfig)
     adaptive_sigma: bool = True
     scaling: str = "ruiz"
-    ruiz_iters: int = 10
     lambda_safety: float = 1.05
     initial_iterate: Iterate | None = None
 
@@ -100,10 +99,10 @@ class SolverConfig:
             raise ValueError(f"check_interval must be >= 1, got {self.check_interval}")
         if self.scaling not in ("none", "ruiz"):
             raise ValueError(f"scaling must be 'none' or 'ruiz', got {self.scaling!r}")
-        if self.ruiz_iters < 0:
-            raise ValueError(f"ruiz_iters must be >= 0, got {self.ruiz_iters}")
         if not self.lambda_safety >= 1.0:
             raise ValueError(f"lambda_safety must be >= 1, got {self.lambda_safety}")
+        if self.engine.lambda_A is not None:
+            raise ValueError("lambda_A is fitted by solve to the scaled matrix; leave it None")
 
 
 @dataclass(frozen=True)
@@ -422,19 +421,8 @@ def _setup(
     """The working problem and its scaling, lambda_A for the working
     matrix, the normal-equations factor when that y-step applies, and a
     message that says why it does not when it was asked for."""
-    work, scaling = apply_scaling(prob, cfg.scaling, cfg.ruiz_iters)
-
-    if work.A.nnz == 0:
-        lam = 1.0
-    elif cfg.engine.lambda_A is not None:
-        lam = float(cfg.engine.lambda_A)
-        est = estimate_lambda_A(work.A, safety=1.0)
-        if lam < est * (1.0 - 5e-4):
-            raise ValueError(
-                f"lambda_A={lam} is below the operator-norm estimate {est:.6g}"
-            )
-    else:
-        lam = estimate_lambda_A(work.A, safety=cfg.lambda_safety)
+    work, scaling = apply_scaling(prob, cfg.scaling)
+    lam = estimate_lambda_A(work.A, safety=cfg.lambda_safety) if work.A.nnz else 1.0
 
     # normal-equations path only for pure equality rows
     normal_eq = None
@@ -519,19 +507,16 @@ def solve(prob: LpProblem, cfg: SolverConfig | None = None) -> SolveResult:
     no_restart = RestartReason.NONE
 
     # the iteration state, allocated once: the iterate w (which the
-    # anchored average overwrites) and the restart point, both packed
-    # (``Iterate.copy``), the step's workspace, w - w_hat for the merit
-    # (whose z block it ignores, so it holds y and x back to back as the
-    # packed iterates do), the ergodic mean, and A x for the merit's
-    # cross term in the anchored modes on the proximal route (pr / epr
-    # restart on merit increases, which rounding decides, and the
-    # normal-equations merit needs A^T dy anyway); k counts all steps,
-    # r restarts, t steps since the last restart
-    w, anchor = w.copy(), w.copy()
-    w_yx = w.buf[n:]
+    # anchored average overwrites) and the restart point, the step's
+    # workspace, w - w_hat for the merit (which ignores its z block, so
+    # only buf[n:], y and x, is formed), the ergodic mean, and A x for
+    # the merit's cross term in the anchored modes on the proximal route
+    # (pr / epr restart on merit increases, which rounding decides, and
+    # the normal-equations merit needs A^T dy anyway); k counts all
+    # steps, r restarts, t steps since the last restart
+    anchor = w.copy()
     step_work = StepWorkspace(m, n)
-    diff_yx = np.empty(m + n)
-    diff = Iterate(diff_yx[:m], diff_yx[:0], diff_yx[m:])
+    diff = Iterate.empty(m, n)
     averages = EprAverages(m, n) if ergodic else None
     rows = None
     if anchored and not ecfg.t1_zero_path:
@@ -547,7 +532,7 @@ def solve(prob: LpProblem, cfg: SolverConfig | None = None) -> SolveResult:
                 log.offer(unscale_iterate(w, scaling), _NO_RESIDUALS)
             status, message = "numerical_error", str(exc)
             break
-        np.subtract(w_yx, step.w_hat.buf[n:], out=diff_yx)
+        np.subtract(w.buf[n:], step.w_hat.buf[n:], out=diff.buf[n:])
         if rows is not None:
             merit = m_norm(diff, ecfg, work.A, rows.step_diff(step.ax2))
         else:

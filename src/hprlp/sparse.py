@@ -136,24 +136,22 @@ class SparseMatrix:
 def estimate_lambda_A(
     A: SparseMatrix,
     rel_tol: float = 1e-4,
-    max_iter: int = 5000,
     safety: float = 1.05,
-    seed: int = 0,
 ) -> float:
     """Estimate of lambda_max(A A^T) = ||A||_2^2, times a safety factor.
 
-    Power iteration on A A^T from a fixed-seed start vector; stops when
-    successive Rayleigh estimates agree to rel_tol.  The safety factor
-    (default 1.05) compensates for the one-sided convergence of the
-    power method so the result can be used where at least ||A||^2 is
-    required.
+    Power iteration on A A^T from a seed-0 start vector; stops when
+    successive Rayleigh estimates agree to rel_tol, or after 5000 steps.
+    The safety factor (default 1.05) compensates for the one-sided
+    convergence of the power method so the result can be used where at
+    least ||A||^2 is required.
     """
     m, n = A.shape
     if A.nnz == 0:
         raise ValueError("cannot estimate the norm of an all-zero matrix")
     if safety <= 0:
         raise ValueError("safety factor must be positive")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     v = rng.standard_normal(m)
     nrm = np.linalg.norm(v)
     if nrm == 0.0:  # pragma: no cover - measure zero
@@ -161,7 +159,7 @@ def estimate_lambda_A(
         nrm = np.sqrt(m)
     v /= nrm
     lam = 0.0
-    for _ in range(max_iter):
+    for _ in range(5000):
         w = A.matvec(A.rmatvec(v))
         lam_new = float(np.dot(v, w))
         nrm = float(np.linalg.norm(w))

@@ -174,10 +174,6 @@ def test_restart_input_validation():
 
 def test_restart_config_validation():
     with pytest.raises(ValueError):
-        RestartConfig(alpha1=0.9, alpha2=0.8)
-    with pytest.raises(ValueError):
-        RestartConfig(alpha3=1.5)
-    with pytest.raises(ValueError):
         RestartConfig(fixed_period=0)
 
 

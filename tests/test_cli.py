@@ -265,6 +265,10 @@ def test_bench_empty_directory(tmp_path, capsys):
 
 def test_bench_invalid_modes(tmp_path, capsys):
     assert main(["bench", str(tmp_path), "--modes", "hpr,warp"]) == EXIT_USAGE
+    # bench takes its modes from --modes only; solve's --mode is refused
+    with pytest.raises(SystemExit) as ei:
+        main(["bench", str(tmp_path), "--mode", "hdr"])
+    assert ei.value.code == EXIT_USAGE
 
 
 def test_bench_rejects_an_invalid_config(fixtures_dir, tmp_path, capsys):

@@ -1,13 +1,9 @@
-from dataclasses import replace
-
 import numpy as np
 import numpy.testing as npt
 import pytest
 import scipy.linalg
 from scipy.linalg.blas import dtpsv
 
-import hprlp.engine
-import hprlp.model
 import hprlp.solver
 
 from hprlp import (
@@ -26,7 +22,6 @@ from hprlp import (
     solve,
     y_update_t1_zero,
 )
-from hprlp.model import blocks
 
 from conftest import random_lp
 from theory import IterateMean, frozen_affine_map, identify_active_sets, rhpdhg_step
@@ -498,24 +493,16 @@ def test_frozen_map_rejects_normal_equations_route():
 # preallocated workspace
 
 
-def _unpacked(w):
-    return Iterate(w.y.copy(), w.z.copy(), w.x.copy())
-
-
-def _run_steps(prob, cfg, normal_eq, reuse, packed=True, steps=200):
+def _run_steps(prob, cfg, normal_eq, reuse, steps=200):
     """The solve loop in miniature: anchored or plain steps from a fixed
     start, a sigma change at step 70, a restart at the proximal point at
     step 120.  With ``reuse`` every vector is allocated once, as in
-    ``solve``; without it every call allocates.  Without ``packed`` the
-    iterate and the anchor hold three separate arrays, so every update
-    of them runs block by block.  Returns per-step copies of w, w_bar
-    and the merit."""
+    ``solve``; without it every call allocates.  Returns per-step copies
+    of w, w_bar and the merit."""
     m, n = prob.A.shape
     rng = np.random.default_rng(4)
     w = Iterate(rng.standard_normal(m), rng.standard_normal(n), rng.standard_normal(n))
-    w = w.copy() if packed else w
-    anchor = w.copy() if packed else _unpacked(w)
-    assert (w.buf is not None) == (anchor.buf is not None) == packed
+    anchor = w.copy()
     anchored = cfg.mode in ("hpr", "hdr", "rhpdhg")
     work = StepWorkspace(m, n) if reuse else None
     history = []
@@ -534,8 +521,8 @@ def _run_steps(prob, cfg, normal_eq, reuse, packed=True, steps=200):
         t += 1
         history.append((w.copy(), step.w_bar.copy(), merit))
         if k == 120:
-            anchor = step.w_bar.copy() if packed else _unpacked(step.w_bar)
-            w = step.w_bar.copy() if packed else _unpacked(step.w_bar)
+            anchor = step.w_bar.copy()
+            w = step.w_bar.copy()
             t = 0
     return history
 
@@ -554,41 +541,12 @@ def test_reused_workspace_is_bit_identical(mode, equality):
     normal_eq = NormalEquationSolver(prob.A) if equality else None
     fresh = _run_steps(prob, cfg, normal_eq, reuse=False)
     reused = _run_steps(prob, cfg, normal_eq, reuse=True)
-    per_block = _run_steps(prob, cfg, normal_eq, reuse=True, packed=False)
-    for other in (reused, per_block):
-        for (wf, bf, mf), (wr, br, mr) in zip(fresh, other, strict=True):
-            for a, b in ((wf, wr), (bf, br)):
-                assert np.array_equal(a.y, b.y)
-                assert np.array_equal(a.z, b.z)
-                assert np.array_equal(a.x, b.x)
-            assert mf == mr
-
-
-def _per_block(*iterates, x=True):
-    """``blocks`` on unpacked stand-ins for the same arrays."""
-    return blocks(*(Iterate(w.y, w.z, w.x) for w in iterates), x=x)
-
-
-@pytest.mark.parametrize("mode", ["hpr", "hdr", "pr", "epr", "rhpdhg"])
-def test_packed_iterates_match_per_block_path(mode, monkeypatch):
-    """``solve`` updates its packed iterates with one numpy call each;
-    run again with every such update forced block by block, it gives the
-    same iterates, events and trace records apart from the clock."""
-    rng = np.random.default_rng(21)
-    prob = random_lp(rng, 30, 14)
-    cfg = SolverConfig(tol=1e-8, iter_limit=3000,
-                       engine=EngineConfig(lambda_A=None, mode=mode, gamma=0.5))
-    packed = solve(prob, cfg)
-    monkeypatch.setattr(hprlp.model, "blocks", _per_block)
-    monkeypatch.setattr(hprlp.engine, "blocks", _per_block)
-    per_block = solve(prob, cfg)
-    assert packed.events or mode == "pr"  # restarts copy into the packed iterates
-    assert packed.events == per_block.events
-    assert (packed.status, packed.iterations) == (per_block.status, per_block.iterations)
-    for v in ("x", "y", "z"):
-        assert np.array_equal(getattr(packed, v), getattr(per_block, v))
-    assert [replace(rec, seconds=0.0) for rec in packed.trace] == [
-        replace(rec, seconds=0.0) for rec in per_block.trace]
+    for (wf, bf, mf), (wr, br, mr) in zip(fresh, reused, strict=True):
+        for a, b in ((wf, wr), (bf, br)):
+            assert np.array_equal(a.y, b.y)
+            assert np.array_equal(a.z, b.z)
+            assert np.array_equal(a.x, b.x)
+        assert mf == mr
 
 
 def test_trace_without_workspace_is_not_overwritten():

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -212,6 +215,30 @@ def test_iterate_zeros_and_copy():
     c = w.copy()
     c.x[0] = 9.0
     assert w.x[0] == 0.0
+
+    # the constructor packs copies of its blocks into a new buffer laid
+    # out z, y, x, with zy = buf[:n + m]
+    y, z, x = np.array([1.0, 2.0]), np.array([3.0, 4.0, 5.0]), np.array([6, 7, 8])
+    w = Iterate(y, z, x)
+    npt.assert_array_equal(w.buf, [3.0, 4.0, 5.0, 1.0, 2.0, 6.0, 7.0, 8.0])
+    assert w.buf.dtype == np.float64
+    for block in (w.y, w.z, w.x, w.zy):
+        assert np.shares_memory(block, w.buf)
+    assert w.zy.base is w.buf and w.zy.shape == (5,)
+    npt.assert_array_equal(w.zy, w.buf[:5])
+    w.y[0] = w.z[0] = w.x[0] = -1.0
+    assert (y[0], z[0], x[0]) == (1.0, 3.0, 6)
+    w.buf[:] = 0.0
+    assert (y[0], z[0], x[0]) == (1.0, 3.0, 6)
+    with pytest.raises(ValueError, match="same size"):
+        Iterate(y, z, x[:2])
+    for twin in (pickle.loads(pickle.dumps(w)), copy.deepcopy(w)):
+        npt.assert_array_equal(twin.buf, w.buf)
+        assert np.shares_memory(twin.y, twin.buf) and not np.shares_memory(twin.buf, w.buf)
+    for block in range(3):
+        parts = [np.zeros(2), np.zeros(3), np.zeros(3)]
+        parts[block][1] = np.nan
+        assert np.isnan(Iterate(*parts).max_abs())
 
 
 def test_iterate_max_abs():

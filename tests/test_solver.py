@@ -10,6 +10,7 @@ from hprlp import (
     SolverConfig,
     SparseMatrix,
     apply_scaling,
+    pr_step,
     solve,
 )
 from hprlp.adaptive import SIGMA_MAX, SIGMA_MIN
@@ -371,7 +372,11 @@ def test_default_engine_config_estimates_lambda():
 
 
 def test_explicit_lambda_below_norm_rejected():
-    prob = LpProblem(
+    """solve fits lambda_A to the scaled matrix and refuses any set value:
+    one below ||A||^2, and on [[3, 1], [1, 2]] also ||A||^2 itself (about
+    13.1), which is several times the shift the scaled problem needs.  A
+    step called directly still takes an explicit lambda_A."""
+    one = LpProblem(
         c=[0.0],
         A=SparseMatrix.from_dense([[3.0]]),
         l_con=[0.0],
@@ -379,8 +384,21 @@ def test_explicit_lambda_below_norm_rejected():
         l_var=[0.0],
         u_var=[1.0],
     )
-    with pytest.raises(ValueError, match="operator-norm"):
-        solve(prob, quick_cfg(engine=EngineConfig(lambda_A=0.5), scaling="none"))
+    dense = np.array([[3.0, 1.0], [1.0, 2.0]])
+    two = LpProblem(
+        c=[1.0, 1.0],
+        A=SparseMatrix.from_dense(dense),
+        l_con=[1.0, 1.0],
+        u_con=[np.inf, np.inf],
+        l_var=[0.0, 0.0],
+        u_var=[10.0, 10.0],
+    )
+    norm2 = float(np.linalg.norm(dense, 2) ** 2)
+    for prob, lam, scaling in ((one, 0.5, "none"), (two, norm2, "ruiz"), (two, norm2, "none")):
+        with pytest.raises(ValueError, match="lambda_A is fitted by solve"):
+            solve(prob, quick_cfg(engine=EngineConfig(lambda_A=lam), scaling=scaling))
+    step = pr_step(Iterate.zeros(2, 2), two, EngineConfig(lambda_A=norm2))
+    assert np.all(np.isfinite(step.w_bar.buf))
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+class _SubcommandParser(_Parser):
+    """A subcommand's parser, which reports an unknown option itself,
+    with its own usage, instead of leaving it to the top-level parser."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
 def sgm10(times, shift: float = 10.0) -> float:
     """Shifted geometric mean: (prod (t_i + shift))^(1/n) - shift.
 
@@ -148,6 +159,7 @@ def cmd_solve(args) -> int:
             "solve_seconds": result.solve_seconds,
             "read_seconds": read_seconds,
             "message": result.message,
+            "face_finish": result.face_finish,
             "x": list(result.x),
             "y": list(result.y),
             "z": list(result.z),
@@ -176,6 +188,8 @@ def cmd_solve(args) -> int:
             f"seconds: {result.solve_seconds:.3f}"
         )
         print(f"read: {read_seconds:.3f} s")
+        if result.face_finish:
+            print("finish: face solve at the last restart (verified on the original data)")
         if result.message:
             print(f"note: {result.message}")
     return _status_code(result.status)
@@ -358,7 +372,8 @@ def cmd_trace_plotdata(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="hprlp", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=_SubcommandParser)
 
     p_solve = sub.add_parser("solve", help="solve one MPS file")
     p_solve.add_argument("file", help="path to .mps or .mps.gz")

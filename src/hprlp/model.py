@@ -248,6 +248,11 @@ def relative_residuals(w: Iterate, prob: LpProblem) -> tuple[float, float, float
     b_ref is the componentwise max(|l_con|, |u_con|) with infinite bounds
     treated as zero.  A +inf dual objective yields rel_gap = +inf.  The
     additive objective constant cancels from the gap and is ignored here.
+
+    x in [l_var, u_var] is not checked.  The solver's iterates are
+    projections onto the scaled box, so they lie in this one up to the
+    rounding of unscaling; a point formed otherwise, such as the face
+    solve's, must be checked separately.
     """
     cx = float(np.dot(prob.c, w.x))
     dual = dual_objective(w.y, w.z, prob)

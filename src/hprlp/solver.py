@@ -13,7 +13,15 @@ displacements.  The global iteration counter never resets.
 
 Termination is decided on the proximal (bar) sequence against the
 relative gap / primal / dual measures of the ORIGINAL, unscaled data,
-every ``check_interval`` iterations and at restarts.
+every ``check_interval`` iterations and at restarts.  The anchored modes
+on a dense working matrix (at most ``sparse.DENSE_MAX_ENTRIES`` entries)
+also try a face solve at each restart whose candidate fails that test:
+once the active sets read from the multiplier signs equal those of the
+previous restart, the point that solves the face's linear equations is
+formed, and the solve ends "optimal" with it if it lies in the variable
+box and passes the same test.  It is logged as the last trace record,
+marked ``face``.  A point that fails is dropped and the iterate is not
+touched, so a solve that does not end on the face runs as without it.
 """
 
 from __future__ import annotations
@@ -23,6 +31,7 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 
 from .adaptive import (
@@ -119,6 +128,7 @@ class TraceRecord:
     rel_dual: float
     merit: float
     seconds: float
+    face: bool = False
 
 
 @dataclass(frozen=True)
@@ -155,6 +165,12 @@ class SolveResult:
     @property
     def rel_residuals(self) -> tuple[float, float, float]:
         return (self.rel_gap, self.rel_primal, self.rel_dual)
+
+    @property
+    def face_finish(self) -> bool:
+        """Whether the answer is the face solve's point, logged as the
+        last trace record, rather than an iterate's."""
+        return bool(self.trace) and self.trace[-1].face
 
 
 # ---------------------------------------------------------------------
@@ -329,9 +345,13 @@ class _RunLog:
         wb = unscale_iterate(candidate, self.scaling)
         res = relative_residuals(wb, self.prob)
         self.offer(wb, res)
-        seconds = time.perf_counter() - self.started
-        self.trace.append(TraceRecord(k, r, t, sigma, *res, merit, seconds))
+        self.record(k, r, t, sigma, res, merit)
         return wb, res
+
+    def record(self, k: int, r: int, t: int, sigma: float,
+               residuals: tuple[float, float, float], merit: float, face: bool = False):
+        seconds = time.perf_counter() - self.started
+        self.trace.append(TraceRecord(k, r, t, sigma, *residuals, merit, seconds, face))
 
     def report(
         self,
@@ -415,6 +435,108 @@ class _RowProducts:
         np.add(self.anchor, self.ax, out=self.ax)
 
 
+class _FaceFinish:
+    """The face solve, tried at restarts of the anchored modes on a
+    dense working matrix.
+
+    Once the active sets are identified the step map is affine, and its
+    fixed point solves one linear system (the paper's finding (ii)).
+    The face is read from the candidate's multiplier signs: a variable
+    with z > 0 and a finite lower bound is pinned there, one with z < 0
+    and a finite upper bound at that bound (the set J; the rest is F);
+    a row with y > 0 and a finite lower bound is active there, one with
+    y < 0 and a finite upper bound at that bound (the set R).  Only when
+    that pattern equals the one of the previous restart is the face
+    point formed: x_J at its bounds, the least-norm correction of x_F
+    with A_RF x_F = b_R - A_RJ x_J, the least-squares correction of y_R
+    with A_RF^T y_R = c_F and y = 0 off R, then y's sign clipped to its
+    bound's side on each active row that is not an equality, z = c - A^T y
+    with z_F = 0, and the point unscaled with x clipped to the original
+    box (clipped after unscaling, so that a pinned x is exactly on its
+    bound).  It is returned only if x lies in that box and its residuals
+    on the original data pass ``tol``, the test of every checkpoint.  The
+    candidate is never written to.
+    """
+
+    def __init__(self, work: LpProblem, prob: LpProblem, scaling: RuizScaling, tol: float):
+        self.work = work
+        self.prob = prob
+        self.scaling = scaling
+        self.tol = tol
+        self.finite = (np.isfinite(work.l_var), np.isfinite(work.u_var),
+                       np.isfinite(work.l_con), np.isfinite(work.u_con))
+        self.ranged = work.l_con != work.u_con
+        self.pattern = None
+
+    def finish(self, cand: Iterate) -> tuple[Iterate, tuple[float, float, float]] | None:
+        """The verified face point of the working-space candidate on the
+        original data, and its residuals; None if the face has not
+        settled or the point fails."""
+        work, prob = self.work, self.prob
+        lv, uv, lc, uc = self.finite
+        pin_lo, pin_hi = (cand.z > 0.0) & lv, (cand.z < 0.0) & uv
+        act_lo, act_hi = (cand.y > 0.0) & lc, (cand.y < 0.0) & uc
+        pattern = np.concatenate((pin_lo, pin_hi, act_lo, act_hi))
+        settled = self.pattern is not None and np.array_equal(pattern, self.pattern)
+        self.pattern = pattern
+        if not settled:
+            return None
+
+        free, active = ~(pin_lo | pin_hi), act_lo | act_hi
+        x = cand.x.copy()
+        x[pin_lo] = work.l_var[pin_lo]
+        x[pin_hi] = work.u_var[pin_hi]
+        y = np.where(active, cand.y, 0.0)
+        a_r = work.A.dense[active]
+        a_rf = a_r[:, free]
+        b_r = np.where(act_lo, work.l_con, work.u_con)[active]
+        dx, dy = _face_corrections(a_rf, b_r - a_r @ x, work.c[free] - a_rf.T @ y[active])
+        x[free] += dx
+        y[active] += dy
+        np.maximum(y, 0.0, out=y, where=act_lo & self.ranged)
+        np.minimum(y, 0.0, out=y, where=act_hi & self.ranged)
+        z = work.c - work.A.rmatvec(y)
+        z[free] = 0.0
+
+        point = unscale_iterate(Iterate(y, z, x), self.scaling)
+        project_box(point.x, prob.l_var, prob.u_var, out=point.x)
+        # after the clip, only a NaN fails this
+        in_box = bool(np.all((prob.l_var <= point.x) & (point.x <= prob.u_var)))
+        res = relative_residuals(point, prob)
+        if in_box and all(v <= self.tol for v in res):
+            return point, res
+        return None
+
+
+def _face_corrections(
+    a_rf: np.ndarray, rx: np.ndarray, ry: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The least-norm dx with A_RF dx = rx, and a least-squares dy of
+    A_RF^T dy = ry, from one pivoted QR factor A_RF^T P = Q T.
+
+    With rank k (the leading diagonal entries of T above eps * max(|R|,
+    |F|) * |T_00|), dx = Q_1 T_11^-T (P^T rx)_1 lies in the row space of
+    A_RF and solves its k independent rows, and dy = P (T_11^-1 Q_1^T
+    ry, 0) is the basic least-squares solution.  On one core of a 2-vCPU
+    Xeon this takes about 0.24 ms at 40 x 100 and 0.44 ms at 59 x 145,
+    against 0.45 and 1.05 ms for two ``lstsq`` calls (gelsy).
+    """
+    n_rows, n_free = a_rf.shape
+    dx, dy = np.zeros(n_free), np.zeros(n_rows)
+    if n_rows == 0 or n_free == 0:
+        return dx, dy
+    q, tri, perm = scipy.linalg.qr(a_rf.T, mode="economic", pivoting=True,
+                                   check_finite=False)
+    diag = np.abs(np.diag(tri))
+    rank = int(np.count_nonzero(diag > diag[0] * max(n_rows, n_free) * np.finfo(float).eps))
+    if rank == 0:
+        return dx, dy
+    q1, t11, basis = q[:, :rank], tri[:rank, :rank], perm[:rank]
+    dx = q1 @ scipy.linalg.solve_triangular(t11, rx[basis], trans="T", check_finite=False)
+    dy[basis] = scipy.linalg.solve_triangular(t11, q1.T @ ry, check_finite=False)
+    return dx, dy
+
+
 def _setup(
     prob: LpProblem, cfg: SolverConfig
 ) -> tuple[LpProblem, RuizScaling, float, NormalEquationSolver | None, str]:
@@ -469,7 +591,8 @@ def solve(prob: LpProblem, cfg: SolverConfig | None = None) -> SolveResult:
     """Solve the LP to the configured relative tolerance.
 
     Returns status "optimal" when the gap, primal and dual measures on
-    the original data all fall below ``cfg.tol``; "iter_limit" /
+    the original data all fall below ``cfg.tol``, for a checkpoint or
+    for a face point (``SolveResult.face_finish``); "iter_limit" /
     "time_limit" return the best checkpoint seen so far, and their
     message names the residual that blocked termination;
     "numerical_error" flags divergence (reflection modes without an
@@ -521,6 +644,9 @@ def solve(prob: LpProblem, cfg: SolverConfig | None = None) -> SolveResult:
     rows = None
     if anchored and not ecfg.t1_zero_path:
         rows = _RowProducts(work.A, ecfg.reflection, w.x)
+    face = None
+    if anchored and work.A.dense is not None:
+        face = _FaceFinish(work, prob, scaling, tol)
     k = r = t = 0
     status = None
 
@@ -571,6 +697,13 @@ def solve(prob: LpProblem, cfg: SolverConfig | None = None) -> SolveResult:
                 status = "iter_limit"
             elif time.perf_counter() > deadline:
                 status = "time_limit"
+
+        if status is None and reason != no_restart and face is not None:
+            found = face.finish(candidate)
+            if found is not None:
+                wb, res = found
+                log.record(k, r, t, ecfg.sigma, res, merit, face=True)
+                status = "optimal"
 
         if status is None and reason != no_restart:
             sigma_old = ecfg.sigma

@@ -59,10 +59,12 @@ class SparseMatrix:
         )
         # the operands of A x and A^T y; the dense A^T is a view of the copy
         self._ax, self._aty = self._csr, self._csr_t
+        self._dense = None
         if csc.shape[0] * csc.shape[1] <= DENSE_MAX_ENTRIES:
             dense = csc.toarray(order="C")
             dense.setflags(write=False)
             self._ax, self._aty = dense, dense.T
+            self._dense = dense
 
     # -- constructors -------------------------------------------------
 
@@ -103,6 +105,12 @@ class SparseMatrix:
 
     def to_dense(self) -> np.ndarray:
         return self._csc.toarray()
+
+    @property
+    def dense(self) -> np.ndarray | None:
+        """The read-only dense copy the products run on, or None above
+        ``DENSE_MAX_ENTRIES`` entries."""
+        return self._dense
 
     def to_csc(self) -> sp.csc_matrix:
         return self._csc

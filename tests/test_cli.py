@@ -86,6 +86,22 @@ def test_solve_json_output(fixtures_dir, capsys):
         }
 
 
+def test_solve_says_when_the_answer_is_the_face_point(fixtures_dir, capsys):
+    """The text and JSON reports name the face finish, and only for a
+    solve that ended on it."""
+    face_path = str(fixtures_dir / "bounds_all.mps")
+    assert main(["solve", face_path]) == EXIT_OK
+    assert "finish: face solve" in capsys.readouterr().out
+    assert main(["solve", face_path, "--json"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["face_finish"] is True
+
+    plain_path = str(fixtures_dir / "simple_l.mps")  # optimal at the start point
+    assert main(["solve", plain_path]) == EXIT_OK
+    assert "finish:" not in capsys.readouterr().out
+    assert main(["solve", plain_path, "--json"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["face_finish"] is False
+
+
 def test_solve_reports_read_time(fixtures_dir, capsys):
     """Both outputs give the seconds spent reading the file (parse +
     build), apart from the solve's own seconds."""
@@ -269,6 +285,17 @@ def test_bench_invalid_modes(tmp_path, capsys):
     with pytest.raises(SystemExit) as ei:
         main(["bench", str(tmp_path), "--mode", "hdr"])
     assert ei.value.code == EXIT_USAGE
+
+
+def test_bench_unknown_option_prints_the_bench_usage(tmp_path, capsys):
+    """An option bench does not know is reported with bench's usage,
+    which lists --modes, not with the top-level one."""
+    with pytest.raises(SystemExit) as ei:
+        main(["bench", str(tmp_path), "--mode", "hdr"])
+    assert ei.value.code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("usage: hprlp bench ") and "--modes" in err
+    assert "unrecognized arguments: --mode hdr" in err
 
 
 def test_bench_rejects_an_invalid_config(fixtures_dir, tmp_path, capsys):

@@ -1,0 +1,182 @@
+"""The face finish: a verified face solve at restarts of the anchored
+modes on a dense working matrix, and the solves it must leave alone."""
+
+import numpy as np
+import pytest
+
+import hprlp.solver as solver_module
+from hprlp import (
+    EngineConfig,
+    LpProblem,
+    RestartConfig,
+    SolverConfig,
+    SparseMatrix,
+    oracle_solve,
+    solve,
+)
+from hprlp.sparse import DENSE_MAX_ENTRIES
+
+from conftest import random_lp
+
+
+def mixed_lp(rng, n, m, sense):
+    """A feasible, bounded LP with free, boxed and one-sided variables and
+    equality, ranged and one-sided rows, in the given sense, with a
+    nonzero objective constant.  A point x0 inside every bound makes it
+    feasible, and a dual point whose signs match the bounds (c = A^T y0
+    + z0) makes it bounded."""
+    A = rng.standard_normal((m, n))
+    A[rng.uniform(size=(m, n)) < 0.3] = 0.0
+    var_kind = rng.integers(0, 4, n)  # free, boxed, lower only, upper only
+    x0 = rng.standard_normal(n)
+    l_var = np.where(np.isin(var_kind, (1, 2)), x0 - rng.uniform(0.0, 1.0, n), -np.inf)
+    u_var = np.where(np.isin(var_kind, (1, 3)), x0 + rng.uniform(0.0, 1.0, n), np.inf)
+    row_kind = rng.integers(0, 4, m)  # equality, ranged, lower only, upper only
+    ax = A @ x0
+    l_con = np.where(row_kind == 0, ax,
+                     np.where(row_kind == 3, -np.inf, ax - rng.uniform(0.0, 1.0, m)))
+    u_con = np.where(row_kind == 0, ax,
+                     np.where(row_kind == 2, np.inf, ax + rng.uniform(0.0, 1.0, m)))
+    y0 = rng.standard_normal(m)
+    y0 = np.where(row_kind == 2, np.abs(y0), np.where(row_kind == 3, -np.abs(y0), y0))
+    z0 = rng.standard_normal(n)
+    z0 = np.select([var_kind == 0, var_kind == 2, var_kind == 3],
+                   [0.0, np.abs(z0), -np.abs(z0)], z0)
+    return LpProblem(
+        c=A.T @ y0 + z0,
+        A=SparseMatrix.from_dense(A),
+        l_con=l_con,
+        u_con=u_con,
+        l_var=l_var,
+        u_var=u_var,
+        obj_constant=float(rng.uniform(-5.0, 5.0)),
+        obj_sense=sense,
+    )
+
+
+def _support(s, lo, hi):
+    pos, neg = s > 0.0, s < 0.0
+    if np.any(pos & np.isinf(hi)) or np.any(neg & np.isinf(lo)):
+        return np.inf
+    return float(np.dot(s[pos], hi[pos]) + np.dot(s[neg], lo[neg]))
+
+
+def numpy_residuals(prob, x, y, z):
+    """(rel_gap, rel_primal, rel_dual) written out with numpy on the
+    problem's arrays, without ``hprlp.model``."""
+    A = prob.A.to_dense()
+    ax = A @ x
+    viol = ax - np.clip(ax, prob.l_con, prob.u_con)
+    finite_abs = [np.where(np.isfinite(b), np.abs(b), 0.0) for b in (prob.l_con, prob.u_con)]
+    rel_primal = np.linalg.norm(viol) / (1.0 + np.linalg.norm(np.maximum(*finite_abs)))
+    rel_dual = np.linalg.norm(prob.c - A.T @ y - z) / (1.0 + np.linalg.norm(prob.c))
+    dual = _support(-y, prob.l_con, prob.u_con) + _support(-z, prob.l_var, prob.u_var)
+    cx = float(prob.c @ x)
+    rel_gap = abs(dual + cx) / (1.0 + abs(dual) + abs(cx))
+    return rel_gap, rel_primal, rel_dual
+
+
+def test_face_finish_on_mixed_bounds_agrees_with_oracle():
+    rng = np.random.default_rng(1101)
+    tol = 1e-8
+    face_ended = 0
+    for i in range(24):
+        n, m = int(rng.integers(2, 9)), int(rng.integers(1, 8))
+        prob = mixed_lp(rng, n, m, "maximize" if i % 2 else "minimize")
+        ref = oracle_solve(prob)
+        assert ref.status == "optimal"
+        res = solve(prob, SolverConfig(tol=tol, iter_limit=100_000))
+        assert res.status == "optimal", res.message
+        if not res.face_finish:
+            continue
+        face_ended += 1
+        assert max(numpy_residuals(prob, res.x, res.y, res.z)) <= tol
+        assert np.all(prob.l_var <= res.x) and np.all(res.x <= prob.u_var)
+        expected = prob.objective_sign * (ref.objective + prob.obj_constant)
+        assert res.primal_obj == pytest.approx(expected, rel=1e-7, abs=1e-7)
+    assert face_ended >= 20
+
+
+def test_face_point_is_the_last_trace_record():
+    prob = mixed_lp(np.random.default_rng(1102), 7, 5, "minimize")
+    res = solve(prob, SolverConfig(tol=1e-8))
+    assert res.face_finish and res.message == ""
+    last = res.trace[-1]
+    assert last.face and not any(rec.face for rec in res.trace[:-1])
+    assert (last.rel_gap, last.rel_primal, last.rel_dual) == res.rel_residuals
+    assert last.k == res.iterations and max(res.rel_residuals) <= 1e-8
+
+
+@pytest.mark.parametrize("mode, restart", [
+    ("pr", RestartConfig()),
+    ("epr", RestartConfig()),
+    ("hpr", RestartConfig(enabled=False)),
+])
+def test_face_solve_never_tried_without_anchored_restarts(mode, restart, monkeypatch):
+    tries = []
+    monkeypatch.setattr(solver_module._FaceFinish, "finish",
+                        lambda self, cand: tries.append(1))
+    prob = random_lp(np.random.default_rng(1103), 6, 4)
+    res = solve(prob, SolverConfig(tol=1e-8, iter_limit=3_000,
+                                   engine=EngineConfig(mode=mode), restart=restart))
+    assert tries == [] and not res.face_finish
+
+
+def test_face_solve_never_tried_above_the_dense_cap(monkeypatch):
+    made = []
+    monkeypatch.setattr(solver_module, "_FaceFinish", lambda *args: made.append(1))
+    prob = random_lp(np.random.default_rng(72), 250, 110, density=0.05)
+    assert prob.m * prob.n > DENSE_MAX_ENTRIES
+    res = solve(prob, SolverConfig(tol=1e-6, iter_limit=300))
+    assert made == [] and res.restarts > 0
+
+
+def test_failed_face_tries_leave_the_trajectory_untouched(monkeypatch):
+    """With every face point discarded after it is formed and checked,
+    a solve runs as one that never forms it, bit for bit."""
+    prob = mixed_lp(np.random.default_rng(1104), 8, 6, "minimize")
+    cfg = SolverConfig(tol=1e-10, iter_limit=4_000)
+    finish = solver_module._FaceFinish.finish
+    tried = []
+
+    def discard(self, cand):
+        tried.append(finish(self, cand) is not None)
+        return None
+
+    monkeypatch.setattr(solver_module._FaceFinish, "finish", discard)
+    a = solve(prob, cfg)
+    monkeypatch.setattr(solver_module._FaceFinish, "finish", lambda self, cand: None)
+    b = solve(prob, cfg)
+    assert any(tried)  # a face point was accepted, then thrown away
+    assert a.status == b.status and a.iterations == b.iterations
+    assert a.events == b.events
+    assert list(map(_fields, a.trace)) == list(map(_fields, b.trace))
+    for got, want in ((a.x, b.x), (a.y, b.y), (a.z, b.z)):
+        assert np.array_equal(got, want)
+
+
+def _fields(rec):
+    """A trace record without its clock reading."""
+    return (rec.k, rec.r, rec.t, rec.sigma, rec.rel_gap, rec.rel_primal, rec.rel_dual,
+            rec.merit)
+
+
+# iteration counts and objective bits of solves that make no face try,
+# recorded before the face finish existed
+@pytest.mark.parametrize("name, prob, cfg, iterations, objective", [
+    ("epr", lambda: random_lp(np.random.default_rng(71), 6, 4),
+     SolverConfig(tol=1e-8, iter_limit=50_000, engine=EngineConfig(mode="epr")),
+     300, "-0x1.1b2652068292dp+0"),
+    ("hpr above the dense cap",
+     lambda: random_lp(np.random.default_rng(72), 250, 110, density=0.05),
+     SolverConfig(tol=1e-6, iter_limit=50_000), 3300, "-0x1.f9a8bd9f04915p+5"),
+    ("normal equations",
+     lambda: random_lp(np.random.default_rng(73), 250, 110, style="equality", density=0.05),
+     SolverConfig(tol=1e-6, iter_limit=50_000, engine=EngineConfig(t1_zero_path=True)),
+     1160, "-0x1.d486e1fd385c3p+5"),
+])
+def test_solves_without_face_tries_are_unchanged(name, prob, cfg, iterations, objective):
+    res = solve(prob(), cfg)
+    assert res.status == "optimal" and not res.face_finish
+    assert res.iterations == iterations
+    assert res.primal_obj.hex() == objective

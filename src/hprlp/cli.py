@@ -189,7 +189,7 @@ def cmd_solve(args) -> int:
         )
         print(f"read: {read_seconds:.3f} s")
         if result.face_finish:
-            print("finish: face solve at the last restart (verified on the original data)")
+            print("finish: face solve at the last checkpoint (verified on the original data)")
         if result.message:
             print(f"note: {result.message}")
     return _status_code(result.status)

@@ -249,10 +249,8 @@ def relative_residuals(w: Iterate, prob: LpProblem) -> tuple[float, float, float
     treated as zero.  A +inf dual objective yields rel_gap = +inf.  The
     additive objective constant cancels from the gap and is ignored here.
 
-    x in [l_var, u_var] is not checked.  The solver's iterates are
-    projections onto the scaled box, so they lie in this one up to the
-    rounding of unscaling; a point formed otherwise, such as the face
-    solve's, must be checked separately.
+    x in [l_var, u_var] is not checked; the solver clips each point it
+    evaluates into that box after unscaling.
     """
     cx = float(np.dot(prob.c, w.x))
     dual = dual_objective(w.y, w.z, prob)

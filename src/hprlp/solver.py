@@ -13,15 +13,12 @@ displacements.  The global iteration counter never resets.
 
 Termination is decided on the proximal (bar) sequence against the
 relative gap / primal / dual measures of the ORIGINAL, unscaled data,
-every ``check_interval`` iterations and at restarts.  The anchored modes
-on a dense working matrix (at most ``sparse.DENSE_MAX_ENTRIES`` entries)
-also try a face solve at each restart whose candidate fails that test:
-once the active sets read from the multiplier signs equal those of the
-previous restart, the point that solves the face's linear equations is
-formed, and the solve ends "optimal" with it if it lies in the variable
-box and passes the same test.  It is logged as the last trace record,
-marked ``face``.  A point that fails is dropped and the iterate is not
-touched, so a solve that does not end on the face runs as without it.
+every ``check_interval`` iterations and at restarts.  Where it fails,
+the anchored modes that restart, on at most 2,000 rows, try a face solve
+(``_FaceFinish``) and end "optimal" with its point if it passes the same
+test; it is logged as the last trace record, marked ``face``.  A point
+that fails is dropped and the iterate is not touched, so a solve that
+does not end on the face runs as without it.
 """
 
 from __future__ import annotations
@@ -338,12 +335,18 @@ class _RunLog:
         if self.best_w is None or max(residuals) < max(self.best_residuals):
             self.best_w, self.best_residuals = w, residuals
 
+    def evaluate(self, w: Iterate) -> tuple[Iterate, tuple[float, float, float]]:
+        """A working-space point on the original data, x clipped to the box
+        that unscaling can leave by a rounding, and its residual triple."""
+        point = unscale_iterate(w, self.scaling)
+        project_box(point.x, self.prob.l_var, self.prob.u_var, out=point.x)
+        return point, relative_residuals(point, self.prob)
+
     def checkpoint(self, candidate: Iterate, k: int, r: int, t: int,
                    sigma: float, merit: float):
         """Evaluate a working-space candidate on the original data and
         log it; returns the unscaled point and its residual triple."""
-        wb = unscale_iterate(candidate, self.scaling)
-        res = relative_residuals(wb, self.prob)
+        wb, res = self.evaluate(candidate)
         self.offer(wb, res)
         self.record(k, r, t, sigma, res, merit)
         return wb, res
@@ -436,43 +439,38 @@ class _RowProducts:
 
 
 class _FaceFinish:
-    """The face solve, tried at restarts of the anchored modes on a
-    dense working matrix.
+    """The face solve, tried at each failed checkpoint.
 
     Once the active sets are identified the step map is affine, and its
     fixed point solves one linear system (the paper's finding (ii)).
     The face is read from the candidate's multiplier signs: a variable
-    with z > 0 and a finite lower bound is pinned there, one with z < 0
-    and a finite upper bound at that bound (the set J; the rest is F);
-    a row with y > 0 and a finite lower bound is active there, one with
-    y < 0 and a finite upper bound at that bound (the set R).  Only when
-    that pattern equals the one of the previous restart is the face
-    point formed: x_J at its bounds, the least-norm correction of x_F
-    with A_RF x_F = b_R - A_RJ x_J, the least-squares correction of y_R
-    with A_RF^T y_R = c_F and y = 0 off R, then y's sign clipped to its
-    bound's side on each active row that is not an equality, z = c - A^T y
-    with z_F = 0, and the point unscaled with x clipped to the original
-    box (clipped after unscaling, so that a pinned x is exactly on its
-    bound).  It is returned only if x lies in that box and its residuals
-    on the original data pass ``tol``, the test of every checkpoint.  The
-    candidate is never written to.
+    with z > 0 and a finite lower bound, or z < 0 and a finite upper
+    bound, is pinned at it (J; the rest is F); a row with y > 0 and a
+    finite lower bound, or y < 0 and a finite upper bound, is active at
+    it (R).  When that pattern equals the previous try's, the face point
+    is formed: x_J at its bounds, x_F and y_R corrected by
+    ``_face_corrections``, y = 0 off R and its sign clipped on active
+    rows that are not equalities, z = c - A^T y with z_F = 0, then x
+    clipped to the original box after unscaling, so that a pinned x is
+    exactly on its bound.  It is returned if x lies in that box and it
+    passes ``tol`` on the original data.  The candidate is not written.
     """
 
-    def __init__(self, work: LpProblem, prob: LpProblem, scaling: RuizScaling, tol: float):
+    def __init__(self, work: LpProblem, log: _RunLog, tol: float):
         self.work = work
-        self.prob = prob
-        self.scaling = scaling
+        self.log = log
         self.tol = tol
         self.finite = (np.isfinite(work.l_var), np.isfinite(work.u_var),
                        np.isfinite(work.l_con), np.isfinite(work.u_con))
         self.ranged = work.l_con != work.u_con
         self.pattern = None
+        # G's storage, shared by the tries: a block per try fragments the heap
+        self.gram = np.empty(work.m ** 2)
 
     def finish(self, cand: Iterate) -> tuple[Iterate, tuple[float, float, float]] | None:
-        """The verified face point of the working-space candidate on the
-        original data, and its residuals; None if the face has not
-        settled or the point fails."""
-        work, prob = self.work, self.prob
+        """The candidate's verified face point on the original data and its
+        residuals; None if the face has not settled or the point fails."""
+        work, prob, A = self.work, self.log.prob, self.work.A
         lv, uv, lc, uc = self.finite
         pin_lo, pin_hi = (cand.z > 0.0) & lv, (cand.z < 0.0) & uv
         act_lo, act_hi = (cand.y > 0.0) & lc, (cand.y < 0.0) & uc
@@ -487,54 +485,59 @@ class _FaceFinish:
         x[pin_lo] = work.l_var[pin_lo]
         x[pin_hi] = work.u_var[pin_hi]
         y = np.where(active, cand.y, 0.0)
-        a_r = work.A.dense[active]
-        a_rf = a_r[:, free]
         b_r = np.where(act_lo, work.l_con, work.u_con)[active]
-        dx, dy = _face_corrections(a_rf, b_r - a_r @ x, work.c[free] - a_rf.T @ y[active])
-        x[free] += dx
-        y[active] += dy
+        # A_RF from the dense copy, or sliced from the CSR arrays, kept sparse
+        a_rf = (A.dense if A.dense is not None else A.to_csr())[active][:, free]
+        corrections = _face_corrections(
+            a_rf, b_r - A.matvec(x)[active], (work.c - A.rmatvec(y))[free], self.gram)
+        if corrections is None:
+            return None
+        x[free] += corrections[0]
+        y[active] += corrections[1]
         np.maximum(y, 0.0, out=y, where=act_lo & self.ranged)
         np.minimum(y, 0.0, out=y, where=act_hi & self.ranged)
-        z = work.c - work.A.rmatvec(y)
+        z = work.c - A.rmatvec(y)
         z[free] = 0.0
 
-        point = unscale_iterate(Iterate(y, z, x), self.scaling)
-        project_box(point.x, prob.l_var, prob.u_var, out=point.x)
+        point, res = self.log.evaluate(Iterate(y, z, x))
         # after the clip, only a NaN fails this
         in_box = bool(np.all((prob.l_var <= point.x) & (point.x <= prob.u_var)))
-        res = relative_residuals(point, prob)
         if in_box and all(v <= self.tol for v in res):
             return point, res
         return None
 
 
-def _face_corrections(
-    a_rf: np.ndarray, rx: np.ndarray, ry: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The least-norm dx with A_RF dx = rx, and a least-squares dy of
-    A_RF^T dy = ry, from one pivoted QR factor A_RF^T P = Q T.
-
-    With rank k (the leading diagonal entries of T above eps * max(|R|,
-    |F|) * |T_00|), dx = Q_1 T_11^-T (P^T rx)_1 lies in the row space of
-    A_RF and solves its k independent rows, and dy = P (T_11^-1 Q_1^T
-    ry, 0) is the basic least-squares solution.  On one core of a 2-vCPU
-    Xeon this takes about 0.24 ms at 40 x 100 and 0.44 ms at 59 x 145,
-    against 0.45 and 1.05 ms for two ``lstsq`` calls (gelsy).
+def _face_corrections(a_rf, rx, ry, buf) -> tuple[np.ndarray, np.ndarray] | None:
+    """The least-norm dx with A_RF dx = rx and the least-squares dy of
+    A_RF^T dy = ry from one Cholesky factor of G = A_RF A_RF^T, formed
+    dense in ``buf``: dx = A_RF^T G^-1 rx, dy = G^-1 A_RF ry.  None when
+    G is not numerically positive definite (no factor, or a pivot squared
+    at most eps * max(|R|, |F|) * max diag(G): dependent rows) or the
+    solves are not finite.  On a 600 x 603 face, on one core of a 2-vCPU
+    Xeon, forming and factoring G take 0.9 and 4.0 ms, a QR 43-57 ms.
     """
     n_rows, n_free = a_rf.shape
-    dx, dy = np.zeros(n_free), np.zeros(n_rows)
     if n_rows == 0 or n_free == 0:
-        return dx, dy
-    q, tri, perm = scipy.linalg.qr(a_rf.T, mode="economic", pivoting=True,
-                                   check_finite=False)
-    diag = np.abs(np.diag(tri))
-    rank = int(np.count_nonzero(diag > diag[0] * max(n_rows, n_free) * np.finfo(float).eps))
-    if rank == 0:
-        return dx, dy
-    q1, t11, basis = q[:, :rank], tri[:rank, :rank], perm[:rank]
-    dx = q1 @ scipy.linalg.solve_triangular(t11, rx[basis], trans="T", check_finite=False)
-    dy[basis] = scipy.linalg.solve_triangular(t11, q1.T @ ry, check_finite=False)
-    return dx, dy
+        return np.zeros(n_free), np.zeros(n_rows)
+    gram = buf[:n_rows * n_rows].reshape(n_rows, n_rows)
+    if sp.issparse(a_rf):
+        (a_rf @ a_rf.T).toarray(out=gram)
+    else:
+        np.matmul(a_rf, a_rf.T, out=gram)
+    tiny = max(n_rows, n_free) * np.finfo(float).eps * gram.diagonal().max()
+    # G is symmetric, so its transpose is the same matrix in the Fortran
+    # order that LAPACK factors in place, without a copy
+    try:
+        factor = scipy.linalg.cho_factor(gram.T, lower=True, overwrite_a=True, check_finite=False)
+    except scipy.linalg.LinAlgError:
+        return None
+    if not np.diagonal(factor[0]).min() ** 2 > tiny:
+        return None
+    u = scipy.linalg.cho_solve(factor, rx, check_finite=False)
+    dy = scipy.linalg.cho_solve(factor, a_rf @ ry, check_finite=False)
+    if not (np.all(np.isfinite(u)) and np.all(np.isfinite(dy))):
+        return None
+    return a_rf.T @ u, dy
 
 
 def _setup(
@@ -615,8 +618,7 @@ def solve(prob: LpProblem, cfg: SolverConfig | None = None) -> SolveResult:
 
     log = _RunLog(prob, scaling, started)
     if cfg.iter_limit == 0:
-        w0 = unscale_iterate(w, scaling)
-        res = relative_residuals(w0, prob)
+        w0, res = log.evaluate(w)
         return log.report(
             "iter_limit", w0, res, 0, 0,
             _limit_message("iteration limit is zero", res, cfg.tol),
@@ -645,8 +647,9 @@ def solve(prob: LpProblem, cfg: SolverConfig | None = None) -> SolveResult:
     if anchored and not ecfg.t1_zero_path:
         rows = _RowProducts(work.A, ecfg.reflection, w.x)
     face = None
-    if anchored and work.A.dense is not None:
-        face = _FaceFinish(work, prob, scaling, tol)
+    can_restart = restart_cfg.enabled or restart_cfg.fixed_period is not None
+    if anchored and can_restart and m <= NormalEquationSolver.MAX_ROWS:
+        face = _FaceFinish(work, log, tol)
     k = r = t = 0
     status = None
 
@@ -697,13 +700,12 @@ def solve(prob: LpProblem, cfg: SolverConfig | None = None) -> SolveResult:
                 status = "iter_limit"
             elif time.perf_counter() > deadline:
                 status = "time_limit"
-
-        if status is None and reason != no_restart and face is not None:
-            found = face.finish(candidate)
-            if found is not None:
-                wb, res = found
-                log.record(k, r, t, ecfg.sigma, res, merit, face=True)
-                status = "optimal"
+            elif face is not None:
+                found = face.finish(candidate)
+                if found is not None:
+                    wb, res = found
+                    log.record(k, r, t, ecfg.sigma, res, merit, face=True)
+                    status = "optimal"
 
         if status is None and reason != no_restart:
             sigma_old = ecfg.sigma

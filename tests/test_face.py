@@ -1,8 +1,10 @@
-"""The face finish: a verified face solve at restarts of the anchored
-modes on a dense working matrix, and the solves it must leave alone."""
+"""The face finish: a verified face solve at the checkpoints and restarts
+of the anchored modes on a working matrix of at most 2,000 rows, and the
+solves it must leave alone."""
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 import hprlp.solver as solver_module
 from hprlp import (
@@ -14,7 +16,7 @@ from hprlp import (
     oracle_solve,
     solve,
 )
-from hprlp.sparse import DENSE_MAX_ENTRIES
+from hprlp.engine import NormalEquationSolver
 
 from conftest import random_lp
 
@@ -76,6 +78,25 @@ def numpy_residuals(prob, x, y, z):
     return rel_gap, rel_primal, rel_dual
 
 
+def highs_objective(prob):
+    """The optimal objective from scipy's HiGHS, in the problem's sense
+    and with its constant."""
+    A = prob.A.to_dense()
+    eq = prob.l_con == prob.u_con
+    lo, hi = ~eq & np.isfinite(prob.l_con), ~eq & np.isfinite(prob.u_con)
+    ref = scipy.optimize.linprog(
+        prob.c,
+        A_ub=np.vstack((A[hi], -A[lo])),
+        b_ub=np.concatenate((prob.u_con[hi], -prob.l_con[lo])),
+        A_eq=A[eq],
+        b_eq=prob.u_con[eq],
+        bounds=np.column_stack((prob.l_var, prob.u_var)),
+        method="highs",
+    )
+    assert ref.status == 0, ref.message
+    return prob.objective_sign * (ref.fun + prob.obj_constant)
+
+
 def test_face_finish_on_mixed_bounds_agrees_with_oracle():
     rng = np.random.default_rng(1101)
     tol = 1e-8
@@ -122,13 +143,58 @@ def test_face_solve_never_tried_without_anchored_restarts(mode, restart, monkeyp
     assert tries == [] and not res.face_finish
 
 
-def test_face_solve_never_tried_above_the_dense_cap(monkeypatch):
+@pytest.mark.parametrize("extra_rows, built", [(0, True), (1, False)])
+def test_no_face_finish_above_the_row_limit(extra_rows, built, monkeypatch):
     made = []
     monkeypatch.setattr(solver_module, "_FaceFinish", lambda *args: made.append(1))
-    prob = random_lp(np.random.default_rng(72), 250, 110, density=0.05)
-    assert prob.m * prob.n > DENSE_MAX_ENTRIES
-    res = solve(prob, SolverConfig(tol=1e-6, iter_limit=300))
-    assert made == [] and res.restarts > 0
+    m = NormalEquationSolver.MAX_ROWS + extra_rows
+    prob = random_lp(np.random.default_rng(72), 40, m, density=0.05)
+    assert prob.A.dense is None
+    res = solve(prob, SolverConfig(tol=1e-6, iter_limit=20))
+    assert made == ([1] if built else []) and res.restarts > 0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_rank_deficient_face_is_dropped(monkeypatch):
+    """A duplicated equality row makes A_RF A_RF^T singular on every face
+    that holds it: each face solve is dropped, with no RuntimeWarning,
+    and the iterates finish."""
+    base = random_lp(np.random.default_rng(1105), 8, 5, style="equality")
+    A = base.A.to_dense()
+    prob = LpProblem(
+        c=base.c,
+        A=SparseMatrix.from_dense(np.vstack((A, A[:1]))),
+        l_con=np.append(base.l_con, base.l_con[0]),
+        u_con=np.append(base.u_con, base.u_con[0]),
+        l_var=base.l_var,
+        u_var=base.u_var,
+    )
+    corrections = solver_module._face_corrections
+    dropped = []
+
+    def record(*args):
+        out = corrections(*args)
+        dropped.append(out is None)
+        return out
+
+    monkeypatch.setattr(solver_module, "_face_corrections", record)
+    res = solve(prob, SolverConfig(tol=1e-8, iter_limit=100_000))
+    assert dropped and all(dropped)
+    assert res.status == "optimal" and not res.face_finish
+    assert max(numpy_residuals(prob, res.x, res.y, res.z)) <= 1e-8
+
+
+def test_iterate_answers_lie_in_the_variable_box(monkeypatch):
+    """x of a solve that ends on an iterate is clipped to the original
+    box after unscaling, so no component is outside it by a rounding."""
+    monkeypatch.setattr(solver_module._FaceFinish, "finish", lambda self, cand: None)
+    rng = np.random.default_rng(1106)
+    for i in range(12):
+        prob = mixed_lp(rng, int(rng.integers(4, 9)), int(rng.integers(2, 7)),
+                        "maximize" if i % 2 else "minimize")
+        res = solve(prob, SolverConfig(tol=1e-8, iter_limit=100_000))
+        assert res.status == "optimal" and not res.face_finish
+        assert np.all(prob.l_var <= res.x) and np.all(res.x <= prob.u_var)
 
 
 def test_failed_face_tries_leave_the_trajectory_untouched(monkeypatch):
@@ -167,16 +233,27 @@ def _fields(rec):
     ("epr", lambda: random_lp(np.random.default_rng(71), 6, 4),
      SolverConfig(tol=1e-8, iter_limit=50_000, engine=EngineConfig(mode="epr")),
      300, "-0x1.1b2652068292dp+0"),
-    ("hpr above the dense cap",
-     lambda: random_lp(np.random.default_rng(72), 250, 110, density=0.05),
-     SolverConfig(tol=1e-6, iter_limit=50_000), 3300, "-0x1.f9a8bd9f04915p+5"),
-    ("normal equations",
-     lambda: random_lp(np.random.default_rng(73), 250, 110, style="equality", density=0.05),
-     SolverConfig(tol=1e-6, iter_limit=50_000, engine=EngineConfig(t1_zero_path=True)),
-     1160, "-0x1.d486e1fd385c3p+5"),
 ])
 def test_solves_without_face_tries_are_unchanged(name, prob, cfg, iterations, objective):
     res = solve(prob(), cfg)
     assert res.status == "optimal" and not res.face_finish
     assert res.iterations == iterations
     assert res.primal_obj.hex() == objective
+
+
+# sparse working matrices, on the proximal and the normal-equations y-step
+@pytest.mark.parametrize("name, prob, cfg", [
+    ("hpr", lambda: random_lp(np.random.default_rng(72), 250, 110, density=0.05),
+     SolverConfig(tol=1e-6, iter_limit=50_000)),
+    ("normal equations",
+     lambda: random_lp(np.random.default_rng(73), 250, 110, style="equality", density=0.05),
+     SolverConfig(tol=1e-6, iter_limit=50_000, engine=EngineConfig(t1_zero_path=True))),
+])
+def test_sparse_solves_end_on_the_face(name, prob, cfg):
+    prob = prob()
+    assert prob.A.dense is None
+    res = solve(prob, cfg)
+    assert res.status == "optimal" and res.face_finish
+    assert max(numpy_residuals(prob, res.x, res.y, res.z)) <= cfg.tol
+    assert np.all(prob.l_var <= res.x) and np.all(res.x <= prob.u_var)
+    assert res.primal_obj == pytest.approx(highs_objective(prob), rel=1e-6)

@@ -1,83 +1,38 @@
 """Anchored Peaceman-Rachford solver for general-form LPs.
 
-Public surface: problem data (`LpProblem`, `Iterate`), the solve driver
-(`solve`, `SolverConfig`, `SolveResult`), MPS reading (`parse_mps`,
-`build_problem`), and the enumeration reference solver (`oracle_solve`).
+Public surface, what a user of ``solve``, ``hprlp solve`` and
+``hprlp bench`` needs: problem data (``LpProblem``, ``Iterate``,
+``SparseMatrix``), MPS reading (``parse_mps``, ``build_problem``,
+``MpsDocument``, ``MpsParseError``), and the solve driver (``solve``, its
+``SolverConfig`` with ``EngineConfig`` and ``RestartConfig``, and its
+``SolveResult`` with ``TraceRecord`` and ``RestartEvent``).  The step
+maps, the merit seminorm and the restart tests are reached through
+their own modules (``hprlp.engine``, ``hprlp.adaptive``, ``hprlp.model``,
+``hprlp.sparse``, ``hprlp.solver``) and may change between versions.
 """
 
-from .adaptive import (
-    RestartConfig,
-    RestartReason,
-    check_restart,
-    m_norm,
-    sigma_update,
-)
-from .engine import (
-    EngineConfig,
-    EprAverages,
-    NormalEquationSolver,
-    PrStepTrace,
-    StepWorkspace,
-    epr_accumulate,
-    halpern_step,
-    pr_step,
-    y_update_t1_zero,
-)
-from .model import (
-    Iterate,
-    LpProblem,
-    box_support,
-    dual_objective,
-    project_box,
-    relative_residuals,
-)
+from .adaptive import RestartConfig
+from .engine import EngineConfig
+from .model import Iterate, LpProblem
 from .mps import MpsDocument, MpsParseError, build_problem, parse_mps
-from .oracle import OracleSolution, oracle_solve
-from .solver import (
-    RestartEvent,
-    SolveResult,
-    SolverConfig,
-    TraceRecord,
-    apply_scaling,
-    solve,
-)
-from .sparse import SparseMatrix, estimate_lambda_A
+from .solver import RestartEvent, SolveResult, SolverConfig, TraceRecord, solve
+from .sparse import SparseMatrix
 
 __version__ = "0.1.0"
 
 __all__ = [
     "EngineConfig",
-    "EprAverages",
     "Iterate",
     "LpProblem",
     "MpsDocument",
     "MpsParseError",
-    "NormalEquationSolver",
-    "OracleSolution",
-    "PrStepTrace",
     "RestartConfig",
     "RestartEvent",
-    "RestartReason",
     "SolveResult",
     "SolverConfig",
     "SparseMatrix",
-    "StepWorkspace",
     "TraceRecord",
-    "apply_scaling",
-    "box_support",
     "build_problem",
-    "check_restart",
-    "dual_objective",
-    "epr_accumulate",
-    "estimate_lambda_A",
-    "halpern_step",
-    "m_norm",
-    "oracle_solve",
     "parse_mps",
-    "pr_step",
-    "project_box",
-    "relative_residuals",
-    "sigma_update",
     "solve",
-    "y_update_t1_zero",
 ]

@@ -31,7 +31,8 @@ EXIT_USAGE = 64
 EXIT_DATA = 65
 
 _TRACE_FIELDS = (
-    "k", "r", "t", "sigma", "rel_gap", "rel_primal", "rel_dual", "merit", "seconds"
+    "k", "r", "t", "sigma", "rel_gap", "rel_primal", "rel_dual", "merit", "seconds",
+    "face",
 )
 
 
@@ -87,7 +88,6 @@ def _solver_config(args, mode: str) -> SolverConfig:
         restart=restart,
         adaptive_sigma=not args.no_adaptive_sigma,
         scaling=args.scaling,
-        lambda_safety=args.lambda_safety,
     )
 
 
@@ -99,8 +99,6 @@ def _add_solver_flags(p: argparse.ArgumentParser, time_limit_default: float):
     p.add_argument("--gamma", type=float, default=1.0,
                    help="reflection factor for mode rhpdhg")
     p.add_argument("--sigma0", type=float, default=1.0, help="initial penalty")
-    p.add_argument("--lambda-safety", type=float, default=1.05,
-                   help="safety factor on the operator-norm estimate")
     p.add_argument("--no-restart", action="store_true")
     p.add_argument("--fixed-restart", type=int, default=None, metavar="N",
                    help="restart every N iterations (disables adaptive restarts)")
@@ -126,7 +124,7 @@ def _write_trace(result: SolveResult, path: str):
                 rec.k, rec.r, rec.t, f"{rec.sigma:.12g}",
                 f"{rec.rel_gap:.12g}", f"{rec.rel_primal:.12g}",
                 f"{rec.rel_dual:.12g}", f"{rec.merit:.12g}",
-                f"{rec.seconds:.6f}",
+                f"{rec.seconds:.6f}", int(rec.face),
             ])
 
 

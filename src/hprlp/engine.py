@@ -200,7 +200,8 @@ class NormalEquationSolver:
             )
         # A A^T is symmetric, so its transpose is the same matrix in the
         # Fortran order that LAPACK factors in place, without a copy
-        gram = A.transpose_dot_self_dense().T
+        csr = A.to_csr()
+        gram = (csr @ csr.T).toarray().T
         try:
             lower, _ = scipy.linalg.cho_factor(gram, lower=True, overwrite_a=True)
         except scipy.linalg.LinAlgError as exc:

@@ -77,8 +77,9 @@ class SolverConfig:
 
     ``engine`` holds the step's parameters: the starting penalty sigma,
     re-fit at restarts when ``adaptive_sigma`` is on; lambda_A, which
-    ``solve`` fits to the scaled matrix (an operator-norm estimate times
-    ``lambda_safety``), so it must be left None; and the y-step route.
+    ``solve`` fits to the scaled matrix (``estimate_lambda_A``: an
+    operator-norm estimate times 1.05), so it must be left None; and the
+    y-step route.
     ``solve`` resolves them once into the one copy that the steps, the
     seminorm and the penalty re-fit read.
     """
@@ -91,7 +92,6 @@ class SolverConfig:
     restart: RestartConfig = field(default_factory=RestartConfig)
     adaptive_sigma: bool = True
     scaling: str = "ruiz"
-    lambda_safety: float = 1.05
     initial_iterate: Iterate | None = None
 
     def __post_init__(self):
@@ -105,8 +105,6 @@ class SolverConfig:
             raise ValueError(f"check_interval must be >= 1, got {self.check_interval}")
         if self.scaling not in ("none", "ruiz"):
             raise ValueError(f"scaling must be 'none' or 'ruiz', got {self.scaling!r}")
-        if not self.lambda_safety >= 1.0:
-            raise ValueError(f"lambda_safety must be >= 1, got {self.lambda_safety}")
         if self.engine.lambda_A is not None:
             raise ValueError("lambda_A is fitted by solve to the scaled matrix; leave it None")
 
@@ -185,10 +183,6 @@ class RuizScaling:
     @classmethod
     def identity(cls, m: int, n: int) -> "RuizScaling":
         return cls(np.ones(m), np.ones(n))
-
-    @property
-    def is_identity(self) -> bool:
-        return bool(np.all(self.row == 1.0) and np.all(self.col == 1.0))
 
 
 def _segment_max(
@@ -547,7 +541,7 @@ def _setup(
     matrix, the normal-equations factor when that y-step applies, and a
     message that says why it does not when it was asked for."""
     work, scaling = apply_scaling(prob, cfg.scaling)
-    lam = estimate_lambda_A(work.A, safety=cfg.lambda_safety) if work.A.nnz else 1.0
+    lam = estimate_lambda_A(work.A) if work.A.nnz else 1.0
 
     # normal-equations path only for pure equality rows
     normal_eq = None
@@ -599,9 +593,16 @@ def solve(prob: LpProblem, cfg: SolverConfig | None = None) -> SolveResult:
     "time_limit" return the best checkpoint seen so far, and their
     message names the residual that blocked termination;
     "numerical_error" flags divergence (reflection modes without an
-    anchor can and do diverge).
+    anchor can and do diverge).  Raises ValueError when
+    ``cfg.initial_iterate`` does not have the LP's (m, n) blocks.
     """
     cfg = cfg or SolverConfig()
+    w0 = cfg.initial_iterate
+    if w0 is not None and (w0.y.size, w0.x.size) != (prob.m, prob.n):
+        raise ValueError(
+            f"initial_iterate has (m, n) = ({w0.y.size}, {w0.x.size}); "
+            f"the LP needs ({prob.m}, {prob.n})"
+        )
     started = time.perf_counter()
     work, scaling, lam, normal_eq, message = _setup(prob, cfg)
     m, n = work.A.shape
@@ -610,8 +611,8 @@ def solve(prob: LpProblem, cfg: SolverConfig | None = None) -> SolveResult:
         t1_zero_path=normal_eq is not None,
     )
 
-    if cfg.initial_iterate is not None:
-        w = scale_iterate(cfg.initial_iterate, scaling)
+    if w0 is not None:
+        w = scale_iterate(w0, scaling)
     else:
         x0 = project_box(np.zeros(n), work.l_var, work.u_var)
         w = Iterate(np.zeros(m), np.zeros(n), x0)

@@ -69,17 +69,8 @@ class SparseMatrix:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def from_coo(cls, m, n, rows, cols, vals) -> "SparseMatrix":
-        """Build from triplets; duplicates are summed."""
-        return cls(sp.coo_matrix((vals, (rows, cols)), shape=(m, n)))
-
-    @classmethod
     def from_dense(cls, array) -> "SparseMatrix":
         return cls(sp.csc_matrix(np.asarray(array, dtype=np.float64)))
-
-    @classmethod
-    def identity(cls, n) -> "SparseMatrix":
-        return cls(sp.identity(n, format="csc"))
 
     # -- structure ----------------------------------------------------
 
@@ -95,14 +86,6 @@ class SparseMatrix:
     def col_ptrs(self) -> np.ndarray:
         return self._csc.indptr
 
-    @property
-    def row_idx(self) -> np.ndarray:
-        return self._csc.indices
-
-    @property
-    def values(self) -> np.ndarray:
-        return self._csc.data
-
     def to_dense(self) -> np.ndarray:
         return self._csc.toarray()
 
@@ -117,10 +100,6 @@ class SparseMatrix:
 
     def to_csr(self) -> sp.csr_matrix:
         return self._csr
-
-    def transpose_dot_self_dense(self) -> np.ndarray:
-        """Dense A A^T (used by the equality-row normal equations)."""
-        return (self._csr @ self._csr.T).toarray()
 
     def __repr__(self):
         m, n = self.shape

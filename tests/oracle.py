@@ -19,7 +19,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from .model import LpProblem
+from hprlp.model import LpProblem
 
 __all__ = ["OracleSolution", "oracle_solve"]
 

@@ -23,18 +23,16 @@ from hprlp import (
     SolverConfig,
     SparseMatrix,
     build_problem,
-    estimate_lambda_A,
-    halpern_step,
-    m_norm,
-    oracle_solve,
     parse_mps,
-    pr_step,
     solve,
 )
-from hprlp.adaptive import m_norm_squared
+from hprlp.adaptive import m_norm, m_norm_squared
 from hprlp.cli import sgm10
+from hprlp.engine import halpern_step, pr_step
+from hprlp.sparse import estimate_lambda_A
 
 from conftest import ACCEPTANCE_LINES, random_lp
+from oracle import oracle_solve
 from theory import (
     IterateMean,
     complexity_diagnostics,

@@ -3,17 +3,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from hprlp import (
-    EngineConfig,
-    Iterate,
-    RestartConfig,
+from hprlp import EngineConfig, Iterate, RestartConfig, SparseMatrix
+from hprlp.adaptive import (
+    SIGMA_MAX,
+    SIGMA_MIN,
     RestartReason,
-    SparseMatrix,
     check_restart,
     m_norm,
+    m_norm_squared,
     sigma_update,
 )
-from hprlp.adaptive import SIGMA_MAX, SIGMA_MIN, m_norm_squared
 
 
 A_1X1 = SparseMatrix.from_dense([[1.0]])

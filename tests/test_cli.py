@@ -82,7 +82,7 @@ def test_solve_json_output(fixtures_dir, capsys):
     for rec in payload["trace"]:
         assert set(rec) == {
             "k", "r", "t", "sigma", "rel_gap", "rel_primal", "rel_dual",
-            "merit", "seconds",
+            "merit", "seconds", "face",
         }
 
 
@@ -100,6 +100,23 @@ def test_solve_says_when_the_answer_is_the_face_point(fixtures_dir, capsys):
     assert "finish:" not in capsys.readouterr().out
     assert main(["solve", plain_path, "--json"]) == EXIT_OK
     assert json.loads(capsys.readouterr().out)["face_finish"] is False
+
+
+def test_trace_marks_the_face_record(fixtures_dir, tmp_path, capsys):
+    """A solve that ends on its face logs the face point as a second
+    record at the last checkpoint's k; the CSV's ``face`` column and the
+    JSON trace's ``face`` key mark it, and only it."""
+    path, trace = str(fixtures_dir / "bounds_all.mps"), tmp_path / "trace.csv"
+    assert main(["solve", path, "--trace", str(trace)]) == EXIT_OK
+    capsys.readouterr()
+    with open(trace, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["face"] for row in rows] == ["0"] * (len(rows) - 1) + ["1"]
+    assert rows[-1]["k"] == rows[-2]["k"]
+
+    assert main(["solve", path, "--json"]) == EXIT_OK
+    records = json.loads(capsys.readouterr().out)["trace"]
+    assert [rec["face"] for rec in records] == [False] * (len(records) - 1) + [True]
 
 
 def test_solve_reports_read_time(fixtures_dir, capsys):
@@ -169,6 +186,14 @@ def test_usage_errors_exit_64(fixtures_dir):
     assert ei.value.code == EXIT_USAGE
 
 
+def test_lambda_safety_flag_is_gone(fixtures_dir, capsys):
+    """The safety factor on lambda_A is fixed at 1.05; the flag is refused."""
+    with pytest.raises(SystemExit) as ei:
+        main(["solve", str(fixtures_dir / "simple_l.mps"), "--lambda-safety", "2"])
+    assert ei.value.code == EXIT_USAGE
+    assert "unrecognized arguments: --lambda-safety 2" in capsys.readouterr().err
+
+
 def test_solve_trace_csv(fixtures_dir, tmp_path, capsys):
     trace = tmp_path / "trace.csv"
     code = main([
@@ -180,7 +205,7 @@ def test_solve_trace_csv(fixtures_dir, tmp_path, capsys):
         rows = list(csv.reader(fh))
     assert rows[0] == [
         "k", "r", "t", "sigma", "rel_gap", "rel_primal", "rel_dual",
-        "merit", "seconds",
+        "merit", "seconds", "face",
     ]
     assert len(rows) >= 2
     ks = [int(r[0]) for r in rows[1:]]

@@ -2,24 +2,20 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 from scipy.linalg.blas import dtpsv
 
 import hprlp.solver
 
-from hprlp import (
-    EngineConfig,
+from hprlp import EngineConfig, Iterate, LpProblem, SolverConfig, SparseMatrix, solve
+from hprlp.adaptive import m_norm
+from hprlp.engine import (
     EprAverages,
-    Iterate,
-    LpProblem,
     NormalEquationSolver,
-    SolverConfig,
-    SparseMatrix,
     StepWorkspace,
     epr_accumulate,
     halpern_step,
-    m_norm,
     pr_step,
-    solve,
     y_update_t1_zero,
 )
 
@@ -317,7 +313,8 @@ def test_normal_equation_solver_accuracy():
 def _packed_lower(A):
     """The lower Cholesky factor of A A^T, packed column by column: the
     upper triangle of its transpose, row by row."""
-    lower, _ = scipy.linalg.cho_factor(A.transpose_dot_self_dense(), lower=True)
+    csr = A.to_csr()
+    lower, _ = scipy.linalg.cho_factor((csr @ csr.T).toarray(), lower=True)
     return lower.T[np.triu_indices(A.shape[0])]
 
 
@@ -359,7 +356,7 @@ def test_normal_equation_rejects_rank_deficient():
 
 def test_normal_equation_row_cap():
     with pytest.raises(ValueError, match="rows"):
-        NormalEquationSolver(SparseMatrix.identity(2001))
+        NormalEquationSolver(SparseMatrix(sp.identity(2001)))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -13,12 +13,12 @@ from hprlp import (
     RestartConfig,
     SolverConfig,
     SparseMatrix,
-    oracle_solve,
     solve,
 )
 from hprlp.engine import NormalEquationSolver
 
 from conftest import random_lp
+from oracle import oracle_solve
 
 
 def mixed_lp(rng, n, m, sense):

@@ -7,15 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hprlp import (
-    Iterate,
-    LpProblem,
-    SparseMatrix,
-    box_support,
-    dual_objective,
-    project_box,
-    relative_residuals,
-)
+from hprlp import Iterate, LpProblem, SparseMatrix
+from hprlp.model import box_support, dual_objective, project_box, relative_residuals
 
 from conftest import random_lp
 from theory import kkt_residual, primal_objective

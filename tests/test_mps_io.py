@@ -296,7 +296,8 @@ def emit_mps(prob: LpProblem) -> str:
             rows.append((name, "L", hi, hi - lo))
         out.append(f" {rows[-1][1]}  {name}")
     out.append("COLUMNS")
-    ptr, rows_of, vals = prob.A.col_ptrs, prob.A.row_idx.tolist(), prob.A.values.tolist()
+    csc = prob.A.to_csc()
+    ptr, rows_of, vals = csc.indptr, csc.indices.tolist(), csc.data.tolist()
     for j in range(prob.n):
         out.append(f"    C{j}  OBJ  {float(prob.c[j])!r}")
         for k in range(ptr[j], ptr[j + 1]):
@@ -554,7 +555,7 @@ def test_three_duplicates_sum_in_file_order():
         prob = build_problem(doc)
     in_order = (1e16 + 1.0) + 1.0
     assert in_order == 1e16 != 1e16 + (1.0 + 1.0)
-    npt.assert_array_equal(prob.A.values, [in_order])
+    npt.assert_array_equal(prob.A.to_csc().data, [in_order])
     npt.assert_array_equal(prob.c, [in_order])
 
 

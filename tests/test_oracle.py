@@ -3,9 +3,10 @@ import numpy.testing as npt
 import pytest
 from scipy.optimize import linprog
 
-from hprlp import LpProblem, SparseMatrix, oracle_solve
+from hprlp import LpProblem, SparseMatrix
 
 from conftest import random_lp
+from oracle import oracle_solve
 
 
 def lp(c, A, l_con, u_con, l_var, u_var, **kw):

@@ -1,6 +1,7 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.sparse as sp
 
 from hprlp import (
     EngineConfig,
@@ -9,13 +10,12 @@ from hprlp import (
     RestartConfig,
     SolverConfig,
     SparseMatrix,
-    apply_scaling,
-    pr_step,
     solve,
 )
 from hprlp.adaptive import SIGMA_MAX, SIGMA_MIN
+from hprlp.engine import pr_step
 import hprlp.solver as solver_module
-from hprlp.solver import scale_iterate, unscale_iterate
+from hprlp.solver import apply_scaling, scale_iterate, unscale_iterate
 
 from conftest import random_lp
 from theory import complexity_diagnostics, product_form_scaling
@@ -51,8 +51,8 @@ def test_solver_config_validation():
         SolverConfig(check_interval=0)
     with pytest.raises(ValueError):
         SolverConfig(scaling="fancy")
-    with pytest.raises(ValueError):
-        SolverConfig(lambda_safety=0.5)
+    with pytest.raises(TypeError):  # fixed at estimate_lambda_A's 1.05
+        SolverConfig(lambda_safety=1.05)
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +114,7 @@ def _random_scaling_lp(rng, m, n):
     cols = rng.integers(0, max(n - 1, 1), nnz)
     vals = rng.standard_normal(nnz) * 10.0 ** rng.uniform(-6.0, 6.0, nnz)
     vals[rng.uniform(size=nnz) < 0.15] = 0.0
-    return _lp_on(SparseMatrix.from_coo(m, n, rows, cols, vals), rng)
+    return _lp_on(SparseMatrix(sp.coo_matrix((vals, (rows, cols)), shape=(m, n))), rng)
 
 
 @pytest.mark.parametrize("ruiz_iters", [0, 1, 10])
@@ -137,13 +137,13 @@ def test_ruiz_leaves_signed_permutation_unchanged():
     stops and the column norms are 1."""
     rng = np.random.default_rng(12)
     n = 8
-    A = SparseMatrix.from_coo(n, n, np.arange(n), rng.permutation(n),
-                              rng.choice([-1.0, 1.0], n))
+    A = SparseMatrix(sp.coo_matrix(
+        (rng.choice([-1.0, 1.0], n), (np.arange(n), rng.permutation(n))), shape=(n, n)))
     prob = _lp_on(A, rng)
     got = apply_scaling(prob, "ruiz")
     _assert_same_scaling(got, product_form_scaling(prob))
     scaled, sc = got
-    assert sc.is_identity
+    assert np.all(sc.row == 1.0) and np.all(sc.col == 1.0)
     assert np.array_equal(scaled.A.to_dense(), A.to_dense())
 
 
@@ -155,18 +155,19 @@ def test_ruiz_drops_stored_and_underflowing_zeros():
     rows = np.array([0, 0, 1, 1, 2, 2, 3])
     cols = np.array([0, 1, 1, 2, 0, 3, 3])
     vals = np.array([2.0, 0.0, 1e300, 1e-300, 0.0, -3.0, 0.0])
-    mixed = _lp_on(SparseMatrix.from_coo(4, 5, rows, cols, vals), rng)
-    zeros_only = _lp_on(SparseMatrix.from_coo(3, 3, [0, 1], [1, 2], [0.0, 0.0]), rng)
+    mixed = _lp_on(SparseMatrix(sp.coo_matrix((vals, (rows, cols)), shape=(4, 5))), rng)
+    zeros_only = _lp_on(
+        SparseMatrix(sp.coo_matrix(([0.0, 0.0], ([0, 1], [1, 2])), shape=(3, 3))), rng)
     # (without a sweep the column norm of 1e300 overflows, so the mixed
     # matrix is scaled with at least one)
     for prob, iters, nnz in ((mixed, 1, 3), (mixed, 10, 3), (zeros_only, 0, 0),
                              (zeros_only, 10, 0)):
-        assert np.any(prob.A.values == 0.0)
+        assert np.any(prob.A.to_csc().data == 0.0)
         got = apply_scaling(prob, "ruiz", iters)
         _assert_same_scaling(got, product_form_scaling(prob, iters))
         # 1e-300 underflows in the first sweep; the stored zeros go with it
         assert got[0].A.nnz == nnz
-        assert np.all(got[0].A.values != 0.0)
+        assert np.all(got[0].A.to_csc().data != 0.0)
 
 
 def test_column_norm_pass_survives_overflowing_squares():
@@ -193,7 +194,7 @@ def test_scaling_none_is_identity():
     prob = prob_corner()
     scaled, sc = apply_scaling(prob, "none")
     assert scaled is prob
-    assert sc.is_identity
+    assert np.all(sc.row == 1.0) and np.all(sc.col == 1.0)
 
 
 def test_scale_unscale_round_trip():
@@ -264,7 +265,7 @@ def test_solve_no_rows():
     # pure box problem: min x1 - x2 over [0,1]^2
     prob = LpProblem(
         c=[1.0, -1.0],
-        A=SparseMatrix.from_coo(0, 2, [], [], []),
+        A=SparseMatrix(sp.coo_matrix((0, 2))),
         l_con=[],
         u_con=[],
         l_var=[0.0, 0.0],
@@ -429,6 +430,16 @@ def test_warm_start_accelerates():
     )
     assert warm.status == "optimal"
     assert warm.iterations <= cold.iterations
+
+
+@pytest.mark.parametrize("m, n", [(1, 1), (2, 1), (1, 3), (3, 3)])
+def test_warm_start_of_the_wrong_shape_is_refused(m, n):
+    """Blocks that do not match the LP are refused, not broadcast: a
+    1-element warm start on a 2 x 3 LP would run as x = [9, 9, 9]."""
+    prob = random_lp(np.random.default_rng(92), 3, 2)
+    bad = Iterate(np.full(m, 5.0), np.zeros(n), np.full(n, 9.0))
+    with pytest.raises(ValueError, match=r"the LP needs \(2, 3\)"):
+        solve(prob, quick_cfg(initial_iterate=bad))
 
 
 def test_iter_limit_zero():

@@ -22,20 +22,12 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import scipy.sparse as sp
 
-from hprlp import (
-    EngineConfig,
-    Iterate,
-    LpProblem,
-    PrStepTrace,
-    SparseMatrix,
-    dual_objective,
-    estimate_lambda_A,
-    halpern_step,
-    m_norm,
-    pr_step,
-    project_box,
-)
+from hprlp import EngineConfig, Iterate, LpProblem, SparseMatrix
+from hprlp.adaptive import m_norm
+from hprlp.engine import PrStepTrace, halpern_step, pr_step
+from hprlp.model import dual_objective, project_box
 from hprlp.solver import RuizScaling
+from hprlp.sparse import estimate_lambda_A
 
 
 # ---------------------------------------------------------------------

@@ -24,11 +24,12 @@ that drives the steps being measured.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import EngineConfig
+from .engine import EngineConfig, _dot
 from .model import Iterate
 from .sparse import SparseMatrix
 
@@ -66,14 +67,14 @@ def m_norm_squared(
     t1_zero = cfg.t1_zero_path
     if ax is None or t1_zero:
         aty = A.rmatvec(w.y)
-        cross = 2.0 * float(np.dot(aty, w.x))
+        cross = 2.0 * _dot(aty, w.x)
     else:
-        cross = 2.0 * float(np.dot(w.y, ax))
-    xx = float(np.dot(w.x, w.x)) / cfg.sigma
+        cross = 2.0 * _dot(w.y, ax)
+    xx = _dot(w.x, w.x) / cfg.sigma
     if t1_zero:
-        yy = cfg.sigma * float(np.dot(aty, aty))
+        yy = cfg.sigma * _dot(aty, aty)
     else:
-        yy = cfg.sigma * cfg.lambda_A * float(np.dot(w.y, w.y))
+        yy = cfg.sigma * cfg.lambda_A * _dot(w.y, w.y)
     return yy + cross + xx
 
 
@@ -81,7 +82,7 @@ def m_norm(
     w: Iterate, cfg: EngineConfig, A: SparseMatrix, ax: np.ndarray | None = None
 ) -> float:
     """Seminorm sqrt(max(<w, M w>, 0)); ``ax`` as in ``m_norm_squared``."""
-    return float(np.sqrt(max(m_norm_squared(w, cfg, A, ax), 0.0)))
+    return math.sqrt(max(m_norm_squared(w, cfg, A, ax), 0.0))
 
 
 class RestartReason(enum.Enum):

@@ -36,7 +36,7 @@ vectors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
@@ -76,8 +76,12 @@ class EngineConfig:
     t1_zero_path : solve the y-step through A A^T normal equations
                    (equality-row problems only).
 
-    The mode is read through the switches ``anchored``, ``ergodic``,
-    ``restarts`` and ``reflection``, resolved once here.
+    The mode is read through switches resolved once here:
+    anchored     : Halpern anchoring to the restart point: "hpr", "hdr", "rhpdhg".
+    ergodic      : plain reflection steps judged on their ergodic average: "epr".
+    restarts     : whether the driver restarts; "pr" is the one mode that does not.
+    reflection   : factor g of w_hat = (1 + g) w_bar - g w: 0 for "hdr",
+                   ``gamma`` for "rhpdhg" and 1 otherwise.
     """
 
     sigma: float = 1.0
@@ -85,6 +89,10 @@ class EngineConfig:
     mode: str = "hpr"
     gamma: float = 1.0
     t1_zero_path: bool = False
+    anchored: bool = field(init=False, repr=False)
+    ergodic: bool = field(init=False, repr=False)
+    restarts: bool = field(init=False, repr=False)
+    reflection: float = field(init=False, repr=False)
 
     def __post_init__(self):
         if not (self.sigma > 0.0 and np.isfinite(self.sigma)):
@@ -96,40 +104,19 @@ class EngineConfig:
         mode = self.mode.lower()
         if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        object.__setattr__(self, "mode", mode)
         if not (0.0 <= self.gamma <= 1.0):
             raise ValueError(f"gamma must lie in [0, 1], got {self.gamma}")
         reflection = 0.0 if mode == "hdr" else self.gamma if mode == "rhpdhg" else 1.0
-        object.__setattr__(self, "_anchored", mode in ("hpr", "hdr", "rhpdhg"))
-        object.__setattr__(self, "_ergodic", mode == "epr")
-        object.__setattr__(self, "_reflection", reflection)
+        anchored, ergodic = mode in ("hpr", "hdr", "rhpdhg"), mode == "epr"
+        for name, value in (("mode", mode), ("anchored", anchored), ("ergodic", ergodic),
+                            ("restarts", anchored or ergodic), ("reflection", reflection)):
+            object.__setattr__(self, name, value)
 
     def with_sigma(self, sigma: float) -> "EngineConfig":
         return replace(self, sigma=sigma)
 
-    @property
-    def anchored(self) -> bool:
-        """Halpern anchoring to the restart point: "hpr", "hdr", "rhpdhg"."""
-        return self._anchored
 
-    @property
-    def ergodic(self) -> bool:
-        """Plain reflection steps judged on their ergodic average: "epr"."""
-        return self._ergodic
-
-    @property
-    def restarts(self) -> bool:
-        """Whether the driver restarts; "pr" is the one mode that does not."""
-        return self._anchored or self._ergodic
-
-    @property
-    def reflection(self) -> float:
-        """Reflection factor g of w_hat = (1 + g) w_bar - g w: 0 for "hdr",
-        ``gamma`` for "rhpdhg" and 1 otherwise."""
-        return self._reflection
-
-
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False, slots=True)
 class PrStepTrace:
     """Intermediates of one step: the pre-projection points xi / zeta,
     the row product ax2 = A (2 x_bar - x) that zeta is formed from, the
@@ -290,10 +277,10 @@ def _reflect(w_bar: Iterate, w: Iterate, cfg: EngineConfig, work: StepWorkspace)
     return work.hat
 
 
-def _sum_squares(v: np.ndarray) -> float:
-    """<v, v> through BLAS ddot, which, unlike np.dot, sets off no numpy
-    overflow warning when the sum exceeds the float range."""
-    return ddot(v, v) if v.size else 0.0
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """<a, b> by BLAS ddot: np.dot's bits for less call overhead, and no
+    numpy overflow warning.  scipy's ddot refuses length 0."""
+    return ddot(a, b) if a.size else 0.0
 
 
 def pr_step(
@@ -341,7 +328,7 @@ def pr_step(
 
     w_hat = _reflect(bar, w, cfg, work)
 
-    guard = _sum_squares(w_hat.x) + _sum_squares(w_hat.y)
+    guard = _dot(w_hat.x, w_hat.x) + _dot(w_hat.y, w_hat.y)
     if not guard < _DIVERGENCE_GUARD:
         raise ArithmeticError("iterate diverged (non-finite or overflowing step)")
     return PrStepTrace(xi=xi, zeta=zeta, ax2=ax2, w_bar=bar, w_hat=w_hat)

@@ -16,6 +16,7 @@ variable-bound box C.  Maximization problems are stored in minimize form
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -48,10 +49,11 @@ def project_box(
     result is written there (it may be v itself) and returned.
     """
     v = np.asarray(v, dtype=np.float64)
-    if v.shape != np.shape(lo) or v.shape != np.shape(hi):
-        raise ValueError(
-            f"shape mismatch: v {v.shape}, lo {np.shape(lo)}, hi {np.shape(hi)}"
-        )
+    shape = v.shape  # np.shape only for bounds that are not arrays, or do not match
+    if (getattr(lo, "shape", None) != shape or getattr(hi, "shape", None) != shape) and (
+        np.shape(lo) != shape or np.shape(hi) != shape
+    ):
+        raise ValueError(f"shape mismatch: v {shape}, lo {np.shape(lo)}, hi {np.shape(hi)}")
     out = np.maximum(v, lo, out=out)
     return np.minimum(out, hi, out=out)
 
@@ -138,6 +140,13 @@ class LpProblem:
     def objective_sign(self) -> float:
         """+1 for minimize, -1 for maximize (used when reporting)."""
         return -1.0 if self.obj_sense == "maximize" else 1.0
+
+    @cached_property
+    def _residual_scales(self) -> tuple[float, float]:
+        """1 + ||b_ref|| and 1 + ||c||, ``relative_residuals``'s denominators."""
+        bounds = (self.l_con, self.u_con)
+        b_ref = np.maximum(*(np.where(np.isfinite(b), np.abs(b), 0.0) for b in bounds))
+        return 1.0 + float(np.linalg.norm(b_ref)), 1.0 + float(np.linalg.norm(self.c))
 
     def rows_are_equalities(self) -> bool:
         """True when every row bound pair is finite and equal (A x = b)."""
@@ -259,14 +268,11 @@ def relative_residuals(w: Iterate, prob: LpProblem) -> tuple[float, float, float
     else:
         rel_gap = abs(dual + cx) / (1.0 + abs(dual) + abs(cx))
 
+    primal_scale, dual_scale = prob._residual_scales
     ax = prob.A.matvec(w.x)
     pviol = ax - project_box(ax, prob.l_con, prob.u_con)
-    b_ref = np.maximum(
-        np.where(np.isfinite(prob.l_con), np.abs(prob.l_con), 0.0),
-        np.where(np.isfinite(prob.u_con), np.abs(prob.u_con), 0.0),
-    )
-    rel_primal = float(np.linalg.norm(pviol)) / (1.0 + float(np.linalg.norm(b_ref)))
+    rel_primal = float(np.linalg.norm(pviol)) / primal_scale
 
     dviol = prob.c - prob.A.rmatvec(w.y) - w.z
-    rel_dual = float(np.linalg.norm(dviol)) / (1.0 + float(np.linalg.norm(prob.c)))
+    rel_dual = float(np.linalg.norm(dviol)) / dual_scale
     return rel_gap, rel_primal, rel_dual

@@ -635,7 +635,8 @@ def solve(prob: LpProblem, cfg: SolverConfig | None = None) -> SolveResult:
     # the iteration state, allocated once: the iterate w (which the
     # anchored average overwrites) and the restart point, the step's
     # workspace, w - w_hat for the merit (which ignores its z block, so
-    # only buf[n:], y and x, is formed), the ergodic mean, and A x for
+    # only buf[n:], y and x, is formed, on slices taken once: every step
+    # writes w_hat to the same iterate), the ergodic mean, and A x for
     # the merit's cross term in the anchored modes on the proximal route
     # (pr / epr restart on merit increases, which rounding decides, and
     # the normal-equations merit needs A^T dy anyway); k counts all
@@ -643,6 +644,8 @@ def solve(prob: LpProblem, cfg: SolverConfig | None = None) -> SolveResult:
     anchor = w.copy()
     step_work = StepWorkspace(m, n)
     diff = Iterate.empty(m, n)
+    w_hat = step_work.bar if ecfg.reflection == 0.0 else step_work.hat
+    w_yx, hat_yx, diff_yx = w.buf[n:], w_hat.buf[n:], diff.buf[n:]
     averages = EprAverages(m, n) if ergodic else None
     rows = None
     if anchored and not ecfg.t1_zero_path:
@@ -662,7 +665,7 @@ def solve(prob: LpProblem, cfg: SolverConfig | None = None) -> SolveResult:
                 log.offer(unscale_iterate(w, scaling), _NO_RESIDUALS)
             status, message = "numerical_error", str(exc)
             break
-        np.subtract(w.buf[n:], step.w_hat.buf[n:], out=diff.buf[n:])
+        np.subtract(w_yx, hat_yx, out=diff_yx)
         if rows is not None:
             merit = m_norm(diff, ecfg, work.A, rows.step_diff(step.ax2))
         else:

@@ -1,12 +1,12 @@
 """Immutable sparse-matrix wrapper and a power-method norm estimate.
 
-Storage is compressed sparse column with a CSR mirror so that both A x
-and A^T y run against a row-major layout.  The CSR mirror of A is a copy;
-A^T needs none, since the CSC arrays of A, read as CSR, are A^T.  That
-CSR view of A^T is built once and shares the CSC's read-only data,
-indices and indptr.  Backed by scipy.sparse.  A matrix of at most
-``DENSE_MAX_ENTRIES`` entries also keeps a dense copy, and both products
-run on it through BLAS dgemv instead.  All products are deterministic.
+Storage is compressed sparse column with a CSR mirror, which both
+products run on: A x gathers its rows, and A^T y scatters them through
+``csr.T``, scipy's CSC view of A^T on the mirror's read-only arrays.
+Backed by scipy.sparse.  A matrix of at most ``DENSE_MAX_ENTRIES``
+entries also keeps a dense copy, and both products run on it through
+BLAS dgemv instead, called by ``ndarray.dot``, which gives the bits of
+``@`` for less call overhead.  All products are deterministic.
 """
 
 from __future__ import annotations
@@ -33,10 +33,15 @@ DENSE_MAX_ENTRIES = 25_000
 
 
 class SparseMatrix:
-    """CSC sparse matrix (canonical) with a CSR mirror for A x and a
-    CSR view of A^T on the CSC arrays for A^T y, or, for a matrix of at
-    most ``DENSE_MAX_ENTRIES`` entries, one C-ordered dense copy for
-    both products.
+    """CSC sparse matrix (canonical) with a CSR mirror for both products,
+    or, for a matrix of at most ``DENSE_MAX_ENTRIES`` entries, one
+    C-ordered dense copy for both products.
+
+    A^T y's scatter adds each product in ascending row order from 0, as
+    a gather over A's sorted columns does, for the same bits; its adds go
+    to different sums and overlap.  On the scaled mps-sparse-1e5 matrix
+    (99,978 entries), one core of a 2-vCPU Xeon, best of 5 x 300 calls:
+    169-177 us, against 222-240 us for the gather.
 
     Duplicate entries are summed and indices sorted at construction;
     the stored arrays are read-only afterwards.
@@ -53,12 +58,10 @@ class SparseMatrix:
         for a in (csc.data, csc.indices, csc.indptr, self._csr.data,
                   self._csr.indices, self._csr.indptr):
             a.setflags(write=False)
-        # what csc.T returns, kept: rebuilding it per product rescans indices
-        self._csr_t = sp.csr_matrix(
-            (csc.data, csc.indices, csc.indptr), shape=csc.shape[::-1], copy=False
-        )
-        # the operands of A x and A^T y; the dense A^T is a view of the copy
-        self._ax, self._aty = self._csr, self._csr_t
+        # the operands of A x and A^T y, each a view of one copy of A,
+        # and the shapes the products check their vectors against
+        self._ax, self._aty = self._csr, self._csr.T
+        self._x_shape, self._y_shape = (csc.shape[1],), (csc.shape[0],)
         self._dense = None
         if csc.shape[0] * csc.shape[1] <= DENSE_MAX_ENTRIES:
             dense = csc.toarray(order="C")
@@ -109,15 +112,15 @@ class SparseMatrix:
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """A x."""
-        if np.shape(x) != (self.shape[1],):
-            raise ValueError(f"x must have shape ({self.shape[1]},), got {np.shape(x)}")
-        return self._ax @ x
+        if getattr(x, "shape", None) != self._x_shape and np.shape(x) != self._x_shape:
+            raise ValueError(f"x must have shape {self._x_shape}, got {np.shape(x)}")
+        return self._ax @ x if self._dense is None else self._ax.dot(x)
 
     def rmatvec(self, y: np.ndarray) -> np.ndarray:
         """A^T y."""
-        if np.shape(y) != (self.shape[0],):
-            raise ValueError(f"y must have shape ({self.shape[0]},), got {np.shape(y)}")
-        return self._aty @ y
+        if getattr(y, "shape", None) != self._y_shape and np.shape(y) != self._y_shape:
+            raise ValueError(f"y must have shape {self._y_shape}, got {np.shape(y)}")
+        return self._aty @ y if self._dense is None else self._aty.dot(y)
 
 
 def estimate_lambda_A(

@@ -99,29 +99,55 @@ def test_lambda_estimate_zero_matrix_raises():
         estimate_lambda_A(A)
 
 
+def _assert_transpose_of_csr(A):
+    """A^T y runs on a CSC view of A's CSR mirror: its own read-only
+    arrays, no copy."""
+    csr, at = A.to_csr(), A._aty
+    assert at.format == "csc" and at.shape == A.shape[::-1]
+    for mine, theirs in ((at.data, csr.data), (at.indices, csr.indices),
+                         (at.indptr, csr.indptr)):
+        assert theirs.size == 0 or np.shares_memory(mine, theirs)
+        assert not mine.flags.writeable
+    with pytest.raises(ValueError):
+        at.indptr[0] = 1
+
+
+def _with_duplicates(rng, dense):
+    """``dense`` as COO triplets in which about a third of the entries are
+    split into two summands, plus three pairs that cancel to explicit
+    zeros."""
+    rows, cols = np.nonzero(dense)
+    vals = dense[rows, cols].copy()
+    split = rng.uniform(size=vals.size) < 0.3
+    part = rng.standard_normal(int(split.sum()))
+    vals[split] -= part
+    zr, zc = rng.integers(dense.shape[0], size=3), rng.integers(dense.shape[1], size=3)
+    zv = rng.standard_normal(3)
+    return sp.coo_matrix(
+        (np.concatenate((vals, part, zv, -zv)),
+         (np.concatenate((rows, rows[split], zr, zr)),
+          np.concatenate((cols, cols[split], zc, zc)))),
+        shape=dense.shape,
+    )
+
+
 def test_rmatvec_matches_csc_transpose_bitwise():
-    """Above the dense cutoff the cached A^T gives exactly what csc.T @ y
-    gives, empty rows and columns included, and reads the CSC's own
-    read-only arrays."""
+    """Above the dense cutoff A^T y, a scatter over A's CSR rows, gives
+    exactly what the gather of csc.T @ y gives: empty rows and columns,
+    and duplicate entries summed at construction, included."""
     rng = np.random.default_rng(17)
-    for _ in range(10):
+    for trial in range(12):
         m, n = rng.integers(160, 200, size=2)
         assert m * n > DENSE_MAX_ENTRIES
         dense = rng.standard_normal((m, n))
         dense[rng.uniform(size=(m, n)) < 0.6] = 0.0
-        dense[rng.integers(m)] = 0.0
+        dense[rng.choice(m, size=3, replace=False)] = 0.0
         dense[:, rng.integers(n)] = 0.0
-        A = SparseMatrix.from_dense(dense)
-        y = rng.standard_normal(m)
-        assert np.array_equal(A.rmatvec(y), A.to_csc().T @ y)
-
-        csc, at = A.to_csc(), A._csr_t
-        for mine, theirs in ((at.data, csc.data), (at.indices, csc.indices),
-                             (at.indptr, csc.indptr)):
-            assert theirs.size == 0 or np.shares_memory(mine, theirs)
-            assert not mine.flags.writeable
-        with pytest.raises(ValueError):
-            at.indptr[0] = 1
+        A = SparseMatrix(_with_duplicates(rng, dense) if trial % 2 else dense)
+        for _ in range(3):
+            y = rng.standard_normal(m)
+            assert np.array_equal(A.rmatvec(y), A.to_csc().T @ y)
+        _assert_transpose_of_csr(A)
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +175,8 @@ def test_products_agree_across_routes(shape):
     is_dense = isinstance(A._ax, np.ndarray)
     assert is_dense == (m * n <= DENSE_MAX_ENTRIES)
     if not is_dense:
-        assert A._ax is A.to_csr() and A._aty is A._csr_t
+        assert A._ax is A.to_csr()
+        _assert_transpose_of_csr(A)
         return
     assert A._aty.base is A._ax and A._ax.flags.c_contiguous
     for arr in (A._ax, A._aty):

@@ -9,13 +9,20 @@ One inner step of the method, written against the dual pair from
     zeta  = A (2 x_bar - x) - sigma * lambda_A * y
     y_bar = (proj_K(zeta) - zeta) / (sigma * lambda_A)
 
-followed by a reflection w_hat = 2 w_bar - w and the anchored average
+followed by a reflection of the y and x blocks, (y_hat, x_hat) =
+2 (y_bar, x_bar) - (y, x), and the anchored average
 
-    w_next = 1/(t+2) * w_anchor + (t+1)/(t+2) * w_hat.
+    (y, x)_next = 1/(t+2) * (y, x)_anchor + (t+1)/(t+2) * (y_hat, x_hat).
+
+The iteration is a fixed-point map on (y, x): the step reads only w.y
+and w.x, and z_bar is a function of the step.  So z_hat is never
+formed, and z_bar only where a point is read: inside the step on the
+two routes that read it there (the normal-equations right-hand side and
+the ergodic mean), and by ``proximal_point`` everywhere else.
 
 The five modes are points of one space of switches, which
 ``EngineConfig`` resolves once: anchored or not, a reflection factor g
-(w_hat = (1 + g) w_bar - g w), and ergodic averaging or not.  "hpr" is
+(w_hat = (1 + g) w_bar - g w in y and x), and ergodic averaging or not.  "hpr" is
 anchored with g = 1, "hdr" anchored with g = 0 (w_hat = w_bar),
 "rhpdhg" anchored with g = gamma (gamma = 1 recovers "hpr"), "pr" plain
 reflection steps with g = 1, and "epr" plain reflection steps with
@@ -29,8 +36,8 @@ normal equations A A^T y_bar = rhs replaces the zeta/projection route
 vectors (a ``StepWorkspace`` and an ``out`` iterate) with numpy ``out=``
 updates, in the same operations and order as the formulas above, so a
 run on reused buffers is bit-identical to one on fresh arrays.  An
-update of whole iterates is one call on their packed ``Iterate.buf``
-vectors.
+update of the y and x blocks is one call on the slice ``buf[n:]`` of
+the packed ``Iterate.buf``.
 """
 
 from __future__ import annotations
@@ -52,6 +59,7 @@ __all__ = [
     "EprAverages",
     "NormalEquationSolver",
     "pr_step",
+    "proximal_point",
     "halpern_step",
     "epr_accumulate",
     "y_update_t1_zero",
@@ -120,7 +128,8 @@ class EngineConfig:
 class PrStepTrace:
     """Intermediates of one step: the pre-projection points xi / zeta,
     the row product ax2 = A (2 x_bar - x) that zeta is formed from, the
-    proximal point w_bar, and the reflected point w_hat.
+    proximal point w_bar, the reflected point w_hat, and the step's
+    penalty sigma.
 
     zeta and ax2 are None on the normal-equations path, where no row
     projection is formed.  xi, zeta and ax2 are new arrays on every
@@ -129,6 +138,11 @@ class PrStepTrace:
     next ``pr_step`` on the same workspace overwrites them.  A step
     called without a workspace gets one of its own, so its trace is
     never overwritten.
+
+    The step forms the y and x blocks of both points.  It forms z_bar
+    only on the normal-equations route and in the ergodic mode, which
+    read it; otherwise w_bar.z reads NaN, and ``proximal_point`` forms
+    w_bar with its z_bar.  w_hat.z is never formed and reads NaN.
     """
 
     xi: np.ndarray
@@ -136,6 +150,7 @@ class PrStepTrace:
     ax2: np.ndarray | None
     w_bar: Iterate
     w_hat: Iterate
+    sigma: float
 
 
 class StepWorkspace:
@@ -144,8 +159,12 @@ class StepWorkspace:
     ``bar`` receives the proximal point w_bar, ``hat`` the reflected
     point w_hat (its x block first holds 2 x_bar - x, the argument of
     the row product, which full reflection keeps as x_hat), and ``tmp``
-    is scratch.  The iterate a step starts from must not share memory
-    with any of them.
+    is scratch.  The step writes the y and x blocks of ``bar`` and
+    ``hat``; their z blocks are NaN from allocation on, except that
+    ``bar.z`` receives z_bar on the routes that form it in the step
+    (see ``PrStepTrace``), so a z block never holds an older step's
+    values.  The iterate a step starts from must not share memory with
+    any of them.
     """
 
     __slots__ = ("bar", "hat", "tmp")
@@ -154,6 +173,8 @@ class StepWorkspace:
         self.bar = Iterate.empty(m, n)
         self.hat = Iterate.empty(m, n)
         self.tmp = Iterate.empty(m, n)
+        self.bar.z.fill(np.nan)
+        self.hat.z.fill(np.nan)
 
 
 class NormalEquationSolver:
@@ -261,20 +282,27 @@ def _reflect_into(
 
 
 def _reflect(w_bar: Iterate, w: Iterate, cfg: EngineConfig, work: StepWorkspace) -> Iterate:
-    """w_hat for the step's reflection factor, into ``work.hat``; factor
-    0 returns w_bar itself.
+    """The y and x blocks of w_hat for the step's reflection factor, into
+    ``work.hat``; factor 0 returns w_bar itself.
 
     ``work.hat.x`` must already hold 2 x_bar - x, which full reflection
-    keeps as its x block.
+    keeps as its x block, so it reflects y alone.
     """
     gamma = cfg.reflection
     if gamma == 0.0:
         return w_bar
     if gamma == 1.0:
-        _reflect_into(work.hat.zy, w_bar.zy, w.zy, gamma, None)
+        _reflect_into(work.hat.y, w_bar.y, w.y, gamma, None)
     else:
-        _reflect_into(work.hat.buf, w_bar.buf, w.buf, gamma, work.tmp.buf)
+        n = w.x.size  # buf[n:] holds y and x
+        _reflect_into(work.hat.buf[n:], w_bar.buf[n:], w.buf[n:], gamma, work.tmp.buf[n:])
     return work.hat
+
+
+def _z_bar(out: np.ndarray, x_bar: np.ndarray, xi: np.ndarray, sigma: float):
+    """z_bar = (x_bar - xi) / sigma into ``out``."""
+    np.subtract(x_bar, xi, out=out)
+    np.divide(out, sigma, out=out)
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
@@ -308,8 +336,8 @@ def pr_step(
     np.multiply(sigma, xi, out=xi)
     np.add(w.x, xi, out=xi)
     project_box(xi, prob.l_var, prob.u_var, out=bar.x)
-    np.subtract(bar.x, xi, out=bar.z)
-    np.divide(bar.z, sigma, out=bar.z)
+    if cfg.t1_zero_path or cfg.ergodic:  # the y-step or the ergodic mean reads z_bar
+        _z_bar(bar.z, bar.x, xi, sigma)
     # 2 x_bar - x: the row product's argument and, under full reflection, x_hat
     x2 = _reflect_into(work.hat.x, bar.x, w.x, 1.0, None)
 
@@ -331,27 +359,47 @@ def pr_step(
     guard = _dot(w_hat.x, w_hat.x) + _dot(w_hat.y, w_hat.y)
     if not guard < _DIVERGENCE_GUARD:
         raise ArithmeticError("iterate diverged (non-finite or overflowing step)")
-    return PrStepTrace(xi=xi, zeta=zeta, ax2=ax2, w_bar=bar, w_hat=w_hat)
+    return PrStepTrace(xi=xi, zeta=zeta, ax2=ax2, w_bar=bar, w_hat=w_hat, sigma=sigma)
+
+
+def proximal_point(step: PrStepTrace, out: Iterate | None = None) -> Iterate:
+    """The step's proximal point w_bar with its z block formed: y_bar and
+    x_bar copied from ``step.w_bar`` and z_bar = (x_bar - xi) / sigma at
+    the step's sigma, the operations the step forms it with where it
+    does.  Written into ``out`` (a new iterate when None), which must
+    not share memory with the step's workspace."""
+    bar = step.w_bar
+    n = bar.x.size
+    if out is None:
+        out = Iterate.empty(bar.y.size, n)
+    np.copyto(out.buf[n:], bar.buf[n:])
+    _z_bar(out.z, out.x, step.xi, step.sigma)
+    return out
 
 
 def halpern_step(
-    w_anchor: Iterate, w_hat: Iterate, t: int, out: Iterate | None = None
-) -> Iterate:
-    """Anchored average 1/(t+2) * w_anchor + (t+1)/(t+2) * w_hat.
+    w_anchor: np.ndarray | Iterate, w_hat: np.ndarray | Iterate, t: int,
+    out: np.ndarray | Iterate | None = None,
+) -> np.ndarray | Iterate:
+    """Anchored average 1/(t+2) * w_anchor + (t+1)/(t+2) * w_hat of two
+    vectors, or of two iterates over all their blocks.
 
     Computed as w_anchor + (t+1)/(t+2) * (w_hat - w_anchor), which is
     exact when the two points coincide.  The result is written into
-    ``out`` (a new iterate when None), which may be w_hat or the
-    iterate the step started from, but must not share memory with
+    ``out`` (a new vector or iterate when None), which may be w_hat or
+    the point the step started from, but must not share memory with
     w_anchor.
     """
     if t < 0:
         raise ValueError(f"step counter must be >= 0, got {t}")
     if out is None:
-        out = Iterate.empty(w_anchor.y.size, w_anchor.x.size)
+        out = w_anchor.copy()
     beta = (t + 1.0) / (t + 2.0)
-    a, o = w_anchor.buf, out.buf
-    np.subtract(w_hat.buf, a, out=o)
+    if isinstance(out, Iterate):
+        a, h, o = w_anchor.buf, w_hat.buf, out.buf
+    else:
+        a, h, o = w_anchor, w_hat, out
+    np.subtract(h, a, out=o)
     np.multiply(beta, o, out=o)
     np.add(a, o, out=o)
     return out

@@ -58,19 +58,25 @@ def project_box(
     return np.minimum(out, hi, out=out)
 
 
-def box_support(s: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> float:
+def box_support(
+    s: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+    infinite: tuple[np.ndarray, np.ndarray] | None = None,
+) -> float:
     """Support function of the box [lo, hi] evaluated at s.
 
     sup_{v in [lo, hi]} <s, v> = sum_i hi_i * max(s_i, 0) + lo_i * min(s_i, 0)
     with the convention 0 * (+-inf) = 0.  Returns +inf when some component
     pairs a nonzero s_i with an infinite bound on that side.
+    ``infinite``, when given, is (isinf(lo), isinf(hi)), for a caller
+    that evaluates one box often.
     """
     s = np.asarray(s, dtype=np.float64)
     if s.size == 0:
         return 0.0
+    inf_lo, inf_hi = infinite if infinite is not None else (np.isinf(lo), np.isinf(hi))
     pos = s > 0.0
     neg = s < 0.0
-    if np.any(pos & np.isinf(hi)) or np.any(neg & np.isinf(lo)):
+    if (pos & inf_hi).any() or (neg & inf_lo).any():
         return float("inf")
     up = np.where(pos, hi, 0.0)
     lo_part = np.where(neg, lo, 0.0)
@@ -148,6 +154,15 @@ class LpProblem:
         b_ref = np.maximum(*(np.where(np.isfinite(b), np.abs(b), 0.0) for b in bounds))
         return 1.0 + float(np.linalg.norm(b_ref)), 1.0 + float(np.linalg.norm(self.c))
 
+    @cached_property
+    def _infinite_bounds(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """(isinf(l_con), isinf(u_con)) and (isinf(l_var), isinf(u_var)),
+        the masks of ``dual_objective``'s two box supports."""
+        masks = tuple(np.isinf(b) for b in (self.l_con, self.u_con, self.l_var, self.u_var))
+        for mask in masks:
+            mask.setflags(write=False)
+        return masks[:2], masks[2:]
+
     def rows_are_equalities(self) -> bool:
         """True when every row bound pair is finite and equal (A x = b)."""
         return bool(
@@ -162,8 +177,8 @@ class Iterate:
 
     The three blocks are slices of one contiguous float64 vector
     ``buf``, laid out z, y, x, so that an elementwise update of the
-    whole point is one numpy call.  In that order the z and y blocks are
-    one slice, ``zy``, and ``buf[n:]`` holds y and x.
+    whole point is one numpy call.  In that order ``buf[n:]`` holds y
+    and x, the blocks the solve loop updates.
     ``Iterate(y, z, x)`` copies its arguments into a new ``buf``; z and
     x must have the same size.
     """
@@ -172,7 +187,6 @@ class Iterate:
     z: np.ndarray
     x: np.ndarray
     buf: np.ndarray = field(repr=False)
-    zy: np.ndarray = field(repr=False)
 
     def __init__(self, y: np.ndarray, z: np.ndarray, x: np.ndarray):
         n = np.size(x)
@@ -181,7 +195,7 @@ class Iterate:
         self._view(np.concatenate((z, y, x), dtype=np.float64), np.size(y), n)
 
     def _view(self, buf: np.ndarray, m: int, n: int):
-        views = dict(buf=buf, zy=buf[:n + m], z=buf[:n], y=buf[n:n + m], x=buf[n + m:])
+        views = dict(buf=buf, z=buf[:n], y=buf[n:n + m], x=buf[n + m:])
         for name, view in views.items():
             object.__setattr__(self, name, view)
 
@@ -237,10 +251,11 @@ def dual_objective(y: np.ndarray, z: np.ndarray, prob: LpProblem) -> float:
     in which case the duality-gap ratio is reported as +inf and the gap
     criterion cannot fire on its own.
     """
-    sk = box_support(-np.asarray(y, dtype=np.float64), prob.l_con, prob.u_con)
+    inf_con, inf_var = prob._infinite_bounds
+    sk = box_support(-np.asarray(y, dtype=np.float64), prob.l_con, prob.u_con, inf_con)
     if np.isinf(sk):
         return float("inf")
-    sc = box_support(-np.asarray(z, dtype=np.float64), prob.l_var, prob.u_var)
+    sc = box_support(-np.asarray(z, dtype=np.float64), prob.l_var, prob.u_var, inf_var)
     if np.isinf(sc):
         return float("inf")
     return sk + sc

@@ -46,6 +46,7 @@ from .engine import (
     epr_accumulate,
     halpern_step,
     pr_step,
+    proximal_point,
 )
 from .model import (
     Iterate,
@@ -632,20 +633,24 @@ def solve(prob: LpProblem, cfg: SolverConfig | None = None) -> SolveResult:
     deadline = started + cfg.time_limit
     no_restart = RestartReason.NONE
 
-    # the iteration state, allocated once: the iterate w (which the
-    # anchored average overwrites) and the restart point, the step's
-    # workspace, w - w_hat for the merit (which ignores its z block, so
-    # only buf[n:], y and x, is formed, on slices taken once: every step
-    # writes w_hat to the same iterate), the ergodic mean, and A x for
-    # the merit's cross term in the anchored modes on the proximal route
-    # (pr / epr restart on merit increases, which rounding decides, and
-    # the normal-equations merit needs A^T dy anyway); k counts all
-    # steps, r restarts, t steps since the last restart
+    # the iteration state, allocated once: the iterate w and the restart
+    # point, the step's workspace, w - w_hat for the merit, the point a
+    # checkpoint reads (w_bar with its z_bar formed), the ergodic mean,
+    # and A x for the merit's cross term in the anchored modes on the
+    # proximal route (pr / epr restart on merit increases, which rounding
+    # decides, and the normal-equations merit needs A^T dy anyway); k
+    # counts all steps, r restarts, t steps since the last restart.  The
+    # loop's state is (y, x), buf[n:]: the step reads no z, so the
+    # average, the copy and the merit's difference run on slices taken
+    # once (every step writes w_hat to the same iterate), and w.z keeps
+    # the start's z until a restart copies a candidate in
     anchor = w.copy()
     step_work = StepWorkspace(m, n)
     diff = Iterate.empty(m, n)
+    point = Iterate.empty(m, n)
     w_hat = step_work.bar if ecfg.reflection == 0.0 else step_work.hat
     w_yx, hat_yx, diff_yx = w.buf[n:], w_hat.buf[n:], diff.buf[n:]
+    anchor_yx = anchor.buf[n:]
     averages = EprAverages(m, n) if ergodic else None
     rows = None
     if anchored and not ecfg.t1_zero_path:
@@ -674,18 +679,15 @@ def solve(prob: LpProblem, cfg: SolverConfig | None = None) -> SolveResult:
             merit0 = merit_prev = merit
 
         if anchored:
-            halpern_step(anchor, step.w_hat, t, out=w)
+            halpern_step(anchor_yx, hat_yx, t, out=w_yx)
             if rows is not None:
                 rows.average(t)
         else:
-            w.assign(step.w_hat)
+            np.copyto(w_yx, hat_yx)
         t += 1
         k += 1
         if ergodic:
             epr_accumulate(averages, step.w_bar)
-            candidate = averages.w_bar_avg
-        else:
-            candidate = step.w_bar
 
         reason = no_restart
         if restarts:
@@ -695,6 +697,8 @@ def solve(prob: LpProblem, cfg: SolverConfig | None = None) -> SolveResult:
         hit_iter = k >= iter_limit
         hit_time = time.perf_counter() > deadline
         if k % check_interval == 0 or hit_iter or hit_time or reason != no_restart:
+            # every restart and face try comes through here first
+            candidate = averages.w_bar_avg if ergodic else proximal_point(step, point)
             wb, res = log.checkpoint(candidate, k, r, t, ecfg.sigma, merit)
             if max(res) <= tol:
                 status = "optimal"

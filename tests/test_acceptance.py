@@ -38,6 +38,7 @@ from theory import (
     complexity_diagnostics,
     frozen_affine_map,
     identify_active_sets,
+    reflected_point,
     rhpdhg_step,
 )
 
@@ -216,7 +217,7 @@ def test_criterion_03_primal_dual_equivalence():
         u0 = (np.zeros(m), np.zeros(n))
         for k in range(1000):
             step = pr_step(w, prob, cfg)
-            w = halpern_step(anchor, step.w_hat, k)
+            w = halpern_step(anchor, reflected_point(w, step, cfg), k)
             u = rhpdhg_step(u, u0, prob, eta=eta, omega=omega, gamma=1.0, k=k)
             scale = 1.0 + max(np.max(np.abs(w.y)), np.max(np.abs(w.x)))
             dev = max(np.max(np.abs(u[0] - w.y)), np.max(np.abs(u[1] - w.x))) / scale
@@ -344,8 +345,8 @@ def test_criterion_06_ergodic_segment_equivalence():
             ):
                 constant = False
                 break
-            w_h = halpern_step(w0, step_h.w_hat, k)
-            w_e = step_e.w_hat
+            w_h = halpern_step(w0, reflected_point(w_h, step_h, cfg_h), k)
+            w_e = reflected_point(w_e, step_e, cfg_e)
             mean.add(w_e)
             diff = w_h - mean.mean
             scale = 1.0 + mean.mean.max_abs()

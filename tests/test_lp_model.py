@@ -97,6 +97,31 @@ def test_box_support_empty():
     assert box_support(np.array([]), np.array([]), np.array([])) == 0.0
 
 
+def test_dual_objective_reads_cached_masks():
+    """dual_objective passes each box's isinf masks, cached on the problem,
+    and gets the bits of box_support computing them itself."""
+    rng = np.random.default_rng(11)
+    seen = set()
+    for _ in range(40):
+        m, n = 4, 6
+        lo_c, lo_v = rng.standard_normal(m) - 1.0, rng.standard_normal(n) - 1.0
+        hi_c, hi_v = lo_c + rng.uniform(0, 2, m), lo_v + rng.uniform(0, 2, n)
+        lo_c[rng.uniform(size=m) < 0.3] = -np.inf
+        hi_v[rng.uniform(size=n) < 0.3] = np.inf
+        prob = LpProblem(c=np.zeros(n), A=SparseMatrix.from_dense(np.ones((m, n))),
+                         l_con=lo_c, u_con=hi_c, l_var=lo_v, u_var=hi_v)
+        y, z = rng.standard_normal(m), rng.standard_normal(n)
+        sk = box_support(-y, lo_c, hi_c)
+        sc = box_support(-z, lo_v, hi_v)
+        want = np.inf if np.isinf(sk) or np.isinf(sc) else sk + sc
+        assert dual_objective(y, z, prob) == want
+        seen.add(bool(np.isinf(want)))
+        masks = prob._infinite_bounds
+        assert all(not mask.flags.writeable for pair in masks for mask in pair)
+        assert box_support(-y, lo_c, hi_c, masks[0]) == sk
+    assert seen == {False, True}
+
+
 # ---------------------------------------------------------------------------
 # LpProblem validation
 
@@ -210,15 +235,15 @@ def test_iterate_zeros_and_copy():
     assert w.x[0] == 0.0
 
     # the constructor packs copies of its blocks into a new buffer laid
-    # out z, y, x, with zy = buf[:n + m]
+    # out z, y, x, so that buf[n:] holds y and x
     y, z, x = np.array([1.0, 2.0]), np.array([3.0, 4.0, 5.0]), np.array([6, 7, 8])
     w = Iterate(y, z, x)
     npt.assert_array_equal(w.buf, [3.0, 4.0, 5.0, 1.0, 2.0, 6.0, 7.0, 8.0])
     assert w.buf.dtype == np.float64
-    for block in (w.y, w.z, w.x, w.zy):
+    for block in (w.y, w.z, w.x):
         assert np.shares_memory(block, w.buf)
-    assert w.zy.base is w.buf and w.zy.shape == (5,)
-    npt.assert_array_equal(w.zy, w.buf[:5])
+    assert not hasattr(w, "zy")
+    npt.assert_array_equal(w.buf[3:], np.concatenate((w.y, w.x)))
     w.y[0] = w.z[0] = w.x[0] = -1.0
     assert (y[0], z[0], x[0]) == (1.0, 3.0, 6)
     w.buf[:] = 0.0

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -13,7 +15,7 @@ from hprlp import (
     solve,
 )
 from hprlp.adaptive import SIGMA_MAX, SIGMA_MIN
-from hprlp.engine import pr_step
+from hprlp.engine import pr_step, proximal_point
 import hprlp.solver as solver_module
 from hprlp.solver import apply_scaling, scale_iterate, unscale_iterate
 
@@ -400,7 +402,7 @@ def test_explicit_lambda_below_norm_rejected():
         with pytest.raises(ValueError, match="lambda_A is fitted by solve"):
             solve(prob, quick_cfg(engine=EngineConfig(lambda_A=lam), scaling=scaling))
     step = pr_step(Iterate.zeros(2, 2), two, EngineConfig(lambda_A=norm2))
-    assert np.all(np.isfinite(step.w_bar.buf))
+    assert np.all(np.isfinite(proximal_point(step).buf))
 
 
 # ---------------------------------------------------------------------------
@@ -440,6 +442,28 @@ def test_warm_start_of_the_wrong_shape_is_refused(m, n):
     bad = Iterate(np.full(m, 5.0), np.zeros(n), np.full(n, 9.0))
     with pytest.raises(ValueError, match=r"the LP needs \(2, 3\)"):
         solve(prob, quick_cfg(initial_iterate=bad))
+
+
+@pytest.mark.parametrize("mode", ["hpr", "hdr", "pr", "epr", "rhpdhg"])
+@pytest.mark.parametrize("equality", [False, True], ids=["proximal", "normal"])
+def test_solve_ignores_starting_z(mode, equality):
+    """z is not part of the iteration state: a warm start with a random z
+    block solves bit for bit as the same start with z = 0."""
+    rng = np.random.default_rng(94)
+    prob = random_lp(rng, 9, 5, style="equality" if equality else "two_sided")
+    y0, x0 = rng.standard_normal(5), rng.uniform(0.0, 1.0, 9)
+    engine = EngineConfig(mode=mode, gamma=0.5, t1_zero_path=equality)
+    a, b = (solve(prob, quick_cfg(iter_limit=3000, engine=engine,
+                                  initial_iterate=Iterate(y0, z0, x0)))
+            for z0 in (10.0 * rng.standard_normal(9), np.zeros(9)))
+    assert a.message == b.message
+    assert "unavailable" not in a.message  # the asked-for y-step route ran
+    assert (a.status, a.iterations, a.events) == (b.status, b.iterations, b.events)
+    assert a.iterations > 0 and a.trace
+    for got, want in ((a.x, b.x), (a.y, b.y), (a.z, b.z)):
+        assert got.tobytes() == want.tobytes()
+    strip = [dataclasses.replace(rec, seconds=0.0) for rec in a.trace]
+    assert strip == [dataclasses.replace(rec, seconds=0.0) for rec in b.trace]
 
 
 def test_iter_limit_zero():

@@ -1,6 +1,8 @@
 """Theory-checking helpers: code that verifies the paper's claims about
 the iteration and is not part of the solver.
 
+- ``reflected_point``: the step's reflection w_hat in all three blocks,
+  the reference the theory checks read (the step forms only y and x);
 - ``rhpdhg_step``: the reflected primal-dual form of the anchored step,
   which criterion 3 checks against ``pr_step`` + ``halpern_step``;
 - ``identify_active_sets`` / ``frozen_affine_map``: the step restricted to
@@ -24,7 +26,7 @@ import scipy.sparse as sp
 
 from hprlp import EngineConfig, Iterate, LpProblem, SparseMatrix
 from hprlp.adaptive import m_norm
-from hprlp.engine import PrStepTrace, halpern_step, pr_step
+from hprlp.engine import PrStepTrace, halpern_step, pr_step, proximal_point
 from hprlp.model import dual_objective, project_box
 from hprlp.solver import RuizScaling
 from hprlp.sparse import estimate_lambda_A
@@ -86,6 +88,26 @@ class IterateMean:
     def add(self, w: Iterate):
         self.count += 1
         self.mean = self.mean + (1.0 / self.count) * (w - self.mean)
+
+
+# ---------------------------------------------------------------------
+# the three-block reflection
+
+
+def reflected_point(w: Iterate, step: PrStepTrace, cfg: EngineConfig) -> Iterate:
+    """w_hat = (1 + g) w_bar - g w in all three blocks, for the step taken
+    at w and the reflection factor g of ``cfg``: 2 w_bar - w at g = 1
+    and w_bar itself at g = 0, with z_bar from ``proximal_point``.  Its y
+    and x blocks are those of ``step.w_hat`` bit for bit; the step does
+    not form the z block, z_hat = (1 + g) z_bar - g z, which only the
+    theory checks read."""
+    bar = proximal_point(step)
+    g = cfg.reflection
+    if g == 0.0:
+        return bar
+    if g == 1.0:
+        return 2.0 * bar - w
+    return (1.0 + g) * bar - g * w
 
 
 # ---------------------------------------------------------------------
@@ -197,7 +219,7 @@ class FrozenAffineMap:
     cfg: EngineConfig
 
     def __call__(self, w: Iterate) -> Iterate:
-        return pr_step(w, self.pinned, self.cfg).w_hat
+        return reflected_point(w, pr_step(w, self.pinned, self.cfg), self.cfg)
 
     @property
     def offset(self) -> Iterate:
@@ -315,7 +337,7 @@ def complexity_diagnostics(
     w = w0
     for k in range(num_iters):
         step = pr_step(w, prob, cfg)
-        wb = step.w_bar
+        wb = proximal_point(step)
         inv = r0 / (k + 1.0)
         ratios_step[k] = _safe_ratio(m_norm(wb - w, cfg, prob.A), inv)
         ratios_kkt[k] = _safe_ratio(kkt_residual(wb, prob).norm, kkt_c * inv)
@@ -326,7 +348,7 @@ def complexity_diagnostics(
         else:
             ratios_up[k] = 0.0
             ratios_lo[k] = _safe_ratio(-h, x_star_term * inv)
-        w = halpern_step(w0, step.w_hat, k)
+        w = halpern_step(w0, reflected_point(w, step, cfg), k)
     return ComplexityReport(
         r0=r0,
         norm_a=norm_a,

@@ -37,7 +37,12 @@ vectors (a ``StepWorkspace`` and an ``out`` iterate) with numpy ``out=``
 updates, in the same operations and order as the formulas above, so a
 run on reused buffers is bit-identical to one on fresh arrays.  An
 update of the y and x blocks is one call on the slice ``buf[n:]`` of
-the packed ``Iterate.buf``.
+the packed ``Iterate.buf``.  The workspace's points, and the solve
+loop's, are iterates on the first three blocks of one (z, y, x, A x)
+vector (``_packed``): the step leaves its row product A (2 x_bar - x)
+in the A x block of ``hat``, so under full reflection (y, x, A x) of
+w_hat is one slice, which the reflection and the anchored average,
+being linear, carry along with the iterate.
 """
 
 from __future__ import annotations
@@ -132,12 +137,12 @@ class PrStepTrace:
     penalty sigma.
 
     zeta and ax2 are None on the normal-equations path, where no row
-    projection is formed.  xi, zeta and ax2 are new arrays on every
-    step.  w_bar and w_hat are the ``bar`` and ``hat`` iterates of the
-    step's workspace (w_hat is w_bar itself at reflection factor 0): the
-    next ``pr_step`` on the same workspace overwrites them.  A step
-    called without a workspace gets one of its own, so its trace is
-    never overwritten.
+    projection is formed.  xi and zeta are new arrays on every step.
+    ax2 is the A x block of the workspace's ``hat_state``, and w_bar and
+    w_hat are its ``bar`` and ``hat`` iterates (w_hat is w_bar itself at
+    reflection factor 0): the next ``pr_step`` on the same workspace
+    overwrites them.  A step called without a workspace gets one of its
+    own, so its trace is never overwritten.
 
     The step forms the y and x blocks of both points.  It forms z_bar
     only on the normal-equations route and in the ergodic mode, which
@@ -153,13 +158,23 @@ class PrStepTrace:
     sigma: float
 
 
+def _packed(m: int, n: int) -> tuple[Iterate, np.ndarray]:
+    """An uninitialised (z, y, x, A x) vector of 2 (m + n) entries and
+    the iterate on its first three blocks; ``state[n:]`` is (y, x, A x)."""
+    state = np.empty(2 * (m + n))
+    return Iterate._on(state[:m + 2 * n], m, n), state
+
+
 class StepWorkspace:
     """Preallocated vectors of ``pr_step`` for an m x n problem.
 
-    ``bar`` receives the proximal point w_bar, ``hat`` the reflected
-    point w_hat (its x block first holds 2 x_bar - x, the argument of
-    the row product, which full reflection keeps as x_hat), and ``tmp``
-    is scratch.  The step writes the y and x blocks of ``bar`` and
+    ``bar`` receives the proximal point w_bar and ``hat`` the reflected
+    point w_hat, each the iterate on the first three blocks of a
+    (z, y, x, A x) vector, ``bar_state`` and ``hat_state``.  On the
+    proximal route, ``hat.x`` first holds 2 x_bar - x, the argument of
+    the row product, and the A x block of ``hat_state`` the product;
+    full reflection keeps them as x_hat and A x_hat.  The step writes no
+    other A x block.  It writes the y and x blocks of ``bar`` and
     ``hat``; their z blocks are NaN from allocation on, except that
     ``bar.z`` receives z_bar on the routes that form it in the step
     (see ``PrStepTrace``), so a z block never holds an older step's
@@ -167,12 +182,11 @@ class StepWorkspace:
     any of them.
     """
 
-    __slots__ = ("bar", "hat", "tmp")
+    __slots__ = ("bar", "hat", "bar_state", "hat_state")
 
     def __init__(self, m: int, n: int):
-        self.bar = Iterate.empty(m, n)
-        self.hat = Iterate.empty(m, n)
-        self.tmp = Iterate.empty(m, n)
+        self.bar, self.bar_state = _packed(m, n)
+        self.hat, self.hat_state = _packed(m, n)
         self.bar.z.fill(np.nan)
         self.hat.z.fill(np.nan)
 
@@ -267,17 +281,16 @@ def y_update_t1_zero(
 
 
 def _reflect_into(
-    out: np.ndarray, bar: np.ndarray, prev: np.ndarray, gamma: float,
-    tmp: np.ndarray | None,
+    out: np.ndarray, bar: np.ndarray, prev: np.ndarray, gamma: float
 ) -> np.ndarray:
     """out = (1 + gamma) * bar - gamma * prev, as 2 * bar - prev when
     gamma = 1 (the two agree bit for bit there).  ``out`` may not be
-    ``prev``; ``tmp`` is scratch for gamma != 1."""
+    ``prev``."""
     if gamma == 1.0:
         np.multiply(2.0, bar, out=out)
     else:
         np.multiply(1.0 + gamma, bar, out=out)
-        prev = np.multiply(gamma, prev, out=tmp)
+        prev = np.multiply(gamma, prev)
     return np.subtract(out, prev, out=out)
 
 
@@ -292,10 +305,10 @@ def _reflect(w_bar: Iterate, w: Iterate, cfg: EngineConfig, work: StepWorkspace)
     if gamma == 0.0:
         return w_bar
     if gamma == 1.0:
-        _reflect_into(work.hat.y, w_bar.y, w.y, gamma, None)
+        _reflect_into(work.hat.y, w_bar.y, w.y, gamma)
     else:
         n = w.x.size  # buf[n:] holds y and x
-        _reflect_into(work.hat.buf[n:], w_bar.buf[n:], w.buf[n:], gamma, work.tmp.buf[n:])
+        _reflect_into(work.hat.buf[n:], w_bar.buf[n:], w.buf[n:], gamma)
     return work.hat
 
 
@@ -339,7 +352,7 @@ def pr_step(
     if cfg.t1_zero_path or cfg.ergodic:  # the y-step or the ergodic mean reads z_bar
         _z_bar(bar.z, bar.x, xi, sigma)
     # 2 x_bar - x: the row product's argument and, under full reflection, x_hat
-    x2 = _reflect_into(work.hat.x, bar.x, w.x, 1.0, None)
+    x2 = _reflect_into(work.hat.x, bar.x, w.x, 1.0)
 
     if cfg.t1_zero_path and normal_eq is not None:
         zeta = ax2 = None
@@ -348,8 +361,10 @@ def pr_step(
         if cfg.lambda_A is None:
             raise ValueError("lambda_A is unresolved; the proximal y-step needs a value")
         slam = sigma * cfg.lambda_A
-        ax2 = prob.A.matvec(x2)
-        zeta = np.subtract(ax2, np.multiply(slam, w.y, out=work.tmp.y))
+        ax2 = work.hat_state[work.hat.buf.size:]  # hat's A x block
+        np.copyto(ax2, prob.A.matvec(x2))
+        # slam * y goes to bar.y, which the projection overwrites next
+        zeta = np.subtract(ax2, np.multiply(slam, w.y, out=bar.y))
         project_box(zeta, prob.l_con, prob.u_con, out=bar.y)
         np.subtract(bar.y, zeta, out=bar.y)
         np.divide(bar.y, slam, out=bar.y)

@@ -209,9 +209,6 @@ class Iterate:
         # pickle and copy rebuild the views, which they would copy apart
         return Iterate, (self.y, self.z, self.x)
 
-    def _like(self, buf: np.ndarray) -> "Iterate":
-        return Iterate._on(buf, self.y.size, self.x.size)
-
     @classmethod
     def empty(cls, m: int, n: int) -> "Iterate":
         """An iterate with uninitialised values."""
@@ -222,22 +219,11 @@ class Iterate:
         return cls._on(np.zeros(m + 2 * n), m, n)
 
     def copy(self) -> "Iterate":
-        return self._like(self.buf.copy())
+        return Iterate._on(self.buf.copy(), self.y.size, self.x.size)
 
     def assign(self, src: "Iterate"):
         """Copy the values of ``src`` into this iterate's arrays."""
         np.copyto(self.buf, src.buf)
-
-    def __add__(self, other: "Iterate") -> "Iterate":
-        return self._like(self.buf + other.buf)
-
-    def __sub__(self, other: "Iterate") -> "Iterate":
-        return self._like(self.buf - other.buf)
-
-    def __rmul__(self, a: float) -> "Iterate":
-        return self._like(a * self.buf)
-
-    __mul__ = __rmul__
 
     def max_abs(self) -> float:
         """Largest magnitude over all components (NaN if any NaN present)."""

@@ -43,6 +43,7 @@ from .engine import (
     EprAverages,
     NormalEquationSolver,
     StepWorkspace,
+    _packed,
     epr_accumulate,
     halpern_step,
     pr_step,
@@ -384,55 +385,6 @@ class _RunLog:
         )
 
 
-class _RowProducts:
-    """A x of the iterate and of the anchor, carried alongside them.
-
-    The step gives A (2 x_bar - x).  Since x - x_hat = ((1+g)/2) (x -
-    (2 x_bar - x)) for reflection factor g, and the anchored average is
-    linear in x, A (x - x_hat), A x_hat and the next A x follow without
-    a product, and the merit's cross term <A^T dy, dx> is formed as
-    <dy, A dx>.  ``reset`` takes one exact product at a restart, which
-    clears the carried rounding.  Only the merit reads these vectors;
-    the iterate is computed as without them.  Their rounding is absolute,
-    about eps |A| |x|, so when a step is tiny against the iterate the
-    merit differs from the product form by more than its last bits.
-    """
-
-    def __init__(self, A: SparseMatrix, reflection: float, x: np.ndarray):
-        m = A.shape[0]
-        self.A = A
-        self.half_factor = 0.5 * (1.0 + reflection)
-        self.ax = np.empty(m)
-        self.anchor = np.empty(m)
-        self.diff = np.empty(m)
-        self._hat = np.empty(m)
-        self.hat = self._hat
-        self.reset(x)
-
-    def reset(self, x: np.ndarray):
-        np.copyto(self.ax, self.A.matvec(x))
-        np.copyto(self.anchor, self.ax)
-
-    def step_diff(self, ax2: np.ndarray) -> np.ndarray:
-        """A (x - x_hat) for the step whose row product is ``ax2``, also
-        leaving A x_hat in ``hat``.  The difference is taken before the
-        scaling, so no rounded A x_hat enters it."""
-        np.subtract(self.ax, ax2, out=self.diff)
-        if self.half_factor == 1.0:  # full reflection: x_hat = 2 x_bar - x
-            self.hat = ax2
-        else:
-            np.multiply(self.half_factor, self.diff, out=self.diff)
-            self.hat = np.subtract(self.ax, self.diff, out=self._hat)
-        return self.diff
-
-    def average(self, t: int):
-        """A x of the anchored average, in ``halpern_step``'s operations."""
-        beta = (t + 1.0) / (t + 2.0)
-        np.subtract(self.hat, self.anchor, out=self.ax)
-        np.multiply(beta, self.ax, out=self.ax)
-        np.add(self.anchor, self.ax, out=self.ax)
-
-
 class _FaceFinish:
     """The face solve, tried at each failed checkpoint.
 
@@ -613,14 +565,14 @@ def solve(prob: LpProblem, cfg: SolverConfig | None = None) -> SolveResult:
     )
 
     if w0 is not None:
-        w = scale_iterate(w0, scaling)
+        start = scale_iterate(w0, scaling)
     else:
         x0 = project_box(np.zeros(n), work.l_var, work.u_var)
-        w = Iterate(np.zeros(m), np.zeros(n), x0)
+        start = Iterate(np.zeros(m), np.zeros(n), x0)
 
     log = _RunLog(prob, scaling, started)
     if cfg.iter_limit == 0:
-        w0, res = log.evaluate(w)
+        w0, res = log.evaluate(start)
         return log.report(
             "iter_limit", w0, res, 0, 0,
             _limit_message("iteration limit is zero", res, cfg.tol),
@@ -635,26 +587,43 @@ def solve(prob: LpProblem, cfg: SolverConfig | None = None) -> SolveResult:
 
     # the iteration state, allocated once: the iterate w and the restart
     # point, the step's workspace, w - w_hat for the merit, the point a
-    # checkpoint reads (w_bar with its z_bar formed), the ergodic mean,
-    # and A x for the merit's cross term in the anchored modes on the
-    # proximal route (pr / epr restart on merit increases, which rounding
-    # decides, and the normal-equations merit needs A^T dy anyway); k
-    # counts all steps, r restarts, t steps since the last restart.  The
-    # loop's state is (y, x), buf[n:]: the step reads no z, so the
-    # average, the copy and the merit's difference run on slices taken
-    # once (every step writes w_hat to the same iterate), and w.z keeps
-    # the start's z until a restart copies a candidate in
-    anchor = w.copy()
+    # checkpoint reads (w_bar with its z_bar formed) and the ergodic mean;
+    # k counts all steps, r restarts, t steps since the last restart.
+    # w, the anchor, the difference and the step's points are each one
+    # (z, y, x, A x) vector, and the loop's state is a slice of it taken
+    # once (every step writes w_hat to the same vector): the step reads no
+    # z, so w.z keeps the start's z until a restart copies a candidate in.
+    # In the anchored modes on the proximal route the state is (y, x, A x):
+    # the reflection and the average are linear in x, so the step's
+    # A (2 x_bar - x) carries A x along, the merit's cross term is formed
+    # as <dy, A dx> without a product, and a restart refreshes it with one
+    # exact product.  Elsewhere it is (y, x): pr / epr restart on merit
+    # increases, which rounding decides, and the normal-equations merit
+    # needs A^T dy anyway.  Under full reflection the difference is one
+    # subtraction; otherwise x - x_hat = ((1 + g) / 2) (x - (2 x_bar - x)),
+    # so A x_hat is formed after the scaled difference and no rounded
+    # A x_hat enters the merit.
+    w, w_state = _packed(m, n)
+    w.assign(start)
+    anchor, anchor_state = _packed(m, n)
+    diff, diff_state = _packed(m, n)
     step_work = StepWorkspace(m, n)
-    diff = Iterate.empty(m, n)
     point = Iterate.empty(m, n)
-    w_hat = step_work.bar if ecfg.reflection == 0.0 else step_work.hat
-    w_yx, hat_yx, diff_yx = w.buf[n:], w_hat.buf[n:], diff.buf[n:]
-    anchor_yx = anchor.buf[n:]
+    hat_state = step_work.bar_state if ecfg.reflection == 0.0 else step_work.hat_state
+    carry = anchored and not ecfg.t1_zero_path
+    half = 0.5 * (1.0 + ecfg.reflection)
+    reflect_ax = carry and half != 1.0
+    ax = 2 * n + m  # where the A x block starts
+    loop = slice(n, ax + m if carry else ax)
+    states = (w_state, anchor_state, diff_state, hat_state)
+    w_s, anchor_s, diff_s, hat_s = (v[loop] for v in states)
+    w_yx, diff_yx, hat_yx = (v[n:ax] for v in (w_state, diff_state, hat_state))
+    w_ax, diff_ax, hat_ax = (v[ax:] for v in (w_state, diff_state, hat_state))
+    merit_ax = diff_ax if carry else None
+    if carry:
+        np.copyto(w_ax, work.A.matvec(w.x))
+    np.copyto(anchor_state, w_state)
     averages = EprAverages(m, n) if ergodic else None
-    rows = None
-    if anchored and not ecfg.t1_zero_path:
-        rows = _RowProducts(work.A, ecfg.reflection, w.x)
     face = None
     can_restart = restart_cfg.enabled or restart_cfg.fixed_period is not None
     if anchored and can_restart and m <= NormalEquationSolver.MAX_ROWS:
@@ -670,20 +639,21 @@ def solve(prob: LpProblem, cfg: SolverConfig | None = None) -> SolveResult:
                 log.offer(unscale_iterate(w, scaling), _NO_RESIDUALS)
             status, message = "numerical_error", str(exc)
             break
-        np.subtract(w_yx, hat_yx, out=diff_yx)
-        if rows is not None:
-            merit = m_norm(diff, ecfg, work.A, rows.step_diff(step.ax2))
+        if reflect_ax:
+            np.subtract(w_yx, hat_yx, out=diff_yx)
+            np.subtract(w_ax, step.ax2, out=diff_ax)
+            np.multiply(half, diff_ax, out=diff_ax)
+            np.subtract(w_ax, diff_ax, out=hat_ax)
         else:
-            merit = m_norm(diff, ecfg, work.A)
+            np.subtract(w_s, hat_s, out=diff_s)
+        merit = m_norm(diff, ecfg, work.A, merit_ax)
         if t == 0:  # the restart tests measure against the first merit
             merit0 = merit_prev = merit
 
         if anchored:
-            halpern_step(anchor_yx, hat_yx, t, out=w_yx)
-            if rows is not None:
-                rows.average(t)
+            halpern_step(anchor_s, hat_s, t, out=w_s)
         else:
-            np.copyto(w_yx, hat_yx)
+            np.copyto(w_s, hat_s)
         t += 1
         k += 1
         if ergodic:
@@ -721,9 +691,9 @@ def solve(prob: LpProblem, cfg: SolverConfig | None = None) -> SolveResult:
                 ecfg = ecfg.with_sigma(_fit_sigma(candidate, anchor, ecfg, work.A))
             log.events.append(RestartEvent(k, r, t, reason.value, sigma_old, ecfg.sigma))
             w.assign(candidate)
-            anchor.assign(candidate)
-            if rows is not None:
-                rows.reset(w.x)
+            if carry:
+                np.copyto(w_ax, work.A.matvec(w.x))
+            np.copyto(anchor_state, w_state)
             if ergodic:
                 averages = EprAverages(m, n)
             r += 1

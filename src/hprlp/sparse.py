@@ -89,9 +89,6 @@ class SparseMatrix:
     def col_ptrs(self) -> np.ndarray:
         return self._csc.indptr
 
-    def to_dense(self) -> np.ndarray:
-        return self._csc.toarray()
-
     @property
     def dense(self) -> np.ndarray | None:
         """The read-only dense copy the products run on, or None above

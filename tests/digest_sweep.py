@@ -1,0 +1,78 @@
+"""Digest sweep: one line per seeded solve, for comparing two versions of
+the solver bit for bit.
+
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/digest_sweep.py > sweep.txt
+
+Run it on two checkouts and diff the two outputs: a change that keeps
+every trajectory prints the same 240 lines.  The solves cover the five
+modes, both y-step routes (the proximal step on two-sided and one-sided
+rows, the normal equations on equality rows), both product routes (the
+dense copy, and CSR with the dense cutoff switched off), and LPs with
+fewer and with more rows than columns (where the normal equations are
+rank deficient and the solve falls back to the proximal step), six seeds
+each.  Each line holds the case, the status, the iteration count and a
+digest of the bits of x, y and z, the objective, the message, every
+trace field but the time, and the restart events.
+
+Only the public API is used, so the script runs unchanged on older
+checkouts.  Its name does not start with ``test_``: pytest does not
+collect it.
+"""
+
+import hashlib
+import itertools
+
+import numpy as np
+
+import hprlp.sparse
+from hprlp import EngineConfig, SolverConfig, solve
+
+from conftest import random_lp
+
+MODES = ("hpr", "hdr", "pr", "epr", "rhpdhg")
+ROUTES = ("proximal", "normal")
+PRODUCTS = ("dense", "sparse")
+SHAPES = ("wide", "tall")
+SEEDS = range(6)
+
+
+def _problem(shape: str, route: str, seed: int):
+    rng = np.random.default_rng(1000 + seed)
+    n = 10 + 3 * seed
+    m = n // 2 + 1 if shape == "wide" else n + 4 + seed
+    if route == "normal":
+        style = "equality"
+    else:
+        style = "two_sided" if seed % 2 == 0 else "upper"
+    return random_lp(rng, n, m, style=style)
+
+
+def _digest(res) -> str:
+    h = hashlib.sha256()
+    for v in (res.x, res.y, res.z):
+        h.update(np.ascontiguousarray(v).tobytes())
+    h.update(repr((res.primal_obj.hex(), res.dual_obj.hex(), res.message)).encode())
+    h.update(repr([(r.k, r.r, r.t, r.sigma.hex(), r.rel_gap.hex(), r.rel_primal.hex(),
+                    r.rel_dual.hex(), r.merit.hex(), r.face) for r in res.trace]).encode())
+    h.update(repr([(e.k, e.r, e.tau, e.reason, e.sigma_before.hex(), e.sigma_after.hex())
+                   for e in res.events]).encode())
+    return h.hexdigest()[:16]
+
+
+def main():
+    cutoff = hprlp.sparse.DENSE_MAX_ENTRIES
+    for products, shape, route, mode, seed in itertools.product(
+            PRODUCTS, SHAPES, ROUTES, MODES, SEEDS):
+        hprlp.sparse.DENSE_MAX_ENTRIES = cutoff if products == "dense" else -1
+        try:
+            prob = _problem(shape, route, seed)
+            engine = EngineConfig(mode=mode, gamma=0.5, t1_zero_path=route == "normal")
+            res = solve(prob, SolverConfig(tol=1e-8, iter_limit=2000, engine=engine))
+        finally:
+            hprlp.sparse.DENSE_MAX_ENTRIES = cutoff
+        case = f"{products}-{shape}-{route}-{mode}-{seed} {prob.m}x{prob.n}"
+        print(f"{case} {res.status} {res.iterations} {_digest(res)}", flush=True)
+
+
+if __name__ == "__main__":
+    main()

@@ -42,7 +42,7 @@ class OracleSolution:
 
 def _inequality_rows(prob: LpProblem) -> tuple[np.ndarray, np.ndarray]:
     """All constraints as B x <= d (rows, then variable bounds)."""
-    dense_a = prob.A.to_dense()
+    dense_a = prob.A.to_csc().toarray()
     rows = []
     rhs = []
     for i in range(prob.m):

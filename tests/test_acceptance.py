@@ -38,8 +38,11 @@ from theory import (
     complexity_diagnostics,
     frozen_affine_map,
     identify_active_sets,
+    minus,
+    plus,
     reflected_point,
     rhpdhg_step,
+    times,
 )
 
 INF = np.inf
@@ -161,7 +164,7 @@ def test_criterion_02_termination_soundness():
         res = solve(prob, SolverConfig(tol=eps, iter_limit=300_000))
         assert res.status == "optimal"
 
-        dense = prob.A.to_dense()
+        dense = prob.A.to_csc().toarray()
         cx = float(np.dot(prob.c, res.x))
         dual = _support(-res.y, prob.l_con, prob.u_con) + _support(
             -res.z, prob.l_var, prob.u_var
@@ -207,7 +210,7 @@ def test_criterion_03_primal_dual_equivalence():
         n = int(rng.integers(10, 51))
         m = int(rng.integers(5, 41))
         prob = random_lp(rng, n, m, density=0.6)
-        eta = 0.93 / np.linalg.norm(prob.A.to_dense(), 2)
+        eta = 0.93 / np.linalg.norm(prob.A.to_csc().toarray(), 2)
         omega = omegas[trial % len(omegas)]
         cfg = EngineConfig(sigma=eta / omega, lambda_A=1.0 / eta**2)
 
@@ -261,9 +264,9 @@ def test_criterion_04_halpern_is_picard_average():
         for k in range(200):
             w = halpern_step(w0, fmap(w), k)
             picard = fmap(picard)
-            acc = acc + picard
-            avg = (1.0 / (k + 2.0)) * acc
-            diff = w - avg
+            acc = plus(acc, picard)
+            avg = times(1.0 / (k + 2.0), acc)
+            diff = minus(w, avg)
             scale = 1.0 + avg.max_abs()
             dev = diff.max_abs() / scale
             worst = max(worst, dev)
@@ -324,7 +327,7 @@ def test_criterion_06_ergodic_segment_equivalence():
         pert = Iterate(
             rng.standard_normal(m), rng.standard_normal(n), rng.standard_normal(n)
         )
-        w0 = w_star + 1e-4 * pert
+        w0 = plus(w_star, times(1e-4, pert))
 
         lam = estimate_lambda_A(prob.A)
         cfg_h = EngineConfig(sigma=1.0, lambda_A=lam, mode="hpr")
@@ -348,7 +351,7 @@ def test_criterion_06_ergodic_segment_equivalence():
             w_h = halpern_step(w0, reflected_point(w_h, step_h, cfg_h), k)
             w_e = reflected_point(w_e, step_e, cfg_e)
             mean.add(w_e)
-            diff = w_h - mean.mean
+            diff = minus(w_h, mean.mean)
             scale = 1.0 + mean.mean.max_abs()
             worst = max(worst, diff.max_abs() / scale)
         if not constant:
@@ -463,7 +466,7 @@ def test_criterion_08_seminorm_properties():
     for _ in range(200):
         a = Iterate(rng.standard_normal(5), rng.standard_normal(7), rng.standard_normal(7))
         b = Iterate(rng.standard_normal(5), rng.standard_normal(7), rng.standard_normal(7))
-        if m_norm(a + b, cfg, A) > m_norm(a, cfg, A) + m_norm(b, cfg, A) + 1e-10:
+        if m_norm(plus(a, b), cfg, A) > m_norm(a, cfg, A) + m_norm(b, cfg, A) + 1e-10:
             return False, "triangle inequality violated"
     return True, (
         f"1000 points PSD (floor {floor:.1e} of ||w||^2), "
@@ -553,7 +556,7 @@ def test_criterion_09_mps_corpus(fixtures_dir):
         prob = build_fixture(fixtures_dir, name)
         checks = (
             np.array_equal(prob.c, exp["c"]),
-            np.array_equal(prob.A.to_dense(), exp["A"]),
+            np.array_equal(prob.A.to_csc().toarray(), exp["A"]),
             np.array_equal(prob.l_con, exp["l_con"]),
             np.array_equal(prob.u_con, exp["u_con"]),
             np.array_equal(prob.l_var, exp["l_var"]),

@@ -14,6 +14,8 @@ from hprlp.adaptive import (
     sigma_update,
 )
 
+from theory import plus
+
 
 A_1X1 = SparseMatrix.from_dense([[1.0]])
 A_2 = SparseMatrix.from_dense([[2.0]])
@@ -97,7 +99,7 @@ def test_m_norm_triangle_inequality():
     for _ in range(50):
         a = Iterate(rng.standard_normal(4), rng.standard_normal(6), rng.standard_normal(6))
         b = Iterate(rng.standard_normal(4), rng.standard_normal(6), rng.standard_normal(6))
-        assert m_norm(a + b, cfg, A) <= m_norm(a, cfg, A) + m_norm(b, cfg, A) + 1e-10
+        assert m_norm(plus(a, b), cfg, A) <= m_norm(a, cfg, A) + m_norm(b, cfg, A) + 1e-10
 
 
 def test_m_norm_reads_the_step_parameters_of_the_config():

@@ -25,6 +25,8 @@ from theory import (
     IterateMean,
     frozen_affine_map,
     identify_active_sets,
+    minus,
+    plus,
     reflected_point,
     rhpdhg_step,
 )
@@ -265,7 +267,7 @@ def test_rhpdhg_matches_reflection_route():
     proximal-reflection trajectory in (y, x)."""
     rng = np.random.default_rng(21)
     prob = random_lp(rng, 6, 4, style="two_sided")
-    norm_a = np.linalg.norm(prob.A.to_dense(), 2)
+    norm_a = np.linalg.norm(prob.A.to_csc().toarray(), 2)
     eta = 0.93 / norm_a
     omega = 1.7
     cfg = EngineConfig(sigma=eta / omega, lambda_A=1.0 / eta**2)
@@ -479,8 +481,8 @@ def test_frozen_map_is_affine():
 
     a = Iterate(rng.standard_normal(3), rng.standard_normal(4), rng.standard_normal(4))
     b = Iterate(rng.standard_normal(3), rng.standard_normal(4), rng.standard_normal(4))
-    lin_sum = frozen.apply_linear(a + b)
-    lin_parts = frozen.apply_linear(a) + frozen.apply_linear(b)
+    lin_sum = frozen.apply_linear(plus(a, b))
+    lin_parts = plus(frozen.apply_linear(a), frozen.apply_linear(b))
     npt.assert_allclose(lin_sum.y, lin_parts.y, atol=1e-12)
     npt.assert_allclose(lin_sum.z, lin_parts.z, atol=1e-12)
     npt.assert_allclose(lin_sum.x, lin_parts.x, atol=1e-12)
@@ -520,7 +522,7 @@ def _run_steps(prob, cfg, normal_eq, reuse, steps=200):
         if k == 70:
             cfg = cfg.with_sigma(1.7 * cfg.sigma)
         step = pr_step(w, prob, cfg, normal_eq, work)
-        merit = m_norm(w - step.w_hat, cfg, prob.A)
+        merit = m_norm(minus(w, step.w_hat), cfg, prob.A)
         if not reuse:
             w = halpern_step(anchor, step.w_hat, t) if anchored else step.w_hat
         elif anchored:
@@ -544,7 +546,7 @@ def _run_steps(prob, cfg, normal_eq, reuse, steps=200):
 def test_reused_workspace_is_bit_identical(mode, equality):
     rng = np.random.default_rng(12)
     prob = random_lp(rng, 9, 5, style="equality" if equality else "two_sided")
-    lam = 1.05 * np.linalg.norm(prob.A.to_dense(), 2) ** 2
+    lam = 1.05 * np.linalg.norm(prob.A.to_csc().toarray(), 2) ** 2
     cfg = EngineConfig(sigma=0.6, lambda_A=lam, mode=mode, gamma=0.5,
                        t1_zero_path=equality)
     normal_eq = NormalEquationSolver(prob.A) if equality else None
@@ -590,8 +592,10 @@ def test_carried_row_product_keeps_trajectory(mode, monkeypatch):
     cfg = SolverConfig(tol=1e-8, iter_limit=5000,
                        engine=EngineConfig(lambda_A=None, mode=mode, gamma=0.5))
     m_norm_carried = hprlp.solver.m_norm
+    # the last two have more rows than columns
     for seed, (n, m, style) in enumerate([(12, 6, "two_sided"), (30, 15, "upper"),
-                                          (25, 10, "equality"), (40, 20, "two_sided")]):
+                                          (25, 10, "equality"), (40, 20, "two_sided"),
+                                          (8, 14, "two_sided"), (15, 30, "upper")]):
         prob = random_lp(np.random.default_rng(100 + seed), n, m, style=style)
         monkeypatch.setattr(hprlp.solver, "m_norm", m_norm_carried)
         carried = solve(prob, cfg)

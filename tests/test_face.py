@@ -66,7 +66,7 @@ def _support(s, lo, hi):
 def numpy_residuals(prob, x, y, z):
     """(rel_gap, rel_primal, rel_dual) written out with numpy on the
     problem's arrays, without ``hprlp.model``."""
-    A = prob.A.to_dense()
+    A = prob.A.to_csc().toarray()
     ax = A @ x
     viol = ax - np.clip(ax, prob.l_con, prob.u_con)
     finite_abs = [np.where(np.isfinite(b), np.abs(b), 0.0) for b in (prob.l_con, prob.u_con)]
@@ -81,7 +81,7 @@ def numpy_residuals(prob, x, y, z):
 def highs_objective(prob):
     """The optimal objective from scipy's HiGHS, in the problem's sense
     and with its constant."""
-    A = prob.A.to_dense()
+    A = prob.A.to_csc().toarray()
     eq = prob.l_con == prob.u_con
     lo, hi = ~eq & np.isfinite(prob.l_con), ~eq & np.isfinite(prob.u_con)
     ref = scipy.optimize.linprog(
@@ -160,7 +160,7 @@ def test_rank_deficient_face_is_dropped(monkeypatch):
     that holds it: each face solve is dropped, with no RuntimeWarning,
     and the iterates finish."""
     base = random_lp(np.random.default_rng(1105), 8, 5, style="equality")
-    A = base.A.to_dense()
+    A = base.A.to_csc().toarray()
     prob = LpProblem(
         c=base.c,
         A=SparseMatrix.from_dense(np.vstack((A, A[:1]))),

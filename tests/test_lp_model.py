@@ -11,7 +11,7 @@ from hprlp import Iterate, LpProblem, SparseMatrix
 from hprlp.model import box_support, dual_objective, project_box, relative_residuals
 
 from conftest import random_lp
-from theory import kkt_residual, primal_objective
+from theory import kkt_residual, minus, plus, primal_objective, times
 
 
 def tiny_problem():
@@ -220,11 +220,10 @@ def test_rows_are_equalities():
 def test_iterate_arithmetic():
     a = Iterate(np.array([1.0]), np.array([2.0, 3.0]), np.array([4.0, 5.0]))
     b = Iterate(np.array([10.0]), np.array([0.0, 1.0]), np.array([1.0, 1.0]))
-    s = a + b
+    s = plus(a, b)
     npt.assert_array_equal(s.y, [11.0])
-    npt.assert_array_equal((a - b).z, [2.0, 2.0])
-    npt.assert_array_equal((2.0 * a).x, [8.0, 10.0])
-    npt.assert_array_equal((a * 2.0).x, [8.0, 10.0])
+    npt.assert_array_equal(minus(a, b).z, [2.0, 2.0])
+    npt.assert_array_equal(times(2.0, a).x, [8.0, 10.0])
 
 
 def test_iterate_zeros_and_copy():

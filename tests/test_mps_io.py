@@ -44,7 +44,7 @@ def test_simple_l(fixtures_dir):
     assert doc.obj_sense == "minimize"
     assert doc.objective_row == "COST"
     npt.assert_array_equal(prob.c, [2.0, 1.0])
-    npt.assert_array_equal(prob.A.to_dense(), [[1.0, 1.0]])
+    npt.assert_array_equal(prob.A.to_csc().toarray(), [[1.0, 1.0]])
     npt.assert_array_equal(prob.l_con, [-INF])
     npt.assert_array_equal(prob.u_con, [4.0])
     npt.assert_array_equal(prob.l_var, [0.0, 0.0])
@@ -57,7 +57,7 @@ def test_rows_lge(fixtures_dir):
     assert doc.constraint_rows == ["CAP", "DEM", "BAL"]
     npt.assert_array_equal(prob.c, [1.0, -1.0])
     npt.assert_array_equal(
-        prob.A.to_dense(), [[2.0, 1.0], [1.0, 0.0], [1.0, 1.0]]
+        prob.A.to_csc().toarray(), [[2.0, 1.0], [1.0, 0.0], [1.0, 1.0]]
     )
     npt.assert_array_equal(prob.l_con, [-INF, 0.5, 2.0])
     npt.assert_array_equal(prob.u_con, [8.0, INF, 2.0])
@@ -128,7 +128,7 @@ def test_objective_constant_from_rhs(fixtures_dir):
 
 def test_duplicate_entries_summed(fixtures_dir):
     doc, prob = load(fixtures_dir, "dup_entries.mps", expect_warnings=True)
-    npt.assert_array_equal(prob.A.to_dense(), [[5.0]])
+    npt.assert_array_equal(prob.A.to_csc().toarray(), [[5.0]])
     npt.assert_array_equal(prob.l_con, [2.5])  # last RHS wins
     assert any("duplicate matrix" in w for w in doc.warnings)
     assert any("duplicate RHS" in w for w in doc.warnings)
@@ -147,7 +147,7 @@ def test_free_format_and_missing_endata(fixtures_dir):
 def test_fixed_format(fixtures_dir):
     _, prob = load(fixtures_dir, "fixed_format.mps")
     npt.assert_array_equal(prob.c, [1.0, 2.0])
-    npt.assert_array_equal(prob.A.to_dense(), [[1.0, 1.0], [1.0, 0.0]])
+    npt.assert_array_equal(prob.A.to_csc().toarray(), [[1.0, 1.0], [1.0, 0.0]])
     npt.assert_array_equal(prob.l_con, [2.0, 0.5])
     npt.assert_array_equal(prob.u_con, [4.0, INF])
     npt.assert_array_equal(prob.u_var, [3.0, INF])
@@ -337,7 +337,7 @@ def test_round_trip_random_instances():
         prob = random_lp(rng, n, m, style=style)
         back = build_problem(parse_mps(io.StringIO(emit_mps(prob))))
         npt.assert_array_equal(back.c, prob.c)
-        npt.assert_array_equal(back.A.to_dense(), prob.A.to_dense())
+        npt.assert_array_equal(back.A.to_csc().toarray(), prob.A.to_csc().toarray())
         # two-sided rows rebuild the lower bound as rhs - range, which can
         # differ from the original by one rounding of the subtraction
         npt.assert_allclose(back.l_con, prob.l_con, rtol=1e-15, atol=1e-15)
@@ -446,7 +446,7 @@ def test_format_edges_read_as_the_plain_file(tmp_path):
     with pytest.warns(UserWarning, match="integrality relaxed for 1"):
         ref = build_problem(ref_doc)
     npt.assert_array_equal(ref.c, [1.5, -1.0, 0.0])
-    npt.assert_array_equal(ref.A.to_dense(), [[2.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+    npt.assert_array_equal(ref.A.to_csc().toarray(), [[2.0, 0.0, 0.0], [0.0, 1.0, 0.0],
                                               [0.0, 0.0, 4.0]])
     npt.assert_array_equal(ref.l_con, [-INF, 1.0, 3.0])
     npt.assert_array_equal(ref.u_con, [10.0, INF, 3.0])
@@ -494,7 +494,7 @@ def test_two_pairs_per_line_and_unnamed_sets():
     assert doc.range_entries == [("R1", 1.0), ("R2", 2.5), ("R3", -0.5)]
     prob = build_problem(doc)
     npt.assert_array_equal(prob.c, [1.25, 0.0])
-    npt.assert_array_equal(prob.A.to_dense(), [[2.5, 1.0], [-0.75, 0.0], [3.0, 0.0]])
+    npt.assert_array_equal(prob.A.to_csc().toarray(), [[2.5, 1.0], [-0.75, 0.0], [3.0, 0.0]])
     npt.assert_array_equal(prob.l_con, [3.0, -1.5, 1.5])
     npt.assert_array_equal(prob.u_con, [4.0, 1.0, 2.0])
     assert prob.obj_constant == -6.0
@@ -536,7 +536,7 @@ def test_split_column_entries_merge():
     prob = build_problem(doc)
     assert doc.warnings == []
     npt.assert_array_equal(prob.c, [1.0, -1.0])
-    npt.assert_array_equal(prob.A.to_dense(), [[2.0, 5.0], [3.0, 0.0]])
+    npt.assert_array_equal(prob.A.to_csc().toarray(), [[2.0, 5.0], [3.0, 0.0]])
 
 
 def test_three_duplicates_sum_in_file_order():

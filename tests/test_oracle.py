@@ -18,7 +18,7 @@ def lp(c, A, l_con, u_con, l_var, u_var, **kw):
 
 def linprog_reference(prob):
     """Cross-check through scipy's HiGHS interface."""
-    A = prob.A.to_dense()
+    A = prob.A.to_csc().toarray()
     rows_ub, rhs_ub = [], []
     for i in range(prob.m):
         if np.isfinite(prob.u_con[i]):

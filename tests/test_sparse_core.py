@@ -12,7 +12,7 @@ from conftest import random_lp
 
 def test_constructor_sums_duplicates():
     A = SparseMatrix(sp.coo_matrix(([1.0, 2.0, 4.0], ([0, 0, 1], [0, 0, 1])), shape=(2, 2)))
-    npt.assert_array_equal(A.to_dense(), [[3.0, 0.0], [0.0, 4.0]])
+    npt.assert_array_equal(A.to_csc().toarray(), [[3.0, 0.0], [0.0, 4.0]])
     assert A.nnz == 2
 
 
@@ -20,7 +20,7 @@ def test_from_dense_round_trip():
     dense = np.array([[1.0, 0.0, 2.0], [0.0, -3.0, 0.0]])
     A = SparseMatrix.from_dense(dense)
     assert A.shape == (2, 3)
-    npt.assert_array_equal(A.to_dense(), dense)
+    npt.assert_array_equal(A.to_csc().toarray(), dense)
 
 
 def test_rejects_nonfinite():

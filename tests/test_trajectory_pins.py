@@ -1,10 +1,13 @@
 """Pinned trajectories: the iteration count, the bits of the primal
-objective and a digest of the checkpoint trace of 25 seeded solves.
+objective and a digest of the checkpoint trace of 31 seeded solves.
 
 Every mode runs on both y-step routes (proximal on a two-sided LP, normal
 equations on an equality LP) with both product routes (the dense copy,
 and CSR with the dense cutoff switched off), and on one LP above
-``DENSE_MAX_ENTRIES``, which runs on CSR by itself.  A change that only
+``DENSE_MAX_ENTRIES``, which runs on CSR by itself.  Those three LPs have
+fewer rows than columns; the anchored modes, which carry A x in their
+state, also run on one with more rows than columns, on both product
+routes.  A change that only
 trims call overhead keeps every pin; one that reorders floating-point
 work, even in the last bit of one product or of the restart merit,
 moves some of them.  A change
@@ -59,6 +62,12 @@ PINS = {
     ("large", "sparse", "pr"): (2000, "-0x1.bc6dc0bef15cbp+5", "2467e7df5718"),
     ("large", "sparse", "epr"): (2000, "-0x1.bc8224015fdfdp+5", "2e7e1b9375fe"),
     ("large", "sparse", "rhpdhg"): (600, "-0x1.bc834fb43e6cfp+5", "89f04ed760dc"),
+    ("tall", "dense", "hpr"): (100, "0x1.1d741aa8254e8p+0", "1bf5caf1e879"),
+    ("tall", "dense", "hdr"): (200, "0x1.1d741aa8254e7p+0", "c0c88f78e54b"),
+    ("tall", "dense", "rhpdhg"): (200, "0x1.1d741aa8254e8p+0", "5aa4182cffb2"),
+    ("tall", "sparse", "hpr"): (100, "0x1.1d741aa8254e8p+0", "2c48206692d4"),
+    ("tall", "sparse", "hdr"): (200, "0x1.1d741aa8254e6p+0", "0e66ed9e4fcf"),
+    ("tall", "sparse", "rhpdhg"): (200, "0x1.1d741aa8254e8p+0", "396079ac090a"),
 }
 
 
@@ -88,6 +97,8 @@ def _problem(name):
         return random_lp(np.random.default_rng(41), 12, 7)
     if name == "equality":
         return random_lp(np.random.default_rng(42), 12, 5, style="equality")
+    if name == "tall":
+        return random_lp(np.random.default_rng(44), 7, 12)
     prob = random_lp(np.random.default_rng(43), 200, 130, density=0.1)
     assert prob.A.dense is None
     return prob

@@ -1,6 +1,8 @@
 """Theory-checking helpers: code that verifies the paper's claims about
 the iteration and is not part of the solver.
 
+- ``plus`` / ``minus`` / ``times``: elementwise arithmetic on all three
+  blocks of iterates, which the solver does in place on its buffers;
 - ``reflected_point``: the step's reflection w_hat in all three blocks,
   the reference the theory checks read (the step forms only y and x);
 - ``rhpdhg_step``: the reflected primal-dual form of the anchored step,
@@ -30,6 +32,31 @@ from hprlp.engine import PrStepTrace, halpern_step, pr_step, proximal_point
 from hprlp.model import dual_objective, project_box
 from hprlp.solver import RuizScaling
 from hprlp.sparse import estimate_lambda_A
+
+
+# ---------------------------------------------------------------------
+# iterate arithmetic
+
+
+def _on(buf: np.ndarray, m: int) -> Iterate:
+    """The iterate whose packed (z, y, x) vector is ``buf``, with m rows."""
+    n = (buf.size - m) // 2
+    return Iterate(buf[n:n + m], buf[:n], buf[n + m:])
+
+
+def plus(a: Iterate, b: Iterate) -> Iterate:
+    """a + b in all three blocks."""
+    return _on(a.buf + b.buf, a.y.size)
+
+
+def minus(a: Iterate, b: Iterate) -> Iterate:
+    """a - b in all three blocks."""
+    return _on(a.buf - b.buf, a.y.size)
+
+
+def times(s: float, a: Iterate) -> Iterate:
+    """s * a in all three blocks."""
+    return _on(s * a.buf, a.y.size)
 
 
 # ---------------------------------------------------------------------
@@ -87,7 +114,7 @@ class IterateMean:
 
     def add(self, w: Iterate):
         self.count += 1
-        self.mean = self.mean + (1.0 / self.count) * (w - self.mean)
+        self.mean = plus(self.mean, times(1.0 / self.count, minus(w, self.mean)))
 
 
 # ---------------------------------------------------------------------
@@ -106,8 +133,8 @@ def reflected_point(w: Iterate, step: PrStepTrace, cfg: EngineConfig) -> Iterate
     if g == 0.0:
         return bar
     if g == 1.0:
-        return 2.0 * bar - w
-    return (1.0 + g) * bar - g * w
+        return minus(times(2.0, bar), w)
+    return minus(times(1.0 + g, bar), times(g, w))
 
 
 # ---------------------------------------------------------------------
@@ -293,7 +320,7 @@ def _operator_norm(A: SparseMatrix) -> float:
     if A.nnz == 0:
         return 0.0
     if min(m, n) <= 1500:
-        return float(np.linalg.norm(A.to_dense(), 2))
+        return float(np.linalg.norm(A.to_csc().toarray(), 2))
     est = estimate_lambda_A(A, rel_tol=1e-6, safety=1.0)
     return float(np.sqrt(est) * (1.0 + 1e-6))
 
@@ -321,7 +348,7 @@ def complexity_diagnostics(
         raise ValueError("diagnostics cover the anchored full-reflection mode")
     if cfg.lambda_A is None:
         raise ValueError("cfg.lambda_A must be resolved")
-    r0 = m_norm(w0 - w_star, cfg, prob.A)
+    r0 = m_norm(minus(w0, w_star), cfg, prob.A)
     norm_a = _operator_norm(prob.A)
     sqrt_sigma = float(np.sqrt(cfg.sigma))
     kkt_c = (cfg.sigma * (norm_a + float(np.sqrt(cfg.lambda_A))) + 1.0) / sqrt_sigma
@@ -339,7 +366,7 @@ def complexity_diagnostics(
         step = pr_step(w, prob, cfg)
         wb = proximal_point(step)
         inv = r0 / (k + 1.0)
-        ratios_step[k] = _safe_ratio(m_norm(wb - w, cfg, prob.A), inv)
+        ratios_step[k] = _safe_ratio(m_norm(minus(wb, w), cfg, prob.A), inv)
         ratios_kkt[k] = _safe_ratio(kkt_residual(wb, prob).norm, kkt_c * inv)
         h = dual_objective(wb.y, wb.z, prob) - dual_ref
         if h >= 0.0:

@@ -14,7 +14,8 @@ The cross term equals 2 <y, A x>, so a caller that already holds A x
 can pass it and skip the product.
 
 With T1 = 0 (normal-equations path) the y-block is sigma * A A^T
-instead, giving <w, M w> = || sqrt(sigma) A^T y + x / sqrt(sigma) ||^2.
+instead, giving <w, M w> = || sqrt(sigma) A^T y + x / sqrt(sigma) ||^2,
+and a caller that already holds A^T y can pass it instead.
 The z-block never contributes.
 
 sigma, lambda_A and the route are those of the resolved ``EngineConfig``
@@ -54,35 +55,39 @@ ALPHA1, ALPHA2, ALPHA3 = 0.2, 0.8, 0.36
 
 
 def m_norm_squared(
-    w: Iterate, cfg: EngineConfig, A: SparseMatrix, ax: np.ndarray | None = None
+    w: Iterate, cfg: EngineConfig, A: SparseMatrix, product: np.ndarray | None = None
 ) -> float:
     """Raw quadratic form <w, M w> for the penalty, shift and y-step
     route of ``cfg``; may be a tiny negative number in floating point.
     The z component is ignored.
 
-    ``ax``, when given, is A w.x, and the cross term is formed as
-    2 <w.y, A w.x> (= 2 <A^T w.y, w.x>) without a product of its own.
-    The T1 = 0 form needs A^T w.y for its y-block and ignores ``ax``.
+    ``product``, when given, is the carried product of the route, and
+    the form makes no product of its own: A w.x on the proximal route,
+    where the cross term is formed as 2 <w.y, A w.x> (= 2 <A^T w.y, w.x>),
+    and A^T w.y on the normal-equations route (T1 = 0).
     """
-    t1_zero = cfg.t1_zero_path
-    if ax is None or t1_zero:
-        aty = A.rmatvec(w.y)
-        cross = 2.0 * _dot(aty, w.x)
-    else:
-        cross = 2.0 * _dot(w.y, ax)
-    xx = _dot(w.x, w.x) / cfg.sigma
-    if t1_zero:
-        yy = cfg.sigma * _dot(aty, aty)
-    else:
-        yy = cfg.sigma * cfg.lambda_A * _dot(w.y, w.y)
-    return yy + cross + xx
+    x, sigma = w.x, cfg.sigma
+    if cfg.t1_zero_path:
+        aty = A.rmatvec(w.y) if product is None else product
+        return sigma * _dot(aty, aty) + 2.0 * _dot(aty, x) + _dot(x, x) / sigma
+    cross = _dot(A.rmatvec(w.y), x) if product is None else _dot(w.y, product)
+    return sigma * cfg.lambda_A * _dot(w.y, w.y) + 2.0 * cross + _dot(x, x) / sigma
 
 
 def m_norm(
-    w: Iterate, cfg: EngineConfig, A: SparseMatrix, ax: np.ndarray | None = None
+    w: Iterate, cfg: EngineConfig, A: SparseMatrix, product: np.ndarray | None = None
 ) -> float:
-    """Seminorm sqrt(max(<w, M w>, 0)); ``ax`` as in ``m_norm_squared``."""
-    return math.sqrt(max(m_norm_squared(w, cfg, A, ax), 0.0))
+    """Seminorm sqrt(max(<w, M w>, 0)); ``product`` as in
+    ``m_norm_squared``, whose carried-product form it repeats inline,
+    being called once per iteration."""
+    if product is None:
+        return math.sqrt(max(m_norm_squared(w, cfg, A), 0.0))
+    x, sigma = w.x, cfg.sigma
+    if cfg.t1_zero_path:
+        q = sigma * _dot(product, product) + 2.0 * _dot(product, x) + _dot(x, x) / sigma
+    else:
+        q = sigma * cfg.lambda_A * _dot(w.y, w.y) + 2.0 * _dot(w.y, product) + _dot(x, x) / sigma
+    return math.sqrt(max(q, 0.0))
 
 
 class RestartReason(enum.Enum):

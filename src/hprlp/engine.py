@@ -30,7 +30,9 @@ ergodic averages.
 
 When every row is an equality A x = b, an exact y-update through the
 normal equations A A^T y_bar = rhs replaces the zeta/projection route
-(``t1_zero_path``).
+(``t1_zero_path``).  Given the carried A^T y of the iterate, that step
+forms xi from it and leaves A^T y_bar, which the solve's residual check
+forms anyway, in the product block of ``bar``.
 
 ``pr_step`` and ``halpern_step`` write their results into preallocated
 vectors (a ``StepWorkspace`` and an ``out`` iterate) with numpy ``out=``
@@ -42,7 +44,8 @@ loop's, are iterates on the first three blocks of one (z, y, x, A x)
 vector (``_packed``): the step leaves its row product A (2 x_bar - x)
 in the A x block of ``hat``, so under full reflection (y, x, A x) of
 w_hat is one slice, which the reflection and the anchored average,
-being linear, carry along with the iterate.
+being linear, carry along with the iterate.  On the normal-equations
+route the product block holds A^T y (n entries) instead.
 """
 
 from __future__ import annotations
@@ -82,7 +85,10 @@ class EngineConfig:
 
     sigma        : penalty parameter, > 0.
     lambda_A     : proximal shift, must dominate ||A||_2^2; None (the
-                   default) for ``solve``, which fits it itself.
+                   default) for ``solve``, which fits it itself on the
+                   proximal route and leaves it None where the
+                   normal-equations factor is in use, since only the
+                   proximal y-step and its seminorm read it.
                    ``pr_step`` on the proximal route needs a value.
     mode         : one of "hpr", "hdr", "pr", "epr", "rhpdhg".
     gamma        : reflection factor for mode "rhpdhg", in [0, 1].
@@ -158,10 +164,12 @@ class PrStepTrace:
     sigma: float
 
 
-def _packed(m: int, n: int) -> tuple[Iterate, np.ndarray]:
-    """An uninitialised (z, y, x, A x) vector of 2 (m + n) entries and
-    the iterate on its first three blocks; ``state[n:]`` is (y, x, A x)."""
-    state = np.empty(2 * (m + n))
+def _packed(m: int, n: int, p: int) -> tuple[Iterate, np.ndarray]:
+    """An uninitialised (z, y, x, product) vector of m + 2 n + p entries
+    and the iterate on its first three blocks; ``state[n:]`` is
+    (y, x, product).  The product block is A x (p = m) on the proximal
+    route and A^T y (p = n) on the normal-equations route."""
+    state = np.empty(m + 2 * n + p)
     return Iterate._on(state[:m + 2 * n], m, n), state
 
 
@@ -170,11 +178,14 @@ class StepWorkspace:
 
     ``bar`` receives the proximal point w_bar and ``hat`` the reflected
     point w_hat, each the iterate on the first three blocks of a
-    (z, y, x, A x) vector, ``bar_state`` and ``hat_state``.  On the
-    proximal route, ``hat.x`` first holds 2 x_bar - x, the argument of
-    the row product, and the A x block of ``hat_state`` the product;
-    full reflection keeps them as x_hat and A x_hat.  The step writes no
-    other A x block.  It writes the y and x blocks of ``bar`` and
+    (z, y, x, product) vector, ``bar_state`` and ``hat_state``, whose
+    product blocks have ``p`` entries (m when None).  On the proximal
+    route, ``hat.x`` first holds 2 x_bar - x, the argument of the row
+    product, and the product block of ``hat_state`` (m entries) the
+    product; full reflection keeps them as x_hat and A x_hat.  On the
+    normal-equations route with a carried A^T y, the product block of
+    ``bar_state`` (n entries) receives A^T y_bar.  The step writes no
+    other product block.  It writes the y and x blocks of ``bar`` and
     ``hat``; their z blocks are NaN from allocation on, except that
     ``bar.z`` receives z_bar on the routes that form it in the step
     (see ``PrStepTrace``), so a z block never holds an older step's
@@ -184,9 +195,10 @@ class StepWorkspace:
 
     __slots__ = ("bar", "hat", "bar_state", "hat_state")
 
-    def __init__(self, m: int, n: int):
-        self.bar, self.bar_state = _packed(m, n)
-        self.hat, self.hat_state = _packed(m, n)
+    def __init__(self, m: int, n: int, p: int | None = None):
+        p = m if p is None else p
+        self.bar, self.bar_state = _packed(m, n, p)
+        self.hat, self.hat_state = _packed(m, n, p)
         self.bar.z.fill(np.nan)
         self.hat.z.fill(np.nan)
 
@@ -245,9 +257,11 @@ class NormalEquationSolver:
         t = dtpsv(self._m, self._packed, rhs, lower=1)
         return dtpsv(self._m, self._packed, t, lower=1, trans=1, overwrite_x=1)
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
+    def solve(self, rhs: np.ndarray, aty: np.ndarray | None = None) -> np.ndarray:
         """Solve A A^T y = rhs, refining up to twice through the same
         factor until the residual is below 1e-10 * (1 + ||rhs||).
+        ``aty``, when given, receives A^T y of the returned y, the product
+        the last residual check formed.
 
         Raises ArithmeticError when that bound is not reached, which
         includes every rhs with a NaN or infinite entry.
@@ -259,8 +273,11 @@ class NormalEquationSolver:
         # residuals through the sparse A: two products on nnz entries
         # instead of a dense m x m one
         for refinements_left in (2, 1, 0):
-            resid = rhs - self._A.matvec(self._A.rmatvec(y))
+            product = self._A.rmatvec(y)
+            resid = rhs - self._A.matvec(product)
             if float(np.linalg.norm(resid)) <= tol:
+                if aty is not None:
+                    np.copyto(aty, product)
                 return y
             if refinements_left:
                 y = y + self._sweeps(resid)
@@ -273,43 +290,13 @@ def y_update_t1_zero(
     prob: LpProblem,
     sigma: float,
     factor: NormalEquationSolver,
+    aty: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Exact y-step for equality rows: A A^T y = (b - A(x_bar + sigma(z_bar - c))) / sigma."""
+    """Exact y-step for equality rows: A A^T y = (b - A(x_bar + sigma(z_bar - c))) / sigma.
+    ``aty``, when given, receives A^T y of the returned y."""
     b = prob.l_con
     rhs = (b - prob.A.matvec(x_bar + sigma * (z_bar - prob.c))) / sigma
-    return factor.solve(rhs)
-
-
-def _reflect_into(
-    out: np.ndarray, bar: np.ndarray, prev: np.ndarray, gamma: float
-) -> np.ndarray:
-    """out = (1 + gamma) * bar - gamma * prev, as 2 * bar - prev when
-    gamma = 1 (the two agree bit for bit there).  ``out`` may not be
-    ``prev``."""
-    if gamma == 1.0:
-        np.multiply(2.0, bar, out=out)
-    else:
-        np.multiply(1.0 + gamma, bar, out=out)
-        prev = np.multiply(gamma, prev)
-    return np.subtract(out, prev, out=out)
-
-
-def _reflect(w_bar: Iterate, w: Iterate, cfg: EngineConfig, work: StepWorkspace) -> Iterate:
-    """The y and x blocks of w_hat for the step's reflection factor, into
-    ``work.hat``; factor 0 returns w_bar itself.
-
-    ``work.hat.x`` must already hold 2 x_bar - x, which full reflection
-    keeps as its x block, so it reflects y alone.
-    """
-    gamma = cfg.reflection
-    if gamma == 0.0:
-        return w_bar
-    if gamma == 1.0:
-        _reflect_into(work.hat.y, w_bar.y, w.y, gamma)
-    else:
-        n = w.x.size  # buf[n:] holds y and x
-        _reflect_into(work.hat.buf[n:], w_bar.buf[n:], w.buf[n:], gamma)
-    return work.hat
+    return factor.solve(rhs, aty)
 
 
 def _z_bar(out: np.ndarray, x_bar: np.ndarray, xi: np.ndarray, sigma: float):
@@ -330,38 +317,50 @@ def pr_step(
     cfg: EngineConfig,
     normal_eq: NormalEquationSolver | None = None,
     work: StepWorkspace | None = None,
+    aty: np.ndarray | None = None,
 ) -> PrStepTrace:
     """One proximal-reflection step at w.
 
     With ``cfg.t1_zero_path`` and a prepared ``normal_eq`` solver the
     y-step is computed exactly through A A^T and ``zeta`` is None.
+    ``aty``, when given, is the carried A^T w.y: xi is formed from it
+    instead of a product, and on the normal-equations route A^T y_bar
+    goes to the product block of ``work.bar_state``, which must then
+    have n entries.
     The step writes w_bar and w_hat into ``work`` (a new workspace when
     None); see ``PrStepTrace`` for what a later step overwrites.
     Raises ArithmeticError when the step produces non-finite values, and
     ValueError when the proximal y-step finds ``cfg.lambda_A`` unresolved.
     """
+    normal = cfg.t1_zero_path and normal_eq is not None
     if work is None:
-        work = StepWorkspace(*prob.A.shape)
-    bar = work.bar
+        m, n = prob.A.shape
+        work = StepWorkspace(m, n, n if normal and aty is not None else m)
+    bar, hat = work.bar, work.hat
     sigma = cfg.sigma
-    xi = prob.A.rmatvec(w.y)
-    np.subtract(xi, prob.c, out=xi)
+    if aty is None:
+        xi = prob.A.rmatvec(w.y)
+        np.subtract(xi, prob.c, out=xi)
+    else:
+        xi = np.subtract(aty, prob.c)
     np.multiply(sigma, xi, out=xi)
     np.add(w.x, xi, out=xi)
     project_box(xi, prob.l_var, prob.u_var, out=bar.x)
     if cfg.t1_zero_path or cfg.ergodic:  # the y-step or the ergodic mean reads z_bar
         _z_bar(bar.z, bar.x, xi, sigma)
     # 2 x_bar - x: the row product's argument and, under full reflection, x_hat
-    x2 = _reflect_into(work.hat.x, bar.x, w.x, 1.0)
+    x2 = np.multiply(2.0, bar.x, out=hat.x)
+    np.subtract(x2, w.x, out=x2)
 
-    if cfg.t1_zero_path and normal_eq is not None:
+    if normal:
         zeta = ax2 = None
-        np.copyto(bar.y, y_update_t1_zero(bar.z, bar.x, prob, sigma, normal_eq))
+        bar_aty = None if aty is None else work.bar_state[bar.buf.size:]
+        np.copyto(bar.y, y_update_t1_zero(bar.z, bar.x, prob, sigma, normal_eq, bar_aty))
     else:
         if cfg.lambda_A is None:
             raise ValueError("lambda_A is unresolved; the proximal y-step needs a value")
         slam = sigma * cfg.lambda_A
-        ax2 = work.hat_state[work.hat.buf.size:]  # hat's A x block
+        ax2 = work.hat_state[hat.buf.size:]  # hat's A x block
         np.copyto(ax2, prob.A.matvec(x2))
         # slam * y goes to bar.y, which the projection overwrites next
         zeta = np.subtract(ax2, np.multiply(slam, w.y, out=bar.y))
@@ -369,9 +368,23 @@ def pr_step(
         np.subtract(bar.y, zeta, out=bar.y)
         np.divide(bar.y, slam, out=bar.y)
 
-    w_hat = _reflect(bar, w, cfg, work)
+    # w_hat = (1 + g) w_bar - g w in y and x; full reflection already has
+    # x_hat = 2 x_bar - x, so it reflects y alone, and g = 0 is w_bar itself
+    gamma = cfg.reflection
+    if gamma == 1.0:
+        np.multiply(2.0, bar.y, out=hat.y)
+        np.subtract(hat.y, w.y, out=hat.y)
+        w_hat = hat
+    elif gamma == 0.0:
+        w_hat = bar
+    else:
+        n = w.x.size  # buf[n:] holds y and x
+        out = np.multiply(1.0 + gamma, bar.buf[n:], out=hat.buf[n:])
+        np.subtract(out, np.multiply(gamma, w.buf[n:]), out=out)
+        w_hat = hat
 
-    guard = _dot(w_hat.x, w_hat.x) + _dot(w_hat.y, w_hat.y)
+    hx, hy = w_hat.x, w_hat.y
+    guard = (ddot(hx, hx) if hx.size else 0.0) + (ddot(hy, hy) if hy.size else 0.0)
     if not guard < _DIVERGENCE_GUARD:
         raise ArithmeticError("iterate diverged (non-finite or overflowing step)")
     return PrStepTrace(xi=xi, zeta=zeta, ax2=ax2, w_bar=bar, w_hat=w_hat, sigma=sigma)

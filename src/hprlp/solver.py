@@ -1,7 +1,8 @@
 """Restarted solve driver with scaling, penalty updates and tracing.
 
-``solve`` is setup (scaling, lambda_A, the optional normal-equations
-factor), one loop of reflection steps, and a report.  The loop's
+``solve`` is setup (scaling, the optional normal-equations factor, and
+lambda_A where that factor is not in use), one loop of reflection steps,
+and a report.  The loop's
 switches come resolved from ``EngineConfig``: anchored modes average
 each step with the latest restart point, ergodic mode judges the
 running mean of the proximal points, and every mode but pr restarts.
@@ -81,7 +82,8 @@ class SolverConfig:
     re-fit at restarts when ``adaptive_sigma`` is on; lambda_A, which
     ``solve`` fits to the scaled matrix (``estimate_lambda_A``: an
     operator-norm estimate times 1.05), so it must be left None; and the
-    y-step route.
+    y-step route.  Where the normal-equations factor is in use, lambda_A
+    is not fitted and stays None: only the proximal y-step reads it.
     ``solve`` resolves them once into the one copy that the steps, the
     seminorm and the penalty re-fit read.
     """
@@ -401,6 +403,12 @@ class _FaceFinish:
     clipped to the original box after unscaling, so that a pinned x is
     exactly on its bound.  It is returned if x lies in that box and it
     passes ``tol`` on the original data.  The candidate is not written.
+
+    A pattern whose face point failed on ``rel_dual`` is refuted and not
+    solved again: the face's y_R minimises ||c_F - A_RF^T y_R|| (y_R + dy
+    is G^-1 A_RF c_F whatever y_R it starts from), and y, z and so
+    ``rel_dual`` follow from the pattern alone, up to rounding.  A try
+    never writes the iterate, so skipping it moves no trajectory.
     """
 
     def __init__(self, work: LpProblem, log: _RunLog, tol: float):
@@ -411,6 +419,7 @@ class _FaceFinish:
                        np.isfinite(work.l_con), np.isfinite(work.u_con))
         self.ranged = work.l_con != work.u_con
         self.pattern = None
+        self.refuted: set[bytes] = set()
         # G's storage, shared by the tries: a block per try fragments the heap
         self.gram = np.empty(work.m ** 2)
 
@@ -424,7 +433,8 @@ class _FaceFinish:
         pattern = np.concatenate((pin_lo, pin_hi, act_lo, act_hi))
         settled = self.pattern is not None and np.array_equal(pattern, self.pattern)
         self.pattern = pattern
-        if not settled:
+        key = np.packbits(pattern).tobytes() if settled else None
+        if not settled or key in self.refuted:
             return None
 
         free, active = ~(pin_lo | pin_hi), act_lo | act_hi
@@ -451,6 +461,8 @@ class _FaceFinish:
         in_box = bool(np.all((prob.l_var <= point.x) & (point.x <= prob.u_var)))
         if in_box and all(v <= self.tol for v in res):
             return point, res
+        if res[2] > self.tol:
+            self.refuted.add(key)
         return None
 
 
@@ -489,12 +501,12 @@ def _face_corrections(a_rf, rx, ry, buf) -> tuple[np.ndarray, np.ndarray] | None
 
 def _setup(
     prob: LpProblem, cfg: SolverConfig
-) -> tuple[LpProblem, RuizScaling, float, NormalEquationSolver | None, str]:
+) -> tuple[LpProblem, RuizScaling, float | None, NormalEquationSolver | None, str]:
     """The working problem and its scaling, lambda_A for the working
-    matrix, the normal-equations factor when that y-step applies, and a
-    message that says why it does not when it was asked for."""
+    matrix (None on the normal-equations route, which does not read it),
+    the normal-equations factor when that y-step applies, and a message
+    that says why it does not when it was asked for."""
     work, scaling = apply_scaling(prob, cfg.scaling)
-    lam = estimate_lambda_A(work.A) if work.A.nnz else 1.0
 
     # normal-equations path only for pure equality rows
     normal_eq = None
@@ -508,6 +520,9 @@ def _setup(
                 normal_eq = NormalEquationSolver(work.A)
             except ValueError as exc:
                 message = f"normal-equations path unavailable ({exc}); using proximal y-step"
+    lam = None
+    if normal_eq is None:
+        lam = estimate_lambda_A(work.A) if work.A.nnz else 1.0
     return work, scaling, lam, normal_eq, message
 
 
@@ -590,38 +605,50 @@ def solve(prob: LpProblem, cfg: SolverConfig | None = None) -> SolveResult:
     # checkpoint reads (w_bar with its z_bar formed) and the ergodic mean;
     # k counts all steps, r restarts, t steps since the last restart.
     # w, the anchor, the difference and the step's points are each one
-    # (z, y, x, A x) vector, and the loop's state is a slice of it taken
-    # once (every step writes w_hat to the same vector): the step reads no
-    # z, so w.z keeps the start's z until a restart copies a candidate in.
-    # In the anchored modes on the proximal route the state is (y, x, A x):
-    # the reflection and the average are linear in x, so the step's
-    # A (2 x_bar - x) carries A x along, the merit's cross term is formed
-    # as <dy, A dx> without a product, and a restart refreshes it with one
-    # exact product.  Elsewhere it is (y, x): pr / epr restart on merit
-    # increases, which rounding decides, and the normal-equations merit
-    # needs A^T dy anyway.  Under full reflection the difference is one
-    # subtraction; otherwise x - x_hat = ((1 + g) / 2) (x - (2 x_bar - x)),
-    # so A x_hat is formed after the scaled difference and no rounded
-    # A x_hat enters the merit.
-    w, w_state = _packed(m, n)
+    # (z, y, x, product) vector, and the loop's state is a slice of it
+    # taken once (every step writes w_hat to the same vector): the step
+    # reads no z, so w.z keeps the start's z until a restart copies a
+    # candidate in.  In the anchored modes the state is (y, x, product):
+    # A x on the proximal route, A^T y on the normal-equations route.
+    # The reflection and the average are linear, so the step's product
+    # (A (2 x_bar - x), or A^T y_bar from the normal-equations solve)
+    # carries it along; the merit reads it instead of a product of its
+    # own, the normal-equations step forms xi from it, and a restart
+    # refreshes it with one exact product.  pr / epr run on (y, x): they
+    # restart on merit increases, which rounding decides.  The product of
+    # w - w_hat is formed first, as the step's one scaled by f, and the
+    # product of w_hat from it, so no rounded product of w_hat enters the
+    # merit: x - x_hat = ((1 + g) / 2) (x - (2 x_bar - x)) and
+    # y - y_hat = (1 + g) (y - y_bar).  Where f is 1 (full reflection on
+    # the proximal route, g = 0 on the normal one) the step's product is
+    # that of w_hat, and the difference is one subtraction.
+    normal = ecfg.t1_zero_path
+    p = n if normal else m  # the product block's length
+    w, w_state = _packed(m, n, p)
     w.assign(start)
-    anchor, anchor_state = _packed(m, n)
-    diff, diff_state = _packed(m, n)
-    step_work = StepWorkspace(m, n)
+    anchor, anchor_state = _packed(m, n, p)
+    diff, diff_state = _packed(m, n, p)
+    step_work = StepWorkspace(m, n, p)
     point = Iterate.empty(m, n)
     hat_state = step_work.bar_state if ecfg.reflection == 0.0 else step_work.hat_state
-    carry = anchored and not ecfg.t1_zero_path
-    half = 0.5 * (1.0 + ecfg.reflection)
-    reflect_ax = carry and half != 1.0
-    ax = 2 * n + m  # where the A x block starts
-    loop = slice(n, ax + m if carry else ax)
+    f = (1.0 + ecfg.reflection) * (1.0 if normal else 0.5)
+    reflect_p = anchored and f != 1.0
+    p0 = 2 * n + m  # where the product block starts
+    loop = slice(n, p0 + p if anchored else p0)
     states = (w_state, anchor_state, diff_state, hat_state)
     w_s, anchor_s, diff_s, hat_s = (v[loop] for v in states)
-    w_yx, diff_yx, hat_yx = (v[n:ax] for v in (w_state, diff_state, hat_state))
-    w_ax, diff_ax, hat_ax = (v[ax:] for v in (w_state, diff_state, hat_state))
-    merit_ax = diff_ax if carry else None
-    if carry:
-        np.copyto(w_ax, work.A.matvec(w.x))
+    w_yx, diff_yx, hat_yx = (v[n:p0] for v in (w_state, diff_state, hat_state))
+    w_p, diff_p, hat_p = (v[p0:] for v in (w_state, diff_state, hat_state))
+    # where the step leaves its product
+    step_p = (step_work.bar_state if normal else step_work.hat_state)[p0:]
+    merit_p = diff_p if anchored else None
+    step_aty = w_p if anchored and normal else None
+
+    def refresh_product():
+        np.copyto(w_p, work.A.rmatvec(w.y) if normal else work.A.matvec(w.x))
+
+    if anchored:
+        refresh_product()
     np.copyto(anchor_state, w_state)
     averages = EprAverages(m, n) if ergodic else None
     face = None
@@ -633,20 +660,20 @@ def solve(prob: LpProblem, cfg: SolverConfig | None = None) -> SolveResult:
 
     while status is None:
         try:
-            step = pr_step(w, work, ecfg, normal_eq, step_work)
+            step = pr_step(w, work, ecfg, normal_eq, step_work, step_aty)
         except ArithmeticError as exc:
             if log.best_w is None:
                 log.offer(unscale_iterate(w, scaling), _NO_RESIDUALS)
             status, message = "numerical_error", str(exc)
             break
-        if reflect_ax:
+        if reflect_p:
             np.subtract(w_yx, hat_yx, out=diff_yx)
-            np.subtract(w_ax, step.ax2, out=diff_ax)
-            np.multiply(half, diff_ax, out=diff_ax)
-            np.subtract(w_ax, diff_ax, out=hat_ax)
+            np.subtract(w_p, step_p, out=diff_p)
+            np.multiply(f, diff_p, out=diff_p)
+            np.subtract(w_p, diff_p, out=hat_p)
         else:
             np.subtract(w_s, hat_s, out=diff_s)
-        merit = m_norm(diff, ecfg, work.A, merit_ax)
+        merit = m_norm(diff, ecfg, work.A, merit_p)
         if t == 0:  # the restart tests measure against the first merit
             merit0 = merit_prev = merit
 
@@ -691,8 +718,8 @@ def solve(prob: LpProblem, cfg: SolverConfig | None = None) -> SolveResult:
                 ecfg = ecfg.with_sigma(_fit_sigma(candidate, anchor, ecfg, work.A))
             log.events.append(RestartEvent(k, r, t, reason.value, sigma_old, ecfg.sigma))
             w.assign(candidate)
-            if carry:
-                np.copyto(w_ax, work.A.matvec(w.x))
+            if anchored:
+                refresh_product()
             np.copyto(anchor_state, w_state)
             if ergodic:
                 averages = EprAverages(m, n)

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -48,7 +49,7 @@ def test_m_norm_t1_zero_block():
 
 def test_m_norm_from_carried_row_product():
     """Given A w.x, the cross term 2 <w.y, A w.x> replaces 2 <A^T w.y, w.x>;
-    the T1 = 0 form takes its A^T w.y anyway and ignores the vector."""
+    the T1 = 0 form reads the vector as a carried A^T w.y instead."""
     cfg = cfg_of()
     w2 = Iterate(np.array([1.0]), np.array([0.0]), np.array([1.0]))
     assert m_norm_squared(w2, cfg, A_1X1, np.array([1.0])) == 4.0
@@ -65,11 +66,18 @@ def test_m_norm_from_carried_row_product():
             cfg = cfg_of(rng.uniform(0.1, 3.0), lam, t1_zero)
             w = Iterate(rng.standard_normal(m), rng.standard_normal(n), rng.standard_normal(n))
             ref = m_norm(w, cfg, A)
-            assert abs(m_norm(w, cfg, A, A.matvec(w.x)) - ref) <= 1e-12 * ref
-    # the T1 = 0 form never reads the vector
+            product = A.rmatvec(w.y) if t1_zero else A.matvec(w.x)
+            assert abs(m_norm(w, cfg, A, product) - ref) <= 1e-12 * ref
+            # the inline carried-product form of m_norm is m_norm_squared's
+            squared = m_norm_squared(w, cfg, A, product)
+            assert m_norm(w, cfg, A, product) == math.sqrt(max(squared, 0.0))
+    # the T1 = 0 form makes no product of its own from a carried A^T w.y:
+    # here A = [2], y = [1] and the vector says A^T y = [3]
     w = Iterate(np.array([1.0]), np.array([0.0]), np.array([0.0]))
     cfg = cfg_of(1.0, 9.0, t1_zero=True)
-    assert m_norm_squared(w, cfg, A_2, np.array([np.nan])) == 4.0
+    assert m_norm_squared(w, cfg, A_2) == 4.0
+    assert m_norm_squared(w, cfg, A_2, np.array([3.0])) == 9.0
+    assert m_norm(w, cfg, A_2, np.array([3.0])) == 3.0
 
 
 def test_m_norm_clamps_roundoff():

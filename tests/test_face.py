@@ -2,6 +2,8 @@
 of the anchored modes on a working matrix of at most 2,000 rows, and the
 solves it must leave alone."""
 
+import hashlib
+
 import numpy as np
 import pytest
 import scipy.optimize
@@ -182,6 +184,61 @@ def test_rank_deficient_face_is_dropped(monkeypatch):
     assert dropped and all(dropped)
     assert res.status == "optimal" and not res.face_finish
     assert max(numpy_residuals(prob, res.x, res.y, res.z)) <= 1e-8
+
+
+def test_refuted_face_is_not_solved_again(monkeypatch):
+    """A face point that fails on rel_dual refutes its pattern, whose y
+    and z follow from the pattern alone: while the pattern persists, the
+    face is not formed and factored again.  Solving each try anyway gives
+    the same answer, bit for bit, with more face solves."""
+    prob = random_lp(np.random.default_rng(1103), 10, 6, style="equality")
+    cfg = SolverConfig(tol=1e-8, iter_limit=20_000)
+    corrections, finish = solver_module._face_corrections, solver_module._FaceFinish.finish
+    solves, tries = [], []
+
+    def counted(*args):
+        solves.append(1)
+        return corrections(*args)
+
+    def traced(self, cand):
+        previous, made = self.pattern, len(solves)
+        found = finish(self, cand)
+        if previous is not None and np.array_equal(previous, self.pattern):
+            refuted = np.packbits(self.pattern).tobytes() in self.refuted
+            tries.append((self.pattern.tobytes(), len(solves) - made, refuted))
+        return found
+
+    monkeypatch.setattr(solver_module, "_face_corrections", counted)
+    monkeypatch.setattr(solver_module._FaceFinish, "finish", traced)
+    res = solve(prob, cfg)
+    refuted = {}
+    for key, made, now_refuted in tries:
+        if now_refuted:
+            refuted.setdefault(key, []).append(made)
+    # each refuted pattern is solved once, and one persists for two more tries
+    assert refuted and all(made[0] == 1 and not any(made[1:]) for made in refuted.values())
+    assert max(map(len, refuted.values())) >= 3
+    digest = hashlib.sha256(b"".join(v.tobytes() for v in (res.x, res.y, res.z)))
+    assert (res.status, res.iterations, res.face_finish) == ("optimal", 205, True)
+    assert digest.hexdigest()[:16] == "78d2a4e3df5297fa"
+
+    init = solver_module._FaceFinish.__init__
+
+    class Forgetful(set):
+        def add(self, key):
+            pass
+
+    def forgetful(self, *args):
+        init(self, *args)
+        self.refuted = Forgetful()
+
+    monkeypatch.setattr(solver_module._FaceFinish, "__init__", forgetful)
+    first = len(solves)
+    again = solve(prob, cfg)
+    assert len(solves) - first > first
+    assert (again.status, again.iterations, again.face_finish) == ("optimal", 205, True)
+    for got, want in ((again.x, res.x), (again.y, res.y), (again.z, res.z)):
+        assert np.array_equal(got, want)
 
 
 def test_iterate_answers_lie_in_the_variable_box(monkeypatch):

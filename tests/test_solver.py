@@ -15,7 +15,7 @@ from hprlp import (
     solve,
 )
 from hprlp.adaptive import SIGMA_MAX, SIGMA_MIN
-from hprlp.engine import pr_step, proximal_point
+from hprlp.engine import NormalEquationSolver, pr_step, proximal_point
 import hprlp.solver as solver_module
 from hprlp.solver import apply_scaling, scale_iterate, unscale_iterate
 
@@ -355,6 +355,42 @@ def test_t1_zero_path_falls_back_on_inequality_rows():
         "normal-equations path unavailable (not every row is an equality); "
         "using proximal y-step"
     )
+
+
+@pytest.mark.parametrize("case", ["factor", "inequality", "rows"])
+def test_lambda_A_is_fitted_only_off_the_normal_equations_route(case, monkeypatch):
+    """Only the proximal y-step reads lambda_A.  A solve whose
+    normal-equations factor is in use never estimates it; one whose
+    factor is refused (a row that is not an equality, or more rows than
+    the factor takes) estimates it once, and its message is unchanged."""
+    estimate, calls = solver_module.estimate_lambda_A, []
+
+    def counted(A):
+        calls.append(A.shape)
+        return estimate(A)
+
+    monkeypatch.setattr(solver_module, "estimate_lambda_A", counted)
+    rng = np.random.default_rng(62)
+    if case == "factor":
+        prob = random_lp(rng, 6, 3, style="equality")
+    elif case == "inequality":
+        prob = random_lp(rng, 4, 2, style="two_sided")
+    else:
+        prob = random_lp(rng, 40, NormalEquationSolver.MAX_ROWS + 1, style="equality",
+                         density=0.05)
+    engine = EngineConfig(lambda_A=None, t1_zero_path=True)
+    res = solve(prob, quick_cfg(engine=engine, iter_limit=5 if case == "rows" else 50_000))
+    if case == "factor":
+        assert calls == [] and res.message == "" and res.status == "optimal"
+        return
+    assert calls == [prob.A.shape]
+    reason = ("not every row is an equality" if case == "inequality" else
+              "normal-equations path supports up to 2000 rows, got 2001")
+    fallback = f"normal-equations path unavailable ({reason}); using proximal y-step"
+    if case == "inequality":
+        assert res.status == "optimal" and res.message == fallback
+    else:
+        assert res.status == "iter_limit" and res.message.startswith(fallback + "; blocking")
 
 
 def test_default_engine_config_estimates_lambda():

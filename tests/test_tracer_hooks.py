@@ -66,13 +66,16 @@ def _products_below(tracer, caller: str) -> list[tuple[int, int]]:
 
 @pytest.mark.parametrize("mode, equality", [
     ("hpr", False), ("hdr", False), ("rhpdhg", False), ("pr", False), ("epr", False),
-    ("hpr", True),
+    ("hpr", True), ("hdr", True), ("rhpdhg", True), ("pr", True),
 ])
 def test_products_per_iteration(mode, equality):
     """On the proximal route each step makes one A x and one A^T y.  The
-    anchored modes carry A x in their state, so the restart merit makes
-    no product there; pr / epr and the normal-equations route form its
-    A^T dy.  Each anchored iteration averages once."""
+    anchored modes carry A x in their state there, and A^T y on the
+    normal-equations route, so the restart merit makes no product; pr /
+    epr form its A^T dy.  A normal-equations step makes the solve's
+    products and one A x for its right-hand side, and the A^T y of xi
+    unless it is carried: (2, 1) anchored and (2, 2) otherwise when the
+    solve runs no refinement.  Each anchored iteration averages once."""
     tracer_mod = _load_tracer()
     tracer = tracer_mod.Tracer()
     rng = np.random.default_rng(3)
@@ -91,4 +94,10 @@ def test_products_per_iteration(mode, equality):
     assert tracer.names.count("engine.halpern_step") == (res.iterations if anchored else 0)
     if not equality:
         assert set(steps) == {(1, 1)}
-    assert set(merits) == {(0, 0) if anchored and not equality else (0, 1)}
+    else:
+        solves = _products_below(tracer, "engine.normal_solve")
+        assert len(solves) == res.iterations and (1, 1) in solves
+        xi = 0 if anchored else 1
+        assert steps == [(1 + mv, xi + rmv) for mv, rmv in solves]
+        assert (2, 1 + xi) in steps
+    assert set(merits) == {(0, 0) if anchored else (0, 1)}

@@ -6,8 +6,8 @@ equations on an equality LP) with both product routes (the dense copy,
 and CSR with the dense cutoff switched off), and on one LP above
 ``DENSE_MAX_ENTRIES``, which runs on CSR by itself.  Those three LPs have
 fewer rows than columns; the anchored modes, which carry A x in their
-state, also run on one with more rows than columns, on both product
-routes.  A change that only
+state on the proximal route, also run on one with more rows than
+columns, on both product routes.  A change that only
 trims call overhead keeps every pin; one that reorders floating-point
 work, even in the last bit of one product or of the restart merit,
 moves some of them.  A change
@@ -47,16 +47,16 @@ PINS = {
     ("general", "sparse", "pr"): (2000, "-0x1.b682080ed6e5dp+2", "a39292f7dfc7"),
     ("general", "sparse", "epr"): (800, "-0x1.b6674e69ad2d2p+2", "be8eba242a98"),
     ("general", "sparse", "rhpdhg"): (83, "-0x1.b6674e69af20dp+2", "becd2a9856b5"),
-    ("equality", "dense", "hpr"): (37, "-0x1.1fd45870510fdp+1", "d72b7344275c"),
-    ("equality", "dense", "hdr"): (59, "-0x1.1fd45870510fdp+1", "24738c71388a"),
+    ("equality", "dense", "hpr"): (37, "-0x1.1fd45870510fdp+1", "02660e9c4158"),
+    ("equality", "dense", "hdr"): (59, "-0x1.1fd45870510fdp+1", "f6ac78b3d82d"),
     ("equality", "dense", "pr"): (2000, "-0x1.2215c86176446p+1", "94de241d4c1c"),
     ("equality", "dense", "epr"): (200, "-0x1.1fd4587164213p+1", "761adcc5195e"),
-    ("equality", "dense", "rhpdhg"): (48, "-0x1.1fd45870510fdp+1", "19756496eea4"),
-    ("equality", "sparse", "hpr"): (37, "-0x1.1fd45870510fdp+1", "475294d78a1d"),
-    ("equality", "sparse", "hdr"): (59, "-0x1.1fd45870510fdp+1", "5bea6974acd6"),
+    ("equality", "dense", "rhpdhg"): (48, "-0x1.1fd45870510fdp+1", "d1078083d1f8"),
+    ("equality", "sparse", "hpr"): (37, "-0x1.1fd45870510fdp+1", "6789cf7c47ad"),
+    ("equality", "sparse", "hdr"): (59, "-0x1.1fd45870510fdp+1", "f142dfa55e20"),
     ("equality", "sparse", "pr"): (2000, "-0x1.2215c86176444p+1", "91d18769aa51"),
     ("equality", "sparse", "epr"): (200, "-0x1.1fd4587164212p+1", "694748f9c9b0"),
-    ("equality", "sparse", "rhpdhg"): (48, "-0x1.1fd45870510fdp+1", "ec358d127253"),
+    ("equality", "sparse", "rhpdhg"): (48, "-0x1.1fd45870510fdp+1", "d179a3a9cda1"),
     ("large", "sparse", "hpr"): (409, "-0x1.bc834fb43e6d0p+5", "ba7f7fd21d3c"),
     ("large", "sparse", "hdr"): (900, "-0x1.bc834fb43e6cfp+5", "43c761d3cfad"),
     ("large", "sparse", "pr"): (2000, "-0x1.bc6dc0bef15cbp+5", "2467e7df5718"),

@@ -77,17 +77,8 @@ def m_norm_squared(
 def m_norm(
     w: Iterate, cfg: EngineConfig, A: SparseMatrix, product: np.ndarray | None = None
 ) -> float:
-    """Seminorm sqrt(max(<w, M w>, 0)); ``product`` as in
-    ``m_norm_squared``, whose carried-product form it repeats inline,
-    being called once per iteration."""
-    if product is None:
-        return math.sqrt(max(m_norm_squared(w, cfg, A), 0.0))
-    x, sigma = w.x, cfg.sigma
-    if cfg.t1_zero_path:
-        q = sigma * _dot(product, product) + 2.0 * _dot(product, x) + _dot(x, x) / sigma
-    else:
-        q = sigma * cfg.lambda_A * _dot(w.y, w.y) + 2.0 * _dot(w.y, product) + _dot(x, x) / sigma
-    return math.sqrt(max(q, 0.0))
+    """Seminorm sqrt(max(<w, M w>, 0)); ``product`` as in ``m_norm_squared``."""
+    return math.sqrt(max(m_norm_squared(w, cfg, A, product), 0.0))
 
 
 class RestartReason(enum.Enum):

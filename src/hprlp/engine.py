@@ -323,20 +323,25 @@ def pr_step(
 
     With ``cfg.t1_zero_path`` and a prepared ``normal_eq`` solver the
     y-step is computed exactly through A A^T and ``zeta`` is None.
-    ``aty``, when given, is the carried A^T w.y: xi is formed from it
-    instead of a product, and on the normal-equations route A^T y_bar
-    goes to the product block of ``work.bar_state``, which must then
-    have n entries.
+    ``aty``, when given, is the carried A^T w.y of the normal-equations
+    route: xi is formed from it instead of a product, and A^T y_bar goes
+    to the product block of ``work.bar_state``, which must then have n
+    entries.
     The step writes w_bar and w_hat into ``work`` (a new workspace when
     None); see ``PrStepTrace`` for what a later step overwrites.
     Raises ArithmeticError when the step produces non-finite values, and
-    ValueError when the proximal y-step finds ``cfg.lambda_A`` unresolved.
+    ValueError when the proximal y-step finds ``cfg.lambda_A`` unresolved
+    or ``aty`` is given off the normal-equations route or with a
+    workspace whose product block does not have n entries.
     """
     normal = cfg.t1_zero_path and normal_eq is not None
     if work is None:
         m, n = prob.A.shape
-        work = StepWorkspace(m, n, n if normal and aty is not None else m)
+        work = StepWorkspace(m, n, n if aty is not None else m)
     bar, hat = work.bar, work.hat
+    if aty is not None and (not normal or work.bar_state.size - bar.buf.size != w.x.size):
+        raise ValueError("a carried A^T y needs the normal-equations y-step and a "
+                         "workspace whose product block has n entries")
     sigma = cfg.sigma
     if aty is None:
         xi = prob.A.rmatvec(w.y)
@@ -384,7 +389,7 @@ def pr_step(
         w_hat = hat
 
     hx, hy = w_hat.x, w_hat.y
-    guard = (ddot(hx, hx) if hx.size else 0.0) + (ddot(hy, hy) if hy.size else 0.0)
+    guard = _dot(hx, hx) + _dot(hy, hy)
     if not guard < _DIVERGENCE_GUARD:
         raise ArithmeticError("iterate diverged (non-finite or overflowing step)")
     return PrStepTrace(xi=xi, zeta=zeta, ax2=ax2, w_bar=bar, w_hat=w_hat, sigma=sigma)

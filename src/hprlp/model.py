@@ -48,8 +48,7 @@ def project_box(
     components.  Requires lo <= hi componentwise.  With ``out`` the
     result is written there (it may be v itself) and returned.
     """
-    if type(v) is not np.ndarray or v.dtype != np.float64:
-        v = np.asarray(v, dtype=np.float64)
+    v = np.asarray(v, dtype=np.float64)
     shape = v.shape  # np.shape only for bounds that are not arrays, or do not match
     if (getattr(lo, "shape", None) != shape or getattr(hi, "shape", None) != shape) and (
         np.shape(lo) != shape or np.shape(hi) != shape

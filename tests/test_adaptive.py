@@ -1,4 +1,3 @@
-import math
 from dataclasses import replace
 
 import numpy as np
@@ -68,9 +67,6 @@ def test_m_norm_from_carried_row_product():
             ref = m_norm(w, cfg, A)
             product = A.rmatvec(w.y) if t1_zero else A.matvec(w.x)
             assert abs(m_norm(w, cfg, A, product) - ref) <= 1e-12 * ref
-            # the inline carried-product form of m_norm is m_norm_squared's
-            squared = m_norm_squared(w, cfg, A, product)
-            assert m_norm(w, cfg, A, product) == math.sqrt(max(squared, 0.0))
     # the T1 = 0 form makes no product of its own from a carried A^T w.y:
     # here A = [2], y = [1] and the vector says A^T y = [3]
     w = Iterate(np.array([1.0]), np.array([0.0]), np.array([0.0]))

@@ -504,29 +504,45 @@ def test_frozen_map_rejects_normal_equations_route():
 # preallocated workspace
 
 
-def _run_steps(prob, cfg, normal_eq, reuse, steps=200):
+def _run_steps(prob, cfg, normal_eq, reuse, steps=200, carry=False):
     """The solve loop in miniature: anchored or plain steps from a fixed
     start, a sigma change at step 70, a restart at the proximal point at
     step 120.  With ``reuse`` every vector is allocated once, as in
-    ``solve``; without it every call allocates.  Returns per-step copies
-    of w, w_bar and the merit."""
+    ``solve``; without it every call allocates.  With ``carry`` (the
+    anchored modes on the normal-equations route) the step and the merit
+    read a carried A^T y, averaged and refreshed as in ``solve``.
+    Returns per-step copies of w, w_bar and the merit."""
     m, n = prob.A.shape
     rng = np.random.default_rng(4)
     w = Iterate(rng.standard_normal(m), rng.standard_normal(n), rng.standard_normal(n))
     anchor = w.copy()
     anchored = cfg.mode in ("hpr", "hdr", "rhpdhg")
-    work = StepWorkspace(m, n) if reuse else None
+    aty = prob.A.rmatvec(w.y) if carry else None
+    anchor_aty = None if aty is None else aty.copy()
+    work = StepWorkspace(m, n, n if carry else None) if reuse else None
     history = []
     t = 0
     for k in range(steps):
         if k == 70:
             cfg = cfg.with_sigma(1.7 * cfg.sigma)
-        step = pr_step(w, prob, cfg, normal_eq, work)
-        merit = m_norm(minus(w, step.w_hat), cfg, prob.A)
+        if carry and not reuse:
+            work = StepWorkspace(m, n, n)  # where the step leaves A^T y_bar
+        step = pr_step(w, prob, cfg, normal_eq, work, aty)
+        diff_aty = None
+        if carry:
+            # A^T (y - y_hat) = (1 + g) (A^T y - A^T y_bar), and A^T y_hat from it
+            bar_aty = work.bar_state[work.bar.buf.size:]
+            diff_aty = (1.0 + cfg.reflection) * (aty - bar_aty)
+            hat_aty = aty - diff_aty
+        merit = m_norm(minus(w, step.w_hat), cfg, prob.A, diff_aty)
         if not reuse:
             w = halpern_step(anchor, step.w_hat, t) if anchored else step.w_hat
+            if carry:
+                aty = halpern_step(anchor_aty, hat_aty, t)
         elif anchored:
             halpern_step(anchor, step.w_hat, t, out=w)
+            if carry:
+                halpern_step(anchor_aty, hat_aty, t, out=aty)
         else:
             w.assign(step.w_hat)
         t += 1
@@ -534,8 +550,28 @@ def _run_steps(prob, cfg, normal_eq, reuse, steps=200):
         if k == 120:
             anchor = proximal_point(step)
             w = proximal_point(step)
+            if carry:
+                aty = prob.A.rmatvec(w.y)
+                anchor_aty = aty.copy()
             t = 0
     return history
+
+
+def _lp_and_config(mode, equality):
+    rng = np.random.default_rng(12)
+    prob = random_lp(rng, 9, 5, style="equality" if equality else "two_sided")
+    lam = 1.05 * np.linalg.norm(prob.A.to_csc().toarray(), 2) ** 2
+    cfg = EngineConfig(sigma=0.6, lambda_A=lam, mode=mode, gamma=0.5,
+                       t1_zero_path=equality)
+    return prob, cfg, NormalEquationSolver(prob.A) if equality else None
+
+
+def _assert_same_steps(fresh, reused):
+    for (wf, bf, mf), (wr, br, mr) in zip(fresh, reused, strict=True):
+        # bit for bit in all three blocks, a z block the step leaves NaN included
+        for a, b in ((wf, wr), (bf, br)):
+            assert a.buf.tobytes() == b.buf.tobytes()
+        assert mf == mr
 
 
 @pytest.mark.parametrize(
@@ -544,19 +580,45 @@ def _run_steps(prob, cfg, normal_eq, reuse, steps=200):
      ("rhpdhg", False), ("hpr", True)],
 )
 def test_reused_workspace_is_bit_identical(mode, equality):
-    rng = np.random.default_rng(12)
-    prob = random_lp(rng, 9, 5, style="equality" if equality else "two_sided")
-    lam = 1.05 * np.linalg.norm(prob.A.to_csc().toarray(), 2) ** 2
-    cfg = EngineConfig(sigma=0.6, lambda_A=lam, mode=mode, gamma=0.5,
-                       t1_zero_path=equality)
-    normal_eq = NormalEquationSolver(prob.A) if equality else None
+    prob, cfg, normal_eq = _lp_and_config(mode, equality)
     fresh = _run_steps(prob, cfg, normal_eq, reuse=False)
     reused = _run_steps(prob, cfg, normal_eq, reuse=True)
-    for (wf, bf, mf), (wr, br, mr) in zip(fresh, reused, strict=True):
-        # bit for bit in all three blocks, a z block the step leaves NaN included
-        for a, b in ((wf, wr), (bf, br)):
-            assert a.buf.tobytes() == b.buf.tobytes()
-        assert mf == mr
+    _assert_same_steps(fresh, reused)
+
+
+@pytest.mark.parametrize("mode", ["hpr", "rhpdhg"])
+def test_reused_workspace_with_carried_aty_is_bit_identical(mode):
+    """The anchored normal-equations loop with its carried A^T y, on an
+    LP with m = 5 rows and n = 9 columns: a fresh workspace per step and
+    one reused give the same bits, and the trajectory stays within
+    rounding of one that forms A^T y itself."""
+    prob, cfg, normal_eq = _lp_and_config(mode, True)
+    fresh = _run_steps(prob, cfg, normal_eq, reuse=False, carry=True)
+    reused = _run_steps(prob, cfg, normal_eq, reuse=True, carry=True)
+    _assert_same_steps(fresh, reused)
+    plain = _run_steps(prob, cfg, normal_eq, reuse=True)
+    for (wc, _, mc), (wp, _, mp) in zip(reused, plain, strict=True):
+        # (y, x): z is the start's until the restart
+        npt.assert_allclose(wc.buf[9:], wp.buf[9:], rtol=1e-9, atol=1e-12)
+        npt.assert_allclose(mc, mp, rtol=1e-9, atol=1e-12)
+
+
+def test_carried_aty_needs_the_normal_route_and_an_n_entry_block():
+    """A carried A^T y is refused, not broadcast, off the normal-equations
+    route and with a workspace whose product block has m entries."""
+    rng = np.random.default_rng(12)
+    prob = random_lp(rng, 9, 5, style="equality")
+    w = Iterate(rng.standard_normal(5), rng.standard_normal(9), rng.standard_normal(9))
+    aty = prob.A.rmatvec(w.y)
+    normal = EngineConfig(sigma=0.6, t1_zero_path=True)
+    normal_eq = NormalEquationSolver(prob.A)
+    with pytest.raises(ValueError, match="n entries"):
+        pr_step(w, prob, normal, normal_eq, StepWorkspace(5, 9), aty)
+    with pytest.raises(ValueError, match="normal-equations"):
+        pr_step(w, prob, EngineConfig(sigma=0.6, lambda_A=50.0), None, None, aty)
+    # with a fitting workspace, or none, the step reads it
+    step = pr_step(w, prob, normal, normal_eq, StepWorkspace(5, 9, 9), aty)
+    npt.assert_array_equal(step.w_bar.buf, pr_step(w, prob, normal, normal_eq, None, aty).w_bar.buf)
 
 
 def test_trace_without_workspace_is_not_overwritten():

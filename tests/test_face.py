@@ -241,6 +241,42 @@ def test_refuted_face_is_not_solved_again(monkeypatch):
         assert np.array_equal(got, want)
 
 
+def test_face_within_margin_of_tol_is_not_refuted(monkeypatch):
+    """A face point whose rel_dual fails ``tol`` by less than the 10%
+    margin, which rounding might move below it on a later try, leaves
+    its pattern open: each try solves the face again, and the solve ends
+    as before."""
+    prob = random_lp(np.random.default_rng(1103), 10, 6, style="equality")
+    cfg = SolverConfig(tol=1e-8, iter_limit=20_000)
+    evaluate, finish = solver_module._RunLog.evaluate, solver_module._FaceFinish.finish
+    in_face, moved, refuted = [False], [], []
+
+    def near_tol(self, w):
+        point, res = evaluate(self, w)
+        if in_face[0] and res[2] > cfg.tol:
+            moved.append(res[2])
+            res = (res[0], res[1], 1.05 * cfg.tol)
+        return point, res
+
+    def traced(self, cand):
+        in_face[0] = True
+        try:
+            return finish(self, cand)
+        finally:
+            in_face[0] = False
+            refuted.append(len(self.refuted))
+
+    monkeypatch.setattr(solver_module._RunLog, "evaluate", near_tol)
+    monkeypatch.setattr(solver_module._FaceFinish, "finish", traced)
+    res = solve(prob, cfg)
+    # the unpatched solve refutes a pattern that fails at several times tol
+    assert len(moved) >= 3 and max(moved) > 1.1 * cfg.tol
+    assert not any(refuted)
+    assert (res.status, res.iterations, res.face_finish) == ("optimal", 205, True)
+    digest = hashlib.sha256(b"".join(v.tobytes() for v in (res.x, res.y, res.z)))
+    assert digest.hexdigest()[:16] == "78d2a4e3df5297fa"
+
+
 def test_iterate_answers_lie_in_the_variable_box(monkeypatch):
     """x of a solve that ends on an iterate is clipped to the original
     box after unscaling, so no component is outside it by a rounding."""

@@ -32,10 +32,11 @@ When every row is an equality A x = b, an exact y-update through the
 normal equations A A^T y_bar = rhs replaces the zeta/projection route
 (``t1_zero_path``).  Given the carried A^T y of the iterate, that step
 forms xi from it and leaves A^T y_bar, which the solve's residual check
-forms anyway, in the product block of ``bar``.
+forms anyway, in the product block of ``w_bar``.
 
 ``pr_step`` and ``halpern_step`` write their results into preallocated
-vectors (a ``StepWorkspace`` and an ``out`` iterate) with numpy ``out=``
+vectors (a ``StepWorkspace``, which ``pr_step`` returns with the step's
+xi, zeta and sigma set on it, and an ``out`` iterate) with numpy ``out=``
 updates, in the same operations and order as the formulas above, so a
 run on reused buffers is bit-identical to one on fresh arrays.  An
 update of the y and x blocks is one call on the slice ``buf[n:]`` of
@@ -56,13 +57,13 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import scipy.linalg
 from scipy.linalg.blas import ddot, dtpsv
+from scipy.linalg.lapack import dtrttp
 
 from .model import Iterate, LpProblem, project_box
 from .sparse import SparseMatrix
 
 __all__ = [
     "EngineConfig",
-    "PrStepTrace",
     "StepWorkspace",
     "EprAverages",
     "NormalEquationSolver",
@@ -135,35 +136,6 @@ class EngineConfig:
         return replace(self, sigma=sigma)
 
 
-@dataclass(eq=False, slots=True)
-class PrStepTrace:
-    """Intermediates of one step: the pre-projection points xi / zeta,
-    the row product ax2 = A (2 x_bar - x) that zeta is formed from, the
-    proximal point w_bar, the reflected point w_hat, and the step's
-    penalty sigma.
-
-    zeta and ax2 are None on the normal-equations path, where no row
-    projection is formed.  xi and zeta are new arrays on every step.
-    ax2 is the A x block of the workspace's ``hat_state``, and w_bar and
-    w_hat are its ``bar`` and ``hat`` iterates (w_hat is w_bar itself at
-    reflection factor 0): the next ``pr_step`` on the same workspace
-    overwrites them.  A step called without a workspace gets one of its
-    own, so its trace is never overwritten.
-
-    The step forms the y and x blocks of both points.  It forms z_bar
-    only on the normal-equations route and in the ergodic mode, which
-    read it; otherwise w_bar.z reads NaN, and ``proximal_point`` forms
-    w_bar with its z_bar.  w_hat.z is never formed and reads NaN.
-    """
-
-    xi: np.ndarray
-    zeta: np.ndarray | None
-    ax2: np.ndarray | None
-    w_bar: Iterate
-    w_hat: Iterate
-    sigma: float
-
-
 def _packed(m: int, n: int, p: int) -> tuple[Iterate, np.ndarray]:
     """An uninitialised (z, y, x, product) vector of m + 2 n + p entries
     and the iterate on its first three blocks; ``state[n:]`` is
@@ -174,33 +146,44 @@ def _packed(m: int, n: int, p: int) -> tuple[Iterate, np.ndarray]:
 
 
 class StepWorkspace:
-    """Preallocated vectors of ``pr_step`` for an m x n problem.
+    """Preallocated vectors of ``pr_step`` for an m x n problem, and the
+    results of the last step taken on it, which the next one overwrites.
 
-    ``bar`` receives the proximal point w_bar and ``hat`` the reflected
-    point w_hat, each the iterate on the first three blocks of a
-    (z, y, x, product) vector, ``bar_state`` and ``hat_state``, whose
-    product blocks have ``p`` entries (m when None).  On the proximal
-    route, ``hat.x`` first holds 2 x_bar - x, the argument of the row
-    product, and the product block of ``hat_state`` (m entries) the
-    product; full reflection keeps them as x_hat and A x_hat.  On the
-    normal-equations route with a carried A^T y, the product block of
-    ``bar_state`` (n entries) receives A^T y_bar.  The step writes no
-    other product block.  It writes the y and x blocks of ``bar`` and
-    ``hat``; their z blocks are NaN from allocation on, except that
-    ``bar.z`` receives z_bar on the routes that form it in the step
-    (see ``PrStepTrace``), so a z block never holds an older step's
-    values.  The iterate a step starts from must not share memory with
-    any of them.
+    ``w_bar`` receives the proximal point and ``hat`` the reflected
+    point, each the iterate on the first three blocks of a (z, y, x,
+    product) vector, ``bar_state`` and ``hat_state``, whose product
+    blocks have ``p`` entries (m when None).  On the proximal route,
+    ``hat.x`` first holds 2 x_bar - x, the argument of the row product
+    A (2 x_bar - x) that zeta is formed from, and the product block of
+    ``hat_state`` (m entries) the product; full reflection keeps them as
+    x_hat and A x_hat.  On the normal-equations route with a carried
+    A^T y, the product block of ``bar_state`` (n entries) receives
+    A^T y_bar.  The step writes no other product block.
+
+    The step also sets ``w_hat``, the reflected point (``hat``, or
+    ``w_bar`` itself at reflection factor 0), the pre-projection points
+    ``xi`` and ``zeta``, new arrays on every step (zeta is None on the
+    normal-equations route, where no row projection is formed), and its
+    penalty ``sigma``; all four are None before the first step.
+
+    The step forms the y and x blocks of both points.  Their z blocks
+    are NaN from allocation on, except that ``w_bar.z`` receives z_bar
+    on the routes that read it in the step (the normal-equations
+    right-hand side and the ergodic mean), so a z block never holds an
+    older step's values; ``proximal_point`` forms w_bar with its z_bar
+    everywhere.  The iterate a step starts from must not share memory
+    with any of them.
     """
 
-    __slots__ = ("bar", "hat", "bar_state", "hat_state")
+    __slots__ = ("w_bar", "hat", "bar_state", "hat_state", "w_hat", "xi", "zeta", "sigma")
 
     def __init__(self, m: int, n: int, p: int | None = None):
         p = m if p is None else p
-        self.bar, self.bar_state = _packed(m, n, p)
+        self.w_bar, self.bar_state = _packed(m, n, p)
         self.hat, self.hat_state = _packed(m, n, p)
-        self.bar.z.fill(np.nan)
+        self.w_bar.z.fill(np.nan)
         self.hat.z.fill(np.nan)
+        self.w_hat = self.xi = self.zeta = self.sigma = None
 
 
 class NormalEquationSolver:
@@ -240,15 +223,7 @@ class NormalEquationSolver:
             lower, _ = scipy.linalg.cho_factor(gram, lower=True, overwrite_a=True)
         except scipy.linalg.LinAlgError as exc:
             raise ValueError(f"A A^T is not positive definite: {exc}") from exc
-        # column j of the Fortran-ordered factor is contiguous, so each
-        # copy is one slice: about 1 ms at 600 rows, against about 7 ms
-        # for a fancy-indexed gather and its index arrays
-        packed = np.empty(m * (m + 1) // 2)
-        start = 0
-        for j in range(m):
-            packed[start:start + m - j] = lower[j:, j]
-            start += m - j
-        self._packed = packed
+        self._packed, _ = dtrttp(lower, uplo="L")
         self._m = m
         self._A = A
 
@@ -318,8 +293,9 @@ def pr_step(
     normal_eq: NormalEquationSolver | None = None,
     work: StepWorkspace | None = None,
     aty: np.ndarray | None = None,
-) -> PrStepTrace:
-    """One proximal-reflection step at w.
+) -> StepWorkspace:
+    """One proximal-reflection step at w, written into ``work`` (a new
+    workspace when None), which it returns.
 
     With ``cfg.t1_zero_path`` and a prepared ``normal_eq`` solver the
     y-step is computed exactly through A A^T and ``zeta`` is None.
@@ -327,8 +303,8 @@ def pr_step(
     route: xi is formed from it instead of a product, and A^T y_bar goes
     to the product block of ``work.bar_state``, which must then have n
     entries.
-    The step writes w_bar and w_hat into ``work`` (a new workspace when
-    None); see ``PrStepTrace`` for what a later step overwrites.
+    See ``StepWorkspace`` for what the step writes there, which a later
+    step on the same workspace overwrites.
     Raises ArithmeticError when the step produces non-finite values, and
     ValueError when the proximal y-step finds ``cfg.lambda_A`` unresolved
     or ``aty`` is given off the normal-equations route or with a
@@ -338,7 +314,7 @@ def pr_step(
     if work is None:
         m, n = prob.A.shape
         work = StepWorkspace(m, n, n if aty is not None else m)
-    bar, hat = work.bar, work.hat
+    bar, hat = work.w_bar, work.hat
     if aty is not None and (not normal or work.bar_state.size - bar.buf.size != w.x.size):
         raise ValueError("a carried A^T y needs the normal-equations y-step and a "
                          "workspace whose product block has n entries")
@@ -358,7 +334,7 @@ def pr_step(
     np.subtract(x2, w.x, out=x2)
 
     if normal:
-        zeta = ax2 = None
+        zeta = None
         bar_aty = None if aty is None else work.bar_state[bar.buf.size:]
         np.copyto(bar.y, y_update_t1_zero(bar.z, bar.x, prob, sigma, normal_eq, bar_aty))
     else:
@@ -392,15 +368,16 @@ def pr_step(
     guard = _dot(hx, hx) + _dot(hy, hy)
     if not guard < _DIVERGENCE_GUARD:
         raise ArithmeticError("iterate diverged (non-finite or overflowing step)")
-    return PrStepTrace(xi=xi, zeta=zeta, ax2=ax2, w_bar=bar, w_hat=w_hat, sigma=sigma)
+    work.w_hat, work.xi, work.zeta, work.sigma = w_hat, xi, zeta, sigma
+    return work
 
 
-def proximal_point(step: PrStepTrace, out: Iterate | None = None) -> Iterate:
-    """The step's proximal point w_bar with its z block formed: y_bar and
-    x_bar copied from ``step.w_bar`` and z_bar = (x_bar - xi) / sigma at
-    the step's sigma, the operations the step forms it with where it
-    does.  Written into ``out`` (a new iterate when None), which must
-    not share memory with the step's workspace."""
+def proximal_point(step: StepWorkspace, out: Iterate | None = None) -> Iterate:
+    """The proximal point w_bar of the last step on the workspace ``step``
+    with its z block formed: y_bar and x_bar copied from ``step.w_bar``
+    and z_bar = (x_bar - xi) / sigma at the step's sigma, the operations
+    the step forms it with where it does.  Written into ``out`` (a new
+    iterate when None), which must not share memory with the workspace."""
     bar = step.w_bar
     n = bar.x.size
     if out is None:

@@ -1,8 +1,8 @@
 """Immutable sparse-matrix wrapper and a power-method norm estimate.
 
-Storage is compressed sparse column with a CSR mirror, which both
-products run on: A x gathers its rows, and A^T y scatters them through
-``csr.T``, scipy's CSC view of A^T on the mirror's read-only arrays.
+A is stored once, in compressed sparse row form, which both products
+run on: A x gathers its rows, and A^T y scatters them through
+``csr.T``, scipy's CSC view of A^T on the same read-only arrays.
 Backed by scipy.sparse.  A matrix of at most ``DENSE_MAX_ENTRIES``
 entries also keeps a dense copy, and both products run on it through
 BLAS dgemv instead, called by ``ndarray.dot``, which gives the bits of
@@ -33,9 +33,8 @@ DENSE_MAX_ENTRIES = 25_000
 
 
 class SparseMatrix:
-    """CSC sparse matrix (canonical) with a CSR mirror for both products,
-    or, for a matrix of at most ``DENSE_MAX_ENTRIES`` entries, one
-    C-ordered dense copy for both products.
+    """CSR sparse matrix for both products or, for a matrix of at most
+    ``DENSE_MAX_ENTRIES`` entries, one C-ordered dense copy for both.
 
     A^T y's scatter adds each product in ascending row order from 0, as
     a gather over A's sorted columns does, for the same bits; its adds go
@@ -48,23 +47,19 @@ class SparseMatrix:
     """
 
     def __init__(self, matrix):
-        csc = sp.csc_matrix(matrix, dtype=np.float64, copy=True)
-        csc.sum_duplicates()
-        csc.sort_indices()
-        if csc.nnz and not np.all(np.isfinite(csc.data)):
+        csr = sp.csr_matrix(matrix, dtype=np.float64, copy=True)
+        csr.sum_duplicates()
+        csr.sort_indices()
+        if csr.nnz and not np.all(np.isfinite(csr.data)):
             raise ValueError("matrix entries must be finite")
-        self._csc = csc
-        self._csr = csc.tocsr()
-        for a in (csc.data, csc.indices, csc.indptr, self._csr.data,
-                  self._csr.indices, self._csr.indptr):
-            a.setflags(write=False)
-        # the operands of A x and A^T y, each a view of one copy of A,
+        self._csr = _read_only(csr)
+        # the operands of A x and A^T y, each a view of the one copy of A,
         # and the shapes the products check their vectors against
-        self._ax, self._aty = self._csr, self._csr.T
-        self._x_shape, self._y_shape = (csc.shape[1],), (csc.shape[0],)
+        self._ax, self._aty = csr, csr.T
+        self._x_shape, self._y_shape = (csr.shape[1],), (csr.shape[0],)
         self._dense = None
-        if csc.shape[0] * csc.shape[1] <= DENSE_MAX_ENTRIES:
-            dense = csc.toarray(order="C")
+        if csr.shape[0] * csr.shape[1] <= DENSE_MAX_ENTRIES:
+            dense = csr.toarray(order="C")
             dense.setflags(write=False)
             self._ax, self._aty = dense, dense.T
             self._dense = dense
@@ -73,21 +68,17 @@ class SparseMatrix:
 
     @classmethod
     def from_dense(cls, array) -> "SparseMatrix":
-        return cls(sp.csc_matrix(np.asarray(array, dtype=np.float64)))
+        return cls(np.asarray(array, dtype=np.float64))
 
     # -- structure ----------------------------------------------------
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self._csc.shape
+        return self._csr.shape
 
     @property
     def nnz(self) -> int:
-        return self._csc.nnz
-
-    @property
-    def col_ptrs(self) -> np.ndarray:
-        return self._csc.indptr
+        return self._csr.nnz
 
     @property
     def dense(self) -> np.ndarray | None:
@@ -96,7 +87,8 @@ class SparseMatrix:
         return self._dense
 
     def to_csc(self) -> sp.csc_matrix:
-        return self._csc
+        """A in canonical CSC form, converted on each call, read-only."""
+        return _read_only(self._csr.tocsc())
 
     def to_csr(self) -> sp.csr_matrix:
         return self._csr
@@ -118,6 +110,13 @@ class SparseMatrix:
         if getattr(y, "shape", None) != self._y_shape and np.shape(y) != self._y_shape:
             raise ValueError(f"y must have shape {self._y_shape}, got {np.shape(y)}")
         return self._aty @ y if self._dense is None else self._aty.dot(y)
+
+
+def _read_only(matrix):
+    """``matrix`` with its compressed arrays marked read-only."""
+    for a in (matrix.data, matrix.indices, matrix.indptr):
+        a.setflags(write=False)
+    return matrix
 
 
 def estimate_lambda_A(

@@ -531,7 +531,7 @@ def _run_steps(prob, cfg, normal_eq, reuse, steps=200, carry=False):
         diff_aty = None
         if carry:
             # A^T (y - y_hat) = (1 + g) (A^T y - A^T y_bar), and A^T y_hat from it
-            bar_aty = work.bar_state[work.bar.buf.size:]
+            bar_aty = work.bar_state[work.w_bar.buf.size:]
             diff_aty = (1.0 + cfg.reflection) * (aty - bar_aty)
             hat_aty = aty - diff_aty
         merit = m_norm(minus(w, step.w_hat), cfg, prob.A, diff_aty)
@@ -674,3 +674,28 @@ def test_carried_row_product_keeps_trajectory(mode, monkeypatch):
             assert (a.k, a.r, a.t, a.sigma) == (b.k, b.r, b.t, b.sigma)
             assert (a.rel_gap, a.rel_primal, a.rel_dual) == (b.rel_gap, b.rel_primal, b.rel_dual)
             assert abs(a.merit - b.merit) <= 1e-6 * max(b.merit, 1e-3 * scale)
+
+
+def test_step_returns_the_workspace_it_was_given():
+    """A step writes its results onto the workspace it is given and
+    returns it, the same bits a step on a workspace of its own gives;
+    the next step on that workspace overwrites them."""
+    rng = np.random.default_rng(14)
+    prob = random_lp(rng, 6, 4)
+    cfg = EngineConfig(sigma=0.9, lambda_A=40.0)
+    w = Iterate(rng.standard_normal(4), rng.standard_normal(6), rng.standard_normal(6))
+    work = StepWorkspace(4, 6)
+    assert work.w_hat is None and work.xi is None and work.zeta is None and work.sigma is None
+    for point, step_cfg in ((w, cfg), (w.copy(), cfg.with_sigma(2.0))):
+        kept = None if work.xi is None else (work.xi.copy(), work.w_bar.copy())
+        assert pr_step(point, prob, step_cfg, work=work) is work
+        own = pr_step(point, prob, step_cfg)
+        assert own is not work and work.w_hat is work.hat and work.sigma == step_cfg.sigma
+        for mine, theirs in ((work.xi, own.xi), (work.zeta, own.zeta),
+                             (work.w_bar.buf, own.w_bar.buf), (work.w_hat.buf, own.w_hat.buf)):
+            assert mine.tobytes() == theirs.tobytes()
+        if kept is not None:  # the second step, at another sigma, overwrote the first
+            assert not np.array_equal(work.xi, kept[0])
+            assert not np.array_equal(work.w_bar.x, kept[1].x)
+    hdr = pr_step(w, prob, EngineConfig(lambda_A=40.0, mode="hdr"), work=StepWorkspace(4, 6))
+    assert hdr.w_hat is hdr.w_bar

@@ -350,3 +350,31 @@ def test_sparse_solves_end_on_the_face(name, prob, cfg):
     assert max(numpy_residuals(prob, res.x, res.y, res.z)) <= cfg.tol
     assert np.all(prob.l_var <= res.x) and np.all(res.x <= prob.u_var)
     assert res.primal_obj == pytest.approx(highs_objective(prob), rel=1e-6)
+
+
+def test_nan_face_point_is_dropped(monkeypatch):
+    """A face correction with a NaN leaves x NaN after the clip to the
+    original box; its rel_gap is NaN or inf, so it fails ``tol``: every
+    try returns None and the solve does not end on the face."""
+    prob = mixed_lp(np.random.default_rng(1102), 7, 5, "minimize")
+    assert solve(prob, SolverConfig(tol=1e-8)).face_finish
+    corrections, finish = solver_module._face_corrections, solver_module._FaceFinish.finish
+    made, found = [], []
+
+    def nan_x(*args):
+        out = corrections(*args)
+        if out is None:
+            return None
+        made.append(out[0].size)
+        return np.full_like(out[0], np.nan), out[1]
+
+    def traced(self, cand):
+        found.append(finish(self, cand))
+        return found[-1]
+
+    monkeypatch.setattr(solver_module, "_face_corrections", nan_x)
+    monkeypatch.setattr(solver_module._FaceFinish, "finish", traced)
+    res = solve(prob, SolverConfig(tol=1e-8))
+    assert made and max(made) > 0
+    assert found and all(point is None for point in found)
+    assert not res.face_finish and not any(rec.face for rec in res.trace)

@@ -34,6 +34,49 @@ def test_csc_arrays_read_only():
         A.to_csc().data[0] = 7.0
 
 
+@pytest.mark.parametrize("source", ["coo_duplicates", "unsorted_csc"])
+def test_to_csc_is_scipys_canonical_csc(source):
+    """A is kept in CSR alone; ``to_csc`` converts it on each call to
+    scipy's canonical CSC of the input, bit for bit, read-only.  Three
+    duplicates of one entry are summed in COO order, as a CSC
+    canonicalisation sums them: (0.1 + 0.2) + 0.3 rounds differently
+    from 0.1 + (0.2 + 0.3).  (scipy sorts the indices of a row or column
+    with an unstable sort, which keeps the order of duplicates only in
+    rows and columns of at most 16 entries, as here.)"""
+    shape = (5, 7)
+    rng = np.random.default_rng(5)
+    dense = rng.standard_normal(shape)
+    dense[rng.uniform(size=shape) < 0.7] = 0.0
+    dense[1, 2] = 0.0  # where the duplicates go
+    if source == "coo_duplicates":
+        rows, cols = np.nonzero(dense)
+        vals = dense[rows, cols]
+        matrix = sp.coo_matrix(
+            (np.concatenate((vals, [0.1, 0.2, 0.3])),
+             (np.concatenate((rows, [1, 1, 1])), np.concatenate((cols, [2, 2, 2])))),
+            shape=shape)
+    else:
+        csc = sp.csc_matrix(dense)
+        order = np.concatenate([np.arange(lo, hi)[::-1]
+                                for lo, hi in zip(csc.indptr[:-1], csc.indptr[1:])])
+        matrix = sp.csc_matrix((csc.data[order], csc.indices[order], csc.indptr), shape=shape)
+        assert not matrix.has_sorted_indices
+    want = sp.csc_matrix(matrix, copy=True)
+    want.sum_duplicates()
+    want.sort_indices()
+    A = SparseMatrix(matrix)
+    got = A.to_csc()
+    assert got.format == "csc" and got.shape == want.shape and got is not A.to_csc()
+    assert np.array_equal(got.indptr, want.indptr) and np.array_equal(got.indices, want.indices)
+    assert got.data.tobytes() == want.data.tobytes()
+    if source == "coo_duplicates":
+        assert ((0.1 + 0.2) + 0.3) != (0.1 + (0.2 + 0.3)) and want[1, 2] == (0.1 + 0.2) + 0.3
+    for arr in (got.data, got.indices, got.indptr):
+        assert not arr.flags.writeable
+    with pytest.raises(ValueError):
+        got.data[0] = 7.0
+
+
 def test_matvec_and_rmatvec_agree_with_dense():
     rng = np.random.default_rng(3)
     for _ in range(20):

@@ -28,7 +28,7 @@ import scipy.sparse as sp
 
 from hprlp import EngineConfig, Iterate, LpProblem, SparseMatrix
 from hprlp.adaptive import m_norm
-from hprlp.engine import PrStepTrace, halpern_step, pr_step, proximal_point
+from hprlp.engine import StepWorkspace, halpern_step, pr_step, proximal_point
 from hprlp.model import dual_objective, project_box
 from hprlp.solver import RuizScaling
 from hprlp.sparse import estimate_lambda_A
@@ -121,7 +121,7 @@ class IterateMean:
 # the three-block reflection
 
 
-def reflected_point(w: Iterate, step: PrStepTrace, cfg: EngineConfig) -> Iterate:
+def reflected_point(w: Iterate, step: StepWorkspace, cfg: EngineConfig) -> Iterate:
     """w_hat = (1 + g) w_bar - g w in all three blocks, for the step taken
     at w and the reflection factor g of ``cfg``: 2 w_bar - w at g = 1
     and w_bar itself at g = 0, with z_bar from ``proximal_point``.  Its y
@@ -212,7 +212,7 @@ class ActiveSets:
         )
 
 
-def identify_active_sets(trace: PrStepTrace, prob: LpProblem) -> ActiveSets:
+def identify_active_sets(trace: StepWorkspace, prob: LpProblem) -> ActiveSets:
     """Faces hit by the two projections in a step.
 
     A component is active when the projected point equals a finite

@@ -11,16 +11,22 @@ last newline, so a block holds whole lines.  A block is tokenized with
 one ``str.split``, and one numpy pass over its characters gives each
 token's line, from which come the per-line token counts and the comment,
 blank and header lines.  The data lines between two headers are then
-handled a section at a time: names map to indices through dicts and the
-numeric fields of a block convert with one ``np.array(tokens,
-dtype=np.float64)``, which parses each token as ``float()`` does.  The
-COLUMNS entries are kept as three arrays (``MpsDocument.entry_cols``,
-``entry_rows``, ``entry_values``), from which ``build_problem`` forms the
-objective and the CSC matrix directly.  Every ``MpsParseError`` names the
-1-based line of the first fault in the file.  A 5.1 MB file of 175,000
-lines parses in about 0.34 s (15 MB/s on one core of a 2-vCPU Xeon) and
-builds in about 0.06 s, and the traced heap peaks at under 4x the file's
-size.
+handled a section at a time: names map to indices through dicts, bound
+keys to small integer codes, and the numeric fields of a block convert
+with one ``np.array(tokens, dtype=np.float64)``, which parses each token
+as ``float()`` does.  Every section but ROWS is kept as arrays of row or
+column indices, key codes and values (see ``MpsDocument``), from which
+``build_problem`` forms the objective, the CSC matrix and the row and
+variable bounds with numpy, with no loop over entries, rows or bounds.
+Every ``MpsParseError`` names the 1-based line of the first fault in the
+file.
+
+On the benchmark's 5.1 MB, 174,651-line mps-sparse-1e5 ``model.mps``
+(seed 1), best of 15 runs on one core of a 2-vCPU Xeon, parsing takes
+167-174 ms (about 30 MB/s): tokenizing 49-51 ms, ROWS 3 ms, COLUMNS
+84-87 ms, RHS and RANGES 7 ms, BOUNDS 18 ms for 31,826 lines.  Building
+takes 15 ms.  The traced heap of parsing and building peaks at 2.4x the
+file's size.
 
 Row types map to activity intervals (rhs r, default 0):
 
@@ -49,16 +55,19 @@ import numpy as np
 import scipy.sparse as sp
 
 from .model import LpProblem
-from .sparse import SparseMatrix
+from .sparse import SparseMatrix, compress_entries
 
 __all__ = ["MpsDocument", "MpsParseError", "parse_mps", "build_problem"]
 
 _SECTIONS = ("NAME", "OBJSENSE", "ROWS", "COLUMNS", "RHS", "RANGES", "BOUNDS", "ENDATA")
-_ROW_TYPES = ("N", "L", "G", "E")
-_BOUND_KEYS_VALUE = ("UP", "LO", "FX", "LI", "UI")
-_BOUND_KEYS_FLAG = ("FR", "MI", "PL", "BV")
-# each bound key maps to itself, so every entry shares one string object
-_BOUND_KEYS = {key: key for key in _BOUND_KEYS_VALUE + _BOUND_KEYS_FLAG}
+_ROW_TYPES = {kind: code for code, kind in enumerate("NLGE")}
+# MpsDocument.bound_keys indexes this tuple; the first five keys take a value
+BOUND_KEYS = ("UP", "LO", "FX", "LI", "UI", "FR", "MI", "PL", "BV")
+_VALUED_KEYS = 5
+_BOUND_CODES = {key: code for code, key in enumerate(BOUND_KEYS)}
+# the MpsDocument arrays, collected block by block
+_ARRAYS = ("entry_cols", "entry_rows", "entry_values", "rhs_rows", "rhs_values",
+           "range_rows", "range_values", "bound_keys", "bound_cols", "bound_values")
 
 # Characters read per block.  Smaller blocks cost more numpy calls per
 # line, larger ones hold more token strings at once.
@@ -84,11 +93,20 @@ class MpsDocument:
     """Raw sections of one MPS file, before numeric assembly.
 
     ``row_types`` keeps declaration order for all rows including the
-    objective ('N') rows.  The COLUMNS entries are three arrays in file
-    order: ``entry_cols`` indexes ``column_order``, ``entry_rows``
-    indexes the rows in ``row_types`` order, and ``entry_values`` holds
-    the values.  ``warnings`` collects tolerated irregularities from
-    both parsing and problem building.
+    objective ('N') rows.  The other sections are arrays in file order,
+    one entry per (row, value) pair or bound line; a row index counts the
+    rows in ``row_types`` order (int32), a column index indexes
+    ``column_order`` (int32), and values are float64:
+
+    - COLUMNS: ``entry_cols``, ``entry_rows``, ``entry_values``;
+    - RHS: ``rhs_rows``, ``rhs_values``;
+    - RANGES: ``range_rows``, ``range_values``;
+    - BOUNDS: ``bound_keys`` (int8 indices into ``BOUND_KEYS``),
+      ``bound_cols`` and ``bound_values`` (NaN for the keys that take no
+      value: FR, MI, PL, BV).
+
+    ``warnings`` collects tolerated irregularities from both parsing and
+    problem building.
     """
 
     name: str | None = None
@@ -99,9 +117,13 @@ class MpsDocument:
     entry_cols: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int32))
     entry_rows: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int32))
     entry_values: np.ndarray = field(default_factory=lambda: np.empty(0))
-    rhs_entries: list[tuple[str, float]] = field(default_factory=list)
-    range_entries: list[tuple[str, float]] = field(default_factory=list)
-    bound_entries: list[tuple[str, str, float | None]] = field(default_factory=list)
+    rhs_rows: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int32))
+    rhs_values: np.ndarray = field(default_factory=lambda: np.empty(0))
+    range_rows: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int32))
+    range_values: np.ndarray = field(default_factory=lambda: np.empty(0))
+    bound_keys: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int8))
+    bound_cols: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int32))
+    bound_values: np.ndarray = field(default_factory=lambda: np.empty(0))
     integer_columns: list[str] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
 
@@ -195,7 +217,7 @@ class _Reader:
         self.row_pos: dict[str, int] = {}  # declaration index of each row
         self.n_rows: list[int] = []  # declaration indices of the N rows
         self.col_pos: dict[str, int] = {}
-        self.entries: tuple[list, list, list] = ([], [], [])
+        self.parts: dict[str, list] = {name: [] for name in _ARRAYS}
 
     def feed(self, text: str):
         """Parse one block of whole lines, up to ENDATA."""
@@ -211,10 +233,15 @@ class _Reader:
             space[wide] = [chr(ch).isspace() for ch in codes[wide].tolist()]
         # a token starts at a non-space character after a space or at 0
         starts = np.flatnonzero(~space & np.concatenate(([True], space[:-1])))
+        # the tokens before each line's end: its newline, or the end of
+        # a last line without one
         newlines = np.flatnonzero(codes == _NEWLINE)
-        n_lines = newlines.size + (not text.endswith("\n"))
-        count = np.bincount(np.searchsorted(newlines, starts), minlength=n_lines)
-        first = np.cumsum(count) - count
+        ends = np.searchsorted(starts, newlines)
+        if not text.endswith("\n"):
+            ends = np.append(ends, starts.size)
+        n_lines = ends.size
+        count = np.diff(ends, prepend=0)
+        first = ends - count
         # lines with tokens; a comment's first token starts with '*', a
         # header's first token starts the line
         lines = np.flatnonzero(count)
@@ -231,7 +258,7 @@ class _Reader:
             if hi > lo:
                 at = data[lo:hi]
                 self._data(toks, first[at], count[at], self.lines + at + 1,
-                           "'MARKER'" in text)
+                           "'" in text and "'MARKER'" in text)
             lo = hi
             if h == n_lines:
                 break
@@ -242,11 +269,9 @@ class _Reader:
 
     def finish(self) -> MpsDocument:
         doc = self.doc
-        cols, rows, values = self.entries
-        if cols:
-            doc.entry_cols = np.concatenate(cols)
-            doc.entry_rows = np.concatenate(rows)
-            doc.entry_values = np.concatenate(values)
+        for name, parts in self.parts.items():
+            if parts:
+                setattr(doc, name, np.concatenate(parts))
         if not self.done:
             doc.warnings.append("missing ENDATA record")
         if doc.objective_row is None:
@@ -283,30 +308,39 @@ class _Reader:
         elif section == "BOUNDS":
             self._bounds(toks, first, count, line_no)
         else:  # RHS, RANGES
-            names, _, values = self._pairs(
+            rows, values = self._pairs(
                 toks, first + (count & 1), count // 2, count == 1,
                 f"malformed {section} line", line_no,
             )
-            out = self.doc.rhs_entries if section == "RHS" else self.doc.range_entries
-            out.extend(zip(names, values.tolist()))
+            prefix = "rhs" if section == "RHS" else "range"
+            self.parts[f"{prefix}_rows"].append(rows)
+            self.parts[f"{prefix}_values"].append(values)
 
     def _rows(self, toks, first, count, line_no):
-        doc = self.doc
-        for f, k, ln in zip(first.tolist(), count.tolist(), line_no.tolist()):
-            if k < 2:
-                raise MpsParseError("ROWS line needs a type and a name", ln)
-            kind = toks[f].upper()
-            if kind not in _ROW_TYPES:
-                raise MpsParseError(f"unknown row type {toks[f]!r}", ln)
-            name = toks[f + 1]
-            if name in doc.row_types:
-                raise MpsParseError(f"duplicate row name {name!r}", ln)
-            doc.row_types[name] = kind
-            if kind == "N":
-                self.n_rows.append(len(self.row_pos))
-                if doc.objective_row is None:
-                    doc.objective_row = name
-            self.row_pos[name] = len(self.row_pos)
+        doc, row_pos = self.doc, self.row_pos
+        short = count < 2
+        kinds = list(map(str.upper, _take(toks, first)))
+        # a short line's name is its own type token: the line faults first
+        names = _take(toks, first + (count >= 2))
+        codes = np.fromiter(map(_ROW_TYPES.get, kinds, repeat(-1)), np.int8, len(kinds))
+        before = len(row_pos)
+        row_pos.update(zip(names, range(before, before + len(names))))
+        if short.any() or (codes < 0).any() or len(row_pos) < before + len(names):
+            # find the first fault in file order (the raise drops the state)
+            seen = set(list(row_pos)[:before])
+            for f, k, name, ln in zip(first.tolist(), short.tolist(), names, line_no.tolist()):
+                if k:
+                    raise MpsParseError("ROWS line needs a type and a name", ln)
+                if toks[f].upper() not in _ROW_TYPES:
+                    raise MpsParseError(f"unknown row type {toks[f]!r}", ln)
+                if name in seen:
+                    raise MpsParseError(f"duplicate row name {name!r}", ln)
+                seen.add(name)
+        doc.row_types.update(zip(names, kinds))
+        objective = np.flatnonzero(codes == 0)
+        self.n_rows.extend((before + objective).tolist())
+        if doc.objective_row is None and objective.size:
+            doc.objective_row = names[objective[0]]
 
     def _columns(self, toks, first, count, line_no, has_marker):
         """COLUMNS lines, split at the integer markers between them."""
@@ -333,7 +367,7 @@ class _Reader:
 
     def _column_entries(self, toks, first, count, line_no):
         pairs = (count - 1) // 2
-        _, rows, values = self._pairs(
+        rows, values = self._pairs(
             toks, first + 1, pairs, (count < 3) | (count % 2 == 0),
             "COLUMNS line needs a column name and row/value pairs", line_no,
         )
@@ -345,13 +379,13 @@ class _Reader:
         if self.in_integer_block:
             self.doc.integer_columns.extend(new)
         cols = np.fromiter(map(col_pos.__getitem__, names), np.int32, len(names))
-        self.entries[0].append(np.repeat(cols, pairs))
-        self.entries[1].append(rows)
-        self.entries[2].append(values)
+        self.parts["entry_cols"].append(np.repeat(cols, pairs))
+        self.parts["entry_rows"].append(rows)
+        self.parts["entry_values"].append(values)
 
     def _pairs(self, toks, start, pairs, bad_line, line_message, line_no):
         """The (row, value) pairs of each line, ``pairs[i]`` of them from
-        token ``start[i]`` on: row names, row declaration indices, values.
+        token ``start[i]`` on: row declaration indices (int32) and values.
 
         Raises the first fault in file order: a line flagged in
         ``bad_line`` (with ``line_message``), then per pair an unknown
@@ -386,13 +420,15 @@ class _Reader:
                     f"malformed numeric field {toks[row_tok[p] + 1]!r}", ln
                 )
             raise MpsParseError(f"RANGES entry on objective/free row {names[p]!r}", ln)
-        return names, rows, values
+        return rows, values
 
     def _bounds(self, toks, first, count, line_no):
         raw = _take(toks, first)
-        keys = list(map(_BOUND_KEYS.get, map(str.upper, raw)))
-        known = np.array([key is not None for key in keys], dtype=bool)
-        valued = np.array([key in _BOUND_KEYS_VALUE for key in keys], dtype=bool)
+        # the key tokens are few distinct strings: each is upper-cased once
+        code_of = {key: _BOUND_CODES.get(key.upper(), -1) for key in set(raw)}
+        keys = np.fromiter(map(code_of.__getitem__, raw), np.int8, len(raw))
+        known = keys >= 0
+        valued = known & (keys < _VALUED_KEYS)
         short = valued & (count < 3)
         last = first + count - 1
         value_at = np.flatnonzero(valued & ~short)
@@ -405,7 +441,7 @@ class _Reader:
         col_tok[flags[np.array(trailing, dtype=bool)]] -= 1
         cols = np.fromiter(
             map(self.col_pos.get, _take(toks, col_tok), repeat(-1)),
-            np.int64, len(raw),
+            np.int32, len(raw),
         )
         bad_value = np.zeros(len(raw), dtype=bool)
         if malformed is not None:
@@ -417,14 +453,15 @@ class _Reader:
             if not known[i]:
                 raise MpsParseError(f"unknown bound key {raw[i]!r}", ln)
             if short[i]:
-                raise MpsParseError(f"bound {keys[i]} needs a value", ln)
+                raise MpsParseError(f"bound {BOUND_KEYS[keys[i]]} needs a value", ln)
             if bad_value[i]:
                 raise MpsParseError(f"malformed numeric field {toks[last[i]]!r}", ln)
             raise MpsParseError(f"unknown column {toks[col_tok[i]]!r} in BOUNDS", ln)
-        bound = np.full(len(raw), None, dtype=object)
+        bound = np.full(len(raw), np.nan)
         bound[value_at] = values
-        names = map(self.doc.column_order.__getitem__, cols.tolist())
-        self.doc.bound_entries.extend(zip(keys, names, bound.tolist()))
+        self.parts["bound_keys"].append(keys)
+        self.parts["bound_cols"].append(cols)
+        self.parts["bound_values"].append(bound)
 
 
 def parse_mps(source) -> MpsDocument:
@@ -458,15 +495,15 @@ def build_problem(doc: MpsDocument) -> LpProblem:
 
     Duplicate matrix entries are summed in file order (warning), entries
     on non-objective N rows are dropped (warning), and integrality is
-    relaxed (warning).  Raises ValueError for inconsistent bounds.
+    relaxed (warning).  Of repeated RHS or RANGES entries for one row the
+    last is kept (warning), and of bounds set twice on one column the
+    last.  Raises ValueError for inconsistent bounds.
     """
-    rows = doc.constraint_rows
-    row_index = {name: i for i, name in enumerate(rows)}
-    col_index = {name: j for j, name in enumerate(doc.column_order)}
-    m, n = len(rows), len(doc.column_order)
     declared = list(doc.row_types)
+    kinds = np.array(list(doc.row_types.values()), dtype=str)
     # constraint index of each declared row, -1 for the N rows
-    is_con = np.array([kind != "N" for kind in doc.row_types.values()], dtype=bool)
+    is_con = kinds != "N"
+    m, n = int(is_con.sum()), len(doc.column_order)
     con_of = np.full(len(declared), -1, dtype=np.int64)
     con_of[is_con] = np.arange(m)
     obj = -1 if doc.objective_row is None else declared.index(doc.objective_row)
@@ -476,106 +513,60 @@ def build_problem(doc: MpsDocument) -> LpProblem:
     on_con = is_con[R]
     c = np.zeros(n)
     np.add.at(c, C[on_obj], V[on_obj])  # in file order, as c[j] += v
-    dup_count = int(on_obj.sum()) - np.unique(C[on_obj]).size
+    dup_count = int(on_obj.sum()) - np.count_nonzero(np.bincount(C[on_obj], minlength=n))
     free_rows_dropped = [declared[r] for r in np.unique(R[~on_obj & ~on_con]).tolist()]
 
-    # the matrix entries in column-major order, file order within a cell;
-    # duplicates are summed one by one in that order
-    i, j, v = con_of[R[on_con]], C[on_con].astype(np.int64), V[on_con]
-    order = np.argsort(j * m + i, kind="stable")
-    i, j, v = i[order], j[order], v[order]
-    lead = np.ones(v.size, dtype=bool)
-    lead[1:] = (i[1:] != i[:-1]) | (j[1:] != j[:-1])
-    data = v[lead]
-    if data.size < v.size:
-        dup_count += v.size - data.size
-        rest = ~lead
-        np.add.at(data, (np.cumsum(lead) - 1)[rest], v[rest])
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(j[lead], minlength=n), out=indptr[1:])
+    # the matrix in CSC form, duplicates summed one by one in file order
+    v = V[on_con]
+    csc = compress_entries(C[on_con], con_of[R[on_con]], v, (n, m))
+    dup_count += v.size - csc[0].size
     if dup_count:
         _note(doc, f"{dup_count} duplicate matrix/objective entries summed")
     for row in sorted(free_rows_dropped):
         _note(doc, f"non-objective free row {row!r} dropped")
-    A = SparseMatrix(sp.csc_matrix((data, i[lead], indptr), shape=(m, n)))
+    A = SparseMatrix(sp.csc_matrix(csc, shape=(m, n)))
 
-    rhs: dict[str, float] = {}
-    for row, value in doc.rhs_entries:
-        if row in rhs:
-            _note(doc, f"duplicate RHS entry for row {row!r}; keeping the last")
-        rhs[row] = value
-    ranges: dict[str, float] = {}
-    for row, value in doc.range_entries:
-        if row in ranges:
-            _note(doc, f"duplicate RANGES entry for row {row!r}; keeping the last")
-        ranges[row] = value
+    rhs, has_rhs, repeats = _last_entries(doc.rhs_rows, doc.rhs_values, len(declared))
+    for r in repeats:
+        _note(doc, f"duplicate RHS entry for row {declared[r]!r}; keeping the last")
+    rng, ranged, repeats = _last_entries(doc.range_rows, doc.range_values, len(declared))
+    for r in repeats:
+        _note(doc, f"duplicate RANGES entry for row {declared[r]!r}; keeping the last")
+    obj_constant = -float(rhs[obj]) if obj >= 0 and has_rhs[obj] else 0.0
 
-    obj_constant = 0.0
-    if doc.objective_row is not None and doc.objective_row in rhs:
-        obj_constant = -rhs[doc.objective_row]
+    # row activity intervals, as the module docstring lists them
+    r, rng, ranged, kinds = rhs[is_con], rng[is_con], ranged[is_con], kinds[is_con]
+    is_l, is_g = kinds == "L", kinds == "G"
+    is_e = ~(is_l | is_g)
+    l_con = np.where(is_l, -np.inf, r)
+    u_con = np.where(is_g, np.inf, r)
+    width, up = np.abs(rng), rng >= 0.0
+    with np.errstate(all="ignore"):  # a sum that overflows is inf, silently
+        l_con = np.where(ranged & is_l, r - width, l_con)
+        u_con = np.where(ranged & is_g, r + width, u_con)
+        l_con = np.where(ranged & is_e & ~up, r + rng, l_con)
+        u_con = np.where(ranged & is_e & up, r + rng, u_con)
 
-    l_con = np.empty(m)
-    u_con = np.empty(m)
-    for name, i in row_index.items():
-        r = rhs.get(name, 0.0)
-        kind = doc.row_types[name]
-        if kind == "L":
-            lo, hi = -np.inf, r
-        elif kind == "G":
-            lo, hi = r, np.inf
-        else:  # E
-            lo, hi = r, r
-        if name in ranges:
-            rv = ranges[name]
-            if kind == "L":
-                lo = r - abs(rv)
-            elif kind == "G":
-                hi = r + abs(rv)
-            else:
-                lo, hi = (r, r + rv) if rv >= 0.0 else (r + rv, r)
-        l_con[i], u_con[i] = lo, hi
+    # variable bounds: each bound line sets what _KEY_EFFECTS lists for
+    # its key, and of the lines that set a column's bound the last wins
+    keys, cols, values = doc.bound_keys, doc.bound_cols, doc.bound_values
+    at = np.arange(keys.size)
+    first_lower = np.full(n, keys.size)
+    sets_lower = _SETS_LOWER[keys]
+    np.minimum.at(first_lower, cols[sets_lower], at[sets_lower])
+    neg_up = (keys == _BOUND_CODES["UP"]) & (values < 0.0) & (first_lower[cols] > at)
+    l_var = _last_bounds(np.zeros(n), cols, sets_lower | neg_up, _LOWER[keys], values)
+    u_var = _last_bounds(np.full(n, np.inf), cols, _SETS_UPPER[keys], _UPPER[keys], values)
+    for j, value in zip(cols[neg_up].tolist(), values[neg_up].tolist()):
+        _note(
+            doc,
+            f"UP bound {value} < 0 on column {doc.column_order[j]!r} without a lower bound; "
+            "lower bound set to -inf",
+        )
 
-    l_var = np.zeros(n)
-    u_var = np.full(n, np.inf)
-    lower_set = np.zeros(n, dtype=bool)
     integer_marked = set(doc.integer_columns)
-    for key, col, value in doc.bound_entries:
-        j = col_index[col]
-        if key == "UP":
-            u_var[j] = value
-            if value < 0.0 and not lower_set[j]:
-                l_var[j] = -np.inf
-                _note(
-                    doc,
-                    f"UP bound {value} < 0 on column {col!r} without a lower bound; "
-                    "lower bound set to -inf",
-                )
-        elif key == "LO":
-            l_var[j] = value
-            lower_set[j] = True
-        elif key == "FX":
-            l_var[j] = u_var[j] = value
-            lower_set[j] = True
-        elif key == "FR":
-            l_var[j], u_var[j] = -np.inf, np.inf
-            lower_set[j] = True
-        elif key == "MI":
-            l_var[j] = -np.inf
-            lower_set[j] = True
-        elif key == "PL":
-            u_var[j] = np.inf
-        elif key == "BV":
-            l_var[j], u_var[j] = 0.0, 1.0
-            lower_set[j] = True
-            integer_marked.add(col)
-        elif key == "LI":
-            l_var[j] = value
-            lower_set[j] = True
-            integer_marked.add(col)
-        elif key == "UI":
-            u_var[j] = value
-            integer_marked.add(col)
-
+    integer_marked.update(map(doc.column_order.__getitem__,
+                              np.unique(cols[_INTEGER[keys]]).tolist()))
     if integer_marked:
         _note(doc, f"integrality relaxed for {len(integer_marked)} column(s)")
 
@@ -601,6 +592,58 @@ def build_problem(doc: MpsDocument) -> LpProblem:
         obj_constant=obj_constant,
         obj_sense=sense,
     )
+
+
+# What each bound key sets: (lower bound, upper bound, marks its column
+# integer), a bound None where the key leaves it and NaN where it takes
+# the line's value.  UP sets the lower bound only when its value is below
+# 0 and no earlier line on its column set one, which is decided per line.
+_KEY_EFFECTS = {
+    "UP": (-np.inf, np.nan, False),
+    "LO": (np.nan, None, False),
+    "FX": (np.nan, np.nan, False),
+    "LI": (np.nan, None, True),
+    "UI": (None, np.nan, True),
+    "FR": (-np.inf, np.inf, False),
+    "MI": (-np.inf, None, False),
+    "PL": (None, np.inf, False),
+    "BV": (0.0, 1.0, True),
+}
+# the same as arrays indexed by MpsDocument.bound_keys
+_EFFECTS = [_KEY_EFFECTS[key] for key in BOUND_KEYS]
+_SETS_LOWER = np.array([lo is not None and key != "UP"
+                        for key, (lo, _, _) in zip(BOUND_KEYS, _EFFECTS)])
+_SETS_UPPER = np.array([hi is not None for _, hi, _ in _EFFECTS])
+_LOWER = np.array([np.nan if lo is None else lo for lo, _, _ in _EFFECTS])
+_UPPER = np.array([np.nan if hi is None else hi for _, hi, _ in _EFFECTS])
+_INTEGER = np.array([integer for _, _, integer in _EFFECTS])
+
+
+def _last_entries(rows: np.ndarray, values: np.ndarray, size: int):
+    """Each row's value from its last entry in file order (0 where it has
+    none), the mask of the rows that have one, and the rows of the
+    entries that repeat an earlier entry's row, in file order."""
+    order = np.argsort(rows, kind="stable")
+    ordered = rows[order]
+    again = ordered[1:] == ordered[:-1]
+    last = order[np.append(~again, True)] if rows.size else order
+    out, has = np.zeros(size), np.zeros(size, dtype=bool)
+    out[rows[last]] = values[last]
+    has[rows[last]] = True
+    return out, has, rows[np.sort(order[1:][again])].tolist()
+
+
+def _last_bounds(out: np.ndarray, cols: np.ndarray, sets: np.ndarray,
+                 fixed: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``out`` with the bound of the last line that ``sets`` for each
+    column: ``fixed``, or the line's value where ``fixed`` is NaN."""
+    at = np.flatnonzero(sets)
+    last = np.full(out.size, -1)
+    np.maximum.at(last, cols[at], at)
+    hit = np.flatnonzero(last >= 0)
+    line = last[hit]
+    out[hit] = np.where(np.isnan(fixed[line]), values[line], fixed[line])
+    return out
 
 
 def _note(doc: MpsDocument, message: str):

@@ -189,17 +189,14 @@ class RuizScaling:
         return cls(np.ones(m), np.ones(n))
 
 
-def _segment_max(
-    mag: np.ndarray, ptr: np.ndarray, segments: np.ndarray, out: np.ndarray
-):
-    """Largest entry of each segment ``mag[ptr[i]:ptr[i+1]]`` into
-    ``out[i]``; ``segments`` lists the non-empty ones in order, at least
-    one.  Empty segments, and those whose largest entry is 0, get 1, so
-    their row or column is not rescaled."""
-    out.fill(1.0)
-    mx = np.maximum.reduceat(mag, ptr[segments])
-    keep = mx > 0.0
-    out[segments[keep]] = mx[keep]
+def _abs_max(mag: np.ndarray, index: np.ndarray, out: np.ndarray):
+    """Largest entry of ``mag`` per value of ``index`` into ``out``;
+    an index that no entry has, or whose largest entry is 0, gets 1, so
+    its row or column is not rescaled.  Maxima are exact, so the order in
+    which ``np.maximum.at`` visits the entries does not matter."""
+    out.fill(0.0)
+    np.maximum.at(out, index, mag)
+    out[out == 0.0] = 1.0
 
 
 def apply_scaling(
@@ -216,9 +213,12 @@ def apply_scaling(
         l/u_var_s = l/u_var / Dc,   x = Dc x_s,  y = Dr y_s,  z = z_s / Dc.
 
     The sweeps rescale the value array of A's CSR form instead of
-    forming matrix products: the row maxima reduce over its rows, the column
-    maxima over the same values in column order, and each entry is
-    multiplied by its row factor and then its column factor, as
+    forming matrix products: the row and column maxima are taken with
+    ``np.maximum.at`` over each entry's row and column (on the
+    mps-sparse-1e5 matrix, 0.24 ms a pass either way, against 0.59 and
+    1.31 ms for ``np.maximum.reduceat`` over the rows and over a column
+    permutation of the values), and each entry is multiplied by its row
+    factor and then its column factor, as
     ``diags(1/r) @ W @ diags(1/c)`` does.  The column 2-norms sum each
     column in ascending row order, as ``W.multiply(W).sum(axis=0)``
     does, and entries that end up exactly zero are dropped, as the
@@ -234,19 +234,10 @@ def apply_scaling(
     if prob.A.nnz == 0 or m == 0 or n == 0:
         return prob, ident
 
-    # the structure, set up once: each entry's row and column, the
-    # non-empty rows, and a stable permutation of the entries into column
-    # order with its column pointer (the CSC form of the entries' CSR
-    # positions, from scipy's counting sort: about 3 ms at 1e5 entries,
-    # against 14 ms for a stable np.argsort)
+    # each entry's row and column, set up once
     csr = prob.A.to_csr()
     indptr, cols = csr.indptr, csr.indices
-    row_counts = np.diff(indptr)
-    rows = np.repeat(np.arange(m), row_counts)
-    nonempty_rows = np.flatnonzero(row_counts)
-    by_col = sp.csr_matrix((np.arange(csr.nnz), cols, indptr), shape=(m, n)).tocsc()
-    perm, col_ptr = by_col.data, by_col.indptr
-    nonempty_cols = np.flatnonzero(np.diff(col_ptr))
+    rows = np.repeat(np.arange(m), np.diff(indptr))
 
     data = csr.data
     rmax, cmax = np.empty(m), np.empty(n)
@@ -254,8 +245,8 @@ def apply_scaling(
     col_acc = np.ones(n)
     for _ in range(ruiz_iters):
         mag = np.abs(data)
-        _segment_max(mag, indptr, nonempty_rows, rmax)
-        _segment_max(mag[perm], col_ptr, nonempty_cols, cmax)
+        _abs_max(mag, rows, rmax)
+        _abs_max(mag, cols, cmax)
         if np.max(np.abs(1.0 - rmax)) <= 1e-8 and np.max(np.abs(1.0 - cmax)) <= 1e-8:
             break
         r = np.sqrt(rmax)
@@ -618,8 +609,11 @@ def solve(prob: LpProblem, cfg: SolverConfig | None = None) -> SolveResult:
     # (A (2 x_bar - x), or A^T y_bar from the normal-equations solve)
     # carries it along; the merit reads it instead of a product of its
     # own, the normal-equations step forms xi from it, and a restart
-    # refreshes it with one exact product.  pr / epr run on (y, x): they
-    # restart on merit increases, which rounding decides.  The product of
+    # refreshes it exactly: with one product on the proximal route, and
+    # on the normal-equations route by copying A^T y_bar, which the
+    # step's solve formed for the restart point's y = y_bar.  pr / epr
+    # run on (y, x): they restart on merit increases, which rounding
+    # decides.  The product of
     # w - w_hat is formed first, as the step's one scaled by f, and the
     # product of w_hat from it, so no rounded product of w_hat enters the
     # merit: x - x_hat = ((1 + g) / 2) (x - (2 x_bar - x)) and
@@ -648,11 +642,8 @@ def solve(prob: LpProblem, cfg: SolverConfig | None = None) -> SolveResult:
     merit_p = diff_p if anchored else None
     step_aty = w_p if anchored and normal else None
 
-    def refresh_product():
-        np.copyto(w_p, work.A.rmatvec(w.y) if normal else work.A.matvec(w.x))
-
     if anchored:
-        refresh_product()
+        np.copyto(w_p, work.A.rmatvec(w.y) if normal else work.A.matvec(w.x))
     np.copyto(anchor_state, w_state)
     averages = EprAverages(m, n) if ergodic else None
     face = None
@@ -723,7 +714,7 @@ def solve(prob: LpProblem, cfg: SolverConfig | None = None) -> SolveResult:
             log.events.append(RestartEvent(k, r, t, reason.value, sigma_old, ecfg.sigma))
             w.assign(candidate)
             if anchored:
-                refresh_product()
+                np.copyto(w_p, step_p if normal else work.A.matvec(w.x))
             np.copyto(anchor_state, w_state)
             if ergodic:
                 averages = EprAverages(m, n)

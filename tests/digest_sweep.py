@@ -1,18 +1,28 @@
-"""Digest sweep: one line per seeded solve, for comparing two versions of
-the solver bit for bit.
+"""Digest sweep: one line per seeded solve and per MPS file read, for
+comparing two versions of the solver bit for bit.
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/digest_sweep.py > sweep.txt
 
 Run it on two checkouts and diff the two outputs: a change that keeps
-every trajectory prints the same 240 lines.  The solves cover the five
-modes, both y-step routes (the proximal step on two-sided and one-sided
-rows, the normal equations on equality rows), both product routes (the
-dense copy, and CSR with the dense cutoff switched off), and LPs with
-fewer and with more rows than columns (where the normal equations are
-rank deficient and the solve falls back to the proximal step), six seeds
-each.  Each line holds the case, the status, the iteration count and a
-digest of the bits of x, y and z, the objective, the message, every
-trace field but the time, and the restart events.
+every trajectory and every parsed problem prints the same 266 lines.
+
+The first 240 lines are solves.  They cover the five modes, both y-step
+routes (the proximal step on two-sided and one-sided rows, the normal
+equations on equality rows), both product routes (the dense copy, and
+CSR with the dense cutoff switched off), and LPs with fewer and with
+more rows than columns (where the normal equations are rank deficient
+and the solve falls back to the proximal step), six seeds each.  Each
+line holds the case, the status, the iteration count and a digest of
+the bits of x, y and z, the objective, the message, every trace field
+but the time, and the restart events.
+
+The last 26 lines read MPS files through ``parse_mps`` and
+``build_problem``: each file in ``tests/fixtures`` and twelve seeded
+files written by ``test_mps_io.emit_mps`` (six sparse LPs of 600 to 5,100
+entries, the larger ones several read blocks long, and six small dense
+LPs with ranged, one-sided or equality rows).  Each line holds the file,
+the problem's shape and a digest of the bits of c, A's CSC arrays, the
+four bounds and the objective constant, and of the document's warnings.
 
 Only the public API is used, so the script runs unchanged on older
 checkouts.  Its name does not start with ``test_``: pytest does not
@@ -20,14 +30,20 @@ collect it.
 """
 
 import hashlib
+import io
 import itertools
+import warnings
+from pathlib import Path
 
 import numpy as np
 
 import hprlp.sparse
-from hprlp import EngineConfig, SolverConfig, solve
+from hprlp import EngineConfig, SolverConfig, build_problem, parse_mps, solve
 
 from conftest import random_lp
+from test_mps_io import emit_mps, sparse_lp
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 MODES = ("hpr", "hdr", "pr", "epr", "rhpdhg")
 ROUTES = ("proximal", "normal")
@@ -59,6 +75,30 @@ def _digest(res) -> str:
     return h.hexdigest()[:16]
 
 
+def _mps_sources():
+    """(label, source) of every fixture and of twelve seeded files."""
+    for path in sorted(FIXTURES.glob("*.mps")):
+        yield path.name, path
+    for seed in SEEDS:
+        rng = np.random.default_rng(2000 + seed)
+        m, n = 60 + 40 * seed, 90 + 60 * seed
+        prob = sparse_lp(rng, m, n, 600 + 900 * seed)
+        yield f"emit-sparse-{seed}", io.StringIO(emit_mps(prob))
+        style = ("two_sided", "upper", "equality")[seed % 3]
+        prob = random_lp(rng, 6 + seed, 4 + seed, style=style)
+        yield f"emit-{style}-{seed}", io.StringIO(emit_mps(prob))
+
+
+def _problem_digest(prob, notes) -> str:
+    h = hashlib.sha256()
+    csc = prob.A.to_csc()
+    for v in (prob.c, csc.data, csc.indices.astype(np.int64), csc.indptr.astype(np.int64),
+              prob.l_con, prob.u_con, prob.l_var, prob.u_var):
+        h.update(np.ascontiguousarray(v).tobytes())
+    h.update(repr((float(prob.obj_constant).hex(), prob.obj_sense, notes)).encode())
+    return h.hexdigest()[:16]
+
+
 def main():
     cutoff = hprlp.sparse.DENSE_MAX_ENTRIES
     for products, shape, route, mode, seed in itertools.product(
@@ -72,6 +112,12 @@ def main():
             hprlp.sparse.DENSE_MAX_ENTRIES = cutoff
         case = f"{products}-{shape}-{route}-{mode}-{seed} {prob.m}x{prob.n}"
         print(f"{case} {res.status} {res.iterations} {_digest(res)}", flush=True)
+    for label, source in _mps_sources():
+        doc = parse_mps(source)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            prob = build_problem(doc)
+        print(f"mps-{label} {prob.m}x{prob.n} {_problem_digest(prob, doc.warnings)}", flush=True)
 
 
 if __name__ == "__main__":

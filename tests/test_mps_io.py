@@ -26,12 +26,17 @@ def load(fixtures_dir, name, expect_warnings=False):
     return doc, prob
 
 
+ARRAY_FIELDS = ("entry_cols", "entry_rows", "entry_values", "rhs_rows", "rhs_values",
+                "range_rows", "range_values", "bound_keys", "bound_cols", "bound_values")
+
+
 def assert_same_entries(doc, ref):
-    """The COLUMNS entry arrays of two documents are equal, dtype included."""
-    for name in ("entry_cols", "entry_rows", "entry_values"):
+    """The COLUMNS, RHS, RANGES and BOUNDS arrays of two documents are
+    equal, dtype included."""
+    for name in ARRAY_FIELDS:
         got, want = getattr(doc, name), getattr(ref, name)
-        assert got.dtype == want.dtype
-        npt.assert_array_equal(got, want)
+        assert got.dtype == want.dtype, name
+        npt.assert_array_equal(got, want, err_msg=name)
 
 
 # ---------------------------------------------------------------------------
@@ -84,9 +89,16 @@ def test_ranges_on_e_rows_sign_sensitive(fixtures_dir):
 
 
 def test_bounds_all_plain_keys(fixtures_dir):
-    _, prob = load(fixtures_dir, "bounds_all.mps")
+    from hprlp.mps import BOUND_KEYS
+
+    doc, prob = load(fixtures_dir, "bounds_all.mps")
     npt.assert_array_equal(prob.l_var, [0.0, -1.5, 0.25, -INF, -INF, 0.0])
     npt.assert_array_equal(prob.u_var, [2.5, INF, 0.25, INF, INF, INF])
+    # the BOUNDS arrays: key codes, columns, and NaN for the flag keys
+    assert (doc.bound_keys.dtype, doc.bound_cols.dtype) == (np.int8, np.int32)
+    assert [BOUND_KEYS[k] for k in doc.bound_keys] == ["UP", "LO", "FX", "FR", "MI", "PL"]
+    npt.assert_array_equal(doc.bound_cols, [0, 1, 2, 3, 4, 5])
+    npt.assert_array_equal(doc.bound_values, [2.5, -1.5, 0.25, np.nan, np.nan, np.nan])
 
 
 def test_bounds_integer_keys(fixtures_dir):
@@ -161,7 +173,7 @@ def test_gzip_input(fixtures_dir, tmp_path):
     doc = parse_mps(gz)
     ref = parse_mps(fixtures_dir / "simple_l.mps")
     assert_same_entries(doc, ref)
-    assert doc.rhs_entries == ref.rhs_entries
+    assert ref.rhs_values.size == 1
 
 
 def test_stream_input(fixtures_dir):
@@ -210,6 +222,35 @@ def test_error_duplicate_row():
     err = perr("ROWS\n N  OBJ\n L  R1\n L  R1\n")
     assert err.line_no == 4
     assert "duplicate row" in str(err)
+
+
+@pytest.mark.parametrize("rows, line_no, message", [
+    (" L  R1\n N\n", 4, "ROWS line needs a type and a name"),
+    (" L  R1\n L  R1\n Q  R2\n N\n", 4, "duplicate row name 'R1'"),
+    (" L  R1\n q  R2\n L  R1\n", 4, "unknown row type 'q'"),
+    (" N\n L  OBJ\n", 3, "ROWS line needs a type and a name"),
+    (" L  R1\n e  OBJ\n", 4, "duplicate row name 'OBJ'"),
+])
+def test_rows_report_their_first_fault(rows, line_no, message):
+    """A ROWS line without a name, of an unknown type or repeating an
+    earlier name: the first in file order is reported."""
+    err = perr("ROWS\n N  OBJ\n" + rows)
+    assert str(err) == f"line {line_no}: {message}"
+
+
+def test_rows_past_the_first_block_clash_with_earlier_rows():
+    """A row name repeated across read blocks is a duplicate, and the
+    types of a long ROWS section keep their declaration order."""
+    from hprlp.mps import _BLOCK_CHARS
+
+    count = _BLOCK_CHARS // 8
+    kinds = "NLGE"
+    text = "ROWS\n" + "".join(f" {kinds[i % 4].lower()}  R{i}\n" for i in range(count))
+    doc = parse_mps(io.StringIO(text))
+    assert list(doc.row_types.items()) == [(f"R{i}", kinds[i % 4]) for i in range(count)]
+    assert doc.objective_row == "R0"
+    err = perr(text + " L  R5\n")
+    assert str(err) == f"line {count + 2}: duplicate row name 'R5'"
 
 
 def test_error_unknown_row_in_columns():
@@ -463,8 +504,7 @@ def test_format_edges_read_as_the_plain_file(tmp_path):
         assert doc.column_order == ["X1", "X2", "X3"]
         assert doc.integer_columns == ["X2"]
         assert_same_entries(doc, ref_doc)
-        assert doc.rhs_entries == ref_doc.rhs_entries
-        assert doc.bound_entries == ref_doc.bound_entries
+        assert ref_doc.rhs_values.size and ref_doc.bound_keys.size
         with pytest.warns(UserWarning, match="integrality relaxed for 1"):
             assert_same_problem(build_problem(doc), ref)
 
@@ -490,8 +530,12 @@ def test_two_pairs_per_line_and_unnamed_sets():
     npt.assert_array_equal(doc.entry_cols, [0, 0, 0, 0, 1])
     npt.assert_array_equal(doc.entry_rows, [0, 1, 2, 3, 1])
     npt.assert_array_equal(doc.entry_values, [1.25, 2.5, -0.75, 3.0, 1.0])
-    assert doc.rhs_entries == [("R1", 4.0), ("R2", -1.5), ("R3", 2.0), ("OBJ", 6.0)]
-    assert doc.range_entries == [("R1", 1.0), ("R2", 2.5), ("R3", -0.5)]
+    # rows count in declaration order: OBJ 0, R1 1, R2 2, R3 3
+    assert doc.rhs_rows.dtype == doc.range_rows.dtype == np.int32
+    npt.assert_array_equal(doc.rhs_rows, [1, 2, 3, 0])
+    npt.assert_array_equal(doc.rhs_values, [4.0, -1.5, 2.0, 6.0])
+    npt.assert_array_equal(doc.range_rows, [1, 2, 3])
+    npt.assert_array_equal(doc.range_values, [1.0, 2.5, -0.5])
     prob = build_problem(doc)
     npt.assert_array_equal(prob.c, [1.25, 0.0])
     npt.assert_array_equal(prob.A.to_csc().toarray(), [[2.5, 1.0], [-0.75, 0.0], [3.0, 0.0]])
@@ -584,6 +628,41 @@ def test_error_past_the_first_block_has_its_line_number():
     assert str(err) == f"line {at + 1}: unknown row 'NOPE' in COLUMNS"
 
 
+SECTION_FAULTS = (
+    ("RHS", "    RHS  NOPE  1.0", "unknown row 'NOPE' in RHS"),
+    ("RHS", "    RHS  R1  1..5", "malformed numeric field '1..5'"),
+    ("RHS", "    RHS", "malformed RHS line"),
+    ("RANGES", "    RNG  OBJ  1.0", "RANGES entry on objective/free row 'OBJ'"),
+    ("RANGES", "    RNG  NOPE  1.0", "unknown row 'NOPE' in RANGES"),
+    ("RANGES", "    RNG  R1  x1", "malformed numeric field 'x1'"),
+    ("BOUNDS", " XX BND  C1  1.0", "unknown bound key 'XX'"),
+    ("BOUNDS", " UP BND", "bound UP needs a value"),
+    ("BOUNDS", " LO BND  C1  1e", "malformed numeric field '1e'"),
+    ("BOUNDS", " MI BND  NOPE", "unknown column 'NOPE' in BOUNDS"),
+)
+
+
+@pytest.mark.parametrize("section, line, message", SECTION_FAULTS)
+def test_section_error_past_the_first_block_has_its_line_number(section, line, message):
+    """A fault in an RHS, RANGES or BOUNDS line three blocks into the
+    file names that line, and a second fault after it is not reported."""
+    from hprlp.mps import _BLOCK_CHARS
+
+    lines = emit_mps(sparse_lp(np.random.default_rng(8), 200, 400, 6_000)).splitlines()
+    at = lines.index("BOUNDS")
+    lines[at:at] = ["RANGES"] + [f"    RNG  R{i}  1.5" for i in range(200)]
+    # the middle of the section, whose data lines are indented
+    start = lines.index(section)
+    end = next(i for i in range(start + 1, len(lines)) if not lines[i].startswith(" "))
+    at = (start + end) // 2
+    lines[at] = line
+    lines[at + 3] = line
+    assert sum(len(text) + 1 for text in lines[:at]) > 3 * _BLOCK_CHARS
+    err = perr("\n".join(lines) + "\n")
+    assert str(err) == f"line {at + 1}: {message}"
+    assert err.line_no == at + 1
+
+
 def test_error_malformed_number_in_rhs():
     text = (
         "ROWS\n N  OBJ\n L  R1\nCOLUMNS\n    X1 OBJ 1.0\n"
@@ -666,7 +745,6 @@ def test_streams_read_in_blocks_as_the_path(tmp_path):
         assert doc.column_order == ref.column_order
         assert doc.column_order[0] == "€0"
         assert_same_entries(doc, ref)
-        for name in ("name", "row_types", "rhs_entries", "range_entries",
-                     "bound_entries", "warnings"):
+        for name in ("name", "row_types", "warnings"):
             assert getattr(doc, name) == getattr(ref, name), name
         assert_same_problem(build_problem(doc), want)

@@ -16,6 +16,40 @@ def test_constructor_sums_duplicates():
     assert A.nnz == 2
 
 
+@pytest.mark.parametrize("source", ["coo", "csr"])
+def test_duplicates_sum_in_input_order_in_long_rows(source):
+    """Duplicates are added one by one in input order also in rows of more
+    than 16 entries, where scipy's index sort is not stable: A through
+    its own CSR and through the CSR of its transpose (A's CSC) gives the
+    same bits, and each cell equals the input-order sum."""
+    rng = np.random.default_rng(5)
+    m, n, k = 3, 40, 400
+    rows, cols = rng.integers(0, m, k), rng.integers(0, n, k)
+    vals = rng.standard_normal(k) * 10.0 ** rng.integers(-8, 9, k)
+    want = {}
+    for cell, v in zip(zip(rows.tolist(), cols.tolist()), vals.tolist()):
+        want[cell] = want[cell] + v if cell in want else v
+    assert max(np.bincount(rows)) > 16 and len(want) < k
+    if source == "coo":
+        matrix = sp.coo_matrix((vals, (rows, cols)), shape=(m, n))
+        transposed = matrix.T  # a COO transpose keeps the entry order
+    else:  # a CSR with duplicates and unsorted indices, in storage order
+        order = np.argsort(rows, kind="stable")
+        rows, cols, vals = rows[order], cols[order], vals[order]
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=m))))
+        matrix = sp.csr_matrix((vals, cols, indptr), shape=(m, n))
+        assert not matrix.has_canonical_format
+        transposed = sp.csc_matrix((vals, cols, indptr), shape=(n, m))
+    by_rows = SparseMatrix(matrix).to_csr()
+    by_cols = SparseMatrix(transposed).to_csr().T.tocsr()
+    for got in (by_rows, by_cols):
+        got = got.tocoo()
+        cells = list(zip(got.row.tolist(), got.col.tolist()))
+        assert sorted(cells) == sorted(want)
+        assert [v.hex() for v in got.data.tolist()] == [want[c].hex() for c in cells]
+    assert by_rows.data.tobytes() == by_cols.data.tobytes()
+
+
 def test_from_dense_round_trip():
     dense = np.array([[1.0, 0.0, 2.0], [0.0, -3.0, 0.0]])
     A = SparseMatrix.from_dense(dense)

@@ -101,3 +101,29 @@ def test_products_per_iteration(mode, equality):
         assert steps == [(1 + mv, xi + rmv) for mv, rmv in solves]
         assert (2, 1 + xi) in steps
     assert set(merits) == {(0, 0) if anchored else (0, 1)}
+
+
+@pytest.mark.parametrize("mode", ["hpr", "hdr", "rhpdhg"])
+def test_restart_on_the_normal_route_makes_no_product(mode):
+    """At a restart on the normal-equations route the carried A^T y of the
+    new iterate is copied from the step's solve, which formed it for the
+    restart point: after the penalty re-fit (whose A^T dy stays a product)
+    no product is made until the next step."""
+    tracer_mod = _load_tracer()
+    tracer = tracer_mod.Tracer()
+    rng = np.random.default_rng(3)
+    prob = random_lp(rng, 8, 4, style="equality")
+    cfg = SolverConfig(tol=1e-8, engine=EngineConfig(mode=mode, gamma=0.5, t1_zero_path=True))
+    tracer.install()
+    try:
+        res = solve(prob, cfg)
+    finally:
+        tracer.uninstall()
+    assert res.status == "optimal" and res.events
+    names, parents = tracer.names, tracer.parents
+    fits = [i for i, name in enumerate(names) if name == "adaptive.sigma_update"]
+    assert len(fits) == len(res.events)
+    for i in fits:
+        step = names.index("engine.pr_step", i)
+        top = [names[k] for k in range(i + 1, step) if parents[k] == -1]
+        assert top == [], f"restart after span {i} made {top}"

@@ -2,12 +2,13 @@
 reshape trace CSVs for plotting.
 
 Exit codes: 0 solved to tolerance, 2 iteration/time limit, 3 numerical
-failure, 64 bad usage, 65 unreadable/unparsable input.
+failure, 64 bad usage, 65 unreadable/unparsable input or unwritable output.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -15,14 +16,14 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, fields, replace
 
 from .adaptive import RestartConfig
 from .engine import MODES, EngineConfig
 from .mps import MpsParseError, build_problem, parse_mps
-from .solver import SolveResult, SolverConfig, solve
+from .solver import SolveResult, SolverConfig, TraceRecord, solve
 
-__all__ = ["main", "cmd_solve", "cmd_bench", "cmd_trace_plotdata", "sgm10", "BenchReport"]
+__all__ = ["main", "cmd_solve", "cmd_bench", "cmd_trace_plotdata", "sgm10"]
 
 EXIT_OK = 0
 EXIT_LIMIT = 2
@@ -30,9 +31,14 @@ EXIT_NUMERICAL = 3
 EXIT_USAGE = 64
 EXIT_DATA = 65
 
-_TRACE_FIELDS = (
-    "k", "r", "t", "sigma", "rel_gap", "rel_primal", "rel_dual", "merit", "seconds",
-    "face",
+# a status missing from the table is a numerical failure
+_STATUS_EXIT = {"optimal": EXIT_OK, "iter_limit": EXIT_LIMIT, "time_limit": EXIT_LIMIT}
+
+_TRACE_FIELDS = tuple(f.name for f in fields(TraceRecord))
+# the SolveResult scalars that open the --json report, in order
+_JSON_SCALARS = (
+    "status", "primal_obj", "dual_obj", "rel_gap", "rel_primal", "rel_dual",
+    "iterations", "restarts", "solve_seconds",
 )
 
 
@@ -80,14 +86,9 @@ def _solver_config(args, mode: str) -> SolverConfig:
     )
     engine = EngineConfig(sigma=args.sigma0, mode=mode, gamma=args.gamma)
     return SolverConfig(
-        tol=args.tol,
-        time_limit=args.time_limit,
-        iter_limit=args.iter_limit,
-        check_interval=args.check_interval,
-        engine=engine,
-        restart=restart,
-        adaptive_sigma=not args.no_adaptive_sigma,
-        scaling=args.scaling,
+        tol=args.tol, time_limit=args.time_limit, iter_limit=args.iter_limit,
+        check_interval=args.check_interval, engine=engine, restart=restart,
+        adaptive_sigma=not args.no_adaptive_sigma, scaling=args.scaling,
     )
 
 
@@ -116,62 +117,34 @@ def _solve_file(path: str, cfg: SolverConfig) -> tuple[SolveResult, float]:
 
 
 def _write_trace(result: SolveResult, path: str):
+    """One row per record: counters and the face flag as integers, seconds
+    to the microsecond, every other float to 12 significant digits."""
     with open(path, "w", newline="") as fh:
         out = csv.writer(fh)
         out.writerow(_TRACE_FIELDS)
         for rec in result.trace:
+            values = (getattr(rec, f) for f in _TRACE_FIELDS)
             out.writerow([
-                rec.k, rec.r, rec.t, f"{rec.sigma:.12g}",
-                f"{rec.rel_gap:.12g}", f"{rec.rel_primal:.12g}",
-                f"{rec.rel_dual:.12g}", f"{rec.merit:.12g}",
-                f"{rec.seconds:.6f}", int(rec.face),
+                format(v, ".6f" if f == "seconds" else ".12g") if isinstance(v, float)
+                else int(v)
+                for f, v in zip(_TRACE_FIELDS, values)
             ])
 
 
-def _status_code(status: str) -> int:
-    if status == "optimal":
-        return EXIT_OK
-    if status in ("iter_limit", "time_limit"):
-        return EXIT_LIMIT
-    return EXIT_NUMERICAL
-
-
 def cmd_solve(args) -> int:
-    try:
-        result, read_seconds = _solve_file(args.file, _solver_config(args, args.mode))
-    except (MpsParseError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+    result, read_seconds = _solve_file(args.file, _solver_config(args, args.mode))
     if args.trace:
         _write_trace(result, args.trace)
     if args.json:
-        payload = {
-            "status": result.status,
-            "primal_obj": result.primal_obj,
-            "dual_obj": result.dual_obj,
-            "rel_gap": result.rel_gap,
-            "rel_primal": result.rel_primal,
-            "rel_dual": result.rel_dual,
-            "iterations": result.iterations,
-            "restarts": result.restarts,
-            "solve_seconds": result.solve_seconds,
-            "read_seconds": read_seconds,
-            "message": result.message,
-            "face_finish": result.face_finish,
-            "x": list(result.x),
-            "y": list(result.y),
-            "z": list(result.z),
-            "events": [
-                {
-                    "k": e.k, "r": e.r, "tau": e.tau, "reason": e.reason,
-                    "sigma_before": e.sigma_before, "sigma_after": e.sigma_after,
-                }
-                for e in result.events
-            ],
-            "trace": [
-                {f: getattr(rec, f) for f in _TRACE_FIELDS} for rec in result.trace
-            ],
-        }
+        payload = {name: getattr(result, name) for name in _JSON_SCALARS}
+        payload.update(
+            read_seconds=read_seconds,
+            message=result.message,
+            face_finish=result.face_finish,
+            x=list(result.x), y=list(result.y), z=list(result.z),
+            events=[asdict(e) for e in result.events],
+            trace=[asdict(rec) for rec in result.trace],
+        )
         print(json.dumps(payload))
     else:
         print(f"status: {result.status}")
@@ -190,59 +163,38 @@ def cmd_solve(args) -> int:
             print("finish: face solve at the last checkpoint (verified on the original data)")
         if result.message:
             print(f"note: {result.message}")
-    return _status_code(result.status)
+    return _STATUS_EXIT.get(result.status, EXIT_NUMERICAL)
 
 
 # ---------------------------------------------------------------------
 # bench
 
 
-@dataclass(frozen=True)
-class BenchReport:
-    """Per-instance rows and shifted-geometric-mean seconds per mode.
-    Unsolved instances are charged the full time limit."""
-
-    rows: tuple[dict, ...]
-    sgm10_seconds: dict[str, float]
-    solved: dict[str, int]
-    time_limit: float
-
-
 def _bench_worker(job):
+    """One instance's row; a file that fails to read or solve gets an
+    ``error(...)`` status instead of ending the run."""
     path, cfg = job
-    mode = cfg.engine.mode
+    row = {"instance": os.path.basename(path), "mode": cfg.engine.mode}
     try:
         result, _ = _solve_file(path, cfg)
-        return {
-            "instance": os.path.basename(path),
-            "mode": mode,
-            "status": result.status,
-            "iterations": result.iterations,
-            "seconds": result.solve_seconds,
-            "objective": result.primal_obj,
-        }
     except (MpsParseError, OSError, ValueError) as exc:
-        return {
-            "instance": os.path.basename(path),
-            "mode": mode,
-            "status": f"error({exc})",
-            "iterations": 0,
-            "seconds": float("nan"),
-            "objective": float("nan"),
-        }
+        row.update(status=f"error({exc})", iterations=0, seconds=float("nan"),
+                   objective=float("nan"))
+    else:
+        row.update(status=result.status, iterations=result.iterations,
+                   seconds=result.solve_seconds, objective=result.primal_obj)
+    return row
 
 
 def _worker_cap() -> int:
-    env = os.environ.get("HPRLP_THREADS", "")
-    if env.strip():
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
+    try:
+        return max(1, int(os.environ.get("HPRLP_THREADS", "")))
+    except ValueError:  # unset, blank or not a number
+        return os.cpu_count() or 1
 
 
-def run_bench(directory: str, modes: list[str], cfg: SolverConfig) -> BenchReport:
+def run_bench(directory: str, modes: list[str], cfg: SolverConfig) -> list[dict]:
+    """One row per instance and mode, sorted by instance, then mode."""
     paths = sorted(
         os.path.join(directory, f)
         for f in os.listdir(directory)
@@ -250,11 +202,8 @@ def run_bench(directory: str, modes: list[str], cfg: SolverConfig) -> BenchRepor
     )
     if not paths:
         raise FileNotFoundError(f"no .mps or .mps.gz files under {directory!r}")
-    jobs = [
-        (p, replace(cfg, engine=replace(cfg.engine, mode=mode)))
-        for p in paths
-        for mode in modes
-    ]
+    jobs = [(p, replace(cfg, engine=replace(cfg.engine, mode=mode)))
+            for p in paths for mode in modes]
     workers = min(_worker_cap(), len(jobs))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -262,23 +211,7 @@ def run_bench(directory: str, modes: list[str], cfg: SolverConfig) -> BenchRepor
     else:
         rows = [_bench_worker(j) for j in jobs]
     rows.sort(key=lambda row: (row["instance"], row["mode"]))
-
-    limit = cfg.time_limit
-    sgm = {}
-    solved = {}
-    for mode in modes:
-        charged = [
-            row["seconds"] if row["status"] == "optimal" else limit
-            for row in rows
-            if row["mode"] == mode
-        ]
-        sgm[mode] = sgm10(charged)
-        solved[mode] = sum(
-            1 for row in rows if row["mode"] == mode and row["status"] == "optimal"
-        )
-    return BenchReport(
-        rows=tuple(rows), sgm10_seconds=sgm, solved=solved, time_limit=limit
-    )
+    return rows
 
 
 def cmd_bench(args) -> int:
@@ -287,34 +220,34 @@ def cmd_bench(args) -> int:
     if bad or not modes:
         print(f"error: invalid mode list {args.modes!r}", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        report = run_bench(args.directory, modes, _solver_config(args, modes[0]))
-    except (FileNotFoundError, NotADirectoryError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+    rows = run_bench(args.directory, modes, _solver_config(args, modes[0]))
+    # the shifted geometric mean per mode, unsolved instances charged the
+    # time limit; taken before any output, so a refused limit prints none
+    limit = args.time_limit
+    summary = []
+    for mode in modes:
+        mine = [row for row in rows if row["mode"] == mode]
+        solved = [row["status"] == "optimal" for row in mine]
+        charged = sgm10(row["seconds"] if ok else limit for row, ok in zip(mine, solved))
+        summary.append(
+            f"sgm10[{mode}] = {charged:.3f} s ({sum(solved)}/{len(mine)} solved, "
+            f"unsolved charged {limit:g} s)"
+        )
 
     header = f"{'instance':<30} {'mode':<8} {'status':<16} {'iters':>8} {'seconds':>10}"
     print(header)
     print("-" * len(header))
-    for row in report.rows:
+    for row in rows:
         print(
             f"{row['instance']:<30} {row['mode']:<8} {row['status']:<16} "
             f"{row['iterations']:>8} {row['seconds']:>10.3f}"
         )
-    for mode in modes:
-        print(
-            f"sgm10[{mode}] = {report.sgm10_seconds[mode]:.3f} s "
-            f"({report.solved[mode]}/{len(report.rows) // len(modes)} solved, "
-            f"unsolved charged {report.time_limit:g} s)"
-        )
+    print("\n".join(summary))
     if args.csv:
         with open(args.csv, "w", newline="") as fh:
-            out = csv.DictWriter(
-                fh,
-                fieldnames=["instance", "mode", "status", "iterations", "seconds", "objective"],
-            )
+            out = csv.DictWriter(fh, fieldnames=list(rows[0]))
             out.writeheader()
-            out.writerows(report.rows)
+            out.writerows(rows)
     return EXIT_OK
 
 
@@ -328,40 +261,27 @@ def cmd_trace_plotdata(args) -> int:
     series_fields = ("sigma", "rel_gap", "rel_primal", "rel_dual", "merit")
     out_rows = []
     for path in args.files:
-        try:
-            with open(path, newline="") as fh:
-                reader = csv.DictReader(fh)
-                if reader.fieldnames is None or "k" not in reader.fieldnames:
-                    print(f"error: {path}: not a trace CSV", file=sys.stderr)
-                    return EXIT_DATA
-                missing = [f for f in series_fields if f not in reader.fieldnames]
-                if missing:
-                    print(
-                        f"error: {path}: missing columns {', '.join(missing)}",
-                        file=sys.stderr,
-                    )
-                    return EXIT_DATA
-                rows = list(reader)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_DATA
+        with open(path, newline="") as fh:
+            reader = csv.DictReader(fh)
+            if reader.fieldnames is None or "k" not in reader.fieldnames:
+                raise ValueError(f"{path}: not a trace CSV")
+            missing = [f for f in series_fields if f not in reader.fieldnames]
+            if missing:
+                raise ValueError(f"{path}: missing columns {', '.join(missing)}")
+            rows = list(reader)
         if not rows:
-            print(f"error: {path}: empty trace", file=sys.stderr)
-            return EXIT_DATA
+            raise ValueError(f"{path}: empty trace")
         stem = os.path.basename(path).rsplit(".", 1)[0]
         prefix = f"{stem}:" if len(args.files) > 1 else ""
         for row in rows:
             for fieldname in series_fields:
                 out_rows.append((row["k"], prefix + fieldname, row[fieldname]))
 
-    dest = open(args.out, "w", newline="") if args.out else sys.stdout
-    try:
-        out = csv.writer(dest)
+    dest = open(args.out, "w", newline="") if args.out else contextlib.nullcontext(sys.stdout)
+    with dest as fh:
+        out = csv.writer(fh)
         out.writerow(["k", "series", "value"])
         out.writerows(out_rows)
-    finally:
-        if args.out:
-            dest.close()
     return EXIT_OK
 
 
@@ -403,9 +323,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    """Run one subcommand; every unreadable or invalid input and every
+    unwritable output ends here as ``error: ...`` with exit code 65."""
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except (MpsParseError, OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DATA
 
 
 if __name__ == "__main__":  # pragma: no cover

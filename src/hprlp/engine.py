@@ -65,7 +65,6 @@ from .sparse import SparseMatrix
 __all__ = [
     "EngineConfig",
     "StepWorkspace",
-    "EprAverages",
     "NormalEquationSolver",
     "pr_step",
     "proximal_point",
@@ -415,27 +414,14 @@ def halpern_step(
     return out
 
 
-class EprAverages:
-    """Uniform running mean ``w_bar_avg`` of the proximal points
-    w_bar^1 .. w_bar^k folded in since it was made, updated in place;
-    ``n_bar`` is k, and the mean is undefined while it is 0."""
-
-    __slots__ = ("w_bar_avg", "n_bar", "_tmp")
-
-    def __init__(self, m: int, n: int):
-        self.w_bar_avg = Iterate.empty(m, n)
-        self.n_bar = 0
-        self._tmp = Iterate.empty(m, n)
-
-
-def epr_accumulate(state: EprAverages, w_bar: Iterate) -> None:
-    """Fold the step's proximal point into the running mean, in place as
-    avg + (1 / count) (w_bar - avg)."""
-    state.n_bar += 1
-    if state.n_bar == 1:
-        state.w_bar_avg.assign(w_bar)
+def epr_accumulate(mean: Iterate, w_bar: Iterate, count: int, scratch: Iterate) -> None:
+    """Fold the count-th proximal point into the uniform running mean of
+    the first count - 1, in place as mean + (1 / count) (w_bar - mean);
+    the first is copied.  ``scratch`` is overwritten."""
+    if count == 1:
+        mean.assign(w_bar)
         return
-    avg, d = state.w_bar_avg.buf, state._tmp.buf
+    avg, d = mean.buf, scratch.buf
     np.subtract(w_bar.buf, avg, out=d)
-    np.multiply(1.0 / state.n_bar, d, out=d)
+    np.multiply(1.0 / count, d, out=d)
     np.add(avg, d, out=avg)

@@ -41,7 +41,6 @@ from .adaptive import (
 )
 from .engine import (
     EngineConfig,
-    EprAverages,
     NormalEquationSolver,
     StepWorkspace,
     _packed,
@@ -72,6 +71,9 @@ __all__ = [
 ]
 
 _DIVERGENCE_NORM = 1e12
+# row/column max-magnitude sweeps of the Ruiz scaling (at most; they stop
+# once every maximum is within 1e-8 of 1)
+RUIZ_SWEEPS = 10
 
 
 @dataclass(frozen=True)
@@ -199,12 +201,10 @@ def _abs_max(mag: np.ndarray, index: np.ndarray, out: np.ndarray):
     out[out == 0.0] = 1.0
 
 
-def apply_scaling(
-    prob: LpProblem, method: str = "ruiz", ruiz_iters: int = 10
-) -> tuple[LpProblem, RuizScaling]:
+def apply_scaling(prob: LpProblem, method: str = "ruiz") -> tuple[LpProblem, RuizScaling]:
     """Equilibrate the problem; returns the scaled copy and the diagonals.
 
-    "ruiz": sqrt row/column max-magnitude sweeps (default 10) followed
+    "ruiz": ``RUIZ_SWEEPS`` sqrt row/column max-magnitude sweeps followed
     by one column 2-norm pass.  "none" returns the problem unchanged
     with identity diagonals.  Bounds, objective and multipliers
     transform so the scaled problem is equivalent:
@@ -243,7 +243,7 @@ def apply_scaling(
     rmax, cmax = np.empty(m), np.empty(n)
     row_acc = np.ones(m)
     col_acc = np.ones(n)
-    for _ in range(ruiz_iters):
+    for _ in range(RUIZ_SWEEPS):
         mag = np.abs(data)
         _abs_max(mag, rows, rmax)
         _abs_max(mag, cols, cmax)
@@ -254,20 +254,10 @@ def apply_scaling(
         data = (1.0 / r)[rows] * data * (1.0 / c)[cols]
         row_acc /= r
         col_acc /= c
-    # one column 2-norm pass; a column whose squares overflow (an entry
-    # above about 1.3e154, possible only without a sweep) takes its norm
-    # again with its largest magnitude factored out
-    with np.errstate(over="ignore"):
-        square = data * data
-    cn = np.sqrt(np.bincount(cols, weights=square, minlength=n))
-    over = np.isinf(cn)
-    if over.any():
-        big = over[cols]
-        big_cols, mag = cols[big], np.abs(data[big])
-        top = np.zeros(n)
-        np.maximum.at(top, big_cols, mag)
-        ratio = mag / top[big_cols]
-        cn[over] = (top * np.sqrt(np.bincount(big_cols, weights=ratio * ratio, minlength=n)))[over]
+    # one column 2-norm pass; no square overflows, since after a sweep
+    # every entry is at most 1 in magnitude, and the loop stops before
+    # one only when every row maximum is within 1e-8 of 1
+    cn = np.sqrt(np.bincount(cols, weights=data * data, minlength=n))
     cn[cn == 0.0] = 1.0
     data = data * (1.0 / cn)[cols]
     col_acc /= cn
@@ -597,7 +587,8 @@ def solve(prob: LpProblem, cfg: SolverConfig | None = None) -> SolveResult:
 
     # the iteration state, allocated once: the iterate w and the restart
     # point, the step's workspace, w - w_hat for the merit, the point a
-    # checkpoint reads (w_bar with its z_bar formed) and the ergodic mean;
+    # checkpoint reads (w_bar with its z_bar formed) and the ergodic mean,
+    # which epr checkpoints read instead, using that point as scratch;
     # k counts all steps, r restarts, t steps since the last restart.
     # w, the anchor, the difference and the step's points are each one
     # (z, y, x, product) vector, and the loop's state is a slice of it
@@ -645,7 +636,7 @@ def solve(prob: LpProblem, cfg: SolverConfig | None = None) -> SolveResult:
     if anchored:
         np.copyto(w_p, work.A.rmatvec(w.y) if normal else work.A.matvec(w.x))
     np.copyto(anchor_state, w_state)
-    averages = EprAverages(m, n) if ergodic else None
+    mean = Iterate.empty(m, n) if ergodic else None
     face = None
     can_restart = restart_cfg.enabled or restart_cfg.fixed_period is not None
     if anchored and can_restart and m <= NormalEquationSolver.MAX_ROWS:
@@ -679,7 +670,7 @@ def solve(prob: LpProblem, cfg: SolverConfig | None = None) -> SolveResult:
         t += 1
         k += 1
         if ergodic:
-            epr_accumulate(averages, step_work.w_bar)
+            epr_accumulate(mean, step_work.w_bar, t, point)
 
         reason = no_restart
         if restarts:
@@ -690,7 +681,7 @@ def solve(prob: LpProblem, cfg: SolverConfig | None = None) -> SolveResult:
         hit_time = time.perf_counter() > deadline
         if k % check_interval == 0 or hit_iter or hit_time or reason != no_restart:
             # every restart and face try comes through here first
-            candidate = averages.w_bar_avg if ergodic else proximal_point(step_work, point)
+            candidate = mean if ergodic else proximal_point(step_work, point)
             wb, res = log.checkpoint(candidate, k, r, t, ecfg.sigma, merit)
             if max(res) <= tol:
                 status = "optimal"
@@ -716,8 +707,6 @@ def solve(prob: LpProblem, cfg: SolverConfig | None = None) -> SolveResult:
             if anchored:
                 np.copyto(w_p, step_p if normal else work.A.matvec(w.x))
             np.copyto(anchor_state, w_state)
-            if ergodic:
-                averages = EprAverages(m, n)
             r += 1
             t = 0
 

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import shlex
@@ -7,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hprlp import RestartEvent, TraceRecord
 from hprlp.cli import (
     EXIT_DATA,
     EXIT_LIMIT,
@@ -86,6 +88,23 @@ def test_solve_json_output(fixtures_dir, capsys):
         }
 
 
+def test_solve_json_keys_and_records(fixtures_dir, capsys):
+    """The report's keys, in order, and every trace record and restart
+    event rebuilds the library's record exactly."""
+    assert main(["solve", str(fixtures_dir / "bounds_all.mps"), "--json"]) == EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    assert list(payload) == [
+        "status", "primal_obj", "dual_obj", "rel_gap", "rel_primal", "rel_dual",
+        "iterations", "restarts", "solve_seconds", "read_seconds", "message",
+        "face_finish", "x", "y", "z", "events", "trace",
+    ]
+    assert payload["events"] and payload["trace"]
+    for rec in payload["trace"]:
+        assert dataclasses.asdict(TraceRecord(**rec)) == rec
+    for event in payload["events"]:
+        assert dataclasses.asdict(RestartEvent(**event)) == event
+
+
 def test_solve_says_when_the_answer_is_the_face_point(fixtures_dir, capsys):
     """The text and JSON reports name the face finish, and only for a
     solve that ended on it."""
@@ -153,6 +172,13 @@ def test_solve_unparsable_file(tmp_path, capsys):
     code = main(["solve", str(bad)])
     assert code == EXIT_DATA
     assert "line 2" in capsys.readouterr().err
+
+
+def test_solve_unwritable_trace_exits_65(fixtures_dir, tmp_path, capsys):
+    path = tmp_path / "missing" / "t.csv"
+    code = main(["solve", str(fixtures_dir / "simple_l.mps"), "--trace", str(path)])
+    assert code == EXIT_DATA
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_solve_iteration_limit_exit_code(fixtures_dir, capsys):
@@ -254,6 +280,14 @@ def test_trace_plotdata_rejects_non_trace(tmp_path, capsys):
     assert "not a trace" in capsys.readouterr().err
 
 
+def test_trace_plotdata_unwritable_out_exits_65(fixtures_dir, tmp_path, capsys):
+    trace = make_trace(fixtures_dir, tmp_path, "t1.csv")
+    capsys.readouterr()
+    code = main(["trace-plotdata", str(trace), "--out", str(tmp_path / "missing" / "p.csv")])
+    assert code == EXIT_DATA
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_trace_plotdata_rejects_empty(tmp_path, capsys):
     empty = tmp_path / "empty.csv"
     empty.write_text("k,r,t,sigma,rel_gap,rel_primal,rel_dual,merit,seconds\n")
@@ -285,6 +319,36 @@ def test_bench_directory(fixtures_dir, tmp_path, capsys, monkeypatch):
     assert len(rows) == 4
     assert {r["mode"] for r in rows} == {"hpr", "hdr"}
     assert all(r["status"] == "optimal" for r in rows)
+
+
+def test_bench_charges_unsolved_the_time_limit(fixtures_dir, tmp_path, capsys,
+                                               monkeypatch):
+    """Every instance stops at its iteration limit, so each is charged the
+    time limit and the shifted geometric mean is that limit."""
+    monkeypatch.setenv("HPRLP_THREADS", "1")
+    bench_dir = tmp_path / "suite"
+    bench_dir.mkdir()
+    for name in ("rows_lge.mps", "ranges_e.mps"):
+        (bench_dir / name).write_text((fixtures_dir / name).read_text())
+    out_csv = tmp_path / "bench.csv"
+    code = main(["bench", str(bench_dir), "--iter-limit", "1", "--time-limit", "50",
+                 "--csv", str(out_csv)])
+    assert code == EXIT_OK
+    out = capsys.readouterr().out
+    assert "sgm10[hpr] = 50.000 s (0/2 solved, unsolved charged 50 s)" in out
+    with open(out_csv, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["status"] for r in rows] == ["iter_limit", "iter_limit"]
+
+
+def test_bench_unwritable_csv_exits_65(fixtures_dir, tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("HPRLP_THREADS", "1")
+    bench_dir = tmp_path / "suite"
+    bench_dir.mkdir()
+    (bench_dir / "simple_l.mps").write_text((fixtures_dir / "simple_l.mps").read_text())
+    code = main(["bench", str(bench_dir), "--csv", str(tmp_path / "missing" / "b.csv")])
+    assert code == EXIT_DATA
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_bench_parallel_workers(fixtures_dir, tmp_path, capsys, monkeypatch):

@@ -10,7 +10,6 @@ import hprlp.solver
 from hprlp import EngineConfig, Iterate, LpProblem, SolverConfig, SparseMatrix, solve
 from hprlp.adaptive import m_norm
 from hprlp.engine import (
-    EprAverages,
     NormalEquationSolver,
     StepWorkspace,
     epr_accumulate,
@@ -222,16 +221,16 @@ def test_halpern_rejects_negative_counter():
 
 
 def test_epr_running_means():
-    st = EprAverages(1, 1)
-    assert st.n_bar == 0
-
+    mean, scratch = Iterate.empty(1, 1), Iterate.empty(1, 1)
     w_bar1 = Iterate(np.array([2.0]), np.array([0.0]), np.array([0.0]))
     w_bar2 = Iterate(np.array([4.0]), np.array([0.0]), np.array([0.0]))
-    epr_accumulate(st, w_bar1)
-    npt.assert_array_equal(st.w_bar_avg.y, [2.0])
-    epr_accumulate(st, w_bar2)
-    npt.assert_array_equal(st.w_bar_avg.y, [3.0])  # (2 + 4)/2
-    assert st.n_bar == 2
+    epr_accumulate(mean, w_bar1, 1, scratch)  # the first point is copied
+    npt.assert_array_equal(mean.y, [2.0])
+    epr_accumulate(mean, w_bar2, 2, scratch)
+    npt.assert_array_equal(mean.y, [3.0])  # (2 + 4)/2
+    # a count of 1 starts a new mean, as at a restart
+    epr_accumulate(mean, w_bar2, 1, scratch)
+    npt.assert_array_equal(mean.y, [4.0])
 
     # the iterate mean of criterion 6 includes the start point
     mean = IterateMean(Iterate(np.array([0.0]), np.array([0.0]), np.array([0.0])))

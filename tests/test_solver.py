@@ -120,7 +120,8 @@ def _random_scaling_lp(rng, m, n):
 
 
 @pytest.mark.parametrize("ruiz_iters", [0, 1, 10])
-def test_ruiz_matches_product_form_bitwise(ruiz_iters):
+def test_ruiz_matches_product_form_bitwise(ruiz_iters, monkeypatch):
+    monkeypatch.setattr(solver_module, "RUIZ_SWEEPS", ruiz_iters)
     rng = np.random.default_rng(100 + ruiz_iters)
     probs = [  # 1x1, one-row and one-column matrices, every entry nonzero
         _lp_on(SparseMatrix.from_dense(
@@ -130,7 +131,7 @@ def test_ruiz_matches_product_form_bitwise(ruiz_iters):
     probs += [_random_scaling_lp(rng, *map(int, rng.integers(1, 30, 2))) for _ in range(40)]
     for prob in probs:
         _assert_same_scaling(
-            apply_scaling(prob, "ruiz", ruiz_iters), product_form_scaling(prob, ruiz_iters)
+            apply_scaling(prob, "ruiz"), product_form_scaling(prob, ruiz_iters)
         )
 
 
@@ -149,7 +150,7 @@ def test_ruiz_leaves_signed_permutation_unchanged():
     assert np.array_equal(scaled.A.to_csc().toarray(), A.to_csc().toarray())
 
 
-def test_ruiz_drops_stored_and_underflowing_zeros():
+def test_ruiz_drops_stored_and_underflowing_zeros(monkeypatch):
     """Zeros stored in the input, and an entry that underflows to 0 in
     a sweep, are gone from the scaled matrix, as the product form drops
     every product that is exactly zero."""
@@ -165,7 +166,8 @@ def test_ruiz_drops_stored_and_underflowing_zeros():
     for prob, iters, nnz in ((mixed, 1, 3), (mixed, 10, 3), (zeros_only, 0, 0),
                              (zeros_only, 10, 0)):
         assert np.any(prob.A.to_csc().data == 0.0)
-        got = apply_scaling(prob, "ruiz", iters)
+        monkeypatch.setattr(solver_module, "RUIZ_SWEEPS", iters)
+        got = apply_scaling(prob, "ruiz")
         _assert_same_scaling(got, product_form_scaling(prob, iters))
         # 1e-300 underflows in the first sweep; the stored zeros go with it
         assert got[0].A.nnz == nnz
@@ -173,9 +175,9 @@ def test_ruiz_drops_stored_and_underflowing_zeros():
 
 
 def test_column_norm_pass_survives_overflowing_squares():
-    """Without a sweep, 1e300 squared overflows; its column's norm is
-    taken with the column maximum factored out, so no column drops out
-    and no bound turns into NaN or an infinity."""
+    """1e300 squared overflows, but the column norms are taken after the
+    sweeps, which leave every entry at most 1 in magnitude, so no column
+    drops out and no bound turns into NaN or an infinity."""
     prob = LpProblem(
         c=[1.0, 1.0],
         A=SparseMatrix.from_dense([[1e300, 1.0], [2.0, 3.0]]),
@@ -184,7 +186,7 @@ def test_column_norm_pass_survives_overflowing_squares():
         l_var=[0.0, -2.0],
         u_var=[5.0, 0.0],
     )
-    scaled, scaling = apply_scaling(prob, "ruiz", 0)
+    scaled, scaling = apply_scaling(prob, "ruiz")
     assert scaled.A.nnz == 4
     npt.assert_allclose(np.linalg.norm(scaled.A.to_csc().toarray(), axis=0), 1.0, rtol=1e-15)
     assert np.all(np.isfinite(scaling.col)) and np.all(scaling.col > 0.0)

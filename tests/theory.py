@@ -405,8 +405,8 @@ def _sparse_row_abs_max(W: sp.csr_matrix) -> np.ndarray:
 def product_form_scaling(
     prob: LpProblem, ruiz_iters: int = 10
 ) -> tuple[LpProblem, RuizScaling]:
-    """``apply_scaling(prob, "ruiz", ruiz_iters)`` with every sweep
-    written as scipy products ``diags(1/r) @ W @ diags(1/c)``."""
+    """``apply_scaling(prob, "ruiz")`` at ``RUIZ_SWEEPS = ruiz_iters``, with
+    every sweep written as scipy products ``diags(1/r) @ W @ diags(1/c)``."""
     m, n = prob.A.shape
     if prob.A.nnz == 0 or m == 0 or n == 0:
         return prob, RuizScaling.identity(m, n)

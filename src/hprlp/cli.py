@@ -116,25 +116,26 @@ def _solve_file(path: str, cfg: SolverConfig) -> tuple[SolveResult, float]:
     return solve(prob, cfg), read_seconds
 
 
-def _write_trace(result: SolveResult, path: str):
+def _write_trace(result: SolveResult, fh):
     """One row per record: counters and the face flag as integers, seconds
     to the microsecond, every other float to 12 significant digits."""
-    with open(path, "w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(_TRACE_FIELDS)
-        for rec in result.trace:
-            values = (getattr(rec, f) for f in _TRACE_FIELDS)
-            out.writerow([
-                format(v, ".6f" if f == "seconds" else ".12g") if isinstance(v, float)
-                else int(v)
-                for f, v in zip(_TRACE_FIELDS, values)
-            ])
+    out = csv.writer(fh)
+    out.writerow(_TRACE_FIELDS)
+    for rec in result.trace:
+        values = (getattr(rec, f) for f in _TRACE_FIELDS)
+        out.writerow([
+            format(v, ".6f" if f == "seconds" else ".12g") if isinstance(v, float)
+            else int(v)
+            for f, v in zip(_TRACE_FIELDS, values)
+        ])
 
 
 def cmd_solve(args) -> int:
-    result, read_seconds = _solve_file(args.file, _solver_config(args, args.mode))
-    if args.trace:
-        _write_trace(result, args.trace)
+    # the trace file is opened first, so an unwritable path costs no solve
+    with open(args.trace, "w", newline="") if args.trace else contextlib.nullcontext() as trace:
+        result, read_seconds = _solve_file(args.file, _solver_config(args, args.mode))
+        if trace:
+            _write_trace(result, trace)
     if args.json:
         payload = {name: getattr(result, name) for name in _JSON_SCALARS}
         payload.update(
@@ -220,15 +221,22 @@ def cmd_bench(args) -> int:
     if bad or not modes:
         print(f"error: invalid mode list {args.modes!r}", file=sys.stderr)
         return EXIT_USAGE
-    rows = run_bench(args.directory, modes, _solver_config(args, modes[0]))
+    # the CSV is opened first, so an unwritable path costs no solve
+    with open(args.csv, "w", newline="") if args.csv else contextlib.nullcontext() as fh:
+        rows = run_bench(args.directory, modes, _solver_config(args, modes[0]))
+        if fh:
+            out = csv.DictWriter(fh, fieldnames=list(rows[0]))
+            out.writeheader()
+            out.writerows(rows)
     # the shifted geometric mean per mode, unsolved instances charged the
-    # time limit; taken before any output, so a refused limit prints none
+    # time limit; sgm10 takes finite times only, and an infinite charge is inf
     limit = args.time_limit
     summary = []
     for mode in modes:
         mine = [row for row in rows if row["mode"] == mode]
         solved = [row["status"] == "optimal" for row in mine]
-        charged = sgm10(row["seconds"] if ok else limit for row, ok in zip(mine, solved))
+        times = [row["seconds"] if ok else limit for row, ok in zip(mine, solved)]
+        charged = math.inf if math.inf in times else sgm10(times)
         summary.append(
             f"sgm10[{mode}] = {charged:.3f} s ({sum(solved)}/{len(mine)} solved, "
             f"unsolved charged {limit:g} s)"
@@ -243,11 +251,6 @@ def cmd_bench(args) -> int:
             f"{row['iterations']:>8} {row['seconds']:>10.3f}"
         )
     print("\n".join(summary))
-    if args.csv:
-        with open(args.csv, "w", newline="") as fh:
-            out = csv.DictWriter(fh, fieldnames=list(rows[0]))
-            out.writeheader()
-            out.writerows(rows)
     return EXIT_OK
 
 

@@ -127,10 +127,6 @@ class MpsDocument:
     integer_columns: list[str] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
 
-    @property
-    def constraint_rows(self) -> list[str]:
-        return [name for name, kind in self.row_types.items() if kind != "N"]
-
 
 def _is_number(token: str) -> bool:
     # float() reads an ASCII token only from a sign, a digit, '.' or

@@ -1,8 +1,8 @@
 """Restarted solve driver with scaling, penalty updates and tracing.
 
 ``solve`` is setup (scaling, the optional normal-equations factor, and
-lambda_A where that factor is not in use), one loop of reflection steps,
-and a report.  The loop's
+lambda_A where that factor is not in use), a loop over one ``_LoopState``
+(step, the checkpoint's candidate, restart), and a report.  The state's
 switches come resolved from ``EngineConfig``: anchored modes average
 each step with the latest restart point, ergodic mode judges the
 running mean of the proximal points, and every mode but pr restarts.
@@ -162,10 +162,6 @@ class SolveResult:
     trace: tuple[TraceRecord, ...]
     events: tuple[RestartEvent, ...]
     message: str = ""
-
-    @property
-    def rel_residuals(self) -> tuple[float, float, float]:
-        return (self.rel_gap, self.rel_primal, self.rel_dual)
 
     @property
     def face_finish(self) -> bool:
@@ -486,11 +482,12 @@ def _face_corrections(a_rf, rx, ry, buf) -> tuple[np.ndarray, np.ndarray] | None
 
 def _setup(
     prob: LpProblem, cfg: SolverConfig
-) -> tuple[LpProblem, RuizScaling, float | None, NormalEquationSolver | None, str]:
-    """The working problem and its scaling, lambda_A for the working
-    matrix (None on the normal-equations route, which does not read it),
-    the normal-equations factor when that y-step applies, and a message
-    that says why it does not when it was asked for."""
+) -> tuple[LpProblem, RuizScaling, EngineConfig, NormalEquationSolver | None, Iterate, str]:
+    """The working problem and its scaling, the engine configuration
+    resolved for it (lambda_A fitted to the working matrix, None on the
+    normal-equations route, which does not read it), the normal-equations
+    factor when that y-step applies, the working-space start, and a
+    message that says why that y-step does not apply when asked for."""
     work, scaling = apply_scaling(prob, cfg.scaling)
 
     # normal-equations path only for pure equality rows
@@ -508,7 +505,111 @@ def _setup(
     lam = None
     if normal_eq is None:
         lam = estimate_lambda_A(work.A) if work.A.nnz else 1.0
-    return work, scaling, lam, normal_eq, message
+    ecfg = dataclasses.replace(cfg.engine, sigma=float(cfg.engine.sigma), lambda_A=lam,
+                               t1_zero_path=normal_eq is not None)
+    m, n = work.A.shape
+    if cfg.initial_iterate is not None:
+        start = scale_iterate(cfg.initial_iterate, scaling)
+    else:
+        start = Iterate(np.zeros(m), np.zeros(n), project_box(np.zeros(n), work.l_var, work.u_var))
+    return work, scaling, ecfg, normal_eq, start, message
+
+
+class _LoopState:
+    """The iteration state of ``solve``, allocated once, and the loop's
+    three operations on it, ``step``, ``candidate`` and ``restart``: the
+    iterate w and the restart point (the anchor), the step's workspace,
+    w - w_hat for the merit, the point a checkpoint reads (w_bar with its
+    z_bar formed) and the ergodic mean, which epr checkpoints read
+    instead, using that point as scratch.
+
+    w, the anchor, the difference and the step's points are each one
+    (z, y, x, product) vector, and the loop's state is a slice of it
+    taken once (every step writes w_hat to the same vector): the step
+    reads no z, so w.z keeps the start's z until a restart copies a
+    candidate in.  In the anchored modes the state is (y, x, product):
+    A x on the proximal route, A^T y on the normal-equations route.
+    The reflection and the average are linear, so the step's product
+    (A (2 x_bar - x), or A^T y_bar from the normal-equations solve)
+    carries it along; the merit reads it instead of a product of its
+    own, the normal-equations step forms xi from it, and a restart
+    refreshes it exactly: with one product on the proximal route, and
+    on the normal-equations route by copying A^T y_bar, which the
+    step's solve formed for the restart point's y = y_bar; for the
+    start, which also goes through ``restart``, one product is formed
+    into that block first.  pr / epr run on (y, x): they restart on
+    merit increases, which rounding decides.  The product of w - w_hat
+    is formed first, as the step's one scaled by f, and the product of
+    w_hat from it, so no rounded product of w_hat enters the merit:
+    x - x_hat = ((1 + g) / 2) (x - (2 x_bar - x)) and
+    y - y_hat = (1 + g) (y - y_bar).  Where f is 1 (full reflection on
+    the proximal route, g = 0 on the normal one) the step's product is
+    that of w_hat, and the difference is one subtraction.
+    """
+
+    def __init__(self, work: LpProblem, ecfg: EngineConfig,
+                 normal_eq: NormalEquationSolver | None, start: Iterate):
+        m, n = work.A.shape
+        normal, anchored = ecfg.t1_zero_path, ecfg.anchored
+        p = n if normal else m  # the product block's length
+        self.A, self.work, self.normal_eq = work.A, work, normal_eq
+        self.anchored, self.ergodic, self.normal = anchored, ecfg.ergodic, normal
+        self.w, self.w_state = _packed(m, n, p)
+        self.anchor, self.anchor_state = _packed(m, n, p)
+        self.diff, diff_state = _packed(m, n, p)
+        self.step_work = step = StepWorkspace(m, n, p)
+        self.point = Iterate.empty(m, n)
+        self.mean = Iterate.empty(m, n) if ecfg.ergodic else None
+        hat_state = step.bar_state if ecfg.reflection == 0.0 else step.hat_state
+        self.f = (1.0 + ecfg.reflection) * (1.0 if normal else 0.5)
+        self.reflect_p = anchored and self.f != 1.0
+        p0 = 2 * n + m  # where the product block starts
+        loop = slice(n, p0 + p if anchored else p0)
+        states = (self.w_state, diff_state, hat_state, self.anchor_state)
+        self.w_s, self.diff_s, self.hat_s, self.anchor_s = (v[loop] for v in states)
+        self.w_yx, self.diff_yx, self.hat_yx = (v[n:p0] for v in states[:3])
+        self.w_p, self.diff_p, self.hat_p = (v[p0:] for v in states[:3])
+        # where the step leaves its product
+        self.step_p = (step.bar_state if normal else step.hat_state)[p0:]
+        self.merit_p = self.diff_p if anchored else None
+        self.step_aty = self.w_p if anchored and normal else None
+        if anchored and normal:
+            np.copyto(self.step_p, self.A.rmatvec(start.y))
+        self.restart(start)
+
+    def step(self, ecfg: EngineConfig, t: int) -> float:
+        """One iteration, t steps after the last restart: the reflection
+        step, w - w_hat with its product, the merit, then the anchored
+        average into w (w_hat itself in pr / epr) and the ergodic fold.
+        Returns the merit; an ArithmeticError of the step leaves w as is."""
+        pr_step(self.w, self.work, ecfg, self.normal_eq, self.step_work, self.step_aty)
+        if self.reflect_p:
+            np.subtract(self.w_yx, self.hat_yx, out=self.diff_yx)
+            np.subtract(self.w_p, self.step_p, out=self.diff_p)
+            np.multiply(self.f, self.diff_p, out=self.diff_p)
+            np.subtract(self.w_p, self.diff_p, out=self.hat_p)
+        else:
+            np.subtract(self.w_s, self.hat_s, out=self.diff_s)
+        merit = m_norm(self.diff, ecfg, self.A, self.merit_p)
+        if self.anchored:
+            halpern_step(self.anchor_s, self.hat_s, t, out=self.w_s)
+        else:
+            np.copyto(self.w_s, self.hat_s)
+        if self.ergodic:
+            epr_accumulate(self.mean, self.step_work.w_bar, t + 1, self.point)
+        return merit
+
+    def candidate(self) -> Iterate:
+        """The point a checkpoint judges: the ergodic mean in epr, and
+        the last step's proximal point with its z_bar formed otherwise."""
+        return self.mean if self.ergodic else proximal_point(self.step_work, self.point)
+
+    def restart(self, point: Iterate):
+        """Make ``point`` the new w and anchor, with its product."""
+        self.w.assign(point)
+        if self.anchored:
+            np.copyto(self.w_p, self.step_p if self.normal else self.A.matvec(self.w.x))
+        np.copyto(self.anchor_state, self.w_state)
 
 
 def _fit_sigma(
@@ -557,19 +658,7 @@ def solve(prob: LpProblem, cfg: SolverConfig | None = None) -> SolveResult:
             f"the LP needs ({prob.m}, {prob.n})"
         )
     started = time.perf_counter()
-    work, scaling, lam, normal_eq, message = _setup(prob, cfg)
-    m, n = work.A.shape
-    ecfg = dataclasses.replace(
-        cfg.engine, sigma=float(cfg.engine.sigma), lambda_A=lam,
-        t1_zero_path=normal_eq is not None,
-    )
-
-    if w0 is not None:
-        start = scale_iterate(w0, scaling)
-    else:
-        x0 = project_box(np.zeros(n), work.l_var, work.u_var)
-        start = Iterate(np.zeros(m), np.zeros(n), x0)
-
+    work, scaling, ecfg, normal_eq, start, message = _setup(prob, cfg)
     log = _RunLog(prob, scaling, started)
     if cfg.iter_limit == 0:
         w0, res = log.evaluate(start)
@@ -579,98 +668,31 @@ def solve(prob: LpProblem, cfg: SolverConfig | None = None) -> SolveResult:
         )
 
     # switches and limits, read once
-    anchored, ergodic, restarts = ecfg.anchored, ecfg.ergodic, ecfg.restarts
-    tol, iter_limit, check_interval = cfg.tol, cfg.iter_limit, cfg.check_interval
-    restart_cfg = cfg.restart
+    restarts, tol, iter_limit = ecfg.restarts, cfg.tol, cfg.iter_limit
+    check_interval, restart_cfg = cfg.check_interval, cfg.restart
     deadline = started + cfg.time_limit
     no_restart = RestartReason.NONE
-
-    # the iteration state, allocated once: the iterate w and the restart
-    # point, the step's workspace, w - w_hat for the merit, the point a
-    # checkpoint reads (w_bar with its z_bar formed) and the ergodic mean,
-    # which epr checkpoints read instead, using that point as scratch;
-    # k counts all steps, r restarts, t steps since the last restart.
-    # w, the anchor, the difference and the step's points are each one
-    # (z, y, x, product) vector, and the loop's state is a slice of it
-    # taken once (every step writes w_hat to the same vector): the step
-    # reads no z, so w.z keeps the start's z until a restart copies a
-    # candidate in.  In the anchored modes the state is (y, x, product):
-    # A x on the proximal route, A^T y on the normal-equations route.
-    # The reflection and the average are linear, so the step's product
-    # (A (2 x_bar - x), or A^T y_bar from the normal-equations solve)
-    # carries it along; the merit reads it instead of a product of its
-    # own, the normal-equations step forms xi from it, and a restart
-    # refreshes it exactly: with one product on the proximal route, and
-    # on the normal-equations route by copying A^T y_bar, which the
-    # step's solve formed for the restart point's y = y_bar.  pr / epr
-    # run on (y, x): they restart on merit increases, which rounding
-    # decides.  The product of
-    # w - w_hat is formed first, as the step's one scaled by f, and the
-    # product of w_hat from it, so no rounded product of w_hat enters the
-    # merit: x - x_hat = ((1 + g) / 2) (x - (2 x_bar - x)) and
-    # y - y_hat = (1 + g) (y - y_bar).  Where f is 1 (full reflection on
-    # the proximal route, g = 0 on the normal one) the step's product is
-    # that of w_hat, and the difference is one subtraction.
-    normal = ecfg.t1_zero_path
-    p = n if normal else m  # the product block's length
-    w, w_state = _packed(m, n, p)
-    w.assign(start)
-    anchor, anchor_state = _packed(m, n, p)
-    diff, diff_state = _packed(m, n, p)
-    step_work = StepWorkspace(m, n, p)
-    point = Iterate.empty(m, n)
-    hat_state = step_work.bar_state if ecfg.reflection == 0.0 else step_work.hat_state
-    f = (1.0 + ecfg.reflection) * (1.0 if normal else 0.5)
-    reflect_p = anchored and f != 1.0
-    p0 = 2 * n + m  # where the product block starts
-    loop = slice(n, p0 + p if anchored else p0)
-    states = (w_state, anchor_state, diff_state, hat_state)
-    w_s, anchor_s, diff_s, hat_s = (v[loop] for v in states)
-    w_yx, diff_yx, hat_yx = (v[n:p0] for v in (w_state, diff_state, hat_state))
-    w_p, diff_p, hat_p = (v[p0:] for v in (w_state, diff_state, hat_state))
-    # where the step leaves its product
-    step_p = (step_work.bar_state if normal else step_work.hat_state)[p0:]
-    merit_p = diff_p if anchored else None
-    step_aty = w_p if anchored and normal else None
-
-    if anchored:
-        np.copyto(w_p, work.A.rmatvec(w.y) if normal else work.A.matvec(w.x))
-    np.copyto(anchor_state, w_state)
-    mean = Iterate.empty(m, n) if ergodic else None
+    state = _LoopState(work, ecfg, normal_eq, start)
     face = None
     can_restart = restart_cfg.enabled or restart_cfg.fixed_period is not None
-    if anchored and can_restart and m <= NormalEquationSolver.MAX_ROWS:
+    if ecfg.anchored and can_restart and work.m <= NormalEquationSolver.MAX_ROWS:
         face = _FaceFinish(work, log, tol)
+    # k counts all steps, r restarts, t steps since the last restart
     k = r = t = 0
     status = None
 
     while status is None:
         try:
-            pr_step(w, work, ecfg, normal_eq, step_work, step_aty)
+            merit = state.step(ecfg, t)
         except ArithmeticError as exc:
             if log.best_w is None:
-                log.offer(unscale_iterate(w, scaling), _NO_RESIDUALS)
+                log.offer(unscale_iterate(state.w, scaling), _NO_RESIDUALS)
             status, message = "numerical_error", str(exc)
             break
-        if reflect_p:
-            np.subtract(w_yx, hat_yx, out=diff_yx)
-            np.subtract(w_p, step_p, out=diff_p)
-            np.multiply(f, diff_p, out=diff_p)
-            np.subtract(w_p, diff_p, out=hat_p)
-        else:
-            np.subtract(w_s, hat_s, out=diff_s)
-        merit = m_norm(diff, ecfg, work.A, merit_p)
         if t == 0:  # the restart tests measure against the first merit
             merit0 = merit_prev = merit
-
-        if anchored:
-            halpern_step(anchor_s, hat_s, t, out=w_s)
-        else:
-            np.copyto(w_s, hat_s)
         t += 1
         k += 1
-        if ergodic:
-            epr_accumulate(mean, step_work.w_bar, t, point)
 
         reason = no_restart
         if restarts:
@@ -681,7 +703,7 @@ def solve(prob: LpProblem, cfg: SolverConfig | None = None) -> SolveResult:
         hit_time = time.perf_counter() > deadline
         if k % check_interval == 0 or hit_iter or hit_time or reason != no_restart:
             # every restart and face try comes through here first
-            candidate = mean if ergodic else proximal_point(step_work, point)
+            candidate = state.candidate()
             wb, res = log.checkpoint(candidate, k, r, t, ecfg.sigma, merit)
             if max(res) <= tol:
                 status = "optimal"
@@ -701,12 +723,9 @@ def solve(prob: LpProblem, cfg: SolverConfig | None = None) -> SolveResult:
         if status is None and reason != no_restart:
             sigma_old = ecfg.sigma
             if cfg.adaptive_sigma:
-                ecfg = ecfg.with_sigma(_fit_sigma(candidate, anchor, ecfg, work.A))
+                ecfg = ecfg.with_sigma(_fit_sigma(candidate, state.anchor, ecfg, work.A))
             log.events.append(RestartEvent(k, r, t, reason.value, sigma_old, ecfg.sigma))
-            w.assign(candidate)
-            if anchored:
-                np.copyto(w_p, step_p if normal else work.A.matvec(w.x))
-            np.copyto(anchor_state, w_state)
+            state.restart(candidate)
             r += 1
             t = 0
 

@@ -4,7 +4,7 @@ comparing two versions of the solver bit for bit.
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/digest_sweep.py > sweep.txt
 
 Run it on two checkouts and diff the two outputs: a change that keeps
-every trajectory and every parsed problem prints the same 266 lines.
+every trajectory and every parsed problem prints the same 426 lines.
 
 The first 240 lines are solves.  They cover the five modes, both y-step
 routes (the proximal step on two-sided and one-sided rows, the normal
@@ -16,13 +16,20 @@ line holds the case, the status, the iteration count and a digest of
 the bits of x, y and z, the objective, the message, every trace field
 but the time, and the restart events.
 
-The last 26 lines read MPS files through ``parse_mps`` and
+The next 26 lines read MPS files through ``parse_mps`` and
 ``build_problem``: each file in ``tests/fixtures`` and twelve seeded
 files written by ``test_mps_io.emit_mps`` (six sparse LPs of 600 to 5,100
 entries, the larger ones several read blocks long, and six small dense
 LPs with ranged, one-sided or equality rows).  Each line holds the file,
 the problem's shape and a digest of the bits of c, A's CSC arrays, the
 four bounds and the objective constant, and of the document's warnings.
+
+The last 160 lines are warm-started solves (``SolverConfig.initial_iterate``
+set to a seeded random y and x with z = 0) at iteration limits 0, 1, 7 and
+2,000, in the five modes, on both product routes, both y-step routes and
+both shapes; each reads as a solve line above.  They pin the start of the
+loop: the start's scaling into the working space, the product it carries,
+and the report of a solve that takes no step.
 
 Only the public API is used, so the script runs unchanged on older
 checkouts.  Its name does not start with ``test_``: pytest does not
@@ -38,7 +45,7 @@ from pathlib import Path
 import numpy as np
 
 import hprlp.sparse
-from hprlp import EngineConfig, SolverConfig, build_problem, parse_mps, solve
+from hprlp import EngineConfig, Iterate, SolverConfig, build_problem, parse_mps, solve
 
 from conftest import random_lp
 from test_mps_io import emit_mps, sparse_lp
@@ -50,6 +57,7 @@ ROUTES = ("proximal", "normal")
 PRODUCTS = ("dense", "sparse")
 SHAPES = ("wide", "tall")
 SEEDS = range(6)
+WARM_LIMITS = (0, 1, 7, 2000)
 
 
 def _problem(shape: str, route: str, seed: int):
@@ -118,6 +126,21 @@ def main():
             warnings.simplefilter("ignore")
             prob = build_problem(doc)
         print(f"mps-{label} {prob.m}x{prob.n} {_problem_digest(prob, doc.warnings)}", flush=True)
+    for products, shape, route, mode, (seed, limit) in itertools.product(
+            PRODUCTS, SHAPES, ROUTES, MODES, enumerate(WARM_LIMITS)):
+        hprlp.sparse.DENSE_MAX_ENTRIES = cutoff if products == "dense" else -1
+        try:
+            prob = _problem(shape, route, seed)
+            rng = np.random.default_rng(3000 + seed)
+            start = Iterate(rng.standard_normal(prob.m), np.zeros(prob.n),
+                            rng.standard_normal(prob.n))
+            engine = EngineConfig(mode=mode, gamma=0.5, t1_zero_path=route == "normal")
+            res = solve(prob, SolverConfig(tol=1e-8, iter_limit=limit, engine=engine,
+                                           initial_iterate=start))
+        finally:
+            hprlp.sparse.DENSE_MAX_ENTRIES = cutoff
+        case = f"warm-{products}-{shape}-{route}-{mode}-{limit} {prob.m}x{prob.n}"
+        print(f"{case} {res.status} {res.iterations} {_digest(res)}", flush=True)
 
 
 if __name__ == "__main__":

@@ -174,11 +174,22 @@ def test_solve_unparsable_file(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
-def test_solve_unwritable_trace_exits_65(fixtures_dir, tmp_path, capsys):
+def _no_solve(monkeypatch) -> list:
+    """Replace the CLI's ``solve`` by one that records its calls."""
+    calls = []
+    monkeypatch.setattr("hprlp.cli.solve", lambda *args: calls.append(args))
+    return calls
+
+
+def test_solve_unwritable_trace_exits_65(fixtures_dir, tmp_path, capsys, monkeypatch):
+    """The trace file is opened before the solve, so an unwritable path
+    costs no solve."""
+    calls = _no_solve(monkeypatch)
     path = tmp_path / "missing" / "t.csv"
     code = main(["solve", str(fixtures_dir / "simple_l.mps"), "--trace", str(path)])
     assert code == EXIT_DATA
     assert capsys.readouterr().err.startswith("error: ")
+    assert calls == []
 
 
 def test_solve_iteration_limit_exit_code(fixtures_dir, capsys):
@@ -321,34 +332,42 @@ def test_bench_directory(fixtures_dir, tmp_path, capsys, monkeypatch):
     assert all(r["status"] == "optimal" for r in rows)
 
 
+@pytest.mark.parametrize("limit", ["50", "inf"])
 def test_bench_charges_unsolved_the_time_limit(fixtures_dir, tmp_path, capsys,
-                                               monkeypatch):
+                                               monkeypatch, limit):
     """Every instance stops at its iteration limit, so each is charged the
-    time limit and the shifted geometric mean is that limit."""
+    time limit and the shifted geometric mean is that limit, infinite
+    without one."""
     monkeypatch.setenv("HPRLP_THREADS", "1")
     bench_dir = tmp_path / "suite"
     bench_dir.mkdir()
     for name in ("rows_lge.mps", "ranges_e.mps"):
         (bench_dir / name).write_text((fixtures_dir / name).read_text())
     out_csv = tmp_path / "bench.csv"
-    code = main(["bench", str(bench_dir), "--iter-limit", "1", "--time-limit", "50",
+    code = main(["bench", str(bench_dir), "--iter-limit", "1", "--time-limit", limit,
                  "--csv", str(out_csv)])
     assert code == EXIT_OK
     out = capsys.readouterr().out
-    assert "sgm10[hpr] = 50.000 s (0/2 solved, unsolved charged 50 s)" in out
+    charged = f"{float(limit):.3f} s"  # 50.000 s, or inf s
+    assert f"sgm10[hpr] = {charged} (0/2 solved, unsolved charged {limit} s)" in out
     with open(out_csv, newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert [r["status"] for r in rows] == ["iter_limit", "iter_limit"]
 
 
 def test_bench_unwritable_csv_exits_65(fixtures_dir, tmp_path, capsys, monkeypatch):
+    """The CSV is opened before any solve, so an unwritable path costs
+    none, and no table is printed."""
     monkeypatch.setenv("HPRLP_THREADS", "1")
+    calls = _no_solve(monkeypatch)
     bench_dir = tmp_path / "suite"
     bench_dir.mkdir()
     (bench_dir / "simple_l.mps").write_text((fixtures_dir / "simple_l.mps").read_text())
     code = main(["bench", str(bench_dir), "--csv", str(tmp_path / "missing" / "b.csv")])
     assert code == EXIT_DATA
-    assert capsys.readouterr().err.startswith("error: ")
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
+    assert calls == []
 
 
 def test_bench_parallel_workers(fixtures_dir, tmp_path, capsys, monkeypatch):

@@ -126,8 +126,9 @@ def test_face_point_is_the_last_trace_record():
     assert res.face_finish and res.message == ""
     last = res.trace[-1]
     assert last.face and not any(rec.face for rec in res.trace[:-1])
-    assert (last.rel_gap, last.rel_primal, last.rel_dual) == res.rel_residuals
-    assert last.k == res.iterations and max(res.rel_residuals) <= 1e-8
+    residuals = (res.rel_gap, res.rel_primal, res.rel_dual)
+    assert (last.rel_gap, last.rel_primal, last.rel_dual) == residuals
+    assert last.k == res.iterations and max(residuals) <= 1e-8
 
 
 @pytest.mark.parametrize("mode, restart", [

@@ -41,7 +41,7 @@ def reference_bounds(doc):
     if doc.objective_row is not None and doc.objective_row in rhs:
         obj_constant = -rhs[doc.objective_row]
 
-    rows = doc.constraint_rows
+    rows = [name for name, kind in doc.row_types.items() if kind != "N"]
     l_con = np.empty(len(rows))
     u_con = np.empty(len(rows))
     for i, name in enumerate(rows):

@@ -59,7 +59,7 @@ def test_simple_l(fixtures_dir):
 
 def test_rows_lge(fixtures_dir):
     doc, prob = load(fixtures_dir, "rows_lge.mps")
-    assert doc.constraint_rows == ["CAP", "DEM", "BAL"]
+    assert [r for r, kind in doc.row_types.items() if kind != "N"] == ["CAP", "DEM", "BAL"]
     npt.assert_array_equal(prob.c, [1.0, -1.0])
     npt.assert_array_equal(
         prob.A.to_csc().toarray(), [[2.0, 1.0], [1.0, 0.0], [1.0, 1.0]]

@@ -1,6 +1,9 @@
 """Command-line front end: solve one file, benchmark a directory, or
 reshape trace CSVs for plotting.
 
+bench reads each file once and runs one solve at a time in the calling
+process, so the times it reports are those of uncontended solves.
+
 Exit codes: 0 solved to tolerance, 2 iteration/time limit, 3 numerical
 failure, 64 bad usage, 65 unreadable/unparsable input or unwritable output.
 """
@@ -15,7 +18,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, fields, replace
 
 from .adaptive import RestartConfig
@@ -171,31 +173,14 @@ def cmd_solve(args) -> int:
 # bench
 
 
-def _bench_worker(job):
-    """One instance's row; a file that fails to read or solve gets an
-    ``error(...)`` status instead of ending the run."""
-    path, cfg = job
-    row = {"instance": os.path.basename(path), "mode": cfg.engine.mode}
-    try:
-        result, _ = _solve_file(path, cfg)
-    except (MpsParseError, OSError, ValueError) as exc:
-        row.update(status=f"error({exc})", iterations=0, seconds=float("nan"),
-                   objective=float("nan"))
-    else:
-        row.update(status=result.status, iterations=result.iterations,
-                   seconds=result.solve_seconds, objective=result.primal_obj)
-    return row
-
-
-def _worker_cap() -> int:
-    try:
-        return max(1, int(os.environ.get("HPRLP_THREADS", "")))
-    except ValueError:  # unset, blank or not a number
-        return os.cpu_count() or 1
-
-
 def run_bench(directory: str, modes: list[str], cfg: SolverConfig) -> list[dict]:
-    """One row per instance and mode, sorted by instance, then mode."""
+    """One row per instance and mode, in instance order, then mode order.
+
+    Each file is read once and solved once per mode, one solve at a time
+    in the calling process, so no solve shares the machine with another.
+    A file that fails to read or solve gets an ``error(...)`` status
+    instead of ending the run.
+    """
     paths = sorted(
         os.path.join(directory, f)
         for f in os.listdir(directory)
@@ -203,15 +188,26 @@ def run_bench(directory: str, modes: list[str], cfg: SolverConfig) -> list[dict]
     )
     if not paths:
         raise FileNotFoundError(f"no .mps or .mps.gz files under {directory!r}")
-    jobs = [(p, replace(cfg, engine=replace(cfg.engine, mode=mode)))
-            for p in paths for mode in modes]
-    workers = min(_worker_cap(), len(jobs))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_bench_worker, jobs))
-    else:
-        rows = [_bench_worker(j) for j in jobs]
-    rows.sort(key=lambda row: (row["instance"], row["mode"]))
+    rows = []
+    for path in paths:
+        instance = os.path.basename(path)
+        try:
+            prob, failure = build_problem(parse_mps(path)), None
+        except (MpsParseError, OSError, ValueError) as exc:
+            prob, failure = None, exc
+        for mode in sorted(modes):
+            row = {"instance": instance, "mode": mode}
+            try:
+                if failure is not None:  # every mode reports the read's error
+                    raise failure
+                result = solve(prob, replace(cfg, engine=replace(cfg.engine, mode=mode)))
+            except (MpsParseError, OSError, ValueError) as exc:
+                row.update(status=f"error({exc})", iterations=0, seconds=math.nan,
+                           objective=math.nan)
+            else:
+                row.update(status=result.status, iterations=result.iterations,
+                           seconds=result.solve_seconds, objective=result.primal_obj)
+            rows.append(row)
     return rows
 
 

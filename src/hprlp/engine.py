@@ -75,9 +75,6 @@ __all__ = [
 
 MODES = ("hpr", "hdr", "pr", "epr", "rhpdhg")
 
-# magnitude at which the squared iterate norm is declared divergent
-_DIVERGENCE_GUARD = 1e300
-
 
 @dataclass(frozen=True)
 class EngineConfig:
@@ -304,10 +301,12 @@ def pr_step(
     entries.
     See ``StepWorkspace`` for what the step writes there, which a later
     step on the same workspace overwrites.
-    Raises ArithmeticError when the step produces non-finite values, and
-    ValueError when the proximal y-step finds ``cfg.lambda_A`` unresolved
-    or ``aty`` is given off the normal-equations route or with a
-    workspace whose product block does not have n entries.
+    Raises ArithmeticError when the normal-equations y-step misses its
+    bound, a non-finite right-hand side among them; the step checks no
+    other value for overflow, which ``solve`` reads from its merit.
+    Raises ValueError when the proximal y-step finds ``cfg.lambda_A``
+    unresolved or ``aty`` is given off the normal-equations route or with
+    a workspace whose product block does not have n entries.
     """
     normal = cfg.t1_zero_path and normal_eq is not None
     if work is None:
@@ -363,10 +362,6 @@ def pr_step(
         np.subtract(out, np.multiply(gamma, w.buf[n:]), out=out)
         w_hat = hat
 
-    hx, hy = w_hat.x, w_hat.y
-    guard = _dot(hx, hx) + _dot(hy, hy)
-    if not guard < _DIVERGENCE_GUARD:
-        raise ArithmeticError("iterate diverged (non-finite or overflowing step)")
     work.w_hat, work.xi, work.zeta, work.sigma = w_hat, xi, zeta, sigma
     return work
 

@@ -129,10 +129,6 @@ class MpsDocument:
 
 
 def _is_number(token: str) -> bool:
-    # float() reads an ASCII token only from a sign, a digit, '.' or
-    # inf/nan; this skips the exception for most names
-    if token[0] not in _NUMBER_LEADS and token.isascii():
-        return False
     try:
         float(token)
     except ValueError:
@@ -433,7 +429,12 @@ class _Reader:
         # trailing number, which is skipped
         col_tok = last - (valued & ~short)
         flags = np.flatnonzero(known & ~valued & (count >= 3))
-        trailing = [_is_number(toks[t]) for t in last[flags].tolist()]
+        # float() reads an ASCII token only from a sign, a digit, '.' or
+        # inf/nan, so most column names are ruled out without a call
+        trailing = [
+            (tok[0] in _NUMBER_LEADS or not tok.isascii()) and _is_number(tok)
+            for tok in _take(toks, last[flags])
+        ]
         col_tok[flags[np.array(trailing, dtype=bool)]] -= 1
         cols = np.fromiter(
             map(self.col_pos.get, _take(toks, col_tok), repeat(-1)),

@@ -25,6 +25,7 @@ does not end on the face runs as without it.
 from __future__ import annotations
 
 import dataclasses
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -581,7 +582,8 @@ class _LoopState:
         """One iteration, t steps after the last restart: the reflection
         step, w - w_hat with its product, the merit, then the anchored
         average into w (w_hat itself in pr / epr) and the ergodic fold.
-        Returns the merit; an ArithmeticError of the step leaves w as is."""
+        Returns the merit.  Raises ArithmeticError, with w as it was,
+        when the step fails or the merit is not finite."""
         pr_step(self.w, self.work, ecfg, self.normal_eq, self.step_work, self.step_aty)
         if self.reflect_p:
             np.subtract(self.w_yx, self.hat_yx, out=self.diff_yx)
@@ -591,6 +593,10 @@ class _LoopState:
         else:
             np.subtract(self.w_s, self.hat_s, out=self.diff_s)
         merit = m_norm(self.diff, ecfg, self.A, self.merit_p)
+        # the merit squares w - w_hat: it is inf or NaN when w_hat is
+        # not finite or runs away from w
+        if not merit < math.inf:
+            raise ArithmeticError("iterate diverged (non-finite or overflowing step)")
         if self.anchored:
             halpern_step(self.anchor_s, self.hat_s, t, out=self.w_s)
         else:

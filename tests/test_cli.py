@@ -2,12 +2,14 @@ import csv
 import dataclasses
 import json
 import math
+import os
 import shlex
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hprlp.cli
 from hprlp import RestartEvent, TraceRecord
 from hprlp.cli import (
     EXIT_DATA,
@@ -307,15 +309,59 @@ def test_trace_plotdata_rejects_empty(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
+# solver flags
+
+
+def _merits(report) -> list[float]:
+    return [rec["merit"] for rec in report["trace"]]
+
+
+def _events_hold(check):
+    """A check that every restart event passes, with at least one event."""
+    return lambda r, hpr: r["events"] != [] and all(check(e) for e in r["events"])
+
+
+@pytest.mark.parametrize("flags, holds", [
+    (["--no-adaptive-sigma", "--sigma0", "0.5"],
+     _events_hold(lambda e: e["sigma_before"] == e["sigma_after"] == 0.5)),
+    (["--no-restart"], lambda r, hpr: r["restarts"] == 0 and r["events"] == []),
+    (["--fixed-restart", "7"], _events_hold(lambda e: e["reason"] == "fixed" and e["tau"] == 7)),
+    (["--scaling", "none"],
+     lambda r, hpr: r["status"] == "optimal" and _merits(r) != _merits(hpr)),
+    (["--mode", "rhpdhg", "--gamma", "0.5"], lambda r, hpr: _merits(r) != _merits(hpr)),
+], ids=["no-adaptive-sigma", "no-restart", "fixed-restart", "scaling-none", "rhpdhg-gamma"])
+def test_solve_ablation_flags(fixtures_dir, capsys, flags, holds):
+    """Each flag reaches the solve: its mark shows in the --json report,
+    read against the report of a plain hpr solve."""
+    def report(*extra):
+        code = main(["solve", str(fixtures_dir / "rows_lge.mps"), "--json",
+                     "--iter-limit", "2000", *extra])
+        assert code in (EXIT_OK, EXIT_LIMIT)
+        return json.loads(capsys.readouterr().out)
+
+    assert holds(report(*flags), report())
+
+
+# ---------------------------------------------------------------------------
 # bench command
 
 
-def test_bench_directory(fixtures_dir, tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("HPRLP_THREADS", "1")
+def _suite(fixtures_dir, tmp_path, names):
+    """A bench directory holding copies of the named fixtures."""
     bench_dir = tmp_path / "suite"
     bench_dir.mkdir()
-    for name in ("simple_l.mps", "rows_lge.mps"):
+    for name in names:
         (bench_dir / name).write_text((fixtures_dir / name).read_text())
+    return bench_dir
+
+
+def _csv_rows(path) -> list[dict]:
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def test_bench_directory(fixtures_dir, tmp_path, capsys):
+    bench_dir = _suite(fixtures_dir, tmp_path, ("simple_l.mps", "rows_lge.mps"))
     out_csv = tmp_path / "bench.csv"
     code = main([
         "bench", str(bench_dir), "--modes", "hpr,hdr",
@@ -325,24 +371,18 @@ def test_bench_directory(fixtures_dir, tmp_path, capsys, monkeypatch):
     out = capsys.readouterr().out
     assert "sgm10[hpr]" in out and "sgm10[hdr]" in out
     assert "2/2 solved" in out
-    with open(out_csv, newline="") as fh:
-        rows = list(csv.DictReader(fh))
+    rows = _csv_rows(out_csv)
     assert len(rows) == 4
     assert {r["mode"] for r in rows} == {"hpr", "hdr"}
     assert all(r["status"] == "optimal" for r in rows)
 
 
 @pytest.mark.parametrize("limit", ["50", "inf"])
-def test_bench_charges_unsolved_the_time_limit(fixtures_dir, tmp_path, capsys,
-                                               monkeypatch, limit):
+def test_bench_charges_unsolved_the_time_limit(fixtures_dir, tmp_path, capsys, limit):
     """Every instance stops at its iteration limit, so each is charged the
     time limit and the shifted geometric mean is that limit, infinite
     without one."""
-    monkeypatch.setenv("HPRLP_THREADS", "1")
-    bench_dir = tmp_path / "suite"
-    bench_dir.mkdir()
-    for name in ("rows_lge.mps", "ranges_e.mps"):
-        (bench_dir / name).write_text((fixtures_dir / name).read_text())
+    bench_dir = _suite(fixtures_dir, tmp_path, ("rows_lge.mps", "ranges_e.mps"))
     out_csv = tmp_path / "bench.csv"
     code = main(["bench", str(bench_dir), "--iter-limit", "1", "--time-limit", limit,
                  "--csv", str(out_csv)])
@@ -350,19 +390,14 @@ def test_bench_charges_unsolved_the_time_limit(fixtures_dir, tmp_path, capsys,
     out = capsys.readouterr().out
     charged = f"{float(limit):.3f} s"  # 50.000 s, or inf s
     assert f"sgm10[hpr] = {charged} (0/2 solved, unsolved charged {limit} s)" in out
-    with open(out_csv, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    assert [r["status"] for r in rows] == ["iter_limit", "iter_limit"]
+    assert [r["status"] for r in _csv_rows(out_csv)] == ["iter_limit", "iter_limit"]
 
 
 def test_bench_unwritable_csv_exits_65(fixtures_dir, tmp_path, capsys, monkeypatch):
     """The CSV is opened before any solve, so an unwritable path costs
     none, and no table is printed."""
-    monkeypatch.setenv("HPRLP_THREADS", "1")
     calls = _no_solve(monkeypatch)
-    bench_dir = tmp_path / "suite"
-    bench_dir.mkdir()
-    (bench_dir / "simple_l.mps").write_text((fixtures_dir / "simple_l.mps").read_text())
+    bench_dir = _suite(fixtures_dir, tmp_path, ("simple_l.mps",))
     code = main(["bench", str(bench_dir), "--csv", str(tmp_path / "missing" / "b.csv")])
     assert code == EXIT_DATA
     captured = capsys.readouterr()
@@ -370,15 +405,49 @@ def test_bench_unwritable_csv_exits_65(fixtures_dir, tmp_path, capsys, monkeypat
     assert calls == []
 
 
-def test_bench_parallel_workers(fixtures_dir, tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("HPRLP_THREADS", "2")
-    bench_dir = tmp_path / "suite"
-    bench_dir.mkdir()
-    for name in ("simple_l.mps", "fixed_format.mps"):
-        (bench_dir / name).write_text((fixtures_dir / name).read_text())
-    code = main(["bench", str(bench_dir)])
+def test_bench_reads_each_file_once(fixtures_dir, tmp_path, capsys, monkeypatch):
+    read = []
+    parse = hprlp.cli.parse_mps
+    monkeypatch.setattr(hprlp.cli, "parse_mps", lambda path: read.append(path) or parse(path))
+    bench_dir = _suite(fixtures_dir, tmp_path, ("simple_l.mps", "rows_lge.mps"))
+    assert main(["bench", str(bench_dir), "--modes", "hpr,hdr,pr"]) == EXIT_OK
+    assert [Path(p).name for p in read] == ["rows_lge.mps", "simple_l.mps"]
+
+
+def test_bench_solves_in_the_calling_process(fixtures_dir, tmp_path, capsys, monkeypatch):
+    """Every solve runs here, one at a time; the rows come in instance
+    order, then mode order, whatever the order of --modes."""
+    pids = []
+    real_solve = hprlp.cli.solve
+    monkeypatch.setattr(hprlp.cli, "solve",
+                        lambda *args: pids.append(os.getpid()) or real_solve(*args))
+    bench_dir = _suite(fixtures_dir, tmp_path, ("simple_l.mps", "rows_lge.mps"))
+    out_csv = tmp_path / "bench.csv"
+    code = main(["bench", str(bench_dir), "--modes", "hdr,hpr", "--csv", str(out_csv)])
     assert code == EXIT_OK
-    assert "sgm10[hpr]" in capsys.readouterr().out
+    assert pids == [os.getpid()] * 4
+    assert [(r["instance"], r["mode"]) for r in _csv_rows(out_csv)] == [
+        ("rows_lge.mps", "hdr"), ("rows_lge.mps", "hpr"),
+        ("simple_l.mps", "hdr"), ("simple_l.mps", "hpr"),
+    ]
+
+
+def test_bench_unreadable_file_gives_an_error_row_per_mode(fixtures_dir, tmp_path, capsys):
+    """A file that fails to parse is reported once per mode, and the run
+    goes on to the next file."""
+    bench_dir = _suite(fixtures_dir, tmp_path, ("simple_l.mps",))
+    (bench_dir / "bad.mps").write_text("ROWS\n Q  R1\nENDATA\n")
+    out_csv = tmp_path / "bench.csv"
+    code = main(["bench", str(bench_dir), "--modes", "hpr,hdr", "--csv", str(out_csv)])
+    assert code == EXIT_OK
+    rows = _csv_rows(out_csv)
+    assert [(r["instance"], r["mode"]) for r in rows] == [
+        ("bad.mps", "hdr"), ("bad.mps", "hpr"),
+        ("simple_l.mps", "hdr"), ("simple_l.mps", "hpr"),
+    ]
+    assert all(r["status"].startswith("error(line 2: ") for r in rows[:2])
+    assert [r["status"] for r in rows[2:]] == ["optimal", "optimal"]
+    assert "1/2 solved" in capsys.readouterr().out
 
 
 def test_bench_empty_directory(tmp_path, capsys):
@@ -407,9 +476,7 @@ def test_bench_unknown_option_prints_the_bench_usage(tmp_path, capsys):
 
 
 def test_bench_rejects_an_invalid_config(fixtures_dir, tmp_path, capsys):
-    bench_dir = tmp_path / "suite"
-    bench_dir.mkdir()
-    (bench_dir / "simple_l.mps").write_text((fixtures_dir / "simple_l.mps").read_text())
+    bench_dir = _suite(fixtures_dir, tmp_path, ("simple_l.mps",))
     assert main(["bench", str(bench_dir), "--tol", "-1"]) == EXIT_DATA
     assert "tol must be positive" in capsys.readouterr().err
 

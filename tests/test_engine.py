@@ -10,6 +10,7 @@ import hprlp.solver
 from hprlp import EngineConfig, Iterate, LpProblem, SolverConfig, SparseMatrix, solve
 from hprlp.adaptive import m_norm
 from hprlp.engine import (
+    MODES,
     NormalEquationSolver,
     StepWorkspace,
     epr_accumulate,
@@ -172,11 +173,17 @@ def test_pr_step_relaxed_reflection():
     npt.assert_array_equal(tr.w_hat.x, [1.5])
 
 
-def test_pr_step_divergence_guard():
-    prob = prob_corner()
-    w = Iterate(np.array([1e160]), np.array([0.0]), np.array([0.0]))
-    with pytest.raises(ArithmeticError, match="diverged"):
-        pr_step(w, prob, EngineConfig(lambda_A=1.0))
+@pytest.mark.parametrize("mode", MODES)
+def test_overflowing_step_ends_the_loop_at_its_first_merit(mode):
+    """x = 1e160 projects to 1, so x - x_hat = 2e160 squares past the
+    float range in the merit, and the first step ends the solve as
+    numerical_error, with the warm start kept."""
+    w0 = Iterate(np.array([0.0]), np.array([0.0]), np.array([1e160]))
+    cfg = SolverConfig(initial_iterate=w0, engine=EngineConfig(mode=mode))
+    res = solve(prob_corner(), cfg)
+    assert res.status == "numerical_error" and res.iterations == 0
+    assert "diverged" in res.message
+    assert np.isfinite(res.y).all() and np.isfinite(res.x).all()
 
 
 def test_fixed_points_are_invariant():

@@ -38,7 +38,10 @@ forms anyway, in the product block of ``w_bar``.
 vectors (a ``StepWorkspace``, which ``pr_step`` returns with the step's
 xi, zeta and sigma set on it, and an ``out`` iterate) with numpy ``out=``
 updates, in the same operations and order as the formulas above, so a
-run on reused buffers is bit-identical to one on fresh arrays.  An
+run on reused buffers is bit-identical to one on fresh arrays.  The two
+products go the same way: ``SparseMatrix.matvec`` and ``rmatvec`` write
+A^T y into the workspace's xi and A (2 x_bar - x) into ``hat``'s
+product block, so a step on the proximal route allocates no vector.  An
 update of the y and x blocks is one call on the slice ``buf[n:]`` of
 the packed ``Iterate.buf``.  The workspace's points, and the solve
 loop's, are iterates on the first three blocks of one (z, y, x, A x)
@@ -158,9 +161,11 @@ class StepWorkspace:
 
     The step also sets ``w_hat``, the reflected point (``hat``, or
     ``w_bar`` itself at reflection factor 0), the pre-projection points
-    ``xi`` and ``zeta``, new arrays on every step (zeta is None on the
-    normal-equations route, where no row projection is formed), and its
-    penalty ``sigma``; all four are None before the first step.
+    ``xi`` and ``zeta``, and its penalty ``sigma``; all four are None
+    before the first step.  xi (n entries) and zeta (m entries) are the
+    workspace's own vectors, which the next step overwrites, not new
+    arrays; zeta is None on the normal-equations route, where no row
+    projection is formed.
 
     The step forms the y and x blocks of both points.  Their z blocks
     are NaN from allocation on, except that ``w_bar.z`` receives z_bar
@@ -171,7 +176,8 @@ class StepWorkspace:
     with any of them.
     """
 
-    __slots__ = ("w_bar", "hat", "bar_state", "hat_state", "w_hat", "xi", "zeta", "sigma")
+    __slots__ = ("w_bar", "hat", "bar_state", "hat_state", "w_hat", "xi", "zeta", "sigma",
+                 "_xi", "_zeta")
 
     def __init__(self, m: int, n: int, p: int | None = None):
         p = m if p is None else p
@@ -179,6 +185,7 @@ class StepWorkspace:
         self.hat, self.hat_state = _packed(m, n, p)
         self.w_bar.z.fill(np.nan)
         self.hat.z.fill(np.nan)
+        self._xi, self._zeta = np.empty(n), np.empty(m)
         self.w_hat = self.xi = self.zeta = self.sigma = None
 
 
@@ -316,12 +323,12 @@ def pr_step(
     if aty is not None and (not normal or work.bar_state.size - bar.buf.size != w.x.size):
         raise ValueError("a carried A^T y needs the normal-equations y-step and a "
                          "workspace whose product block has n entries")
-    sigma = cfg.sigma
+    sigma, xi = cfg.sigma, work._xi
     if aty is None:
-        xi = prob.A.rmatvec(w.y)
+        prob.A.rmatvec(w.y, out=xi)
         np.subtract(xi, prob.c, out=xi)
     else:
-        xi = np.subtract(aty, prob.c)
+        np.subtract(aty, prob.c, out=xi)
     np.multiply(sigma, xi, out=xi)
     np.add(w.x, xi, out=xi)
     project_box(xi, prob.l_var, prob.u_var, out=bar.x)
@@ -339,10 +346,9 @@ def pr_step(
         if cfg.lambda_A is None:
             raise ValueError("lambda_A is unresolved; the proximal y-step needs a value")
         slam = sigma * cfg.lambda_A
-        ax2 = work.hat_state[hat.buf.size:]  # hat's A x block
-        np.copyto(ax2, prob.A.matvec(x2))
-        # slam * y goes to bar.y, which the projection overwrites next
-        zeta = np.subtract(ax2, np.multiply(slam, w.y, out=bar.y))
+        ax2 = prob.A.matvec(x2, out=work.hat_state[hat.buf.size:])  # hat's A x block
+        zeta = np.multiply(slam, w.y, out=work._zeta)
+        np.subtract(ax2, zeta, out=zeta)
         project_box(zeta, prob.l_con, prob.u_con, out=bar.y)
         np.subtract(bar.y, zeta, out=bar.y)
         np.divide(bar.y, slam, out=bar.y)

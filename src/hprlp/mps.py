@@ -415,7 +415,13 @@ class _Reader:
         return rows, values
 
     def _bounds(self, toks, first, count, line_no):
-        raw = _take(toks, first)
+        # lines of three and four tokens alternate here, so no gather
+        # steps evenly (``_take``): each indexes one object array of the
+        # section's tokens instead
+        lo = int(first[0])
+        section = np.array(toks[lo:int(first[-1] + count[-1])], dtype=object)
+        first = first - lo
+        raw = section[first].tolist()
         # the key tokens are few distinct strings: each is upper-cased once
         code_of = {key: _BOUND_CODES.get(key.upper(), -1) for key in set(raw)}
         keys = np.fromiter(map(code_of.__getitem__, raw), np.int8, len(raw))
@@ -424,7 +430,7 @@ class _Reader:
         short = valued & (count < 3)
         last = first + count - 1
         value_at = np.flatnonzero(valued & ~short)
-        values, malformed = _numbers(_take(toks, last[value_at]))
+        values, malformed = _numbers(section[last[value_at]].tolist())
         # the column precedes the value; a flag bound may carry a
         # trailing number, which is skipped
         col_tok = last - (valued & ~short)
@@ -433,11 +439,11 @@ class _Reader:
         # inf/nan, so most column names are ruled out without a call
         trailing = [
             (tok[0] in _NUMBER_LEADS or not tok.isascii()) and _is_number(tok)
-            for tok in _take(toks, last[flags])
+            for tok in section[last[flags]].tolist()
         ]
         col_tok[flags[np.array(trailing, dtype=bool)]] -= 1
         cols = np.fromiter(
-            map(self.col_pos.get, _take(toks, col_tok), repeat(-1)),
+            map(self.col_pos.get, section[col_tok].tolist(), repeat(-1)),
             np.int32, len(raw),
         )
         bad_value = np.zeros(len(raw), dtype=bool)
@@ -452,8 +458,8 @@ class _Reader:
             if short[i]:
                 raise MpsParseError(f"bound {BOUND_KEYS[keys[i]]} needs a value", ln)
             if bad_value[i]:
-                raise MpsParseError(f"malformed numeric field {toks[last[i]]!r}", ln)
-            raise MpsParseError(f"unknown column {toks[col_tok[i]]!r} in BOUNDS", ln)
+                raise MpsParseError(f"malformed numeric field {section[last[i]]!r}", ln)
+            raise MpsParseError(f"unknown column {section[col_tok[i]]!r} in BOUNDS", ln)
         bound = np.full(len(raw), np.nan)
         bound[value_at] = values
         self.parts["bound_keys"].append(keys)

@@ -557,7 +557,6 @@ class _LoopState:
         self.anchored, self.ergodic, self.normal = anchored, ecfg.ergodic, normal
         self.w, self.w_state = _packed(m, n, p)
         self.anchor, self.anchor_state = _packed(m, n, p)
-        self.diff, diff_state = _packed(m, n, p)
         self.step_work = step = StepWorkspace(m, n, p)
         self.point = Iterate.empty(m, n)
         self.mean = Iterate.empty(m, n) if ecfg.ergodic else None
@@ -566,13 +565,21 @@ class _LoopState:
         self.reflect_p = anchored and self.f != 1.0
         p0 = 2 * n + m  # where the product block starts
         loop = slice(n, p0 + p if anchored else p0)
-        states = (self.w_state, diff_state, hat_state, self.anchor_state)
-        self.w_s, self.diff_s, self.hat_s, self.anchor_s = (v[loop] for v in states)
-        self.w_yx, self.diff_yx, self.hat_yx = (v[n:p0] for v in states[:3])
-        self.w_p, self.diff_p, self.hat_p = (v[p0:] for v in states[:3])
+        states = (self.w_state, hat_state, self.anchor_state)
+        self.w_s, self.hat_s, self.anchor_s = (v[loop] for v in states)
+        self.w_p, self.hat_p = self.w_state[p0:], hat_state[p0:]
         # where the step leaves its product
         self.step_p = (step.bar_state if normal else step.hat_state)[p0:]
-        self.merit_p = self.diff_p if anchored else None
+        # w - w_hat: formed in w itself, which the average rewrites next,
+        # but in a vector of its own where the product of w_hat is formed
+        # from it and w's
+        self.diff = self.w
+        if self.reflect_p:
+            self.diff, diff_state = _packed(m, n, p)
+            self.w_yx, self.diff_yx, self.hat_yx = (
+                v[n:p0] for v in (self.w_state, diff_state, hat_state))
+            self.diff_p = diff_state[p0:]
+        self.merit_p = (self.diff_p if self.reflect_p else self.w_p) if anchored else None
         self.step_aty = self.w_p if anchored and normal else None
         if anchored and normal:
             np.copyto(self.step_p, self.A.rmatvec(start.y))
@@ -582,8 +589,9 @@ class _LoopState:
         """One iteration, t steps after the last restart: the reflection
         step, w - w_hat with its product, the merit, then the anchored
         average into w (w_hat itself in pr / epr) and the ergodic fold.
-        Returns the merit.  Raises ArithmeticError, with w as it was,
-        when the step fails or the merit is not finite."""
+        Returns the merit.  Raises ArithmeticError when the step fails or
+        the merit is not finite; w may then hold w - w_hat, but the
+        anchor is untouched."""
         pr_step(self.w, self.work, ecfg, self.normal_eq, self.step_work, self.step_aty)
         if self.reflect_p:
             np.subtract(self.w_yx, self.hat_yx, out=self.diff_yx)
@@ -591,7 +599,7 @@ class _LoopState:
             np.multiply(self.f, self.diff_p, out=self.diff_p)
             np.subtract(self.w_p, self.diff_p, out=self.hat_p)
         else:
-            np.subtract(self.w_s, self.hat_s, out=self.diff_s)
+            np.subtract(self.w_s, self.hat_s, out=self.w_s)
         merit = m_norm(self.diff, ecfg, self.A, self.merit_p)
         # the merit squares w - w_hat: it is inf or NaN when w_hat is
         # not finite or runs away from w
@@ -653,7 +661,9 @@ def solve(prob: LpProblem, cfg: SolverConfig | None = None) -> SolveResult:
     "time_limit" return the best checkpoint seen so far, and their
     message names the residual that blocked termination;
     "numerical_error" flags divergence (reflection modes without an
-    anchor can and do diverge).  Raises ValueError when
+    anchor can and do diverge) and returns the best checkpoint, or the
+    start point when the loop diverges before its first checkpoint.
+    Raises ValueError when
     ``cfg.initial_iterate`` does not have the LP's (m, n) blocks.
     """
     cfg = cfg or SolverConfig()
@@ -691,8 +701,8 @@ def solve(prob: LpProblem, cfg: SolverConfig | None = None) -> SolveResult:
         try:
             merit = state.step(ecfg, t)
         except ArithmeticError as exc:
-            if log.best_w is None:
-                log.offer(unscale_iterate(state.w, scaling), _NO_RESIDUALS)
+            if log.best_w is None:  # no checkpoint yet: the anchor is the start
+                log.offer(unscale_iterate(state.anchor, scaling), _NO_RESIDUALS)
             status, message = "numerical_error", str(exc)
             break
         if t == 0:  # the restart tests measure against the first merit

@@ -7,12 +7,19 @@ Backed by scipy.sparse.  A matrix of at most ``DENSE_MAX_ENTRIES``
 entries also keeps a dense copy, and both products run on it through
 BLAS dgemv instead, called by ``ndarray.dot``, which gives the bits of
 ``@`` for less call overhead.  All products are deterministic.
+
+Either product can write into a given vector (``out=``) instead of a new
+one.  On CSR it then calls the kernel that ``csr @ x`` and ``csr.T @ y``
+call, ``csr_matvec`` or ``csc_matvec`` of ``scipy.sparse._sparsetools``
+(private scipy API), on the stored arrays, with the same bits; the bit
+tests in ``tests/test_sparse_core.py`` guard that on other scipy versions.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 __all__ = ["SparseMatrix", "estimate_lambda_A"]
 
@@ -97,17 +104,51 @@ class SparseMatrix:
 
     # -- products -----------------------------------------------------
 
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        """A x."""
+    def matvec(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """A x, written into ``out`` (an m-vector, see ``_check_out``) when
+        given, which is returned."""
         if getattr(x, "shape", None) != self._x_shape and np.shape(x) != self._x_shape:
             raise ValueError(f"x must have shape {self._x_shape}, got {np.shape(x)}")
-        return self._ax @ x if self._dense is None else self._ax.dot(x)
+        if out is None:
+            return self._ax @ x if self._dense is None else self._ax.dot(x)
+        _check_out(out, self._y_shape, x)
+        if self._dense is not None:
+            return self._ax.dot(x, out=out)
+        csr = self._csr
+        out.fill(0.0)  # the kernel adds to out, as to scipy's zeroed result
+        _sparsetools.csr_matvec(*csr.shape, csr.indptr, csr.indices, csr.data, x, out)
+        return out
 
-    def rmatvec(self, y: np.ndarray) -> np.ndarray:
-        """A^T y."""
+    def rmatvec(self, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """A^T y, written into ``out`` (an n-vector, see ``_check_out``)
+        when given, which is returned."""
         if getattr(y, "shape", None) != self._y_shape and np.shape(y) != self._y_shape:
             raise ValueError(f"y must have shape {self._y_shape}, got {np.shape(y)}")
-        return self._aty @ y if self._dense is None else self._aty.dot(y)
+        if out is None:
+            return self._aty @ y if self._dense is None else self._aty.dot(y)
+        _check_out(out, self._x_shape, y)
+        if self._dense is not None:
+            return self._aty.dot(y, out=out)
+        csr = self._csr
+        out.fill(0.0)
+        # csr.T is the CSC form of A^T on the same arrays, n x m
+        m, n = csr.shape
+        _sparsetools.csc_matvec(n, m, csr.indptr, csr.indices, csr.data, y, out)
+        return out
+
+
+def _check_out(out, shape: tuple[int], operand) -> None:
+    """Raise ValueError unless ``out`` is a writable C-contiguous float64
+    array of ``shape`` that shares no memory with ``operand``.  Given any
+    other array, the kernels would write into a converted copy, and the
+    product would be lost."""
+    if not (isinstance(out, np.ndarray) and out.dtype == np.float64 and out.shape == shape):
+        raise ValueError(f"out must be a float64 array of shape {shape}")
+    flags = out.flags
+    if not (flags.c_contiguous and flags.writeable):
+        raise ValueError("out must be writable and C-contiguous")
+    if np.shares_memory(out, operand):
+        raise ValueError("out must not share memory with the vector it multiplies")
 
 
 def _canonical_csr(matrix) -> sp.csr_matrix:

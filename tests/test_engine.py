@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -184,6 +186,29 @@ def test_overflowing_step_ends_the_loop_at_its_first_merit(mode):
     assert res.status == "numerical_error" and res.iterations == 0
     assert "diverged" in res.message
     assert np.isfinite(res.y).all() and np.isfinite(res.x).all()
+
+
+def test_overflow_after_a_step_reports_the_start():
+    """On an equality LP with free variables the pr step is affine, and
+    its difference w - w_hat alternates with one of equal seminorm but
+    larger entries: from a warm start of 1e153 the first merit is finite
+    and the second overflows, before the first checkpoint.  The solve
+    ends numerical_error with the start point, unscaled and finite, as
+    a solve with no step reports it, not the iterate the first step
+    left."""
+    inf = np.inf
+    prob = LpProblem([2.0, 3.0], SparseMatrix.from_dense([[2.0, 3.0]]), [1.0], [1.0],
+                     [-inf, -inf], [inf, inf])
+    w0 = Iterate(np.array([1e153]), np.zeros(2), np.array([1e153, 0.0]))
+    cfg = SolverConfig(initial_iterate=w0, engine=EngineConfig(mode="pr"))
+    res = solve(prob, cfg)
+    assert res.status == "numerical_error" and "diverged" in res.message
+    assert 1 <= res.iterations < cfg.check_interval and not res.trace
+    start = solve(prob, dataclasses.replace(cfg, iter_limit=0))
+    for got, want in ((res.y, start.y), (res.z, start.z), (res.x, start.x)):
+        assert np.isfinite(got).all() and got.tobytes() == want.tobytes()
+    npt.assert_allclose(res.x, w0.x, rtol=1e-15)
+    npt.assert_allclose(res.y, w0.y, rtol=1e-15)
 
 
 def test_fixed_points_are_invariant():

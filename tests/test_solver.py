@@ -666,3 +666,34 @@ def test_complexity_requires_resolved_config():
         complexity_diagnostics(prob, EngineConfig(mode="hdr"), w, w, 1)
     with pytest.raises(ValueError, match="lambda_A"):
         complexity_diagnostics(prob, EngineConfig(lambda_A=None), w, w, 1)
+
+
+@pytest.mark.parametrize("mode", ["hpr", "hdr"])
+def test_loop_step_allocates_no_vector(mode):
+    """After warm-up, a step of the loop on the CSR route writes its two
+    products, zeta, w - w_hat and the average into preallocated vectors:
+    200 steps on a 2,000 x 4,000 LP keep the traced peak below one
+    n-vector of 8 n bytes."""
+    import tracemalloc
+
+    rng = np.random.default_rng(23)
+    m, n = 2_000, 4_000
+    A = sp.random(m, n, density=0.002, random_state=rng, format="csr")
+    x0 = rng.uniform(0.0, 1.0, n)
+    b = A @ x0
+    prob = LpProblem(rng.standard_normal(n), SparseMatrix(A), b - 1.0, b + 1.0,
+                     np.zeros(n), np.ones(n))
+    assert prob.A.dense is None
+    work, _, ecfg, normal_eq, start, _ = solver_module._setup(
+        prob, SolverConfig(engine=EngineConfig(mode=mode)))
+    state = solver_module._LoopState(work, ecfg, normal_eq, start)
+    for t in range(5):
+        state.step(ecfg, t)
+    tracemalloc.start()
+    try:
+        for t in range(5, 205):
+            state.step(ecfg, t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n, f"traced peak {peak} bytes"

@@ -287,3 +287,75 @@ def test_small_lp_solves_on_both_routes(monkeypatch):
     assert dense.status == sparse.status == "optimal"
     for a, b in ((dense.primal_obj, sparse.primal_obj), (dense.dual_obj, sparse.dual_obj)):
         assert abs(a - b) <= cfg.tol * (1.0 + abs(a) + abs(b))
+
+
+# ---------------------------------------------------------------------------
+# products written into a given vector
+
+
+def _on_route(dense, route, monkeypatch):
+    """``dense`` as a SparseMatrix on the dense copy or on CSR."""
+    if route == "csr":
+        monkeypatch.setattr(hprlp.sparse, "DENSE_MAX_ENTRIES", -1)
+    A = SparseMatrix.from_dense(dense)
+    assert (A.dense is not None) == (route == "dense")
+    return A
+
+
+@pytest.mark.parametrize("route", ["dense", "csr"])
+@pytest.mark.parametrize("shape", [(30, 12), (12, 30), (1, 7), (7, 1), (0, 4), (4, 0)])
+@pytest.mark.parametrize("empty", [False, True], ids=["entries", "nnz0"])
+def test_products_into_out_are_bit_exact(route, shape, empty, monkeypatch):
+    """``out=`` gives the bits of the call without it, and on CSR those of
+    scipy's ``csr @ x`` and ``csr.T @ y``, on the dense copy those of
+    ``dense @ x``: empty rows and columns, and a matrix with no entries,
+    included.  Whatever ``out`` held before is overwritten."""
+    m, n = shape
+    rng = np.random.default_rng(m * 100 + n)
+    dense = np.zeros(shape) if empty or not (m and n) else _sparse_matrix(rng, m, n, 0.4)
+    A = _on_route(dense, route, monkeypatch)
+    csr = A.to_csr()
+    for _ in range(3):
+        x, y = rng.standard_normal(n), rng.standard_normal(m)
+        ax, aty = np.full(m, np.nan), np.full(n, np.nan)
+        assert A.matvec(x, out=ax) is ax and A.rmatvec(y, out=aty) is aty
+        want_ax = csr @ x if route == "csr" else dense @ x
+        want_aty = csr.T @ y if route == "csr" else dense.T @ y
+        assert ax.tobytes() == want_ax.tobytes() == A.matvec(x).tobytes()
+        assert aty.tobytes() == want_aty.tobytes() == A.rmatvec(y).tobytes()
+
+
+def _refused_outs(size):
+    """Vectors of ``size`` entries, or nearly, that no product may write."""
+    read_only = np.zeros(size)
+    read_only.setflags(write=False)
+    return {
+        "float32": np.zeros(size, dtype=np.float32),
+        "shape": np.zeros(size + 1),
+        "2-d": np.zeros((size, 1)),
+        "strided": np.zeros(2 * size)[::2],
+        "read-only": read_only,
+        "list": [0.0] * size,
+    }
+
+
+@pytest.mark.parametrize("route", ["dense", "csr"])
+def test_products_refuse_an_out_they_cannot_write(route, monkeypatch):
+    """An ``out`` that is not a writable C-contiguous float64 array of the
+    product's shape, or that shares memory with the vector multiplied, is
+    refused."""
+    m, n = 6, 4
+    A = _on_route(_sparse_matrix(np.random.default_rng(2), m, n, 0.6), route, monkeypatch)
+    x, y = np.ones(n), np.ones(m)
+    for ax, aty in zip(_refused_outs(m).values(), _refused_outs(n).values()):
+        with pytest.raises(ValueError):
+            A.matvec(x, out=ax)
+        with pytest.raises(ValueError):
+            A.rmatvec(y, out=aty)
+    buf = np.ones(m + n)
+    with pytest.raises(ValueError, match="share"):
+        A.matvec(buf[:n], out=buf[n - 1:n - 1 + m])
+    with pytest.raises(ValueError, match="share"):
+        A.rmatvec(buf[:m], out=buf[:n])
+    # adjacent slices of one buffer share no memory
+    assert A.matvec(buf[:n], out=buf[n:]).tobytes() == A.matvec(x).tobytes()

@@ -59,7 +59,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.blas import ddot, dtpsv
+from scipy.linalg.blas import daxpy, ddot, dtpsv
 from scipy.linalg.lapack import dtrttp
 
 from .model import Iterate, LpProblem, project_box
@@ -394,11 +394,13 @@ def halpern_step(
     """Anchored average 1/(t+2) * w_anchor + (t+1)/(t+2) * w_hat of two
     vectors, or of two iterates over all their blocks.
 
-    Computed as w_anchor + (t+1)/(t+2) * (w_hat - w_anchor), which is
-    exact when the two points coincide.  The result is written into
-    ``out`` (a new vector or iterate when None), which may be w_hat or
-    the point the step started from, but must not share memory with
-    w_anchor.
+    Computed as (1 - beta) * w_anchor, then plus beta * w_hat by one BLAS
+    daxpy, with beta = (t+1)/(t+2): two passes over the result, where a
+    difference, a scale and a sum would take three.  The result is
+    written into ``out`` (a new vector or iterate when None), a
+    C-contiguous float64 vector of w_hat's shape (daxpy would write any
+    other into a copy), which may be the point the step started from,
+    but must not share memory with w_anchor or w_hat.
     """
     if t < 0:
         raise ValueError(f"step counter must be >= 0, got {t}")
@@ -409,9 +411,11 @@ def halpern_step(
         a, h, o = w_anchor.buf, w_hat.buf, out.buf
     else:
         a, h, o = w_anchor, w_hat, out
-    np.subtract(h, a, out=o)
-    np.multiply(beta, o, out=o)
-    np.add(a, o, out=o)
+    if not (o.flags.c_contiguous and o.dtype == np.float64 and np.shape(h) == o.shape):
+        raise ValueError("out must be a C-contiguous float64 vector of w_hat's shape")
+    np.multiply(1.0 - beta, a, out=o)
+    if o.size:  # scipy's daxpy refuses length 0
+        daxpy(h, o, a=beta)
     return out
 
 

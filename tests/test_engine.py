@@ -242,6 +242,17 @@ def test_halpern_exact_at_fixed_point():
     npt.assert_array_equal(out.x, w.x)
 
 
+def test_halpern_refuses_an_out_daxpy_cannot_write():
+    """daxpy would write a strided or non-float64 ``out`` into a copy,
+    and one shorter than w_hat only in part: each is refused."""
+    a, h = np.zeros(4), np.ones(4)
+    for out in (np.zeros(8)[::2], np.zeros(4, dtype=np.float32), np.zeros(3)):
+        with pytest.raises(ValueError, match="out"):
+            halpern_step(a[:out.size], h, t=2, out=out)
+    npt.assert_array_equal(halpern_step(a, h, t=2, out=np.empty(4)), np.full(4, 0.75))
+    assert halpern_step(np.zeros(0), np.zeros(0), t=0).size == 0
+
+
 def test_halpern_rejects_negative_counter():
     w = Iterate.zeros(1, 1)
     with pytest.raises(ValueError):

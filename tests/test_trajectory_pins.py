@@ -37,37 +37,37 @@ PINNED_BLAS = "43e0dce7d37da5b7"
 
 # (LP, product route, mode): (iterations, primal_obj.hex(), trace digest)
 PINS = {
-    ("general", "dense", "hpr"): (51, "-0x1.b6674e69af20dp+2", "4183ee41e331"),
-    ("general", "dense", "hdr"): (100, "-0x1.b6674e69af20dp+2", "9d526d4c9ee9"),
+    ("general", "dense", "hpr"): (51, "-0x1.b6674e69af20dp+2", "8bd6ce570501"),
+    ("general", "dense", "hdr"): (100, "-0x1.b6674e69af20dp+2", "49a5cfad26fa"),
     ("general", "dense", "pr"): (2000, "-0x1.b682080ed6e5ep+2", "1dd99244e0fa"),
     ("general", "dense", "epr"): (600, "-0x1.b6674e69b2288p+2", "aa975cd5d21e"),
-    ("general", "dense", "rhpdhg"): (83, "-0x1.b6674e69af20dp+2", "8d2e8285721e"),
-    ("general", "sparse", "hpr"): (51, "-0x1.b6674e69af20dp+2", "a1e10b4cc6ed"),
-    ("general", "sparse", "hdr"): (100, "-0x1.b6674e69af20dp+2", "69699e40a99e"),
+    ("general", "dense", "rhpdhg"): (83, "-0x1.b6674e69af20cp+2", "f483d38d277f"),
+    ("general", "sparse", "hpr"): (51, "-0x1.b6674e69af20dp+2", "5083a98a0b5b"),
+    ("general", "sparse", "hdr"): (100, "-0x1.b6674e69af20dp+2", "02e14ac7f768"),
     ("general", "sparse", "pr"): (2000, "-0x1.b682080ed6e5dp+2", "a39292f7dfc7"),
     ("general", "sparse", "epr"): (800, "-0x1.b6674e69ad2d2p+2", "be8eba242a98"),
-    ("general", "sparse", "rhpdhg"): (83, "-0x1.b6674e69af20dp+2", "becd2a9856b5"),
-    ("equality", "dense", "hpr"): (37, "-0x1.1fd45870510fdp+1", "02660e9c4158"),
-    ("equality", "dense", "hdr"): (59, "-0x1.1fd45870510fdp+1", "f6ac78b3d82d"),
+    ("general", "sparse", "rhpdhg"): (83, "-0x1.b6674e69af20dp+2", "be775a24a6c1"),
+    ("equality", "dense", "hpr"): (37, "-0x1.1fd45870510fdp+1", "5e4aa48e72a7"),
+    ("equality", "dense", "hdr"): (59, "-0x1.1fd45870510fdp+1", "016bcf7b0dd3"),
     ("equality", "dense", "pr"): (2000, "-0x1.2215c86176446p+1", "94de241d4c1c"),
     ("equality", "dense", "epr"): (200, "-0x1.1fd4587164213p+1", "761adcc5195e"),
-    ("equality", "dense", "rhpdhg"): (48, "-0x1.1fd45870510fdp+1", "d1078083d1f8"),
-    ("equality", "sparse", "hpr"): (37, "-0x1.1fd45870510fdp+1", "6789cf7c47ad"),
-    ("equality", "sparse", "hdr"): (59, "-0x1.1fd45870510fdp+1", "f142dfa55e20"),
+    ("equality", "dense", "rhpdhg"): (48, "-0x1.1fd45870510fdp+1", "242005569767"),
+    ("equality", "sparse", "hpr"): (37, "-0x1.1fd45870510fdp+1", "90ab84d6cce8"),
+    ("equality", "sparse", "hdr"): (59, "-0x1.1fd45870510fdp+1", "ada50bd6215c"),
     ("equality", "sparse", "pr"): (2000, "-0x1.2215c86176444p+1", "91d18769aa51"),
     ("equality", "sparse", "epr"): (200, "-0x1.1fd4587164212p+1", "694748f9c9b0"),
-    ("equality", "sparse", "rhpdhg"): (48, "-0x1.1fd45870510fdp+1", "d179a3a9cda1"),
-    ("large", "sparse", "hpr"): (409, "-0x1.bc834fb43e6d0p+5", "ba7f7fd21d3c"),
-    ("large", "sparse", "hdr"): (900, "-0x1.bc834fb43e6cfp+5", "43c761d3cfad"),
+    ("equality", "sparse", "rhpdhg"): (48, "-0x1.1fd45870510fdp+1", "6538b121b2c6"),
+    ("large", "sparse", "hpr"): (409, "-0x1.bc834fb43e6cfp+5", "1154b091a7a6"),
+    ("large", "sparse", "hdr"): (900, "-0x1.bc834fb43e6cfp+5", "b7c6cfe8976e"),
     ("large", "sparse", "pr"): (2000, "-0x1.bc6dc0bef15cbp+5", "2467e7df5718"),
     ("large", "sparse", "epr"): (2000, "-0x1.bc8224015fdfdp+5", "2e7e1b9375fe"),
-    ("large", "sparse", "rhpdhg"): (600, "-0x1.bc834fb43e6cfp+5", "89f04ed760dc"),
-    ("tall", "dense", "hpr"): (100, "0x1.1d741aa8254e8p+0", "1bf5caf1e879"),
-    ("tall", "dense", "hdr"): (200, "0x1.1d741aa8254e7p+0", "c0c88f78e54b"),
-    ("tall", "dense", "rhpdhg"): (200, "0x1.1d741aa8254e8p+0", "5aa4182cffb2"),
-    ("tall", "sparse", "hpr"): (100, "0x1.1d741aa8254e8p+0", "2c48206692d4"),
-    ("tall", "sparse", "hdr"): (200, "0x1.1d741aa8254e6p+0", "0e66ed9e4fcf"),
-    ("tall", "sparse", "rhpdhg"): (200, "0x1.1d741aa8254e8p+0", "396079ac090a"),
+    ("large", "sparse", "rhpdhg"): (600, "-0x1.bc834fb43e6cfp+5", "1078c86c0f1e"),
+    ("tall", "dense", "hpr"): (100, "0x1.1d741aa8254e8p+0", "4eb7b4867061"),
+    ("tall", "dense", "hdr"): (200, "0x1.1d741aa8254e7p+0", "4c7eee889431"),
+    ("tall", "dense", "rhpdhg"): (200, "0x1.1d741aa8254e8p+0", "82317ba40b46"),
+    ("tall", "sparse", "hpr"): (100, "0x1.1d741aa8254e8p+0", "04f098fe6076"),
+    ("tall", "sparse", "hdr"): (200, "0x1.1d741aa8254e7p+0", "7336e17c32f7"),
+    ("tall", "sparse", "rhpdhg"): (200, "0x1.1d741aa8254e8p+0", "e5837a4e111a"),
 }
 
 

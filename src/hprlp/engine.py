@@ -37,11 +37,12 @@ forms anyway, in the product block of ``w_bar``.
 ``pr_step`` and ``halpern_step`` write their results into preallocated
 vectors (a ``StepWorkspace``, which ``pr_step`` returns with the step's
 xi, zeta and sigma set on it, and an ``out`` iterate) with numpy ``out=``
-updates, in the same operations and order as the formulas above, so a
-run on reused buffers is bit-identical to one on fresh arrays.  The two
-products go the same way: ``SparseMatrix.matvec`` and ``rmatvec`` write
-A^T y into the workspace's xi and A (2 x_bar - x) into ``hat``'s
-product block, so a step on the proximal route allocates no vector.  An
+updates and, for the anchored average, one BLAS daxpy, in the same
+operations and order as the formulas above, so a run on reused buffers
+is bit-identical to one on fresh arrays.  The two products go the same
+way: ``SparseMatrix.matvec`` and ``rmatvec`` write A^T y into the
+workspace's xi and A (2 x_bar - x) into ``hat``'s product block, so an
+hpr or hdr step on the proximal route allocates no vector.  An
 update of the y and x blocks is one call on the slice ``buf[n:]`` of
 the packed ``Iterate.buf``.  The workspace's points, and the solve
 loop's, are iterates on the first three blocks of one (z, y, x, A x)
@@ -77,6 +78,8 @@ __all__ = [
 ]
 
 MODES = ("hpr", "hdr", "pr", "epr", "rhpdhg")
+
+_F64 = np.dtype(np.float64)
 
 
 @dataclass(frozen=True)
@@ -411,8 +414,8 @@ def halpern_step(
         a, h, o = w_anchor.buf, w_hat.buf, out.buf
     else:
         a, h, o = w_anchor, w_hat, out
-    if not (o.flags.c_contiguous and o.dtype == np.float64 and np.shape(h) == o.shape):
-        raise ValueError("out must be a C-contiguous float64 vector of w_hat's shape")
+    if not (o.flags.carray and o.dtype == _F64 and h.shape == o.shape):
+        raise ValueError("out must be a writable C-contiguous float64 vector of w_hat's shape")
     np.multiply(1.0 - beta, a, out=o)
     if o.size:  # scipy's daxpy refuses length 0
         daxpy(h, o, a=beta)

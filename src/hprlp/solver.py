@@ -520,11 +520,14 @@ class _LoopState:
     """The iteration state of ``solve``, allocated once, and the loop's
     three operations on it, ``step``, ``candidate`` and ``restart``: the
     iterate w and the restart point (the anchor), the step's workspace,
-    w - w_hat for the merit, the point a checkpoint reads (w_bar with its
-    z_bar formed) and the ergodic mean, which epr checkpoints read
-    instead, using that point as scratch.
+    the point a checkpoint reads (w_bar with its z_bar formed) and the
+    ergodic mean, which epr checkpoints read instead, using that point as
+    scratch.  The merit's w - w_hat is formed in w itself, which the
+    average or the pr / epr copy rewrites right after, except where the
+    product of w_hat is formed from it (below), which needs a vector of
+    its own.
 
-    w, the anchor, the difference and the step's points are each one
+    w, the anchor, that difference and the step's points are each one
     (z, y, x, product) vector, and the loop's state is a slice of it
     taken once (every step writes w_hat to the same vector): the step
     reads no z, so w.z keeps the start's z until a restart copies a
@@ -573,13 +576,13 @@ class _LoopState:
         # w - w_hat: formed in w itself, which the average rewrites next,
         # but in a vector of its own where the product of w_hat is formed
         # from it and w's
-        self.diff = self.w
+        self.diff, self.diff_p = self.w, self.w_p
         if self.reflect_p:
             self.diff, diff_state = _packed(m, n, p)
             self.w_yx, self.diff_yx, self.hat_yx = (
                 v[n:p0] for v in (self.w_state, diff_state, hat_state))
             self.diff_p = diff_state[p0:]
-        self.merit_p = (self.diff_p if self.reflect_p else self.w_p) if anchored else None
+        self.merit_p = self.diff_p if anchored else None
         self.step_aty = self.w_p if anchored and normal else None
         if anchored and normal:
             np.copyto(self.step_p, self.A.rmatvec(start.y))

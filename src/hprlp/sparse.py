@@ -137,17 +137,22 @@ class SparseMatrix:
         return out
 
 
+_F64 = np.dtype(np.float64)
+# np.shares_memory without its __array_function__ dispatch, which takes
+# about twice as long as the test itself on short vectors
+_shares_memory = getattr(np.shares_memory, "_implementation", np.shares_memory)
+
+
 def _check_out(out, shape: tuple[int], operand) -> None:
     """Raise ValueError unless ``out`` is a writable C-contiguous float64
     array of ``shape`` that shares no memory with ``operand``.  Given any
     other array, the kernels would write into a converted copy, and the
     product would be lost."""
-    if not (isinstance(out, np.ndarray) and out.dtype == np.float64 and out.shape == shape):
-        raise ValueError(f"out must be a float64 array of shape {shape}")
-    flags = out.flags
-    if not (flags.c_contiguous and flags.writeable):
-        raise ValueError("out must be writable and C-contiguous")
-    if np.shares_memory(out, operand):
+    # flags.carray: C-contiguous, aligned and writable
+    if not (isinstance(out, np.ndarray) and out.shape == shape
+            and (out.dtype is _F64 or out.dtype == _F64) and out.flags.carray):
+        raise ValueError(f"out must be a writable C-contiguous float64 array of shape {shape}")
+    if _shares_memory(out, operand):
         raise ValueError("out must not share memory with the vector it multiplies")
 
 

@@ -9,10 +9,11 @@ BLAS dgemv instead, called by ``ndarray.dot``, which gives the bits of
 ``@`` for less call overhead.  All products are deterministic.
 
 Either product can write into a given vector (``out=``) instead of a new
-one.  On CSR it then calls the kernel that ``csr @ x`` and ``csr.T @ y``
+one.  On CSR both call the kernel that ``csr @ x`` and ``csr.T @ y``
 call, ``csr_matvec`` or ``csc_matvec`` of ``scipy.sparse._sparsetools``
-(private scipy API), on the stored arrays, with the same bits; the bit
-tests in ``tests/test_sparse_core.py`` guard that on other scipy versions.
+(private scipy API), on the stored arrays, without scipy's dispatch and
+with the same bits; the bit tests in ``tests/test_sparse_core.py`` guard
+that on other scipy versions.
 """
 
 from __future__ import annotations
@@ -106,36 +107,41 @@ class SparseMatrix:
 
     def matvec(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """A x, written into ``out`` (an m-vector, see ``_check_out``) when
-        given, which is returned."""
+        given, or into a new vector, which is returned."""
         if getattr(x, "shape", None) != self._x_shape and np.shape(x) != self._x_shape:
             raise ValueError(f"x must have shape {self._x_shape}, got {np.shape(x)}")
-        if out is None:
-            return self._ax @ x if self._dense is None else self._ax.dot(x)
-        _check_out(out, self._y_shape, x)
+        if out is not None:
+            _check_out(out, self._y_shape, x)
         if self._dense is not None:
             return self._ax.dot(x, out=out)
-        csr = self._csr
-        out.fill(0.0)  # the kernel adds to out, as to scipy's zeroed result
-        _sparsetools.csr_matvec(*csr.shape, csr.indptr, csr.indices, csr.data, x, out)
+        a = self._ax
+        out = _zeroed(out, self._y_shape)
+        _sparsetools.csr_matvec(*a.shape, a.indptr, a.indices, a.data, x, out)
         return out
 
     def rmatvec(self, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """A^T y, written into ``out`` (an n-vector, see ``_check_out``)
-        when given, which is returned."""
+        when given, or into a new vector, which is returned."""
         if getattr(y, "shape", None) != self._y_shape and np.shape(y) != self._y_shape:
             raise ValueError(f"y must have shape {self._y_shape}, got {np.shape(y)}")
-        if out is None:
-            return self._aty @ y if self._dense is None else self._aty.dot(y)
-        _check_out(out, self._x_shape, y)
+        if out is not None:
+            _check_out(out, self._x_shape, y)
         if self._dense is not None:
             return self._aty.dot(y, out=out)
-        csr = self._csr
-        out.fill(0.0)
-        # csr.T is the CSC form of A^T on the same arrays, n x m
-        m, n = csr.shape
-        _sparsetools.csc_matvec(n, m, csr.indptr, csr.indices, csr.data, y, out)
+        at = self._aty  # the CSC form of A^T on the CSR arrays, n x m
+        out = _zeroed(out, self._x_shape)
+        _sparsetools.csc_matvec(*at.shape, at.indptr, at.indices, at.data, y, out)
         return out
 
+
+def _zeroed(out, shape: tuple[int]) -> np.ndarray:
+    """``out`` filled with zeros, or a new zero vector of ``shape`` when
+    None: the kernels add to it, as scipy's ``@`` has them add to its
+    zeroed result."""
+    if out is None:
+        return np.zeros(shape)
+    out.fill(0.0)
+    return out
 
 _F64 = np.dtype(np.float64)
 # np.shares_memory without its __array_function__ dispatch, which takes

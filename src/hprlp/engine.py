@@ -64,7 +64,7 @@ from scipy.linalg.blas import daxpy, ddot, dtpsv
 from scipy.linalg.lapack import dtrttp
 
 from .model import Iterate, LpProblem, project_box
-from .sparse import SparseMatrix
+from .sparse import SparseMatrix, _shares_memory
 
 __all__ = [
     "EngineConfig",
@@ -402,8 +402,8 @@ def halpern_step(
     difference, a scale and a sum would take three.  The result is
     written into ``out`` (a new vector or iterate when None), a
     C-contiguous float64 vector of w_hat's shape (daxpy would write any
-    other into a copy), which may be the point the step started from,
-    but must not share memory with w_anchor or w_hat.
+    other into a copy), which may be the point the step started from;
+    one that shares memory with w_anchor or w_hat raises ValueError.
     """
     if t < 0:
         raise ValueError(f"step counter must be >= 0, got {t}")
@@ -416,6 +416,10 @@ def halpern_step(
         a, h, o = w_anchor, w_hat, out
     if not (o.flags.carray and o.dtype == _F64 and h.shape == o.shape):
         raise ValueError("out must be a writable C-contiguous float64 vector of w_hat's shape")
+    # writing (1 - beta) * w_anchor first would overwrite w_hat before daxpy
+    # reads it, or entries of w_anchor still to be read
+    if _shares_memory(o, h) or _shares_memory(o, a):
+        raise ValueError("out must not share memory with w_anchor or w_hat")
     np.multiply(1.0 - beta, a, out=o)
     if o.size:  # scipy's daxpy refuses length 0
         daxpy(h, o, a=beta)

@@ -244,11 +244,20 @@ def test_halpern_exact_at_fixed_point():
 
 def test_halpern_refuses_an_out_daxpy_cannot_write():
     """daxpy would write a strided or non-float64 ``out`` into a copy,
-    and one shorter than w_hat only in part: each is refused."""
+    and one shorter than w_hat only in part; an ``out`` that shares memory
+    with w_hat or w_anchor would be written before they are read: each is
+    refused."""
     a, h = np.zeros(4), np.ones(4)
     for out in (np.zeros(8)[::2], np.zeros(4, dtype=np.float32), np.zeros(3)):
         with pytest.raises(ValueError, match="out"):
             halpern_step(a[:out.size], h, t=2, out=out)
+    buf = np.arange(6.0)
+    for anchor, w_hat, out in ((a, h, h), (buf[:4], h, buf[2:]), (a, buf[:4], buf[1:5])):
+        with pytest.raises(ValueError, match="share"):
+            halpern_step(anchor, w_hat, t=2, out=out)
+    w = Iterate(np.array([0.3]), np.array([-0.7]), np.array([1.1]))
+    with pytest.raises(ValueError, match="share"):
+        halpern_step(Iterate.zeros(1, 1), w, t=2, out=w)
     npt.assert_array_equal(halpern_step(a, h, t=2, out=np.empty(4)), np.full(4, 0.75))
     assert halpern_step(np.zeros(0), np.zeros(0), t=0).size == 0
 

@@ -17,14 +17,16 @@ The pins hold for the BLAS kernels they were read with: a kernel that
 sums in another order (another OpenBLAS build, or another instruction
 set picked at run time) rounds differently and moves the trajectories
 with no change to this code.  ``_blas_fingerprint`` reads the bits of a
-few dot and matrix-vector products of fixed inputs, and the pins are
-checked only where those bits match the ones the pins were read with.
+few dot products, matrix-vector products and daxpy updates of fixed
+inputs, and the pins are checked only where those bits match the ones
+the pins were read with.
 """
 
 import hashlib
 
 import numpy as np
 import pytest
+from scipy.linalg.blas import daxpy
 
 import hprlp.sparse
 from hprlp import EngineConfig, SolverConfig, solve
@@ -33,7 +35,7 @@ from conftest import random_lp
 
 # the bits the pins were read with: OpenBLAS 0.3.31 (numpy) and 0.3.30
 # (scipy) on an AVX2 x86-64 core
-PINNED_BLAS = "43e0dce7d37da5b7"
+PINNED_BLAS = "1e6d066e097a4b4d"
 
 # (LP, product route, mode): (iterations, primal_obj.hex(), trace digest)
 PINS = {
@@ -72,8 +74,9 @@ PINS = {
 
 
 def _blas_fingerprint() -> str:
-    """Digest of the bits of seeded dot products of several lengths, and
-    of a small matrix-vector product and its transpose."""
+    """Digest of the bits of seeded dot products of several lengths, of a
+    small matrix-vector product and its transpose, and of scipy's daxpy,
+    which the Halpern average is formed with."""
     rng = np.random.default_rng(7)
     h = hashlib.sha256()
     for n in (5, 37, 150, 2001):
@@ -81,6 +84,8 @@ def _blas_fingerprint() -> str:
     a = rng.standard_normal((13, 29))
     h.update((a @ rng.standard_normal(29)).tobytes())
     h.update((a.T @ rng.standard_normal(13)).tobytes())
+    for n in (5, 37, 2001):
+        h.update(daxpy(rng.standard_normal(n), rng.standard_normal(n), a=0.9).tobytes())
     return h.hexdigest()[:16]
 
 

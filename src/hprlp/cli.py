@@ -212,7 +212,7 @@ def run_bench(directory: str, modes: list[str], cfg: SolverConfig) -> list[dict]
 
 
 def cmd_bench(args) -> int:
-    modes = [m.strip() for m in args.modes.split(",") if m.strip()]
+    modes = list(dict.fromkeys(m.strip() for m in args.modes.split(",") if m.strip()))
     bad = [m for m in modes if m not in MODES]
     if bad or not modes:
         print(f"error: invalid mode list {args.modes!r}", file=sys.stderr)

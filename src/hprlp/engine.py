@@ -41,16 +41,18 @@ updates and, for the anchored average, one BLAS daxpy, in the same
 operations and order as the formulas above, so a run on reused buffers
 is bit-identical to one on fresh arrays.  The two products go the same
 way: ``SparseMatrix.matvec`` and ``rmatvec`` write A^T y into the
-workspace's xi and A (2 x_bar - x) into ``hat``'s product block, so an
-hpr or hdr step on the proximal route allocates no vector.  An
-update of the y and x blocks is one call on the slice ``buf[n:]`` of
-the packed ``Iterate.buf``.  The workspace's points, and the solve
-loop's, are iterates on the first three blocks of one (z, y, x, A x)
-vector (``_packed``): the step leaves its row product A (2 x_bar - x)
-in the A x block of ``hat``, so under full reflection (y, x, A x) of
-w_hat is one slice, which the reflection and the anchored average,
-being linear, carry along with the iterate.  On the normal-equations
-route the product block holds A^T y (n entries) instead.
+workspace's xi and A (2 x_bar - x) into ``hat``'s product block, and
+a partial reflection its g (y, x) into a workspace vector that its
+first step allocates, so a step of any mode on the proximal route
+allocates no vector after its first.  An update of the y and x blocks
+is one call on the slice ``buf[n:]`` of the packed ``Iterate.buf``.
+The workspace's points, and the solve loop's, are iterates on the
+first three blocks of one (z, y, x, A x) vector (``_packed``): the step
+leaves its row product A (2 x_bar - x) in the A x block of ``hat``, so
+under full reflection (y, x, A x) of w_hat is one slice, which the
+reflection and the anchored average or plain copy, being linear, carry
+along with the iterate.  On the normal-equations route the product
+block holds A^T y (n entries) instead.
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ from scipy.linalg.blas import daxpy, ddot, dtpsv
 from scipy.linalg.lapack import dtrttp
 
 from .model import Iterate, LpProblem, project_box
-from .sparse import SparseMatrix, _shares_memory
+from .sparse import SparseMatrix, _check_out
 
 __all__ = [
     "EngineConfig",
@@ -78,8 +80,6 @@ __all__ = [
 ]
 
 MODES = ("hpr", "hdr", "pr", "epr", "rhpdhg")
-
-_F64 = np.dtype(np.float64)
 
 
 @dataclass(frozen=True)
@@ -180,7 +180,7 @@ class StepWorkspace:
     """
 
     __slots__ = ("w_bar", "hat", "bar_state", "hat_state", "w_hat", "xi", "zeta", "sigma",
-                 "_xi", "_zeta")
+                 "_xi", "_zeta", "_gw")
 
     def __init__(self, m: int, n: int, p: int | None = None):
         p = m if p is None else p
@@ -190,6 +190,7 @@ class StepWorkspace:
         self.hat.z.fill(np.nan)
         self._xi, self._zeta = np.empty(n), np.empty(m)
         self.w_hat = self.xi = self.zeta = self.sigma = None
+        self._gw = None  # g (y, x) of a partial reflection, allocated by its first step
 
 
 class NormalEquationSolver:
@@ -367,8 +368,10 @@ def pr_step(
         w_hat = bar
     else:
         n = w.x.size  # buf[n:] holds y and x
+        if work._gw is None:
+            work._gw = np.empty(bar.buf.size - n)
         out = np.multiply(1.0 + gamma, bar.buf[n:], out=hat.buf[n:])
-        np.subtract(out, np.multiply(gamma, w.buf[n:]), out=out)
+        np.subtract(out, np.multiply(gamma, w.buf[n:], out=work._gw), out=out)
         w_hat = hat
 
     work.w_hat, work.xi, work.zeta, work.sigma = w_hat, xi, zeta, sigma
@@ -400,10 +403,11 @@ def halpern_step(
     Computed as (1 - beta) * w_anchor, then plus beta * w_hat by one BLAS
     daxpy, with beta = (t+1)/(t+2): two passes over the result, where a
     difference, a scale and a sum would take three.  The result is
-    written into ``out`` (a new vector or iterate when None), a
-    C-contiguous float64 vector of w_hat's shape (daxpy would write any
-    other into a copy), which may be the point the step started from;
-    one that shares memory with w_anchor or w_hat raises ValueError.
+    written into ``out`` (a new vector or iterate when None), which may
+    be the point the step started from.  ``out`` must pass the products'
+    ``out`` check (``sparse._check_out``) against w_hat's shape, w_hat
+    and w_anchor, or ValueError is raised: daxpy would write any other
+    array into a copy.
     """
     if t < 0:
         raise ValueError(f"step counter must be >= 0, got {t}")
@@ -414,12 +418,9 @@ def halpern_step(
         a, h, o = w_anchor.buf, w_hat.buf, out.buf
     else:
         a, h, o = w_anchor, w_hat, out
-    if not (o.flags.carray and o.dtype == _F64 and h.shape == o.shape):
-        raise ValueError("out must be a writable C-contiguous float64 vector of w_hat's shape")
     # writing (1 - beta) * w_anchor first would overwrite w_hat before daxpy
     # reads it, or entries of w_anchor still to be read
-    if _shares_memory(o, h) or _shares_memory(o, a):
-        raise ValueError("out must not share memory with w_anchor or w_hat")
+    _check_out(o, h.shape, h, a)
     np.multiply(1.0 - beta, a, out=o)
     if o.size:  # scipy's daxpy refuses length 0
         daxpy(h, o, a=beta)

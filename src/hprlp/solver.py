@@ -523,28 +523,27 @@ class _LoopState:
     the point a checkpoint reads (w_bar with its z_bar formed) and the
     ergodic mean, which epr checkpoints read instead, using that point as
     scratch.  The merit's w - w_hat is formed in w itself, which the
-    average or the pr / epr copy rewrites right after, except where the
-    product of w_hat is formed from it (below), which needs a vector of
-    its own.
+    anchored average or the pr / epr copy of w_hat rewrites right after,
+    except where the product of w_hat is formed from it (below), which
+    needs a vector of its own.
 
     w, the anchor, that difference and the step's points are each one
-    (z, y, x, product) vector, and the loop's state is a slice of it
-    taken once (every step writes w_hat to the same vector): the step
-    reads no z, so w.z keeps the start's z until a restart copies a
-    candidate in.  In the anchored modes the state is (y, x, product):
-    A x on the proximal route, A^T y on the normal-equations route.
-    The reflection and the average are linear, so the step's product
+    (z, y, x, product) vector, and the loop's state is the slice
+    (y, x, product) of it, taken once (every step writes w_hat to the
+    same vector): A x on the proximal route, A^T y on the
+    normal-equations route.  The step reads no z, so w.z keeps the
+    start's z until a restart copies a candidate in.  The reflection,
+    the average and the copy are linear, so the step's product
     (A (2 x_bar - x), or A^T y_bar from the normal-equations solve)
     carries it along; the merit reads it instead of a product of its
-    own, the normal-equations step forms xi from it, and a restart
-    refreshes it exactly: with one product on the proximal route, and
-    on the normal-equations route by copying A^T y_bar, which the
-    step's solve formed for the restart point's y = y_bar; for the
-    start, which also goes through ``restart``, one product is formed
-    into that block first.  pr / epr run on (y, x): they restart on
-    merit increases, which rounding decides.  The product of w - w_hat
-    is formed first, as the step's one scaled by f, and the product of
-    w_hat from it, so no rounded product of w_hat enters the merit:
+    own, the normal-equations step forms xi from it, and ``restart``,
+    which the start also goes through, refreshes it exactly with one
+    product of its point.  It is not copied from the step, whose
+    A^T y_bar is not the product of epr's ergodic mean.  The product of
+    w - w_hat is formed first, as the step's one scaled by f, and the
+    product of w_hat from it, so no rounded product of w_hat enters the
+    merit (the no-progress restart fires on a merit increase, which near
+    a fixed point rounding decides):
     x - x_hat = ((1 + g) / 2) (x - (2 x_bar - x)) and
     y - y_hat = (1 + g) (y - y_bar).  Where f is 1 (full reflection on
     the proximal route, g = 0 on the normal one) the step's product is
@@ -554,10 +553,10 @@ class _LoopState:
     def __init__(self, work: LpProblem, ecfg: EngineConfig,
                  normal_eq: NormalEquationSolver | None, start: Iterate):
         m, n = work.A.shape
-        normal, anchored = ecfg.t1_zero_path, ecfg.anchored
+        normal = ecfg.t1_zero_path
         p = n if normal else m  # the product block's length
         self.A, self.work, self.normal_eq = work.A, work, normal_eq
-        self.anchored, self.ergodic, self.normal = anchored, ecfg.ergodic, normal
+        self.anchored, self.ergodic, self.normal = ecfg.anchored, ecfg.ergodic, normal
         self.w, self.w_state = _packed(m, n, p)
         self.anchor, self.anchor_state = _packed(m, n, p)
         self.step_work = step = StepWorkspace(m, n, p)
@@ -565,11 +564,10 @@ class _LoopState:
         self.mean = Iterate.empty(m, n) if ecfg.ergodic else None
         hat_state = step.bar_state if ecfg.reflection == 0.0 else step.hat_state
         self.f = (1.0 + ecfg.reflection) * (1.0 if normal else 0.5)
-        self.reflect_p = anchored and self.f != 1.0
+        self.reflect_p = self.f != 1.0
         p0 = 2 * n + m  # where the product block starts
-        loop = slice(n, p0 + p if anchored else p0)
         states = (self.w_state, hat_state, self.anchor_state)
-        self.w_s, self.hat_s, self.anchor_s = (v[loop] for v in states)
+        self.w_s, self.hat_s, self.anchor_s = (v[n:] for v in states)
         self.w_p, self.hat_p = self.w_state[p0:], hat_state[p0:]
         # where the step leaves its product
         self.step_p = (step.bar_state if normal else step.hat_state)[p0:]
@@ -582,10 +580,7 @@ class _LoopState:
             self.w_yx, self.diff_yx, self.hat_yx = (
                 v[n:p0] for v in (self.w_state, diff_state, hat_state))
             self.diff_p = diff_state[p0:]
-        self.merit_p = self.diff_p if anchored else None
-        self.step_aty = self.w_p if anchored and normal else None
-        if anchored and normal:
-            np.copyto(self.step_p, self.A.rmatvec(start.y))
+        self.step_aty = self.w_p if normal else None
         self.restart(start)
 
     def step(self, ecfg: EngineConfig, t: int) -> float:
@@ -603,7 +598,7 @@ class _LoopState:
             np.subtract(self.w_p, self.diff_p, out=self.hat_p)
         else:
             np.subtract(self.w_s, self.hat_s, out=self.w_s)
-        merit = m_norm(self.diff, ecfg, self.A, self.merit_p)
+        merit = m_norm(self.diff, ecfg, self.A, self.diff_p)
         # the merit squares w - w_hat: it is inf or NaN when w_hat is
         # not finite or runs away from w
         if not merit < math.inf:
@@ -624,8 +619,10 @@ class _LoopState:
     def restart(self, point: Iterate):
         """Make ``point`` the new w and anchor, with its product."""
         self.w.assign(point)
-        if self.anchored:
-            np.copyto(self.w_p, self.step_p if self.normal else self.A.matvec(self.w.x))
+        if self.normal:
+            self.A.rmatvec(self.w.y, out=self.w_p)
+        else:
+            self.A.matvec(self.w.x, out=self.w_p)
         np.copyto(self.anchor_state, self.w_state)
 
 

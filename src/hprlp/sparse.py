@@ -149,17 +149,18 @@ _F64 = np.dtype(np.float64)
 _shares_memory = getattr(np.shares_memory, "_implementation", np.shares_memory)
 
 
-def _check_out(out, shape: tuple[int], operand) -> None:
+def _check_out(out, shape: tuple[int], *operands) -> None:
     """Raise ValueError unless ``out`` is a writable C-contiguous float64
-    array of ``shape`` that shares no memory with ``operand``.  Given any
-    other array, the kernels would write into a converted copy, and the
-    product would be lost."""
+    array of ``shape`` that shares no memory with any of ``operands``.
+    Given any other array, the kernels (and BLAS) would write into a
+    converted copy, and the result would be lost."""
     # flags.carray: C-contiguous, aligned and writable
     if not (isinstance(out, np.ndarray) and out.shape == shape
             and (out.dtype is _F64 or out.dtype == _F64) and out.flags.carray):
         raise ValueError(f"out must be a writable C-contiguous float64 array of shape {shape}")
-    if _shares_memory(out, operand):
-        raise ValueError("out must not share memory with the vector it multiplies")
+    for operand in operands:
+        if _shares_memory(out, operand):
+            raise ValueError("out must not share memory with a vector it is formed from")
 
 
 def _canonical_csr(matrix) -> sp.csr_matrix:

@@ -377,6 +377,20 @@ def test_bench_directory(fixtures_dir, tmp_path, capsys):
     assert all(r["status"] == "optimal" for r in rows)
 
 
+def test_bench_runs_a_repeated_mode_once(fixtures_dir, tmp_path, capsys):
+    """A mode named twice in --modes is solved and reported once: one CSV
+    row per instance and mode, and one sgm10 line per mode."""
+    bench_dir = _suite(fixtures_dir, tmp_path, ("simple_l.mps",))
+    out_csv = tmp_path / "bench.csv"
+    code = main(["bench", str(bench_dir), "--modes", "hpr,hpr,hdr", "--csv", str(out_csv)])
+    assert code == EXIT_OK
+    out = capsys.readouterr().out
+    assert out.count("sgm10[hpr]") == out.count("sgm10[hdr]") == 1
+    assert [(r["instance"], r["mode"]) for r in _csv_rows(out_csv)] == [
+        ("simple_l.mps", "hdr"), ("simple_l.mps", "hpr"),
+    ]
+
+
 @pytest.mark.parametrize("limit", ["50", "inf"])
 def test_bench_charges_unsolved_the_time_limit(fixtures_dir, tmp_path, capsys, limit):
     """Every instance stops at its iteration limit, so each is charged the

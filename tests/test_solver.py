@@ -668,12 +668,13 @@ def test_complexity_requires_resolved_config():
         complexity_diagnostics(prob, EngineConfig(lambda_A=None), w, w, 1)
 
 
-@pytest.mark.parametrize("mode", ["hpr", "hdr"])
+@pytest.mark.parametrize("mode", ["hpr", "hdr", "rhpdhg", "pr", "epr"])
 def test_loop_step_allocates_no_vector(mode):
     """After warm-up, a step of the loop on the CSR route writes its two
-    products, zeta, w - w_hat and the average into preallocated vectors:
-    200 steps on a 2,000 x 4,000 LP keep the traced peak below one
-    n-vector of 8 n bytes."""
+    products, zeta, the partial reflection, w - w_hat, the merit and the
+    average or copy into preallocated vectors: 200 steps on a
+    2,000 x 4,000 LP keep the traced peak below one n-vector of 8 n
+    bytes."""
     import tracemalloc
 
     rng = np.random.default_rng(23)
@@ -685,7 +686,7 @@ def test_loop_step_allocates_no_vector(mode):
                      np.zeros(n), np.ones(n))
     assert prob.A.dense is None
     work, _, ecfg, normal_eq, start, _ = solver_module._setup(
-        prob, SolverConfig(engine=EngineConfig(mode=mode)))
+        prob, SolverConfig(engine=EngineConfig(mode=mode, gamma=0.5)))
     state = solver_module._LoopState(work, ecfg, normal_eq, start)
     for t in range(5):
         state.step(ecfg, t)
@@ -697,3 +698,28 @@ def test_loop_step_allocates_no_vector(mode):
     finally:
         tracemalloc.stop()
     assert peak < 8 * n, f"traced peak {peak} bytes"
+
+
+@pytest.mark.parametrize("normal", [False, True], ids=["proximal", "normal"])
+@pytest.mark.parametrize("mode", ["hpr", "hdr", "rhpdhg", "pr", "epr"])
+def test_carried_product_is_the_product_of_the_state(mode, normal):
+    """Every mode carries the product of its state, A x on the proximal
+    route and A^T y on the normal-equations route, through its steps and
+    through restarts to the checkpoint's candidate (the ergodic mean in
+    epr): over 400 steps with a restart every 50 it stays within
+    1e-12 (1 + |fresh|) of a fresh product of w."""
+    rng = np.random.default_rng(29)
+    prob = random_lp(rng, 30, 12, style="equality" if normal else "two_sided")
+    work, _, ecfg, normal_eq, start, _ = solver_module._setup(
+        prob, SolverConfig(engine=EngineConfig(mode=mode, gamma=0.5, t1_zero_path=normal)))
+    assert ecfg.t1_zero_path == normal
+    state = solver_module._LoopState(work, ecfg, normal_eq, start)
+    A = work.A
+    for k in range(400):
+        t = k % 50
+        if k and t == 0:
+            state.restart(state.candidate())
+        state.step(ecfg, t)
+        fresh = A.rmatvec(state.w.y) if normal else A.matvec(state.w.x)
+        err = np.linalg.norm(state.w_p - fresh)
+        assert err <= 1e-12 * (1.0 + np.linalg.norm(fresh)), f"step {k}: off by {err:.3e}"

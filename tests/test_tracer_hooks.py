@@ -66,16 +66,15 @@ def _products_below(tracer, caller: str) -> list[tuple[int, int]]:
 
 @pytest.mark.parametrize("mode, equality", [
     ("hpr", False), ("hdr", False), ("rhpdhg", False), ("pr", False), ("epr", False),
-    ("hpr", True), ("hdr", True), ("rhpdhg", True), ("pr", True),
+    ("hpr", True), ("hdr", True), ("rhpdhg", True), ("pr", True), ("epr", True),
 ])
 def test_products_per_iteration(mode, equality):
-    """On the proximal route each step makes one A x and one A^T y.  The
-    anchored modes carry A x in their state there, and A^T y on the
-    normal-equations route, so the restart merit makes no product; pr /
-    epr form its A^T dy.  A normal-equations step makes the solve's
-    products and one A x for its right-hand side, and the A^T y of xi
-    unless it is carried: (2, 1) anchored and (2, 2) otherwise when the
-    solve runs no refinement.  Each anchored iteration averages once."""
+    """On the proximal route each step makes one A x and one A^T y.  Every
+    mode carries A x in its state there, and A^T y on the
+    normal-equations route, so the restart merit makes no product, and a
+    normal-equations step makes the solve's products and one A x for its
+    right-hand side: (2, 1) when the solve runs no refinement.  Each
+    anchored iteration averages once."""
     tracer_mod = _load_tracer()
     tracer = tracer_mod.Tracer()
     rng = np.random.default_rng(3)
@@ -97,23 +96,25 @@ def test_products_per_iteration(mode, equality):
     else:
         solves = _products_below(tracer, "engine.normal_solve")
         assert len(solves) == res.iterations and (1, 1) in solves
-        xi = 0 if anchored else 1
-        assert steps == [(1 + mv, xi + rmv) for mv, rmv in solves]
-        assert (2, 1 + xi) in steps
-    assert set(merits) == {(0, 0) if anchored else (0, 1)}
+        assert steps == [(1 + mv, rmv) for mv, rmv in solves]
+        assert (2, 1) in steps
+    assert set(merits) == {(0, 0)}
 
 
-@pytest.mark.parametrize("mode", ["hpr", "hdr", "rhpdhg"])
-def test_restart_on_the_normal_route_makes_no_product(mode):
-    """At a restart on the normal-equations route the carried A^T y of the
-    new iterate is copied from the step's solve, which formed it for the
-    restart point: after the penalty re-fit (whose A^T dy stays a product)
-    no product is made until the next step."""
+@pytest.mark.parametrize("equality", [False, True], ids=["proximal", "normal"])
+@pytest.mark.parametrize("mode", ["hpr", "hdr", "rhpdhg", "epr"])
+def test_restart_makes_one_product(mode, equality):
+    """A restart refreshes the carried product with one product of the
+    new iterate, A x on the proximal route and A^T y on the
+    normal-equations route: between the penalty re-fit (whose A^T dy on
+    the normal route is its own product) and the next step, the only
+    top-level span is that product."""
     tracer_mod = _load_tracer()
     tracer = tracer_mod.Tracer()
     rng = np.random.default_rng(3)
-    prob = random_lp(rng, 8, 4, style="equality")
-    cfg = SolverConfig(tol=1e-8, engine=EngineConfig(mode=mode, gamma=0.5, t1_zero_path=True))
+    prob = random_lp(rng, 8, 4, style="equality" if equality else "two_sided")
+    cfg = SolverConfig(tol=1e-8,
+                       engine=EngineConfig(mode=mode, gamma=0.5, t1_zero_path=equality))
     tracer.install()
     try:
         res = solve(prob, cfg)
@@ -123,7 +124,8 @@ def test_restart_on_the_normal_route_makes_no_product(mode):
     names, parents = tracer.names, tracer.parents
     fits = [i for i, name in enumerate(names) if name == "adaptive.sigma_update"]
     assert len(fits) == len(res.events)
+    product = "sparse.rmatvec" if equality else "sparse.matvec"
     for i in fits:
         step = names.index("engine.pr_step", i)
         top = [names[k] for k in range(i + 1, step) if parents[k] == -1]
-        assert top == [], f"restart after span {i} made {top}"
+        assert top == [product], f"restart after span {i} made {top}"

@@ -5,9 +5,9 @@ Every mode runs on both y-step routes (proximal on a two-sided LP, normal
 equations on an equality LP) with both product routes (the dense copy,
 and CSR with the dense cutoff switched off), and on one LP above
 ``DENSE_MAX_ENTRIES``, which runs on CSR by itself.  Those three LPs have
-fewer rows than columns; the anchored modes, which carry A x in their
-state on the proximal route, also run on one with more rows than
-columns, on both product routes.  A change that only
+fewer rows than columns; the anchored modes also run on one with more
+rows than columns, where the carried A x is longer than x, on both
+product routes.  A change that only
 trims call overhead keeps every pin; one that reorders floating-point
 work, even in the last bit of one product or of the restart merit,
 moves some of them.  A change
@@ -41,28 +41,28 @@ PINNED_BLAS = "1e6d066e097a4b4d"
 PINS = {
     ("general", "dense", "hpr"): (51, "-0x1.b6674e69af20dp+2", "8bd6ce570501"),
     ("general", "dense", "hdr"): (100, "-0x1.b6674e69af20dp+2", "49a5cfad26fa"),
-    ("general", "dense", "pr"): (2000, "-0x1.b682080ed6e5ep+2", "1dd99244e0fa"),
-    ("general", "dense", "epr"): (600, "-0x1.b6674e69b2288p+2", "aa975cd5d21e"),
+    ("general", "dense", "pr"): (2000, "-0x1.b682080ed6e5ep+2", "b7bb3be391fa"),
+    ("general", "dense", "epr"): (800, "-0x1.b6674e69b754ep+2", "63878dd7d547"),
     ("general", "dense", "rhpdhg"): (83, "-0x1.b6674e69af20cp+2", "f483d38d277f"),
     ("general", "sparse", "hpr"): (51, "-0x1.b6674e69af20dp+2", "5083a98a0b5b"),
     ("general", "sparse", "hdr"): (100, "-0x1.b6674e69af20dp+2", "02e14ac7f768"),
-    ("general", "sparse", "pr"): (2000, "-0x1.b682080ed6e5dp+2", "a39292f7dfc7"),
-    ("general", "sparse", "epr"): (800, "-0x1.b6674e69ad2d2p+2", "be8eba242a98"),
+    ("general", "sparse", "pr"): (2000, "-0x1.b682080ed6e5dp+2", "f933a9a2acfa"),
+    ("general", "sparse", "epr"): (600, "-0x1.b6674e68ca166p+2", "6ea345f12ed0"),
     ("general", "sparse", "rhpdhg"): (83, "-0x1.b6674e69af20dp+2", "be775a24a6c1"),
     ("equality", "dense", "hpr"): (37, "-0x1.1fd45870510fdp+1", "5e4aa48e72a7"),
     ("equality", "dense", "hdr"): (59, "-0x1.1fd45870510fdp+1", "016bcf7b0dd3"),
-    ("equality", "dense", "pr"): (2000, "-0x1.2215c86176446p+1", "94de241d4c1c"),
-    ("equality", "dense", "epr"): (200, "-0x1.1fd4587164213p+1", "761adcc5195e"),
+    ("equality", "dense", "pr"): (2000, "-0x1.2215c86176449p+1", "65748b611f80"),
+    ("equality", "dense", "epr"): (200, "-0x1.1fd4587164214p+1", "2db604eb4915"),
     ("equality", "dense", "rhpdhg"): (48, "-0x1.1fd45870510fdp+1", "242005569767"),
     ("equality", "sparse", "hpr"): (37, "-0x1.1fd45870510fdp+1", "90ab84d6cce8"),
     ("equality", "sparse", "hdr"): (59, "-0x1.1fd45870510fdp+1", "ada50bd6215c"),
-    ("equality", "sparse", "pr"): (2000, "-0x1.2215c86176444p+1", "91d18769aa51"),
-    ("equality", "sparse", "epr"): (200, "-0x1.1fd4587164212p+1", "694748f9c9b0"),
+    ("equality", "sparse", "pr"): (2000, "-0x1.2215c8617644cp+1", "c8a3d33e51af"),
+    ("equality", "sparse", "epr"): (200, "-0x1.1fd4587164213p+1", "ec6aa1007a7a"),
     ("equality", "sparse", "rhpdhg"): (48, "-0x1.1fd45870510fdp+1", "6538b121b2c6"),
     ("large", "sparse", "hpr"): (409, "-0x1.bc834fb43e6cfp+5", "1154b091a7a6"),
     ("large", "sparse", "hdr"): (900, "-0x1.bc834fb43e6cfp+5", "b7c6cfe8976e"),
-    ("large", "sparse", "pr"): (2000, "-0x1.bc6dc0bef15cbp+5", "2467e7df5718"),
-    ("large", "sparse", "epr"): (2000, "-0x1.bc8224015fdfdp+5", "2e7e1b9375fe"),
+    ("large", "sparse", "pr"): (2000, "-0x1.bc6dc0bef15cbp+5", "57af77508e49"),
+    ("large", "sparse", "epr"): (2000, "-0x1.bc8224015fdfdp+5", "04ea7c6593b5"),
     ("large", "sparse", "rhpdhg"): (600, "-0x1.bc834fb43e6cfp+5", "1078c86c0f1e"),
     ("tall", "dense", "hpr"): (100, "0x1.1d741aa8254e8p+0", "4eb7b4867061"),
     ("tall", "dense", "hdr"): (200, "0x1.1d741aa8254e7p+0", "4c7eee889431"),

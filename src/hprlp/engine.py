@@ -66,7 +66,7 @@ from scipy.linalg.blas import daxpy, ddot, dtpsv
 from scipy.linalg.lapack import dtrttp
 
 from .model import Iterate, LpProblem, project_box
-from .sparse import SparseMatrix, _check_out
+from .sparse import SparseMatrix, _check_out, _shares_memory
 
 __all__ = [
     "EngineConfig",
@@ -175,8 +175,8 @@ class StepWorkspace:
     on the routes that read it in the step (the normal-equations
     right-hand side and the ergodic mean), so a z block never holds an
     older step's values; ``proximal_point`` forms w_bar with its z_bar
-    everywhere.  The iterate a step starts from must not share memory
-    with any of them.
+    everywhere.  ``pr_step`` refuses an iterate that shares memory with
+    any of them.
     """
 
     __slots__ = ("w_bar", "hat", "bar_state", "hat_state", "w_hat", "xi", "zeta", "sigma",
@@ -293,13 +293,29 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
     return ddot(a, b) if a.size else 0.0
 
 
+def _check_step(w: Iterate, prob: LpProblem, work: StepWorkspace, aty, normal: bool):
+    """Raise ValueError unless w, ``aty`` and the workspace fit ``prob`` and the
+    route and w and ``aty`` share no memory with the workspace (``pr_step``)."""
+    m, n = prob.A.shape
+    p = work.bar_state.size - work.w_bar.buf.size
+    if aty is not None and (not normal or p != n or aty.shape != (n,)):
+        raise ValueError("a carried A^T y has n entries and needs the normal-equations "
+                         "y-step and a workspace whose product block has n entries")
+    if (w.y.size, w.x.size, work._zeta.size, work._xi.size) != (m, n, m, n) or (
+            not normal and p != m):
+        raise ValueError(f"w and the workspace must fit the {m} x {n} problem")
+    mine = (work.bar_state, work.hat_state, work._xi, work._zeta, work._gw)
+    if any(_shares_memory(v, own) for v in (w.buf, aty) for own in mine):
+        raise ValueError("w and aty must not share memory with the workspace")
+
+
 def pr_step(
     w: Iterate,
     prob: LpProblem,
     cfg: EngineConfig,
     normal_eq: NormalEquationSolver | None = None,
     work: StepWorkspace | None = None,
-    aty: np.ndarray | None = None,
+    aty: np.ndarray | None = None, *, _prechecked: bool = False,
 ) -> StepWorkspace:
     """One proximal-reflection step at w, written into ``work`` (a new
     workspace when None), which it returns.
@@ -316,26 +332,27 @@ def pr_step(
     bound, a non-finite right-hand side among them; the step checks no
     other value for overflow, which ``solve`` reads from its merit.
     Raises ValueError when the proximal y-step finds ``cfg.lambda_A``
-    unresolved or ``aty`` is given off the normal-equations route or with
-    a workspace whose product block does not have n entries.
+    unresolved, or where ``_check_step`` does; its check of the inputs
+    covers the step's products and projections, which run unchecked.  A
+    caller that ran it once on vectors of its own (``solver._LoopState``)
+    skips it with ``_prechecked``.
     """
     normal = cfg.t1_zero_path and normal_eq is not None
     if work is None:
         m, n = prob.A.shape
         work = StepWorkspace(m, n, n if aty is not None else m)
+    if not _prechecked:
+        _check_step(w, prob, work, aty, normal)
     bar, hat = work.w_bar, work.hat
-    if aty is not None and (not normal or work.bar_state.size - bar.buf.size != w.x.size):
-        raise ValueError("a carried A^T y needs the normal-equations y-step and a "
-                         "workspace whose product block has n entries")
     sigma, xi = cfg.sigma, work._xi
     if aty is None:
-        prob.A.rmatvec(w.y, out=xi)
+        prob.A.rmatvec(w.y, out=xi, _prechecked=True)
         np.subtract(xi, prob.c, out=xi)
     else:
         np.subtract(aty, prob.c, out=xi)
     np.multiply(sigma, xi, out=xi)
     np.add(w.x, xi, out=xi)
-    project_box(xi, prob.l_var, prob.u_var, out=bar.x)
+    project_box(xi, prob.l_var, prob.u_var, out=bar.x, _prechecked=True)
     if cfg.t1_zero_path or cfg.ergodic:  # the y-step or the ergodic mean reads z_bar
         _z_bar(bar.z, bar.x, xi, sigma)
     # 2 x_bar - x: the row product's argument and, under full reflection, x_hat
@@ -350,10 +367,10 @@ def pr_step(
         if cfg.lambda_A is None:
             raise ValueError("lambda_A is unresolved; the proximal y-step needs a value")
         slam = sigma * cfg.lambda_A
-        ax2 = prob.A.matvec(x2, out=work.hat_state[hat.buf.size:])  # hat's A x block
+        ax2 = prob.A.matvec(x2, out=work.hat_state[hat.buf.size:], _prechecked=True)
         zeta = np.multiply(slam, w.y, out=work._zeta)
         np.subtract(ax2, zeta, out=zeta)
-        project_box(zeta, prob.l_con, prob.u_con, out=bar.y)
+        project_box(zeta, prob.l_con, prob.u_con, out=bar.y, _prechecked=True)
         np.subtract(bar.y, zeta, out=bar.y)
         np.divide(bar.y, slam, out=bar.y)
 
@@ -395,7 +412,7 @@ def proximal_point(step: StepWorkspace, out: Iterate | None = None) -> Iterate:
 
 def halpern_step(
     w_anchor: np.ndarray | Iterate, w_hat: np.ndarray | Iterate, t: int,
-    out: np.ndarray | Iterate | None = None,
+    out: np.ndarray | Iterate | None = None, *, _prechecked: bool = False,
 ) -> np.ndarray | Iterate:
     """Anchored average 1/(t+2) * w_anchor + (t+1)/(t+2) * w_hat of two
     vectors, or of two iterates over all their blocks.
@@ -407,20 +424,21 @@ def halpern_step(
     be the point the step started from.  ``out`` must pass the products'
     ``out`` check (``sparse._check_out``) against w_hat's shape, w_hat
     and w_anchor, or ValueError is raised: daxpy would write any other
-    array into a copy.
+    array into a copy.  ``_prechecked`` skips the checks of t and ``out``
+    (``solver._LoopState`` runs ``_check_out`` once on its three vectors).
     """
-    if t < 0:
-        raise ValueError(f"step counter must be >= 0, got {t}")
-    if out is None:
-        out = w_anchor.copy()
+    a, h, o = w_anchor, w_hat, out
+    if not _prechecked:
+        if t < 0:
+            raise ValueError(f"step counter must be >= 0, got {t}")
+        if out is None:
+            out = o = w_anchor.copy()
+        if isinstance(out, Iterate):
+            a, h, o = w_anchor.buf, w_hat.buf, out.buf
+        # writing (1 - beta) * w_anchor first would overwrite w_hat before
+        # daxpy reads it, or entries of w_anchor still to be read
+        _check_out(o, h.shape, h, a)
     beta = (t + 1.0) / (t + 2.0)
-    if isinstance(out, Iterate):
-        a, h, o = w_anchor.buf, w_hat.buf, out.buf
-    else:
-        a, h, o = w_anchor, w_hat, out
-    # writing (1 - beta) * w_anchor first would overwrite w_hat before daxpy
-    # reads it, or entries of w_anchor still to be read
-    _check_out(o, h.shape, h, a)
     np.multiply(1.0 - beta, a, out=o)
     if o.size:  # scipy's daxpy refuses length 0
         daxpy(h, o, a=beta)

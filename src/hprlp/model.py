@@ -40,22 +40,32 @@ def _as_float_vector(v, n, name):
 
 
 def project_box(
-    v: np.ndarray, lo: np.ndarray, hi: np.ndarray, out: np.ndarray | None = None
+    v: np.ndarray, lo: np.ndarray, hi: np.ndarray, out: np.ndarray | None = None, *,
+    _prechecked: bool = False,
 ) -> np.ndarray:
     """Componentwise projection of v onto the box [lo, hi].
 
     Bounds may be -inf/+inf; the projection is the identity in those
     components.  Requires lo <= hi componentwise.  With ``out`` the
     result is written there (it may be v itself) and returned.
+    ``_prechecked`` skips ``_check_box``, for ``engine.pr_step``, whose
+    float64 v has the shape of its ``LpProblem``'s bounds.
     """
+    if not _prechecked:
+        v = _check_box(v, lo, hi)
+    out = np.maximum(v, lo, out=out)
+    return np.minimum(out, hi, out=out)
+
+
+def _check_box(v, lo, hi) -> np.ndarray:
+    """v as a float64 array; raises ValueError unless lo and hi have its shape."""
     v = np.asarray(v, dtype=np.float64)
     shape = v.shape  # np.shape only for bounds that are not arrays, or do not match
     if (getattr(lo, "shape", None) != shape or getattr(hi, "shape", None) != shape) and (
         np.shape(lo) != shape or np.shape(hi) != shape
     ):
         raise ValueError(f"shape mismatch: v {shape}, lo {np.shape(lo)}, hi {np.shape(hi)}")
-    out = np.maximum(v, lo, out=out)
-    return np.minimum(out, hi, out=out)
+    return v
 
 
 def box_support(
@@ -67,20 +77,21 @@ def box_support(
     sup_{v in [lo, hi]} <s, v> = sum_i hi_i * max(s_i, 0) + lo_i * min(s_i, 0)
     with the convention 0 * (+-inf) = 0.  Returns +inf when some component
     pairs a nonzero s_i with an infinite bound on that side.
-    ``infinite``, when given, is (isinf(lo), isinf(hi)), for a caller
-    that evaluates one box often.
+    ``infinite``, when given, is (isinf(lo), isinf(hi)), optionally
+    followed by lo and hi with their infinite entries set to 0, for a
+    caller that evaluates one box often.  Dotting those bounds with
+    max(s, 0) and min(s, 0) may flip the sign of a zero sum, no other bit.
     """
     s = np.asarray(s, dtype=np.float64)
     if s.size == 0:
         return 0.0
-    inf_lo, inf_hi = infinite if infinite is not None else (np.isinf(lo), np.isinf(hi))
+    inf_lo, inf_hi, *finite = infinite if infinite is not None else (np.isinf(lo), np.isinf(hi))
     pos = s > 0.0
     neg = s < 0.0
     if (pos & inf_hi).any() or (neg & inf_lo).any():
         return float("inf")
-    up = np.where(pos, hi, 0.0)
-    lo_part = np.where(neg, lo, 0.0)
-    return float(np.dot(up, np.maximum(s, 0.0)) + np.dot(lo_part, np.minimum(s, 0.0)))
+    lo, hi = finite or (np.where(inf_lo, 0.0, lo), np.where(inf_hi, 0.0, hi))
+    return float(np.dot(hi, np.maximum(s, 0.0)) + np.dot(lo, np.minimum(s, 0.0)))
 
 
 @dataclass(frozen=True)
@@ -155,13 +166,16 @@ class LpProblem:
         return 1.0 + float(np.linalg.norm(b_ref)), 1.0 + float(np.linalg.norm(self.c))
 
     @cached_property
-    def _infinite_bounds(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """(isinf(l_con), isinf(u_con)) and (isinf(l_var), isinf(u_var)),
-        the masks of ``dual_objective``'s two box supports."""
-        masks = tuple(np.isinf(b) for b in (self.l_con, self.u_con, self.l_var, self.u_var))
-        for mask in masks:
-            mask.setflags(write=False)
-        return masks[:2], masks[2:]
+    def _infinite_bounds(self) -> tuple[tuple[np.ndarray, ...], ...]:
+        """(isinf(l_con), isinf(u_con), l_con, u_con) and the same of l_var
+        and u_var, each bound with its infinite entries set to 0: the
+        ``infinite`` arguments of ``dual_objective``'s two box supports."""
+        bounds = (self.l_con, self.u_con, self.l_var, self.u_var)
+        masks = [np.isinf(b) for b in bounds]
+        finite = [np.where(mask, 0.0, b) for mask, b in zip(masks, bounds)]
+        for a in masks + finite:
+            a.setflags(write=False)
+        return (*masks[:2], *finite[:2]), (*masks[2:], *finite[2:])
 
     def rows_are_equalities(self) -> bool:
         """True when every row bound pair is finite and equal (A x = b)."""

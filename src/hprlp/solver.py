@@ -44,6 +44,7 @@ from .engine import (
     EngineConfig,
     NormalEquationSolver,
     StepWorkspace,
+    _check_step,
     _packed,
     epr_accumulate,
     halpern_step,
@@ -57,7 +58,7 @@ from .model import (
     project_box,
     relative_residuals,
 )
-from .sparse import SparseMatrix, estimate_lambda_A
+from .sparse import SparseMatrix, _check_out, estimate_lambda_A
 
 __all__ = [
     "SolverConfig",
@@ -525,7 +526,9 @@ class _LoopState:
     scratch.  The merit's w - w_hat is formed in w itself, which the
     anchored average or the pr / epr copy of w_hat rewrites right after,
     except where the product of w_hat is formed from it (below), which
-    needs a vector of its own.
+    needs a vector of its own.  The checks of the kernels' arguments run
+    once, when the state is built, on these vectors, which only the loop
+    writes; its step, average and restart products skip them (``_prechecked``).
 
     w, the anchor, that difference and the step's points are each one
     (z, y, x, product) vector, and the loop's state is the slice
@@ -581,6 +584,9 @@ class _LoopState:
                 v[n:p0] for v in (self.w_state, diff_state, hat_state))
             self.diff_p = diff_state[p0:]
         self.step_aty = self.w_p if normal else None
+        _check_step(self.w, work, step, self.step_aty, normal)
+        _check_out(self.w_p, (p,), self.w.y if normal else self.w.x)
+        _check_out(self.w_s, self.hat_s.shape, self.hat_s, self.anchor_s)
         self.restart(start)
 
     def step(self, ecfg: EngineConfig, t: int) -> float:
@@ -590,7 +596,8 @@ class _LoopState:
         Returns the merit.  Raises ArithmeticError when the step fails or
         the merit is not finite; w may then hold w - w_hat, but the
         anchor is untouched."""
-        pr_step(self.w, self.work, ecfg, self.normal_eq, self.step_work, self.step_aty)
+        pr_step(self.w, self.work, ecfg, self.normal_eq, self.step_work, self.step_aty,
+                _prechecked=True)
         if self.reflect_p:
             np.subtract(self.w_yx, self.hat_yx, out=self.diff_yx)
             np.subtract(self.w_p, self.step_p, out=self.diff_p)
@@ -604,7 +611,7 @@ class _LoopState:
         if not merit < math.inf:
             raise ArithmeticError("iterate diverged (non-finite or overflowing step)")
         if self.anchored:
-            halpern_step(self.anchor_s, self.hat_s, t, out=self.w_s)
+            halpern_step(self.anchor_s, self.hat_s, t, out=self.w_s, _prechecked=True)
         else:
             np.copyto(self.w_s, self.hat_s)
         if self.ergodic:
@@ -620,9 +627,9 @@ class _LoopState:
         """Make ``point`` the new w and anchor, with its product."""
         self.w.assign(point)
         if self.normal:
-            self.A.rmatvec(self.w.y, out=self.w_p)
+            self.A.rmatvec(self.w.y, out=self.w_p, _prechecked=True)
         else:
-            self.A.matvec(self.w.x, out=self.w_p)
+            self.A.matvec(self.w.x, out=self.w_p, _prechecked=True)
         np.copyto(self.anchor_state, self.w_state)
 
 

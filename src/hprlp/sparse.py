@@ -105,13 +105,15 @@ class SparseMatrix:
 
     # -- products -----------------------------------------------------
 
-    def matvec(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def matvec(self, x: np.ndarray, out: np.ndarray | None = None, *,
+               _prechecked: bool = False) -> np.ndarray:
         """A x, written into ``out`` (an m-vector, see ``_check_out``) when
-        given, or into a new vector, which is returned."""
-        if getattr(x, "shape", None) != self._x_shape and np.shape(x) != self._x_shape:
-            raise ValueError(f"x must have shape {self._x_shape}, got {np.shape(x)}")
-        if out is not None:
-            _check_out(out, self._y_shape, x)
+        given, or into a new vector, which is returned; ``_prechecked``: see there."""
+        if not _prechecked:
+            if getattr(x, "shape", None) != self._x_shape and np.shape(x) != self._x_shape:
+                raise ValueError(f"x must have shape {self._x_shape}, got {np.shape(x)}")
+            if out is not None:
+                _check_out(out, self._y_shape, x)
         if self._dense is not None:
             return self._ax.dot(x, out=out)
         a = self._ax
@@ -119,13 +121,15 @@ class SparseMatrix:
         _sparsetools.csr_matvec(*a.shape, a.indptr, a.indices, a.data, x, out)
         return out
 
-    def rmatvec(self, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def rmatvec(self, y: np.ndarray, out: np.ndarray | None = None, *,
+                _prechecked: bool = False) -> np.ndarray:
         """A^T y, written into ``out`` (an n-vector, see ``_check_out``)
-        when given, or into a new vector, which is returned."""
-        if getattr(y, "shape", None) != self._y_shape and np.shape(y) != self._y_shape:
-            raise ValueError(f"y must have shape {self._y_shape}, got {np.shape(y)}")
-        if out is not None:
-            _check_out(out, self._x_shape, y)
+        when given, or into a new vector, which is returned; ``_prechecked``: see there."""
+        if not _prechecked:
+            if getattr(y, "shape", None) != self._y_shape and np.shape(y) != self._y_shape:
+                raise ValueError(f"y must have shape {self._y_shape}, got {np.shape(y)}")
+            if out is not None:
+                _check_out(out, self._x_shape, y)
         if self._dense is not None:
             return self._aty.dot(y, out=out)
         at = self._aty  # the CSC form of A^T on the CSR arrays, n x m
@@ -153,7 +157,9 @@ def _check_out(out, shape: tuple[int], *operands) -> None:
     """Raise ValueError unless ``out`` is a writable C-contiguous float64
     array of ``shape`` that shares no memory with any of ``operands``.
     Given any other array, the kernels (and BLAS) would write into a
-    converted copy, and the result would be lost."""
+    converted copy, and the result would be lost.  A product or
+    ``engine.halpern_step`` call marked ``_prechecked`` skips it (a product
+    its shape check too): its caller ran them once on vectors of its own."""
     # flags.carray: C-contiguous, aligned and writable
     if not (isinstance(out, np.ndarray) and out.shape == shape
             and (out.dtype is _F64 or out.dtype == _F64) and out.flags.carray):

@@ -672,6 +672,35 @@ def test_carried_aty_needs_the_normal_route_and_an_n_entry_block():
     npt.assert_array_equal(step.w_bar.buf, pr_step(w, prob, normal, normal_eq, None, aty).w_bar.buf)
 
 
+def test_pr_step_refuses_an_input_that_shares_or_misfits_the_workspace():
+    """The step writes its workspace while it reads w and a carried A^T y,
+    so either one in the workspace's memory is refused, not stepped from;
+    so are a w, an A^T y or a workspace whose blocks do not fit the LP,
+    which the step's unchecked products would read or write past."""
+    rng = np.random.default_rng(14)
+    prob = random_lp(rng, 6, 4)
+    cfg = EngineConfig(sigma=0.9, lambda_A=40.0, mode="rhpdhg", gamma=0.5)
+    w = Iterate(rng.standard_normal(4), rng.standard_normal(6), rng.standard_normal(6))
+    work = pr_step(w, prob, cfg, work=StepWorkspace(4, 6))
+    for alias in (work.w_bar, work.hat, Iterate._on(work.hat_state[4:], 4, 6)):
+        with pytest.raises(ValueError, match="share memory"):
+            pr_step(alias, prob, cfg, work=work)
+    for bad_w, bad_work in ((Iterate.zeros(5, 6), work), (Iterate.zeros(4, 7), work),
+                            (w, StepWorkspace(4, 7)), (w, StepWorkspace(4, 6, 6))):
+        with pytest.raises(ValueError, match="fit"):
+            pr_step(bad_w, prob, cfg, work=bad_work)
+
+    eq = random_lp(rng, 9, 5, style="equality")
+    normal, normal_eq = EngineConfig(sigma=0.6, t1_zero_path=True), NormalEquationSolver(eq.A)
+    w = Iterate(rng.standard_normal(5), rng.standard_normal(9), rng.standard_normal(9))
+    work = StepWorkspace(5, 9, 9)
+    with pytest.raises(ValueError, match="share memory"):
+        pr_step(w, eq, normal, normal_eq, work, work.bar_state[work.w_bar.buf.size:])
+    with pytest.raises(ValueError, match="n entries"):
+        pr_step(w, eq, normal, normal_eq, work, np.zeros(10))
+    pr_step(w, eq, normal, normal_eq, work, eq.A.rmatvec(w.y))  # an A^T y of its own
+
+
 def test_trace_without_workspace_is_not_overwritten():
     rng = np.random.default_rng(13)
     prob = random_lp(rng, 6, 4)

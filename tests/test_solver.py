@@ -15,7 +15,7 @@ from hprlp import (
     solve,
 )
 from hprlp.adaptive import SIGMA_MAX, SIGMA_MIN
-from hprlp.engine import NormalEquationSolver, pr_step, proximal_point
+from hprlp.engine import NormalEquationSolver, halpern_step, pr_step, proximal_point
 import hprlp.solver as solver_module
 from hprlp.solver import apply_scaling, scale_iterate, unscale_iterate
 
@@ -698,6 +698,48 @@ def test_loop_step_allocates_no_vector(mode):
     finally:
         tracemalloc.stop()
     assert peak < 8 * n, f"traced peak {peak} bytes"
+
+
+@pytest.mark.parametrize("normal", [False, True], ids=["proximal", "normal"])
+@pytest.mark.parametrize("mode", ["hpr", "hdr", "rhpdhg", "pr", "epr"])
+def test_loop_checks_its_buffers_once(mode, normal, monkeypatch):
+    """The loop's buffers pass the kernels' checks once, when the loop
+    state is built: 200 steps with a restart every 50 call neither the
+    products' and the average's ``_check_out``, nor ``project_box``'s
+    ``_check_box``, nor the step's ``_check_step``, each of which a
+    public call of its kernel still makes."""
+    import hprlp.engine
+    import hprlp.model
+    import hprlp.sparse
+
+    rng = np.random.default_rng(31)
+    prob = random_lp(rng, 30, 12, style="equality" if normal else "two_sided")
+    work, _, ecfg, normal_eq, start, _ = solver_module._setup(
+        prob, SolverConfig(engine=EngineConfig(mode=mode, gamma=0.5, t1_zero_path=normal)))
+    assert ecfg.t1_zero_path == normal
+    state = solver_module._LoopState(work, ecfg, normal_eq, start)
+    calls = []
+
+    def counted(name, check):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return check(*args, **kwargs)
+        return wrapper
+
+    for module, name in ((hprlp.sparse, "_check_out"), (hprlp.engine, "_check_out"),
+                         (hprlp.model, "_check_box"), (hprlp.engine, "_check_step")):
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    for k in range(200):
+        t = k % 50
+        if k and t == 0:
+            state.restart(state.candidate())
+        state.step(ecfg, t)
+    assert calls == []
+    work.A.matvec(state.w.x, out=np.empty(work.m))
+    halpern_step(state.anchor, state.w, 3)
+    hprlp.engine.project_box(state.w.x, work.l_var, work.u_var)
+    pr_step(state.anchor, work, ecfg, normal_eq)
+    assert sorted(calls) == ["_check_box", "_check_out", "_check_out", "_check_step"]
 
 
 @pytest.mark.parametrize("normal", [False, True], ids=["proximal", "normal"])

@@ -367,6 +367,7 @@ def pr_step(
         if cfg.lambda_A is None:
             raise ValueError("lambda_A is unresolved; the proximal y-step needs a value")
         slam = sigma * cfg.lambda_A
+        # into hat's A x block
         ax2 = prob.A.matvec(x2, out=work.hat_state[hat.buf.size:], _prechecked=True)
         zeta = np.multiply(slam, w.y, out=work._zeta)
         np.subtract(ax2, zeta, out=zeta)
@@ -424,8 +425,8 @@ def halpern_step(
     be the point the step started from.  ``out`` must pass the products'
     ``out`` check (``sparse._check_out``) against w_hat's shape, w_hat
     and w_anchor, or ValueError is raised: daxpy would write any other
-    array into a copy.  ``_prechecked`` skips the checks of t and ``out``
-    (``solver._LoopState`` runs ``_check_out`` once on its three vectors).
+    array into a copy.  ``_prechecked``, for three vectors, skips the checks
+    of t and ``out`` (``solver._LoopState`` runs ``_check_out`` once on its own).
     """
     a, h, o = w_anchor, w_hat, out
     if not _prechecked:

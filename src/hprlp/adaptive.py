@@ -10,12 +10,12 @@ with T1 = lambda_A * I - A A^T, which collapses to
 
     <w, M w> = sigma*lambda_A*||y||^2 + 2 <A^T y, x> + ||x||^2 / sigma.
 
-The cross term equals 2 <y, A x>, so a caller that already holds A x
-can pass it and skip the product.
+The cross term equals 2 <y, A x>, so an iterate that carries A x in
+its product block p is measured without a product.
 
 With T1 = 0 (normal-equations path) the y-block is sigma * A A^T
 instead, giving <w, M w> = || sqrt(sigma) A^T y + x / sqrt(sigma) ||^2,
-and a caller that already holds A^T y can pass it instead.
+and an iterate there carries A^T y in p instead.
 The z-block never contributes.
 
 sigma, lambda_A and the route are those of the resolved ``EngineConfig``
@@ -54,31 +54,29 @@ SIGMA_MAX = 1e8
 ALPHA1, ALPHA2, ALPHA3 = 0.2, 0.8, 0.36
 
 
-def m_norm_squared(
-    w: Iterate, cfg: EngineConfig, A: SparseMatrix, product: np.ndarray | None = None
-) -> float:
+def m_norm_squared(w: Iterate, cfg: EngineConfig, A: SparseMatrix) -> float:
     """Raw quadratic form <w, M w> for the penalty, shift and y-step
     route of ``cfg``; may be a tiny negative number in floating point.
     The z component is ignored.
 
-    ``product``, when given, is the carried product of the route, and
-    the form makes no product of its own: A w.x on the proximal route,
-    where the cross term is formed as 2 <w.y, A w.x> (= 2 <A^T w.y, w.x>),
-    and A^T w.y on the normal-equations route (T1 = 0).
+    A ``w.p`` of the route's length is read as its carried product, and
+    the form makes no product of its own: A w.x (m entries) on the
+    proximal route, where the cross term is formed as 2 <w.y, A w.x>
+    (= 2 <A^T w.y, w.x>), and A^T w.y (n entries) on the
+    normal-equations route (T1 = 0).  For any other ``w.p``, such as the
+    empty one of ``Iterate(y, z, x)``, the form makes the product A^T w.y.
     """
-    x, sigma = w.x, cfg.sigma
+    x, sigma, product = w.x, cfg.sigma, w.p
     if cfg.t1_zero_path:
-        aty = A.rmatvec(w.y) if product is None else product
+        aty = product if product.size == x.size else A.rmatvec(w.y)
         return sigma * _dot(aty, aty) + 2.0 * _dot(aty, x) + _dot(x, x) / sigma
-    cross = _dot(A.rmatvec(w.y), x) if product is None else _dot(w.y, product)
+    cross = _dot(w.y, product) if product.size == w.y.size else _dot(A.rmatvec(w.y), x)
     return sigma * cfg.lambda_A * _dot(w.y, w.y) + 2.0 * cross + _dot(x, x) / sigma
 
 
-def m_norm(
-    w: Iterate, cfg: EngineConfig, A: SparseMatrix, product: np.ndarray | None = None
-) -> float:
-    """Seminorm sqrt(max(<w, M w>, 0)); ``product`` as in ``m_norm_squared``."""
-    return math.sqrt(max(m_norm_squared(w, cfg, A, product), 0.0))
+def m_norm(w: Iterate, cfg: EngineConfig, A: SparseMatrix) -> float:
+    """Seminorm sqrt(max(<w, M w>, 0)), as ``m_norm_squared`` forms it."""
+    return math.sqrt(max(m_norm_squared(w, cfg, A), 0.0))
 
 
 class RestartReason(enum.Enum):

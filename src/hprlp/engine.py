@@ -30,9 +30,9 @@ ergodic averages.
 
 When every row is an equality A x = b, an exact y-update through the
 normal equations A A^T y_bar = rhs replaces the zeta/projection route
-(``t1_zero_path``).  Given the carried A^T y of the iterate, that step
-forms xi from it and leaves A^T y_bar, which the solve's residual check
-forms anyway, in the product block of ``w_bar``.
+(``t1_zero_path``).  That step forms xi from the carried A^T y in the
+iterate's product block and leaves A^T y_bar, which the solve's
+residual check forms anyway, in the product block of ``w_bar``.
 
 ``pr_step`` and ``halpern_step`` write their results into preallocated
 vectors (a ``StepWorkspace``, which ``pr_step`` returns with the step's
@@ -41,18 +41,17 @@ updates and, for the anchored average, one BLAS daxpy, in the same
 operations and order as the formulas above, so a run on reused buffers
 is bit-identical to one on fresh arrays.  The two products go the same
 way: ``SparseMatrix.matvec`` and ``rmatvec`` write A^T y into the
-workspace's xi and A (2 x_bar - x) into ``hat``'s product block, and
-a partial reflection its g (y, x) into a workspace vector that its
-first step allocates, so a step of any mode on the proximal route
-allocates no vector after its first.  An update of the y and x blocks
-is one call on the slice ``buf[n:]`` of the packed ``Iterate.buf``.
-The workspace's points, and the solve loop's, are iterates on the
-first three blocks of one (z, y, x, A x) vector (``_packed``): the step
-leaves its row product A (2 x_bar - x) in the A x block of ``hat``, so
-under full reflection (y, x, A x) of w_hat is one slice, which the
-reflection and the anchored average or plain copy, being linear, carry
-along with the iterate.  On the normal-equations route the product
-block holds A^T y (n entries) instead.
+workspace's xi and A (2 x_bar - x) into ``hat.p``, and a partial
+reflection its g (y, x) into a workspace vector that its first step
+allocates, so a step of any mode on the proximal route allocates no
+vector after its first.  An update of the y and x blocks is one call on
+the iterate's ``yx`` view.  The workspace's points, and the solve
+loop's, are iterates with a product block p (``Iterate.empty(m, n, p)``):
+the step leaves its row product A (2 x_bar - x) in ``hat.p``, so under
+full reflection ``hat.state``, (y, x, A x) of w_hat, is one slice, which
+the reflection and the anchored average or plain copy, being linear,
+carry along with the iterate.  On the normal-equations route p holds
+A^T y (n entries) instead.
 """
 
 from __future__ import annotations
@@ -138,29 +137,18 @@ class EngineConfig:
         return replace(self, sigma=sigma)
 
 
-def _packed(m: int, n: int, p: int) -> tuple[Iterate, np.ndarray]:
-    """An uninitialised (z, y, x, product) vector of m + 2 n + p entries
-    and the iterate on its first three blocks; ``state[n:]`` is
-    (y, x, product).  The product block is A x (p = m) on the proximal
-    route and A^T y (p = n) on the normal-equations route."""
-    state = np.empty(m + 2 * n + p)
-    return Iterate._on(state[:m + 2 * n], m, n), state
-
-
 class StepWorkspace:
     """Preallocated vectors of ``pr_step`` for an m x n problem, and the
     results of the last step taken on it, which the next one overwrites.
 
     ``w_bar`` receives the proximal point and ``hat`` the reflected
-    point, each the iterate on the first three blocks of a (z, y, x,
-    product) vector, ``bar_state`` and ``hat_state``, whose product
-    blocks have ``p`` entries (m when None).  On the proximal route,
-    ``hat.x`` first holds 2 x_bar - x, the argument of the row product
-    A (2 x_bar - x) that zeta is formed from, and the product block of
-    ``hat_state`` (m entries) the product; full reflection keeps them as
-    x_hat and A x_hat.  On the normal-equations route with a carried
-    A^T y, the product block of ``bar_state`` (n entries) receives
-    A^T y_bar.  The step writes no other product block.
+    point, each an iterate whose product block p has ``p`` entries (m
+    when None).  On the proximal route, ``hat.x`` first holds
+    2 x_bar - x, the argument of the row product A (2 x_bar - x) that
+    zeta is formed from, and ``hat.p`` (m entries) the product; full
+    reflection keeps them as x_hat and A x_hat.  On the
+    normal-equations route ``w_bar.p`` (n entries) receives A^T y_bar.
+    The step writes no other product block.
 
     The step also sets ``w_hat``, the reflected point (``hat``, or
     ``w_bar`` itself at reflection factor 0), the pre-projection points
@@ -179,13 +167,11 @@ class StepWorkspace:
     any of them.
     """
 
-    __slots__ = ("w_bar", "hat", "bar_state", "hat_state", "w_hat", "xi", "zeta", "sigma",
-                 "_xi", "_zeta", "_gw")
+    __slots__ = ("w_bar", "hat", "w_hat", "xi", "zeta", "sigma", "_xi", "_zeta", "_gw")
 
     def __init__(self, m: int, n: int, p: int | None = None):
         p = m if p is None else p
-        self.w_bar, self.bar_state = _packed(m, n, p)
-        self.hat, self.hat_state = _packed(m, n, p)
+        self.w_bar, self.hat = Iterate.empty(m, n, p), Iterate.empty(m, n, p)
         self.w_bar.z.fill(np.nan)
         self.hat.z.fill(np.nan)
         self._xi, self._zeta = np.empty(n), np.empty(m)
@@ -239,11 +225,11 @@ class NormalEquationSolver:
         t = dtpsv(self._m, self._packed, rhs, lower=1)
         return dtpsv(self._m, self._packed, t, lower=1, trans=1, overwrite_x=1)
 
-    def solve(self, rhs: np.ndarray, aty: np.ndarray | None = None) -> np.ndarray:
+    def solve(self, rhs: np.ndarray, aty: np.ndarray) -> np.ndarray:
         """Solve A A^T y = rhs, refining up to twice through the same
         factor until the residual is below 1e-10 * (1 + ||rhs||).
-        ``aty``, when given, receives A^T y of the returned y, the product
-        the last residual check formed.
+        ``aty`` receives A^T y of the returned y, the product the last
+        residual check formed.
 
         Raises ArithmeticError when that bound is not reached, which
         includes every rhs with a NaN or infinite entry.
@@ -258,8 +244,7 @@ class NormalEquationSolver:
             product = self._A.rmatvec(y)
             resid = rhs - self._A.matvec(product)
             if float(np.linalg.norm(resid)) <= tol:
-                if aty is not None:
-                    np.copyto(aty, product)
+                np.copyto(aty, product)
                 return y
             if refinements_left:
                 y = y + self._sweeps(resid)
@@ -272,10 +257,10 @@ def y_update_t1_zero(
     prob: LpProblem,
     sigma: float,
     factor: NormalEquationSolver,
-    aty: np.ndarray | None = None,
+    aty: np.ndarray,
 ) -> np.ndarray:
     """Exact y-step for equality rows: A A^T y = (b - A(x_bar + sigma(z_bar - c))) / sigma.
-    ``aty``, when given, receives A^T y of the returned y."""
+    ``aty`` receives A^T y of the returned y."""
     b = prob.l_con
     rhs = (b - prob.A.matvec(x_bar + sigma * (z_bar - prob.c))) / sigma
     return factor.solve(rhs, aty)
@@ -293,20 +278,20 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
     return ddot(a, b) if a.size else 0.0
 
 
-def _check_step(w: Iterate, prob: LpProblem, work: StepWorkspace, aty, normal: bool):
-    """Raise ValueError unless w, ``aty`` and the workspace fit ``prob`` and the
-    route and w and ``aty`` share no memory with the workspace (``pr_step``)."""
+def _check_step(w: Iterate, prob: LpProblem, work: StepWorkspace, normal: bool):
+    """Raise ValueError unless w and the workspace fit ``prob`` and the
+    route and w shares no memory with the workspace (``pr_step``)."""
     m, n = prob.A.shape
-    p = work.bar_state.size - work.w_bar.buf.size
-    if aty is not None and (not normal or p != n or aty.shape != (n,)):
-        raise ValueError("a carried A^T y has n entries and needs the normal-equations "
-                         "y-step and a workspace whose product block has n entries")
-    if (w.y.size, w.x.size, work._zeta.size, work._xi.size) != (m, n, m, n) or (
-            not normal and p != m):
-        raise ValueError(f"w and the workspace must fit the {m} x {n} problem")
-    mine = (work.bar_state, work.hat_state, work._xi, work._zeta, work._gw)
-    if any(_shares_memory(v, own) for v in (w.buf, aty) for own in mine):
-        raise ValueError("w and aty must not share memory with the workspace")
+    if (w.y.size, w.x.size, work._zeta.size, work._xi.size, work.w_bar.p.size) != (
+            m, n, m, n, n if normal else m):
+        raise ValueError(f"w and the workspace must fit the {m} x {n} problem and its y-step")
+    if normal and w.p.size != n:
+        raise ValueError("the normal-equations y-step reads the carried A^T y of w from "
+                         "w.p, which must have n entries")
+    bar, hat = work.w_bar, work.hat
+    mine = (bar.buf, bar.p, hat.buf, hat.p, work._xi, work._zeta, work._gw)
+    if any(_shares_memory(v, own) for v in (w.buf, w.p) for own in mine):
+        raise ValueError("w must not share memory with the workspace")
 
 
 def pr_step(
@@ -314,17 +299,15 @@ def pr_step(
     prob: LpProblem,
     cfg: EngineConfig,
     normal_eq: NormalEquationSolver | None = None,
-    work: StepWorkspace | None = None,
-    aty: np.ndarray | None = None, *, _prechecked: bool = False,
+    work: StepWorkspace | None = None, *, _prechecked: bool = False,
 ) -> StepWorkspace:
     """One proximal-reflection step at w, written into ``work`` (a new
     workspace when None), which it returns.
 
     With ``cfg.t1_zero_path`` and a prepared ``normal_eq`` solver the
-    y-step is computed exactly through A A^T and ``zeta`` is None.
-    ``aty``, when given, is the carried A^T w.y of the normal-equations
-    route: xi is formed from it instead of a product, and A^T y_bar goes
-    to the product block of ``work.bar_state``, which must then have n
+    y-step is computed exactly through A A^T and ``zeta`` is None.  That
+    route forms xi from ``w.p``, the carried A^T w.y, instead of a
+    product, and leaves A^T y_bar in ``work.w_bar.p``; both must have n
     entries.
     See ``StepWorkspace`` for what the step writes there, which a later
     step on the same workspace overwrites.
@@ -340,16 +323,16 @@ def pr_step(
     normal = cfg.t1_zero_path and normal_eq is not None
     if work is None:
         m, n = prob.A.shape
-        work = StepWorkspace(m, n, n if aty is not None else m)
+        work = StepWorkspace(m, n, n if normal else m)
     if not _prechecked:
-        _check_step(w, prob, work, aty, normal)
+        _check_step(w, prob, work, normal)
     bar, hat = work.w_bar, work.hat
     sigma, xi = cfg.sigma, work._xi
-    if aty is None:
+    if normal:
+        np.subtract(w.p, prob.c, out=xi)
+    else:
         prob.A.rmatvec(w.y, out=xi, _prechecked=True)
         np.subtract(xi, prob.c, out=xi)
-    else:
-        np.subtract(aty, prob.c, out=xi)
     np.multiply(sigma, xi, out=xi)
     np.add(w.x, xi, out=xi)
     project_box(xi, prob.l_var, prob.u_var, out=bar.x, _prechecked=True)
@@ -361,14 +344,12 @@ def pr_step(
 
     if normal:
         zeta = None
-        bar_aty = None if aty is None else work.bar_state[bar.buf.size:]
-        np.copyto(bar.y, y_update_t1_zero(bar.z, bar.x, prob, sigma, normal_eq, bar_aty))
+        np.copyto(bar.y, y_update_t1_zero(bar.z, bar.x, prob, sigma, normal_eq, bar.p))
     else:
         if cfg.lambda_A is None:
             raise ValueError("lambda_A is unresolved; the proximal y-step needs a value")
         slam = sigma * cfg.lambda_A
-        # into hat's A x block
-        ax2 = prob.A.matvec(x2, out=work.hat_state[hat.buf.size:], _prechecked=True)
+        ax2 = prob.A.matvec(x2, out=hat.p, _prechecked=True)
         zeta = np.multiply(slam, w.y, out=work._zeta)
         np.subtract(ax2, zeta, out=zeta)
         project_box(zeta, prob.l_con, prob.u_con, out=bar.y, _prechecked=True)
@@ -385,11 +366,10 @@ def pr_step(
     elif gamma == 0.0:
         w_hat = bar
     else:
-        n = w.x.size  # buf[n:] holds y and x
         if work._gw is None:
-            work._gw = np.empty(bar.buf.size - n)
-        out = np.multiply(1.0 + gamma, bar.buf[n:], out=hat.buf[n:])
-        np.subtract(out, np.multiply(gamma, w.buf[n:], out=work._gw), out=out)
+            work._gw = np.empty(bar.yx.size)
+        out = np.multiply(1.0 + gamma, bar.yx, out=hat.yx)
+        np.subtract(out, np.multiply(gamma, w.yx, out=work._gw), out=out)
         w_hat = hat
 
     work.w_hat, work.xi, work.zeta, work.sigma = w_hat, xi, zeta, sigma
@@ -403,10 +383,9 @@ def proximal_point(step: StepWorkspace, out: Iterate | None = None) -> Iterate:
     the step forms it with where it does.  Written into ``out`` (a new
     iterate when None), which must not share memory with the workspace."""
     bar = step.w_bar
-    n = bar.x.size
     if out is None:
-        out = Iterate.empty(bar.y.size, n)
-    np.copyto(out.buf[n:], bar.buf[n:])
+        out = Iterate.empty(bar.y.size, bar.x.size)
+    np.copyto(out.yx, bar.yx)
     _z_bar(out.z, out.x, step.xi, step.sigma)
     return out
 

@@ -70,27 +70,26 @@ def _check_box(v, lo, hi) -> np.ndarray:
 
 def box_support(
     s: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-    infinite: tuple[np.ndarray, np.ndarray] | None = None,
+    infinite: tuple[np.ndarray, ...] | None = None,
 ) -> float:
     """Support function of the box [lo, hi] evaluated at s.
 
     sup_{v in [lo, hi]} <s, v> = sum_i hi_i * max(s_i, 0) + lo_i * min(s_i, 0)
     with the convention 0 * (+-inf) = 0.  Returns +inf when some component
     pairs a nonzero s_i with an infinite bound on that side.
-    ``infinite``, when given, is (isinf(lo), isinf(hi)), optionally
-    followed by lo and hi with their infinite entries set to 0, for a
-    caller that evaluates one box often.  Dotting those bounds with
-    max(s, 0) and min(s, 0) may flip the sign of a zero sum, no other bit.
+    ``infinite``, when given, is (isinf(lo), isinf(hi), lo, hi) with the
+    infinite entries of lo and hi set to 0, for a caller that evaluates
+    one box often (``LpProblem._infinite_bounds``).
     """
     s = np.asarray(s, dtype=np.float64)
     if s.size == 0:
         return 0.0
-    inf_lo, inf_hi, *finite = infinite if infinite is not None else (np.isinf(lo), np.isinf(hi))
+    inf_lo, inf_hi = infinite[:2] if infinite else (np.isinf(lo), np.isinf(hi))
     pos = s > 0.0
     neg = s < 0.0
     if (pos & inf_hi).any() or (neg & inf_lo).any():
         return float("inf")
-    lo, hi = finite or (np.where(inf_lo, 0.0, lo), np.where(inf_hi, 0.0, hi))
+    lo, hi = infinite[2:] if infinite else (np.where(inf_lo, 0.0, lo), np.where(inf_hi, 0.0, hi))
     return float(np.dot(hi, np.maximum(s, 0.0)) + np.dot(lo, np.minimum(s, 0.0)))
 
 
@@ -187,20 +186,27 @@ class LpProblem:
 @dataclass(frozen=True, eq=False, init=False)
 class Iterate:
     """A primal-dual point w = (y, z, x): row multipliers, bound
-    multipliers, and primal variables.
+    multipliers, and primal variables, with an optional product block p.
 
-    The three blocks are slices of one contiguous float64 vector
-    ``buf``, laid out z, y, x, so that an elementwise update of the
-    whole point is one numpy call.  In that order ``buf[n:]`` holds y
-    and x, the blocks the solve loop updates.
-    ``Iterate(y, z, x)`` copies its arguments into a new ``buf``; z and
-    x must have the same size.
+    The blocks are slices of one contiguous float64 storage, laid out
+    z, y, x, p, so that an elementwise update of several blocks is one
+    numpy call.  ``buf`` is (z, y, x), the point itself, which
+    ``assign``, ``copy``, ``max_abs`` and pickling read; ``yx`` is
+    (y, x), the blocks the solve loop updates, and ``state`` is
+    (y, x, p).  An iterate's p, when it has one, holds the product of
+    its route: A x on the proximal route, A^T y on the normal-equations
+    route (``engine.pr_step``, ``adaptive.m_norm``).
+    ``Iterate(y, z, x)`` copies its arguments into a new storage with an
+    empty p; z and x must have the same size.
     """
 
     y: np.ndarray
     z: np.ndarray
     x: np.ndarray
     buf: np.ndarray = field(repr=False)
+    yx: np.ndarray = field(repr=False)
+    p: np.ndarray = field(repr=False)
+    state: np.ndarray = field(repr=False)
 
     def __init__(self, y: np.ndarray, z: np.ndarray, x: np.ndarray):
         n = np.size(x)
@@ -208,15 +214,17 @@ class Iterate:
             raise ValueError(f"z and x must have the same size, got {np.size(z)} and {n}")
         self._view(np.concatenate((z, y, x), dtype=np.float64), np.size(y), n)
 
-    def _view(self, buf: np.ndarray, m: int, n: int):
-        views = dict(buf=buf, z=buf[:n], y=buf[n:n + m], x=buf[n + m:])
+    def _view(self, storage: np.ndarray, m: int, n: int):
+        end = m + 2 * n  # where p starts
+        views = dict(buf=storage[:end], z=storage[:n], y=storage[n:n + m], x=storage[n + m:end],
+                     yx=storage[n:end], p=storage[end:], state=storage[n:])
         for name, view in views.items():
             object.__setattr__(self, name, view)
 
     @classmethod
-    def _on(cls, buf: np.ndarray, m: int, n: int) -> "Iterate":
+    def _on(cls, storage: np.ndarray, m: int, n: int) -> "Iterate":
         w = cls.__new__(cls)
-        w._view(buf, m, n)
+        w._view(storage, m, n)
         return w
 
     def __reduce__(self):
@@ -224,9 +232,9 @@ class Iterate:
         return Iterate, (self.y, self.z, self.x)
 
     @classmethod
-    def empty(cls, m: int, n: int) -> "Iterate":
-        """An iterate with uninitialised values."""
-        return cls._on(np.empty(m + 2 * n), m, n)
+    def empty(cls, m: int, n: int, p: int = 0) -> "Iterate":
+        """An iterate with uninitialised values and a product block of p entries."""
+        return cls._on(np.empty(m + 2 * n + p), m, n)
 
     @classmethod
     def zeros(cls, m: int, n: int) -> "Iterate":

@@ -45,7 +45,6 @@ from .engine import (
     NormalEquationSolver,
     StepWorkspace,
     _check_step,
-    _packed,
     epr_accumulate,
     halpern_step,
     pr_step,
@@ -530,10 +529,10 @@ class _LoopState:
     once, when the state is built, on these vectors, which only the loop
     writes; its step, average and restart products skip them (``_prechecked``).
 
-    w, the anchor, that difference and the step's points are each one
-    (z, y, x, product) vector, and the loop's state is the slice
-    (y, x, product) of it, taken once (every step writes w_hat to the
-    same vector): A x on the proximal route, A^T y on the
+    w, the anchor, that difference and the step's points are each an
+    iterate with a product block p, and the loop's state is their
+    ``state`` view, (y, x, p) (every step writes w_hat to the same
+    iterate): p holds A x on the proximal route, A^T y on the
     normal-equations route.  The step reads no z, so w.z keeps the
     start's z until a restart copies a candidate in.  The reflection,
     the average and the copy are linear, so the step's product
@@ -560,33 +559,22 @@ class _LoopState:
         p = n if normal else m  # the product block's length
         self.A, self.work, self.normal_eq = work.A, work, normal_eq
         self.anchored, self.ergodic, self.normal = ecfg.anchored, ecfg.ergodic, normal
-        self.w, self.w_state = _packed(m, n, p)
-        self.anchor, self.anchor_state = _packed(m, n, p)
+        self.w, self.anchor = Iterate.empty(m, n, p), Iterate.empty(m, n, p)
         self.step_work = step = StepWorkspace(m, n, p)
         self.point = Iterate.empty(m, n)
         self.mean = Iterate.empty(m, n) if ecfg.ergodic else None
-        hat_state = step.bar_state if ecfg.reflection == 0.0 else step.hat_state
+        self.hat = step.w_bar if ecfg.reflection == 0.0 else step.hat
         self.f = (1.0 + ecfg.reflection) * (1.0 if normal else 0.5)
         self.reflect_p = self.f != 1.0
-        p0 = 2 * n + m  # where the product block starts
-        states = (self.w_state, hat_state, self.anchor_state)
-        self.w_s, self.hat_s, self.anchor_s = (v[n:] for v in states)
-        self.w_p, self.hat_p = self.w_state[p0:], hat_state[p0:]
         # where the step leaves its product
-        self.step_p = (step.bar_state if normal else step.hat_state)[p0:]
+        self.step_p = (step.w_bar if normal else step.hat).p
         # w - w_hat: formed in w itself, which the average rewrites next,
-        # but in a vector of its own where the product of w_hat is formed
-        # from it and w's
-        self.diff, self.diff_p = self.w, self.w_p
-        if self.reflect_p:
-            self.diff, diff_state = _packed(m, n, p)
-            self.w_yx, self.diff_yx, self.hat_yx = (
-                v[n:p0] for v in (self.w_state, diff_state, hat_state))
-            self.diff_p = diff_state[p0:]
-        self.step_aty = self.w_p if normal else None
-        _check_step(self.w, work, step, self.step_aty, normal)
-        _check_out(self.w_p, (p,), self.w.y if normal else self.w.x)
-        _check_out(self.w_s, self.hat_s.shape, self.hat_s, self.anchor_s)
+        # but in an iterate of its own where the product of w_hat is
+        # formed from it and w's
+        self.diff = Iterate.empty(m, n, p) if self.reflect_p else self.w
+        _check_step(self.w, work, step, normal)
+        _check_out(self.w.p, (p,), self.w.y if normal else self.w.x)
+        _check_out(self.w.state, self.hat.state.shape, self.hat.state, self.anchor.state)
         self.restart(start)
 
     def step(self, ecfg: EngineConfig, t: int) -> float:
@@ -596,24 +584,24 @@ class _LoopState:
         Returns the merit.  Raises ArithmeticError when the step fails or
         the merit is not finite; w may then hold w - w_hat, but the
         anchor is untouched."""
-        pr_step(self.w, self.work, ecfg, self.normal_eq, self.step_work, self.step_aty,
-                _prechecked=True)
+        w, hat, diff = self.w, self.hat, self.diff
+        pr_step(w, self.work, ecfg, self.normal_eq, self.step_work, _prechecked=True)
         if self.reflect_p:
-            np.subtract(self.w_yx, self.hat_yx, out=self.diff_yx)
-            np.subtract(self.w_p, self.step_p, out=self.diff_p)
-            np.multiply(self.f, self.diff_p, out=self.diff_p)
-            np.subtract(self.w_p, self.diff_p, out=self.hat_p)
+            np.subtract(w.yx, hat.yx, out=diff.yx)
+            np.subtract(w.p, self.step_p, out=diff.p)
+            np.multiply(self.f, diff.p, out=diff.p)
+            np.subtract(w.p, diff.p, out=hat.p)
         else:
-            np.subtract(self.w_s, self.hat_s, out=self.w_s)
-        merit = m_norm(self.diff, ecfg, self.A, self.diff_p)
+            np.subtract(w.state, hat.state, out=w.state)
+        merit = m_norm(diff, ecfg, self.A)
         # the merit squares w - w_hat: it is inf or NaN when w_hat is
         # not finite or runs away from w
         if not merit < math.inf:
             raise ArithmeticError("iterate diverged (non-finite or overflowing step)")
         if self.anchored:
-            halpern_step(self.anchor_s, self.hat_s, t, out=self.w_s, _prechecked=True)
+            halpern_step(self.anchor.state, hat.state, t, out=w.state, _prechecked=True)
         else:
-            np.copyto(self.w_s, self.hat_s)
+            np.copyto(w.state, hat.state)
         if self.ergodic:
             epr_accumulate(self.mean, self.step_work.w_bar, t + 1, self.point)
         return merit
@@ -627,10 +615,11 @@ class _LoopState:
         """Make ``point`` the new w and anchor, with its product."""
         self.w.assign(point)
         if self.normal:
-            self.A.rmatvec(self.w.y, out=self.w_p, _prechecked=True)
+            self.A.rmatvec(self.w.y, out=self.w.p, _prechecked=True)
         else:
-            self.A.matvec(self.w.x, out=self.w_p, _prechecked=True)
-        np.copyto(self.anchor_state, self.w_state)
+            self.A.matvec(self.w.x, out=self.w.p, _prechecked=True)
+        self.anchor.assign(self.w)
+        np.copyto(self.anchor.p, self.w.p)
 
 
 def _fit_sigma(
@@ -671,15 +660,20 @@ def solve(prob: LpProblem, cfg: SolverConfig | None = None) -> SolveResult:
     anchor can and do diverge) and returns the best checkpoint, or the
     start point when the loop diverges before its first checkpoint.
     Raises ValueError when
-    ``cfg.initial_iterate`` does not have the LP's (m, n) blocks.
+    ``cfg.initial_iterate`` does not have the LP's (m, n) blocks or has a
+    NaN or infinite entry.
     """
     cfg = cfg or SolverConfig()
     w0 = cfg.initial_iterate
-    if w0 is not None and (w0.y.size, w0.x.size) != (prob.m, prob.n):
-        raise ValueError(
-            f"initial_iterate has (m, n) = ({w0.y.size}, {w0.x.size}); "
-            f"the LP needs ({prob.m}, {prob.n})"
-        )
+    if w0 is not None:
+        if (w0.y.size, w0.x.size) != (prob.m, prob.n):
+            raise ValueError(
+                f"initial_iterate has (m, n) = ({w0.y.size}, {w0.x.size}); "
+                f"the LP needs ({prob.m}, {prob.n})"
+            )
+        for name in ("y", "z", "x"):
+            if not np.all(np.isfinite(getattr(w0, name))):
+                raise ValueError(f"initial_iterate has a non-finite entry in {name}")
     started = time.perf_counter()
     work, scaling, ecfg, normal_eq, start, message = _setup(prob, cfg)
     log = _RunLog(prob, scaling, started)

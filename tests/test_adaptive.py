@@ -14,7 +14,7 @@ from hprlp.adaptive import (
     sigma_update,
 )
 
-from theory import plus
+from theory import plus, with_product
 
 
 A_1X1 = SparseMatrix.from_dense([[1.0]])
@@ -47,14 +47,15 @@ def test_m_norm_t1_zero_block():
 
 
 def test_m_norm_from_carried_row_product():
-    """Given A w.x, the cross term 2 <w.y, A w.x> replaces 2 <A^T w.y, w.x>;
-    the T1 = 0 form reads the vector as a carried A^T w.y instead."""
+    """Given A w.x in w.p, the cross term 2 <w.y, A w.x> replaces
+    2 <A^T w.y, w.x>; the T1 = 0 form reads w.p as a carried A^T w.y
+    instead."""
     cfg = cfg_of()
-    w2 = Iterate(np.array([1.0]), np.array([0.0]), np.array([1.0]))
-    assert m_norm_squared(w2, cfg, A_1X1, np.array([1.0])) == 4.0
-    assert m_norm(w2, cfg, A_1X1, np.array([1.0])) == 2.0
-    w = Iterate(np.array([1.0]), np.array([7.0]), np.array([-1.0]))
-    assert m_norm_squared(w, cfg, A_1X1, np.array([-1.0])) == 0.0
+    w2 = with_product(Iterate(np.array([1.0]), np.array([0.0]), np.array([1.0])), [1.0])
+    assert m_norm_squared(w2, cfg, A_1X1) == 4.0
+    assert m_norm(w2, cfg, A_1X1) == 2.0
+    w = with_product(Iterate(np.array([1.0]), np.array([7.0]), np.array([-1.0])), [-1.0])
+    assert m_norm_squared(w, cfg, A_1X1) == 0.0
     rng = np.random.default_rng(21)
     for t1_zero in (False, True):
         for _ in range(50):
@@ -66,14 +67,35 @@ def test_m_norm_from_carried_row_product():
             w = Iterate(rng.standard_normal(m), rng.standard_normal(n), rng.standard_normal(n))
             ref = m_norm(w, cfg, A)
             product = A.rmatvec(w.y) if t1_zero else A.matvec(w.x)
-            assert abs(m_norm(w, cfg, A, product) - ref) <= 1e-12 * ref
+            assert abs(m_norm(with_product(w, product), cfg, A) - ref) <= 1e-12 * ref
     # the T1 = 0 form makes no product of its own from a carried A^T w.y:
     # here A = [2], y = [1] and the vector says A^T y = [3]
     w = Iterate(np.array([1.0]), np.array([0.0]), np.array([0.0]))
     cfg = cfg_of(1.0, 9.0, t1_zero=True)
     assert m_norm_squared(w, cfg, A_2) == 4.0
-    assert m_norm_squared(w, cfg, A_2, np.array([3.0])) == 9.0
-    assert m_norm(w, cfg, A_2, np.array([3.0])) == 3.0
+    assert m_norm_squared(with_product(w, [3.0]), cfg, A_2) == 9.0
+    assert m_norm(with_product(w, [3.0]), cfg, A_2) == 3.0
+
+
+def test_m_norm_reads_only_a_product_of_the_routes_length(monkeypatch):
+    """A w.p whose length is not the route's (m on the proximal route) is
+    not read: the form makes its own product, the value of an iterate
+    without p.  On a zero-row LP the empty p of any iterate is the
+    route's, and the form makes no product."""
+    A = SparseMatrix.from_dense([[1.0, 1.0]])
+    w = Iterate(np.array([1.0]), np.zeros(2), np.array([1.0, 2.0]))
+    # sigma * lambda_A * 1 + 2 <A^T y, x> + ||x||^2 / sigma = 1 + 6 + 5
+    assert m_norm_squared(w, cfg_of(), A) == 12.0
+    assert m_norm_squared(with_product(w, [5.0, 5.0]), cfg_of(), A) == 12.0
+    assert m_norm_squared(with_product(w, [3.0]), cfg_of(), A) == 12.0
+
+    def no_product(*args, **kwargs):
+        raise AssertionError("the form made a product")
+
+    monkeypatch.setattr(SparseMatrix, "rmatvec", no_product)
+    empty = SparseMatrix(np.zeros((0, 2)))
+    w0 = Iterate(np.zeros(0), np.zeros(2), np.array([1.0, 2.0]))
+    assert m_norm_squared(w0, cfg_of(), empty) == 5.0
 
 
 def test_m_norm_clamps_roundoff():

@@ -31,6 +31,7 @@ from theory import (
     plus,
     reflected_point,
     rhpdhg_step,
+    with_product,
 )
 
 
@@ -109,7 +110,8 @@ def test_unresolved_lambda_is_the_default_and_the_proximal_step_rejects_it():
     # the normal-equations y-step does not read lambda_A
     prob = random_lp(np.random.default_rng(5), 6, 3, style="equality")
     cfg = EngineConfig(t1_zero_path=True)
-    step = pr_step(Iterate.zeros(3, 6), prob, cfg, NormalEquationSolver(prob.A))
+    step = pr_step(with_product(Iterate.zeros(3, 6), np.zeros(6)), prob, cfg,
+                   NormalEquationSolver(prob.A))
     assert step.zeta is None and np.isfinite(step.w_hat.y).all()
 
 
@@ -346,9 +348,11 @@ def test_normal_equation_hand_value():
         c=[0.0], A=A, l_con=[2.0], u_con=[2.0], l_var=[-10.0], u_var=[10.0]
     )
     solver = NormalEquationSolver(A)
-    y = y_update_t1_zero(np.zeros(1), np.zeros(1), prob, 1.0, solver)
-    # A A^T y = b / sigma  ->  4 y = 2
+    aty = np.full(1, np.nan)
+    y = y_update_t1_zero(np.zeros(1), np.zeros(1), prob, 1.0, solver, aty)
+    # A A^T y = b / sigma  ->  4 y = 2, and A^T y = 1
     npt.assert_allclose(y, [0.5], rtol=1e-12)
+    assert aty.tobytes() == A.rmatvec(y).tobytes()
 
 
 def test_normal_equation_solver_accuracy():
@@ -363,7 +367,9 @@ def test_normal_equation_solver_accuracy():
         assert np.array_equal(solver._packed, packed)
         for scale in (1.0, 1e6):
             rhs = scale * rng.standard_normal(m)
-            y = solver.solve(rhs)
+            aty = np.full(n, np.nan)
+            y = solver.solve(rhs, aty)
+            assert aty.tobytes() == A.rmatvec(y).tobytes()
             # no refinement once the first solve meets the bound
             assert np.array_equal(y, _triangular_sweeps(packed, rhs))
             npt.assert_allclose(y, np.linalg.solve(dense @ dense.T, rhs),
@@ -405,8 +411,10 @@ def test_normal_equation_solver_refines_once():
     resid = rhs - A.matvec(A.rmatvec(first))
     assert np.linalg.norm(resid) > bound
 
-    y = solver.solve(rhs)
+    aty = np.full(120, np.nan)
+    y = solver.solve(rhs, aty)
     assert np.array_equal(y, first + _triangular_sweeps(packed, resid))
+    assert aty.tobytes() == A.rmatvec(y).tobytes()
     assert np.linalg.norm(rhs - A.matvec(A.rmatvec(y))) <= bound
 
 
@@ -428,7 +436,7 @@ def test_normal_equation_rejects_nonfinite_rhs(bad):
     rhs = rng.standard_normal(4)
     rhs[2] = bad
     with pytest.raises(ArithmeticError):
-        solver.solve(rhs)
+        solver.solve(rhs, np.empty(7))
 
 
 def test_pr_step_t1_path_matches_projection_path():
@@ -442,7 +450,8 @@ def test_pr_step_t1_path_matches_projection_path():
         rng.standard_normal(3), rng.standard_normal(6), rng.standard_normal(6)
     )
     tr = pr_step(
-        w, prob, EngineConfig(sigma=0.8, t1_zero_path=True), normal_eq=solver
+        with_product(w, prob.A.rmatvec(w.y)), prob, EngineConfig(sigma=0.8, t1_zero_path=True),
+        normal_eq=solver,
     )
     assert tr.zeta is None
     # the exact step satisfies A A^T y_bar = (b - A(x_bar + sigma(z_bar - c)))/sigma
@@ -496,7 +505,7 @@ def test_active_sets_require_zeta():
     prob = random_lp(rng, 4, 2, style="equality")
     solver = NormalEquationSolver(prob.A)
     tr = pr_step(
-        Iterate.zeros(2, 4),
+        with_product(Iterate.zeros(2, 4), np.zeros(4)),
         prob,
         EngineConfig(t1_zero_path=True),
         normal_eq=solver,
@@ -559,33 +568,38 @@ def _run_steps(prob, cfg, normal_eq, reuse, steps=200, carry=False):
     """The solve loop in miniature: anchored or plain steps from a fixed
     start, a sigma change at step 70, a restart at the proximal point at
     step 120.  With ``reuse`` every vector is allocated once, as in
-    ``solve``; without it every call allocates.  With ``carry`` (the
-    anchored modes on the normal-equations route) the step and the merit
-    read a carried A^T y, averaged and refreshed as in ``solve``.
+    ``solve``; without it every call allocates.  On the normal-equations
+    route (given ``normal_eq``) the step reads A^T y from the product
+    block of the iterate it is given: with ``carry`` (the anchored modes)
+    that A^T y and the merit's are averaged and refreshed as in
+    ``solve``; without it A^T y is formed from w.y before every step and
+    the merit forms its own product.
     Returns per-step copies of w, w_bar and the merit."""
     m, n = prob.A.shape
     rng = np.random.default_rng(4)
     w = Iterate(rng.standard_normal(m), rng.standard_normal(n), rng.standard_normal(n))
     anchor = w.copy()
     anchored = cfg.mode in ("hpr", "hdr", "rhpdhg")
-    aty = prob.A.rmatvec(w.y) if carry else None
+    normal = normal_eq is not None
+    aty = prob.A.rmatvec(w.y) if normal else None
     anchor_aty = None if aty is None else aty.copy()
-    work = StepWorkspace(m, n, n if carry else None) if reuse else None
+    work = StepWorkspace(m, n, n if normal else None) if reuse else None
+    point = Iterate.empty(m, n, n) if normal and reuse else None  # w with its A^T y
     history = []
     t = 0
     for k in range(steps):
         if k == 70:
             cfg = cfg.with_sigma(1.7 * cfg.sigma)
-        if carry and not reuse:
-            work = StepWorkspace(m, n, n)  # where the step leaves A^T y_bar
-        step = pr_step(w, prob, cfg, normal_eq, work, aty)
-        diff_aty = None
+        if normal and not carry:
+            aty = prob.A.rmatvec(w.y)
+        step = pr_step(with_product(w, aty, point) if normal else w, prob, cfg, normal_eq, work)
+        diff = minus(w, step.w_hat)
         if carry:
             # A^T (y - y_hat) = (1 + g) (A^T y - A^T y_bar), and A^T y_hat from it
-            bar_aty = work.bar_state[work.w_bar.buf.size:]
-            diff_aty = (1.0 + cfg.reflection) * (aty - bar_aty)
+            diff_aty = (1.0 + cfg.reflection) * (aty - step.w_bar.p)
             hat_aty = aty - diff_aty
-        merit = m_norm(minus(w, step.w_hat), cfg, prob.A, diff_aty)
+            diff = with_product(diff, diff_aty)
+        merit = m_norm(diff, cfg, prob.A)
         if not reuse:
             w = halpern_step(anchor, step.w_hat, t) if anchored else step.w_hat
             if carry:
@@ -654,35 +668,42 @@ def test_reused_workspace_with_carried_aty_is_bit_identical(mode):
         npt.assert_allclose(mc, mp, rtol=1e-9, atol=1e-12)
 
 
-def test_carried_aty_needs_the_normal_route_and_an_n_entry_block():
-    """A carried A^T y is refused, not broadcast, off the normal-equations
-    route and with a workspace whose product block has m entries."""
+def test_normal_route_refuses_a_w_without_an_n_entry_product_block():
+    """The normal-equations step reads A^T y from w.p, so a w whose p
+    does not have n entries (none, or an A x of m entries) is refused,
+    not stepped from or broadcast; a workspace whose product block has m
+    entries does not fit the route.  The proximal step reads no p."""
     rng = np.random.default_rng(12)
     prob = random_lp(rng, 9, 5, style="equality")
     w = Iterate(rng.standard_normal(5), rng.standard_normal(9), rng.standard_normal(9))
-    aty = prob.A.rmatvec(w.y)
+    carried = with_product(w, prob.A.rmatvec(w.y))
     normal = EngineConfig(sigma=0.6, t1_zero_path=True)
     normal_eq = NormalEquationSolver(prob.A)
-    with pytest.raises(ValueError, match="n entries"):
-        pr_step(w, prob, normal, normal_eq, StepWorkspace(5, 9), aty)
-    with pytest.raises(ValueError, match="normal-equations"):
-        pr_step(w, prob, EngineConfig(sigma=0.6, lambda_A=50.0), None, None, aty)
+    for bad_w in (w, with_product(w, prob.A.matvec(w.x))):
+        with pytest.raises(ValueError, match="n entries"):
+            pr_step(bad_w, prob, normal, normal_eq)
+    with pytest.raises(ValueError, match="fit"):
+        pr_step(carried, prob, normal, normal_eq, StepWorkspace(5, 9))
     # with a fitting workspace, or none, the step reads it
-    step = pr_step(w, prob, normal, normal_eq, StepWorkspace(5, 9, 9), aty)
-    npt.assert_array_equal(step.w_bar.buf, pr_step(w, prob, normal, normal_eq, None, aty).w_bar.buf)
+    step = pr_step(carried, prob, normal, normal_eq, StepWorkspace(5, 9, 9))
+    npt.assert_array_equal(step.w_bar.buf, pr_step(carried, prob, normal, normal_eq).w_bar.buf)
+    proximal = EngineConfig(sigma=0.6, lambda_A=50.0)
+    assert pr_step(carried, prob, proximal).w_bar.buf.tobytes() == \
+        pr_step(w, prob, proximal).w_bar.buf.tobytes()
 
 
 def test_pr_step_refuses_an_input_that_shares_or_misfits_the_workspace():
-    """The step writes its workspace while it reads w and a carried A^T y,
-    so either one in the workspace's memory is refused, not stepped from;
-    so are a w, an A^T y or a workspace whose blocks do not fit the LP,
-    which the step's unchecked products would read or write past."""
+    """The step writes its workspace while it reads w and, on the
+    normal-equations route, its carried A^T y in w.p, so a w with either
+    in the workspace's memory is refused, not stepped from; so are a w
+    or a workspace whose blocks do not fit the LP, which the step's
+    unchecked products would read or write past."""
     rng = np.random.default_rng(14)
     prob = random_lp(rng, 6, 4)
     cfg = EngineConfig(sigma=0.9, lambda_A=40.0, mode="rhpdhg", gamma=0.5)
     w = Iterate(rng.standard_normal(4), rng.standard_normal(6), rng.standard_normal(6))
     work = pr_step(w, prob, cfg, work=StepWorkspace(4, 6))
-    for alias in (work.w_bar, work.hat, Iterate._on(work.hat_state[4:], 4, 6)):
+    for alias in (work.w_bar, work.hat, Iterate._on(work.hat.buf.base[4:], 4, 6)):
         with pytest.raises(ValueError, match="share memory"):
             pr_step(alias, prob, cfg, work=work)
     for bad_w, bad_work in ((Iterate.zeros(5, 6), work), (Iterate.zeros(4, 7), work),
@@ -693,12 +714,15 @@ def test_pr_step_refuses_an_input_that_shares_or_misfits_the_workspace():
     eq = random_lp(rng, 9, 5, style="equality")
     normal, normal_eq = EngineConfig(sigma=0.6, t1_zero_path=True), NormalEquationSolver(eq.A)
     w = Iterate(rng.standard_normal(5), rng.standard_normal(9), rng.standard_normal(9))
-    work = StepWorkspace(5, 9, 9)
-    with pytest.raises(ValueError, match="share memory"):
-        pr_step(w, eq, normal, normal_eq, work, work.bar_state[work.w_bar.buf.size:])
+    work = pr_step(with_product(w, eq.A.rmatvec(w.y)), eq, normal, normal_eq,
+                   StepWorkspace(5, 9, 9))
+    # w_bar.p receives A^T y_bar while the step reads w.p
+    for alias in (work.w_bar, work.hat):
+        with pytest.raises(ValueError, match="share memory"):
+            pr_step(alias, eq, normal, normal_eq, work)
     with pytest.raises(ValueError, match="n entries"):
-        pr_step(w, eq, normal, normal_eq, work, np.zeros(10))
-    pr_step(w, eq, normal, normal_eq, work, eq.A.rmatvec(w.y))  # an A^T y of its own
+        pr_step(with_product(w, np.zeros(10)), eq, normal, normal_eq, work)
+    pr_step(with_product(w, eq.A.rmatvec(w.y)), eq, normal, normal_eq, work)  # a p of its own
 
 
 def test_trace_without_workspace_is_not_overwritten():
@@ -741,7 +765,9 @@ def test_carried_row_product_keeps_trajectory(mode, monkeypatch):
         prob = random_lp(np.random.default_rng(100 + seed), n, m, style=style)
         monkeypatch.setattr(hprlp.solver, "m_norm", m_norm_carried)
         carried = solve(prob, cfg)
-        monkeypatch.setattr(hprlp.solver, "m_norm", lambda w, cfg, A, ax=None: m_norm(w, cfg, A))
+        # an iterate without a product block: the merit forms A^T dy
+        monkeypatch.setattr(hprlp.solver, "m_norm",
+                            lambda w, cfg, A: m_norm(Iterate(w.y, w.z, w.x), cfg, A))
         product = solve(prob, cfg)
         assert carried.status == product.status
         assert carried.iterations == product.iterations

@@ -258,6 +258,34 @@ def test_iterate_zeros_and_copy():
         assert np.isnan(Iterate(*parts).max_abs())
 
 
+def test_iterate_product_block_layout():
+    """Iterate.empty(m, n, p) lays z, y, x and p out in that order in one
+    storage, of which buf (z, y, x), yx (y, x), p and state (y, x, p) are
+    views; the constructor, copy and pickling keep z, y and x and give
+    an empty p."""
+    m, n, p = 2, 3, 4
+    w = Iterate.empty(m, n, p)
+    storage = w.buf.base
+    assert storage.shape == (m + 2 * n + p,)
+    storage[:] = np.arange(storage.size)
+    views = dict(z=range(0, 3), y=range(3, 5), x=range(5, 8), buf=range(0, 8),
+                 yx=range(3, 8), p=range(8, 12), state=range(3, 12))
+    for name, entries in views.items():
+        view = getattr(w, name)
+        assert view.base is storage, name
+        npt.assert_array_equal(view, list(entries), err_msg=name)
+    w.state[:] = -1.0
+    npt.assert_array_equal(storage, [0.0, 1.0, 2.0] + [-1.0] * 9)
+    assert Iterate.empty(m, n).p.size == 0
+
+    w.z[:] = [7.0, 8.0, 9.0]
+    made = Iterate(w.y, w.z, w.x)
+    for twin in (made, w.copy(), pickle.loads(pickle.dumps(w))):
+        assert twin.buf.tobytes() == w.buf.tobytes()
+        assert twin.p.size == 0 and twin.state.size == twin.yx.size == m + n
+        assert twin.buf.base is twin.p.base and not np.shares_memory(twin.buf, storage)
+
+
 def test_iterate_max_abs():
     w = Iterate(np.array([-3.0]), np.array([2.0]), np.array([1.0]))
     assert w.max_abs() == 3.0

@@ -482,6 +482,19 @@ def test_warm_start_of_the_wrong_shape_is_refused(m, n):
         solve(prob, quick_cfg(initial_iterate=bad))
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("block", ["y", "z", "x"])
+def test_non_finite_warm_start_is_refused(block, value):
+    """A NaN or infinite entry in a warm start is refused, naming its
+    block, not stepped from: the loop would end numerical_error at k = 0
+    and report the start, NaN or inf included, as the answer."""
+    prob = random_lp(np.random.default_rng(93), 2, 1, style="equality")
+    parts = dict(y=np.zeros(1), z=np.zeros(2), x=np.zeros(2))
+    parts[block][0] = value
+    with pytest.raises(ValueError, match=f"non-finite entry in {block}"):
+        solve(prob, quick_cfg(initial_iterate=Iterate(**parts)))
+
+
 @pytest.mark.parametrize("mode", ["hpr", "hdr", "pr", "epr", "rhpdhg"])
 @pytest.mark.parametrize("equality", [False, True], ids=["proximal", "normal"])
 def test_solve_ignores_starting_z(mode, equality):
@@ -763,5 +776,5 @@ def test_carried_product_is_the_product_of_the_state(mode, normal):
             state.restart(state.candidate())
         state.step(ecfg, t)
         fresh = A.rmatvec(state.w.y) if normal else A.matvec(state.w.x)
-        err = np.linalg.norm(state.w_p - fresh)
+        err = np.linalg.norm(state.w.p - fresh)
         assert err <= 1e-12 * (1.0 + np.linalg.norm(fresh)), f"step {k}: off by {err:.3e}"

@@ -59,6 +59,17 @@ def times(s: float, a: Iterate) -> Iterate:
     return _on(s * a.buf, a.y.size)
 
 
+def with_product(w: Iterate, p, out: Iterate | None = None) -> Iterate:
+    """w's three blocks with the product block p, written into ``out``
+    (a new iterate when None): the A x or A^T y that ``pr_step`` and
+    ``m_norm`` read from an iterate's p."""
+    if out is None:
+        out = Iterate.empty(w.y.size, w.x.size, np.size(p))
+    out.assign(w)
+    np.copyto(out.p, p)
+    return out
+
+
 # ---------------------------------------------------------------------
 # KKT residual and objective
 

@@ -119,6 +119,11 @@ class LpProblem:
     obj_sense: str = "minimize"
 
     def __post_init__(self):
+        if not isinstance(self.A, SparseMatrix):
+            raise TypeError(
+                f"A must be a SparseMatrix, got {type(self.A).__name__}; build one "
+                "with SparseMatrix(matrix) from a scipy sparse matrix or "
+                "SparseMatrix.from_dense(array)")
         m, n = self.A.shape
         object.__setattr__(self, "c", _as_float_vector(self.c, n, "c"))
         object.__setattr__(self, "l_con", _as_float_vector(self.l_con, m, "l_con"))
@@ -131,16 +136,19 @@ class LpProblem:
             raise ValueError("objective coefficients must be finite")
         if not np.isfinite(self.obj_constant):
             raise ValueError("objective constant must be finite")
-        if np.any(np.isnan(self.l_con)) or np.any(np.isnan(self.u_con)):
-            raise ValueError("row bounds must not contain NaN")
-        if np.any(np.isnan(self.l_var)) or np.any(np.isnan(self.u_var)):
-            raise ValueError("variable bounds must not contain NaN")
-        if np.any(self.l_con > self.u_con):
-            bad = int(np.argmax(self.l_con > self.u_con))
-            raise ValueError(f"row {bad}: lower bound exceeds upper bound")
-        if np.any(self.l_var > self.u_var):
-            bad = int(np.argmax(self.l_var > self.u_var))
-            raise ValueError(f"variable {bad}: lower bound exceeds upper bound")
+        for kind, lo, hi in (("row", self.l_con, self.u_con),
+                             ("variable", self.l_var, self.u_var)):
+            # lo <= hi fails on NaN too; past this test every box is
+            # nonempty, and below it one of the four faults is named
+            if (lo <= hi).all() and (lo < np.inf).all() and (hi > -np.inf).all():
+                continue
+            if np.isnan(lo).any() or np.isnan(hi).any():
+                raise ValueError(f"{kind} bounds must not contain NaN")
+            for bad, what in ((lo > hi, "lower bound exceeds upper bound"),
+                              (lo == np.inf, "lower bound is +inf"),
+                              (hi == -np.inf, "upper bound is -inf")):
+                if bad.any():
+                    raise ValueError(f"{kind} {int(np.argmax(bad))}: {what}")
         for arr in (self.c, self.l_con, self.u_con, self.l_var, self.u_var):
             arr.setflags(write=False)
 

@@ -1,22 +1,31 @@
 """Immutable sparse-matrix wrapper and a power-method norm estimate.
 
-A is stored once, in compressed sparse row form, which both products
-run on: A x gathers its rows, and A^T y scatters them through
-``csr.T``, scipy's CSC view of A^T on the same read-only arrays.
-Backed by scipy.sparse.  A matrix of at most ``DENSE_MAX_ENTRIES``
-entries also keeps a dense copy, and both products run on it through
-BLAS dgemv instead, called by ``ndarray.dot``, which gives the bits of
-``@`` for less call overhead.  All products are deterministic.
+A is stored in compressed sparse row form.  A x gathers its rows; A^T y,
+on a matrix of fewer than ``ORDERED_MIN_ROWS`` rows and columns,
+scatters them through ``csr.T``, scipy's CSC view of A^T on the same
+read-only arrays.  From ``ORDERED_MIN_ROWS`` rows on, A is stored with
+its rows ordered by length instead, and A^T y gathers the rows of a CSR
+copy of A^T stored the same way, as it also does from
+``ORDERED_MIN_ROWS`` columns on; a product on such a copy is formed in
+a scratch vector and put back in natural row order.  Backed by
+scipy.sparse.  A matrix of at most ``DENSE_MAX_ENTRIES`` entries also
+keeps a dense copy, and both products run on it through BLAS dgemv
+instead, called by ``ndarray.dot``, which gives the bits of ``@`` for
+less call overhead.  All products are deterministic, and the CSR routes
+give the bits of scipy's ``csr @ x`` and ``csr.T @ y``.
 
 Either product can write into a given vector (``out=``) instead of a new
 one.  On CSR both call the kernel that ``csr @ x`` and ``csr.T @ y``
 call, ``csr_matvec`` or ``csc_matvec`` of ``scipy.sparse._sparsetools``
-(private scipy API), on the stored arrays, without scipy's dispatch and
-with the same bits; the bit tests in ``tests/test_sparse_core.py`` guard
+(private scipy API), on the stored arrays (on an ordered copy, into its
+scratch vector), without scipy's dispatch and with the same bits; the
+bit tests in ``tests/test_sparse_core.py`` guard
 that on other scipy versions.
 """
 
 from __future__ import annotations
+
+import threading
 
 import numpy as np
 import scipy.sparse as sp
@@ -39,16 +48,54 @@ __all__ = ["SparseMatrix", "estimate_lambda_A"]
 # matrices break even later, so the cutoff errs towards CSR.
 DENSE_MAX_ENTRIES = 25_000
 
+# Above DENSE_MAX_ENTRIES, from this many rows of A, A x runs on a copy
+# of A whose rows are ordered by length, and A^T y on such a copy of
+# A^T; from this many columns, A^T y alone does (see SparseMatrix).  The
+# kernel leaves a row through a branch whose trip count changes from row
+# to row; once a matrix has more rows than the branch predictor can
+# learn, that exit is mispredicted on almost every row, and in order of
+# length it rarely is.  A^T y's scatter loops over A's rows alike.
+# Microseconds per product into ``out``, plain against ordered with the
+# gather back, medians of 15 x 300 calls in each of two runs, one core of
+# a 2-vCPU Xeon; random rows of 1 to 2k - 1 entries, k = 5 max(m, n) / m:
+#   shape            nnz*     A x: plain / ordered   A^T y: scatter / ordered
+#   600 x 1,500      5,989    4.9-5.0 / 6.9-7.2      6.2-7.3 / 8.2-10.7
+#   2,000 x 4,000    20,000   14.7-15.0 / 16.6-17.8  16.4-18.1 / 19.4-19.9
+#   4,000 x 2,000    20,000   25.6-25.7 / 19.4-22.4  25.3-36.6 / 16.2-23.9
+#   3,000 x 6,000    30,000   29.8-30.6 / 23.5-25.2  35.4-38.6 / 29.9-30.5
+#   8,000 x 4,000    40,000   69.5-70.0 / 35.4-36.4  72.6-72.9 / 32.0-32.4
+#   1,000 x 20,000   100,000  70.4-73.2 / 72.2-77.8  114.7-115.9 / 87.8-93.0
+#   20,000 x 1,000   100,000  203-211 / 84-86        201-208 / 75-76
+#   10,000 x 20,000  99,978   136 / 86-90            149-154 / 95-101
+#   32,000 x 64,000  320,000  487-519 / 337-365      553-556 / 367-378
+# (* about, for the random ones.)  The 600 x 1,500 matrix is the
+# equality-normal benchmark's, and the 10,000 x 20,000 one is
+# mps-sparse-1e5's after scaling.  The routes break even near 3,000 rows,
+# and for A^T y of a wide matrix between 4,000 and 20,000 columns; the
+# cutoff errs towards the plain route.
+ORDERED_MIN_ROWS = 4_000
+
 
 class SparseMatrix:
     """CSR sparse matrix for both products or, for a matrix of at most
     ``DENSE_MAX_ENTRIES`` entries, one C-ordered dense copy for both.
 
-    A^T y's scatter adds each product in ascending row order from 0, as
-    a gather over A's sorted columns does, for the same bits; its adds go
-    to different sums and overlap.  On the scaled mps-sparse-1e5 matrix
-    (99,978 entries), one core of a 2-vCPU Xeon, best of 5 x 300 calls:
-    169-177 us, against 222-240 us for the gather.
+    Below ``ORDERED_MIN_ROWS`` rows and columns, A x gathers the rows of
+    A's canonical CSR, and A^T y scatters them: it adds each product in
+    ascending row order from 0, as a gather over A's sorted columns
+    does, for the same bits; its adds go to different sums and overlap.
+    On the scaled mps-sparse-1e5 matrix (99,978 entries), one core of a
+    2-vCPU Xeon, best of 5 x 300 calls, the scatter took 169-177 us
+    against 222-240 us for that gather in natural column order.
+
+    From ``ORDERED_MIN_ROWS`` rows on, A is stored as an ``_Ordered``
+    copy, whose rows are ordered by length, in place of the canonical
+    CSR, which ``to_csr`` then rebuilds on each call; A^T y runs on an
+    ``_Ordered`` CSR copy of A^T, as it does from ``ORDERED_MIN_ROWS``
+    columns on.  A row of either copy keeps its entries in ascending
+    column order, and a row of A^T in ascending row order of A, so every
+    sum adds the same products in the same order from 0: the bits of
+    the other routes.
 
     Duplicate entries are summed one by one in input order, and indices
     sorted, at construction; the stored arrays are read-only afterwards.
@@ -58,17 +105,23 @@ class SparseMatrix:
         csr = _canonical_csr(matrix)
         if csr.nnz and not np.all(np.isfinite(csr.data)):
             raise ValueError("matrix entries must be finite")
-        self._csr = _read_only(csr)
-        # the operands of A x and A^T y, each a view of the one copy of A,
-        # and the shapes the products check their vectors against
-        self._ax, self._aty = csr, csr.T
-        self._x_shape, self._y_shape = (csr.shape[1],), (csr.shape[0],)
-        self._dense = None
-        if csr.shape[0] * csr.shape[1] <= DENSE_MAX_ENTRIES:
+        m, n = self._shape = csr.shape
+        self._nnz = csr.nnz
+        # the shapes the products check their vectors against
+        self._x_shape, self._y_shape = (n,), (m,)
+        self._csr, self._dense = _read_only(csr), None
+        # the operands of A x (_ax) and A^T y (_aty)
+        if m * n <= DENSE_MAX_ENTRIES:
             dense = csr.toarray(order="C")
             dense.setflags(write=False)
             self._ax, self._aty = dense, dense.T
             self._dense = dense
+        else:
+            # A^T's copy first, while A is held once, for a lower peak
+            self._aty = _Ordered(csr.T.tocsr()) if max(m, n) >= ORDERED_MIN_ROWS else csr.T
+            self._ax = csr
+            if m >= ORDERED_MIN_ROWS:
+                self._ax, self._csr = _Ordered(csr), None
 
     # -- constructors -------------------------------------------------
 
@@ -80,11 +133,11 @@ class SparseMatrix:
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self._csr.shape
+        return self._shape
 
     @property
     def nnz(self) -> int:
-        return self._csr.nnz
+        return self._nnz
 
     @property
     def dense(self) -> np.ndarray | None:
@@ -94,10 +147,13 @@ class SparseMatrix:
 
     def to_csc(self) -> sp.csc_matrix:
         """A in canonical CSC form, converted on each call, read-only."""
-        return _read_only(self._csr.tocsc())
+        return _read_only(self.to_csr().tocsc())
 
     def to_csr(self) -> sp.csr_matrix:
-        return self._csr
+        """A in canonical CSR form, read-only: the stored arrays, or, from
+        ``ORDERED_MIN_ROWS`` rows on, rebuilt from the ordered copy on
+        each call."""
+        return self._csr if self._csr is not None else self._ax.natural()
 
     def __repr__(self):
         m, n = self.shape
@@ -114,9 +170,11 @@ class SparseMatrix:
                 raise ValueError(f"x must have shape {self._x_shape}, got {np.shape(x)}")
             if out is not None:
                 _check_out(out, self._y_shape, x)
-        if self._dense is not None:
-            return self._ax.dot(x, out=out)
         a = self._ax
+        if self._dense is not None:
+            return a.dot(x, out=out)
+        if a.__class__ is _Ordered:
+            return a.matvec(x, out)
         out = _zeroed(out, self._y_shape)
         _sparsetools.csr_matvec(*a.shape, a.indptr, a.indices, a.data, x, out)
         return out
@@ -130,12 +188,53 @@ class SparseMatrix:
                 raise ValueError(f"y must have shape {self._y_shape}, got {np.shape(y)}")
             if out is not None:
                 _check_out(out, self._x_shape, y)
+        at = self._aty
         if self._dense is not None:
-            return self._aty.dot(y, out=out)
-        at = self._aty  # the CSC form of A^T on the CSR arrays, n x m
-        out = _zeroed(out, self._x_shape)
+            return at.dot(y, out=out)
+        if at.__class__ is _Ordered:
+            return at.matvec(y, out)
+        out = _zeroed(out, self._x_shape)  # at: the CSC form of A^T on the CSR arrays, n x m
         _sparsetools.csc_matvec(*at.shape, at.indptr, at.indices, at.data, y, out)
         return out
+
+
+class _Ordered:
+    """A CSR operand stored with its rows in ascending order of length,
+    each row's entries in the order of the input's, and its product put
+    back in natural row order.
+
+    The product is formed in a scratch vector, one per operand, and
+    ``np.take`` puts it in order.  A call that finds the scratch vector
+    in use by another thread takes a new one, so products on one matrix
+    may run in several threads at once."""
+
+    __slots__ = ("csr", "_inverse", "_scratch", "_lock")
+
+    def __init__(self, csr: sp.csr_matrix):
+        order = np.argsort(np.diff(csr.indptr), kind="stable")
+        self.csr = _read_only(csr[order])
+        self._inverse = np.empty_like(order)
+        self._inverse[order] = np.arange(order.size)
+        self._scratch = np.empty(csr.shape[0])
+        self._lock = threading.Lock()
+
+    def natural(self) -> sp.csr_matrix:
+        """The operand in natural row order, a new read-only copy."""
+        return _read_only(self.csr[self._inverse])
+
+    def matvec(self, v: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+        a = self.csr
+        mine = self._lock.acquire(blocking=False)
+        scratch = self._scratch if mine else np.empty(a.shape[0])
+        try:
+            scratch.fill(0.0)
+            _sparsetools.csr_matvec(*a.shape, a.indptr, a.indices, a.data, v, scratch)
+            # mode="clip" writes into out directly; the default "raise"
+            # goes through a temporary copy
+            return np.take(scratch, self._inverse, out=out, mode="clip")
+        finally:
+            if mine:
+                self._lock.release()
 
 
 def _zeroed(out, shape: tuple[int]) -> np.ndarray:

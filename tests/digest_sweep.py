@@ -4,12 +4,14 @@ comparing two versions of the solver bit for bit.
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/digest_sweep.py > sweep.txt
 
 Run it on two checkouts and diff the two outputs: a change that keeps
-every trajectory and every parsed problem prints the same 426 lines.
+every trajectory and every parsed problem prints the same 626 lines.
 
-The first 240 lines are solves.  They cover the five modes, both y-step
+The first 360 lines are solves.  They cover the five modes, both y-step
 routes (the proximal step on two-sided and one-sided rows, the normal
-equations on equality rows), both product routes (the dense copy, and
-CSR with the dense cutoff switched off), and LPs with fewer and with
+equations on equality rows), the three product routes (the dense copy;
+CSR with the dense cutoff switched off; and CSR on copies of A and A^T
+whose rows are ordered by length, with the dense cutoff off and
+``ORDERED_MIN_ROWS`` set to 0), and LPs with fewer and with
 more rows than columns (where the normal equations are rank deficient
 and the solve falls back to the proximal step), six seeds each.  Each
 line holds the case, the status, the iteration count and a digest of
@@ -24,18 +26,22 @@ LPs with ranged, one-sided or equality rows).  Each line holds the file,
 the problem's shape and a digest of the bits of c, A's CSC arrays, the
 four bounds and the objective constant, and of the document's warnings.
 
-The last 160 lines are warm-started solves (``SolverConfig.initial_iterate``
+The last 240 lines are warm-started solves (``SolverConfig.initial_iterate``
 set to a seeded random y and x with z = 0) at iteration limits 0, 1, 7 and
-2,000, in the five modes, on both product routes, both y-step routes and
-both shapes; each reads as a solve line above.  They pin the start of the
+2,000, in the five modes, on the three product routes, both y-step
+routes and both shapes; each reads as a solve line above.  They pin the start of the
 loop: the start's scaling into the working space, the product it carries,
 and the report of a solve that takes no step.
 
-Only the public API is used, so the script runs unchanged on older
-checkouts.  Its name does not start with ``test_``: pytest does not
+Only the public API and the two cutoffs are used, so the script runs
+unchanged on older checkouts.  On a checkout without ``ORDERED_MIN_ROWS``
+its assignment has no effect, and the ordered lines read as the CSR
+ones: the same lines from both checkouts show that the ordered copies
+keep the bits.  Its name does not start with ``test_``: pytest does not
 collect it.
 """
 
+import contextlib
 import hashlib
 import io
 import itertools
@@ -54,7 +60,7 @@ FIXTURES = Path(__file__).parent / "fixtures"
 
 MODES = ("hpr", "hdr", "pr", "epr", "rhpdhg")
 ROUTES = ("proximal", "normal")
-PRODUCTS = ("dense", "sparse")
+PRODUCTS = ("dense", "sparse", "ordered")
 SHAPES = ("wide", "tall")
 SEEDS = range(6)
 WARM_LIMITS = (0, 1, 7, 2000)
@@ -107,17 +113,30 @@ def _problem_digest(prob, notes) -> str:
     return h.hexdigest()[:16]
 
 
+@contextlib.contextmanager
+def _products(route: str):
+    """The matrices built inside run on the product route named: the
+    dense copy (the default cutoffs), CSR, or ordered CSR."""
+    names = ("DENSE_MAX_ENTRIES", "ORDERED_MIN_ROWS")
+    saved = {name: getattr(hprlp.sparse, name, None) for name in names}
+    if route != "dense":
+        hprlp.sparse.DENSE_MAX_ENTRIES = -1
+    if route == "ordered":
+        hprlp.sparse.ORDERED_MIN_ROWS = 0
+    try:
+        yield
+    finally:
+        for name, value in saved.items():
+            setattr(hprlp.sparse, name, value)
+
+
 def main():
-    cutoff = hprlp.sparse.DENSE_MAX_ENTRIES
     for products, shape, route, mode, seed in itertools.product(
             PRODUCTS, SHAPES, ROUTES, MODES, SEEDS):
-        hprlp.sparse.DENSE_MAX_ENTRIES = cutoff if products == "dense" else -1
-        try:
+        with _products(products):
             prob = _problem(shape, route, seed)
             engine = EngineConfig(mode=mode, gamma=0.5, t1_zero_path=route == "normal")
             res = solve(prob, SolverConfig(tol=1e-8, iter_limit=2000, engine=engine))
-        finally:
-            hprlp.sparse.DENSE_MAX_ENTRIES = cutoff
         case = f"{products}-{shape}-{route}-{mode}-{seed} {prob.m}x{prob.n}"
         print(f"{case} {res.status} {res.iterations} {_digest(res)}", flush=True)
     for label, source in _mps_sources():
@@ -128,8 +147,7 @@ def main():
         print(f"mps-{label} {prob.m}x{prob.n} {_problem_digest(prob, doc.warnings)}", flush=True)
     for products, shape, route, mode, (seed, limit) in itertools.product(
             PRODUCTS, SHAPES, ROUTES, MODES, enumerate(WARM_LIMITS)):
-        hprlp.sparse.DENSE_MAX_ENTRIES = cutoff if products == "dense" else -1
-        try:
+        with _products(products):
             prob = _problem(shape, route, seed)
             rng = np.random.default_rng(3000 + seed)
             start = Iterate(rng.standard_normal(prob.m), np.zeros(prob.n),
@@ -137,8 +155,6 @@ def main():
             engine = EngineConfig(mode=mode, gamma=0.5, t1_zero_path=route == "normal")
             res = solve(prob, SolverConfig(tol=1e-8, iter_limit=limit, engine=engine,
                                            initial_iterate=start))
-        finally:
-            hprlp.sparse.DENSE_MAX_ENTRIES = cutoff
         case = f"warm-{products}-{shape}-{route}-{mode}-{limit} {prob.m}x{prob.n}"
         print(f"{case} {res.status} {res.iterations} {_digest(res)}", flush=True)
 

@@ -194,6 +194,25 @@ def test_solve_unwritable_trace_exits_65(fixtures_dir, tmp_path, capsys, monkeyp
     assert calls == []
 
 
+@pytest.mark.parametrize("section, line, message", [
+    ("BOUNDS", " LO BND       X2        1e400", "variable 1: lower bound is +inf"),
+    ("RHS", "    RHS       C1        1e400", "row 0: lower bound is +inf"),
+], ids=["LO", "RHS"])
+def test_solve_infinite_bound_on_the_wrong_side_exits_65(tmp_path, capsys, section, line,
+                                                          message):
+    """A bound that overflows to +inf as a lower bound leaves the LP with
+    no point: the problem is refused before any solve."""
+    text = ("NAME          OVER\nROWS\n N  COST\n G  C1\nCOLUMNS\n"
+            "    X1        COST      1.0   C1        1.0\n"
+            "    X2        COST      1.0   C1        1.0\n"
+            f"{section}\n{line}\nENDATA\n")
+    path = tmp_path / "over.mps"
+    path.write_text(text)
+    assert main(["solve", str(path)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
 def test_solve_iteration_limit_exit_code(fixtures_dir, capsys):
     code = main([
         "solve", str(fixtures_dir / "rows_lge.mps"), "--iter-limit", "2",

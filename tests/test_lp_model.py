@@ -1,9 +1,11 @@
 import copy
 import pickle
+import re
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -155,6 +157,31 @@ def test_problem_rejects_nan_bounds():
             l_var=[0.0],
             u_var=[1.0],
         )
+
+
+@pytest.mark.parametrize("bound, value, message", [
+    ("l_var", np.inf, "variable 1: lower bound is +inf"),
+    ("u_var", -np.inf, "variable 1: upper bound is -inf"),
+    ("l_con", np.inf, "row 0: lower bound is +inf"),
+    ("u_con", -np.inf, "row 0: upper bound is -inf"),
+], ids=["l_var", "u_var", "l_con", "u_con"])
+def test_problem_rejects_an_infinite_bound_on_the_wrong_side(bound, value, message):
+    """A lower bound of +inf or an upper bound of -inf leaves no point
+    in the box even where it equals the other bound; MPS can write one
+    (a LO bound or a G-row RHS of 1e400)."""
+    bounds = {"l_con": [0.0], "u_con": [4.0], "l_var": [0.0, 0.0], "u_var": [1.0, 1.0]}
+    other = {"l_var": "u_var", "u_var": "l_var", "l_con": "u_con", "u_con": "l_con"}[bound]
+    bounds[bound][-1] = bounds[other][-1] = value
+    with pytest.raises(ValueError, match=re.escape(message)):
+        LpProblem(c=[1.0, 1.0], A=SparseMatrix.from_dense([[1.0, 1.0]]), **bounds)
+
+
+@pytest.mark.parametrize("A", [sp.csr_matrix([[1.0, 1.0]]), np.array([[1.0, 1.0]])],
+                         ids=["scipy", "ndarray"])
+def test_problem_refuses_a_matrix_that_is_not_a_sparse_matrix(A):
+    with pytest.raises(TypeError, match=r"SparseMatrix\.from_dense"):
+        LpProblem(c=[1.0, 1.0], A=A, l_con=[0.0], u_con=[4.0], l_var=[0.0, 0.0],
+                  u_var=[1.0, 1.0])
 
 
 def test_problem_rejects_nonfinite_objective():

@@ -713,6 +713,18 @@ def test_loop_step_allocates_no_vector(mode):
     assert peak < 8 * n, f"traced peak {peak} bytes"
 
 
+@pytest.mark.parametrize("mode", ["hpr", "hdr", "rhpdhg", "pr", "epr"])
+def test_loop_step_on_two_ordered_operands_allocates_no_vector(mode, monkeypatch):
+    """The same on an LP whose A and A^T are both stored with their rows
+    ordered by length: the products take no vector for their result."""
+    import hprlp.sparse
+
+    monkeypatch.setattr(hprlp.sparse, "ORDERED_MIN_ROWS", 2_000)
+    A = SparseMatrix(sp.random(2_000, 4_000, density=0.002, random_state=0, format="csr"))
+    assert isinstance(A._ax, hprlp.sparse._Ordered) and isinstance(A._aty, hprlp.sparse._Ordered)
+    test_loop_step_allocates_no_vector(mode)
+
+
 @pytest.mark.parametrize("normal", [False, True], ids=["proximal", "normal"])
 @pytest.mark.parametrize("mode", ["hpr", "hdr", "rhpdhg", "pr", "epr"])
 def test_loop_checks_its_buffers_once(mode, normal, monkeypatch):

@@ -1,3 +1,6 @@
+import threading
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -5,7 +8,7 @@ import scipy.sparse as sp
 
 import hprlp.sparse
 from hprlp import LpProblem, SolverConfig, SparseMatrix, solve
-from hprlp.sparse import DENSE_MAX_ENTRIES, estimate_lambda_A
+from hprlp.sparse import DENSE_MAX_ENTRIES, ORDERED_MIN_ROWS, _Ordered, estimate_lambda_A
 
 from conftest import random_lp
 
@@ -178,7 +181,12 @@ def test_lambda_estimate_zero_matrix_raises():
 
 def _assert_transpose_of_csr(A):
     """A^T y runs on a CSC view of A's CSR mirror: its own read-only
-    arrays, no copy."""
+    arrays, no copy; or, from ``ORDERED_MIN_ROWS`` rows or columns on, on
+    a CSR copy of A^T ordered by row length, which holds A's canonical
+    CSC arrays in another row order."""
+    if max(A.shape) >= hprlp.sparse.ORDERED_MIN_ROWS:
+        _assert_ordered(A._aty, A.to_csc())
+        return
     csr, at = A.to_csr(), A._aty
     assert at.format == "csc" and at.shape == A.shape[::-1]
     for mine, theirs in ((at.data, csr.data), (at.indices, csr.indices),
@@ -209,9 +217,10 @@ def _with_duplicates(rng, dense):
 
 
 def test_rmatvec_matches_csc_transpose_bitwise():
-    """Above the dense cutoff A^T y, a scatter over A's CSR rows, gives
-    exactly what the gather of csc.T @ y gives: empty rows and columns,
-    and duplicate entries summed at construction, included."""
+    """Above the dense cutoff and below ``ORDERED_MIN_ROWS`` A^T y, a
+    scatter over A's CSR rows, gives exactly what the gather of
+    csc.T @ y gives: empty rows and columns, and duplicate entries summed
+    at construction, included."""
     rng = np.random.default_rng(17)
     for trial in range(12):
         m, n = rng.integers(160, 200, size=2)
@@ -227,6 +236,22 @@ def test_rmatvec_matches_csc_transpose_bitwise():
         _assert_transpose_of_csr(A)
 
 
+def _assert_ordered(op, want):
+    """``op`` is an ``_Ordered`` copy of the compressed arrays of ``want``:
+    read-only, its rows ordered by length and each row's indices
+    ascending, and in natural order the bits of ``want``."""
+    assert isinstance(op, _Ordered)
+    csr = op.csr
+    assert np.all(np.diff(np.diff(csr.indptr)) >= 0)
+    for lo, hi in zip(csr.indptr[:-1], csr.indptr[1:]):
+        assert np.all(np.diff(csr.indices[lo:hi]) > 0)
+    for arr in (csr.data, csr.indices, csr.indptr):
+        assert not arr.flags.writeable
+    got = op.natural()
+    assert np.array_equal(got.indptr, want.indptr) and np.array_equal(got.indices, want.indices)
+    assert got.data.tobytes() == want.data.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # dense route for small matrices
 
@@ -240,11 +265,13 @@ def _sparse_matrix(rng, m, n, density=0.3):
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (7, 3), (40, 90), (100, 250), (0, 5),
-                                   (5, 0), (101, 250), (160, 300)])
+                                   (5, 0), (101, 250), (160, 300),
+                                   (ORDERED_MIN_ROWS, 8), (8, ORDERED_MIN_ROWS)])
 def test_products_agree_across_routes(shape):
     """Up to DENSE_MAX_ENTRIES entries both products run on one dense,
     read-only copy and agree with the CSR products to a few ulps of
-    |A| |x|, empty rows and columns included; above it no copy is made."""
+    |A| |x|, empty rows and columns included; above it no dense copy is
+    made, and the products give the bits of scipy's."""
     m, n = shape
     rng = np.random.default_rng(m * 1000 + n)
     dense = _sparse_matrix(rng, m, n) if m and n else np.zeros(shape)
@@ -252,8 +279,14 @@ def test_products_agree_across_routes(shape):
     is_dense = isinstance(A._ax, np.ndarray)
     assert is_dense == (m * n <= DENSE_MAX_ENTRIES)
     if not is_dense:
-        assert A._ax is A.to_csr()
+        if m < ORDERED_MIN_ROWS:
+            assert A._ax is A.to_csr()
+        else:
+            assert isinstance(A._ax, _Ordered)
         _assert_transpose_of_csr(A)
+        x, y = rng.standard_normal(n), rng.standard_normal(m)
+        assert A.matvec(x).tobytes() == (A.to_csr() @ x).tobytes()
+        assert A.rmatvec(y).tobytes() == (A.to_csc().T @ y).tobytes()
         return
     assert A._aty.base is A._ax and A._ax.flags.c_contiguous
     for arr in (A._ax, A._aty):
@@ -294,22 +327,25 @@ def test_small_lp_solves_on_both_routes(monkeypatch):
 
 
 def _on_route(dense, route, monkeypatch):
-    """``dense`` as a SparseMatrix on the dense copy or on CSR."""
-    if route == "csr":
+    """``dense`` as a SparseMatrix on the dense copy, on CSR, or on CSR
+    copies of A and A^T ordered by row length."""
+    if route != "dense":
         monkeypatch.setattr(hprlp.sparse, "DENSE_MAX_ENTRIES", -1)
+    if route == "ordered":
+        monkeypatch.setattr(hprlp.sparse, "ORDERED_MIN_ROWS", 0)
     A = SparseMatrix.from_dense(dense)
     assert (A.dense is not None) == (route == "dense")
     return A
 
 
-@pytest.mark.parametrize("route", ["dense", "csr"])
+@pytest.mark.parametrize("route", ["dense", "csr", "ordered"])
 @pytest.mark.parametrize("shape", [(30, 12), (12, 30), (1, 7), (7, 1), (0, 4), (4, 0)])
 @pytest.mark.parametrize("empty", [False, True], ids=["entries", "nnz0"])
 def test_products_into_out_are_bit_exact(route, shape, empty, monkeypatch):
-    """``out=`` gives the bits of the call without it, and on CSR those of
-    scipy's ``csr @ x`` and ``csr.T @ y``, on the dense copy those of
-    ``dense @ x``: empty rows and columns, and a matrix with no entries,
-    included.  Whatever ``out`` held before is overwritten."""
+    """``out=`` gives the bits of the call without it, and on CSR, ordered
+    or not, those of scipy's ``csr @ x`` and ``csr.T @ y``, on the dense
+    copy those of ``dense @ x``: empty rows and columns, and a matrix with
+    no entries, included.  Whatever ``out`` held before is overwritten."""
     m, n = shape
     rng = np.random.default_rng(m * 100 + n)
     dense = np.zeros(shape) if empty or not (m and n) else _sparse_matrix(rng, m, n, 0.4)
@@ -319,8 +355,8 @@ def test_products_into_out_are_bit_exact(route, shape, empty, monkeypatch):
         x, y = rng.standard_normal(n), rng.standard_normal(m)
         ax, aty = np.full(m, np.nan), np.full(n, np.nan)
         assert A.matvec(x, out=ax) is ax and A.rmatvec(y, out=aty) is aty
-        want_ax = csr @ x if route == "csr" else dense @ x
-        want_aty = csr.T @ y if route == "csr" else dense.T @ y
+        want_ax = dense @ x if route == "dense" else csr @ x
+        want_aty = dense.T @ y if route == "dense" else csr.T @ y
         assert ax.tobytes() == want_ax.tobytes() == A.matvec(x).tobytes()
         assert aty.tobytes() == want_aty.tobytes() == A.rmatvec(y).tobytes()
 
@@ -339,7 +375,7 @@ def _refused_outs(size):
     }
 
 
-@pytest.mark.parametrize("route", ["dense", "csr"])
+@pytest.mark.parametrize("route", ["dense", "csr", "ordered"])
 def test_products_refuse_an_out_they_cannot_write(route, monkeypatch):
     """An ``out`` that is not a writable C-contiguous float64 array of the
     product's shape, or that shares memory with the vector multiplied, is
@@ -359,3 +395,129 @@ def test_products_refuse_an_out_they_cannot_write(route, monkeypatch):
         A.rmatvec(buf[:m], out=buf[:n])
     # adjacent slices of one buffer share no memory
     assert A.matvec(buf[:n], out=buf[n:]).tobytes() == A.matvec(x).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# copies of A and A^T with their rows ordered by length
+
+
+def _plain_and_ordered(matrix, cutoff, monkeypatch):
+    """``matrix`` as a SparseMatrix on plain CSR and on CSR with the
+    ordered cutoff at ``cutoff``, both above the dense cutoff."""
+    monkeypatch.setattr(hprlp.sparse, "DENSE_MAX_ENTRIES", -1)
+    plain = SparseMatrix(matrix)
+    assert plain._ax is plain.to_csr()
+    monkeypatch.setattr(hprlp.sparse, "ORDERED_MIN_ROWS", cutoff)
+    return plain, SparseMatrix(matrix)
+
+
+def _varied_rows(rng, m, n):
+    """A dense m x n matrix whose rows hold from none to all of its
+    columns, an empty row and an empty column among them."""
+    return _sparse_matrix(rng, m, n, density=rng.uniform(size=(m, 1)))
+
+
+@pytest.mark.parametrize("m, n, cutoff", [
+    (60, 45, 0),  # both operands ordered
+    (60, 45, 50),  # m above the cutoff and n below: both ordered, as A is
+    (45, 60, 50),  # n above and m below: A^T ordered, A canonical
+    (45, 60, 61),  # neither
+], ids=["both", "rows", "columns", "neither"])
+@pytest.mark.parametrize("duplicates", [False, True], ids=["entries", "duplicates"])
+def test_ordered_products_are_bit_exact(m, n, cutoff, duplicates, monkeypatch):
+    """With either operand ordered by row length or both, ``matvec`` and
+    ``rmatvec`` give the bits of ``to_csr() @ x`` and ``to_csc().T @ y``,
+    with ``out`` and without, and those of the plain CSR route: rows of
+    many lengths, empty rows and columns, and duplicate entries summed at
+    construction included.  Whatever ``out`` held before is overwritten."""
+    rng = np.random.default_rng(m * 1000 + n + cutoff)
+    dense = _varied_rows(rng, m, n)
+    matrix = _with_duplicates(rng, dense) if duplicates else dense
+    plain, A = _plain_and_ordered(matrix, cutoff, monkeypatch)
+    assert isinstance(A._ax, _Ordered) == (m >= cutoff)
+    assert isinstance(A._aty, _Ordered) == (max(m, n) >= cutoff)
+    csr, csc = A.to_csr(), A.to_csc()
+    for _ in range(3):
+        x, y = rng.standard_normal(n), rng.standard_normal(m)
+        ax, aty = np.full(m, np.nan), np.full(n, np.nan)
+        assert A.matvec(x, out=ax) is ax and A.rmatvec(y, out=aty) is aty
+        assert ax.tobytes() == (csr @ x).tobytes() == A.matvec(x).tobytes()
+        assert aty.tobytes() == (csc.T @ y).tobytes() == A.rmatvec(y).tobytes()
+        assert ax.tobytes() == plain.matvec(x).tobytes()
+        assert aty.tobytes() == plain.rmatvec(y).tobytes()
+
+
+def test_ordered_matrix_gives_its_canonical_forms(monkeypatch):
+    """Stored ordered, A gives from ``to_csr`` and ``to_csc`` the canonical
+    forms the plain route gives, read-only, rebuilt on each call."""
+    rng = np.random.default_rng(41)
+    matrix = _with_duplicates(rng, _varied_rows(rng, 50, 70))
+    plain, A = _plain_and_ordered(matrix, 0, monkeypatch)
+    _assert_ordered(A._ax, plain.to_csr())
+    _assert_ordered(A._aty, plain.to_csc())
+    assert A.to_csr() is not A.to_csr()
+    for got, want in ((A.to_csr(), plain.to_csr()), (A.to_csc(), plain.to_csc())):
+        assert got.format == want.format and got.shape == want.shape
+        assert got.has_canonical_format
+        assert np.array_equal(got.indptr, want.indptr) and np.array_equal(got.indices, want.indices)
+        assert got.data.tobytes() == want.data.tobytes()
+        for arr in (got.data, got.indices, got.indptr):
+            assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            got.data[0] = 7.0
+    assert (A.shape, A.nnz) == (plain.shape, plain.nnz)
+
+
+def test_ordered_products_into_out_allocate_nothing(monkeypatch):
+    """Into ``out``, a product on an ordered copy uses the copy's own
+    scratch vector: 100 of each keep the traced peak below one vector of
+    the smaller side."""
+    rng = np.random.default_rng(43)
+    m, n = 300, 500
+    _, A = _plain_and_ordered(_varied_rows(rng, m, n), 0, monkeypatch)
+    x, y, ax, aty = rng.standard_normal(n), rng.standard_normal(m), np.empty(m), np.empty(n)
+    A.matvec(x, out=ax)
+    A.rmatvec(y, out=aty)
+    tracemalloc.start()
+    try:
+        for _ in range(100):
+            A.matvec(x, out=ax, _prechecked=True)
+            A.rmatvec(y, out=aty, _prechecked=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * m, f"traced peak {peak} bytes"
+
+
+def test_ordered_products_in_two_threads(monkeypatch):
+    """Two threads that multiply with one matrix at once both get the
+    bits of one thread: a call that finds the copy's scratch vector in
+    use takes a vector of its own, and leaves the scratch vector alone."""
+    rng = np.random.default_rng(47)
+    m, n = 3_000, 2_000
+    matrix = sp.random(m, n, density=0.005, random_state=rng, format="csr")
+    _, A = _plain_and_ordered(matrix, 0, monkeypatch)
+    xs, ys = rng.standard_normal((2, n)), rng.standard_normal((2, m))
+    want = [(A.matvec(x).tobytes(), A.rmatvec(y).tobytes()) for x, y in zip(xs, ys)]
+    start, wrong = threading.Barrier(2), []
+
+    def multiply(k):
+        ax, aty = np.empty(m), np.empty(n)
+        start.wait()
+        for _ in range(500):
+            A.matvec(xs[k], out=ax)
+            A.rmatvec(ys[k], out=aty)
+            wrong.extend([k] * ((ax.tobytes(), aty.tobytes()) != want[k]))
+
+    threads = [threading.Thread(target=multiply, args=(k,)) for k in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert wrong == []
+    for op, product, v, bits in ((A._ax, A.matvec, xs[0], want[0][0]),
+                                 (A._aty, A.rmatvec, ys[0], want[0][1])):
+        with op._lock:
+            op._scratch.fill(np.nan)
+            assert product(v).tobytes() == bits
+            assert np.isnan(op._scratch).all()

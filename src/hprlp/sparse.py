@@ -1,13 +1,12 @@
 """Immutable sparse-matrix wrapper and a power-method norm estimate.
 
 A is stored in compressed sparse row form.  A x gathers its rows; A^T y,
-on a matrix of fewer than ``ORDERED_MIN_ROWS`` rows and columns,
-scatters them through ``csr.T``, scipy's CSC view of A^T on the same
-read-only arrays.  From ``ORDERED_MIN_ROWS`` rows on, A is stored with
-its rows ordered by length instead, and A^T y gathers the rows of a CSR
-copy of A^T stored the same way, as it also does from
-``ORDERED_MIN_ROWS`` columns on; a product on such a copy is formed in
-a scratch vector and put back in natural row order.  Backed by
+on a matrix of fewer than ``ORDERED_MIN_ROWS`` rows, scatters them
+through ``csr.T``, scipy's CSC view of A^T on the same read-only arrays.
+From ``ORDERED_MIN_ROWS`` rows on, A is stored with its rows ordered by
+length instead, and A^T y gathers the rows of a CSR copy of A^T stored
+the same way; a product on such a copy is formed in a scratch vector
+and put back in natural row order.  Backed by
 scipy.sparse.  A matrix of at most ``DENSE_MAX_ENTRIES`` entries also
 keeps a dense copy, and both products run on it through BLAS dgemv
 instead, called by ``ndarray.dot``, which gives the bits of ``@`` for
@@ -50,11 +49,11 @@ DENSE_MAX_ENTRIES = 25_000
 
 # Above DENSE_MAX_ENTRIES, from this many rows of A, A x runs on a copy
 # of A whose rows are ordered by length, and A^T y on such a copy of
-# A^T; from this many columns, A^T y alone does (see SparseMatrix).  The
-# kernel leaves a row through a branch whose trip count changes from row
-# to row; once a matrix has more rows than the branch predictor can
-# learn, that exit is mispredicted on almost every row, and in order of
-# length it rarely is.  A^T y's scatter loops over A's rows alike.
+# A^T (see SparseMatrix).  The kernel leaves a row through a branch
+# whose trip count changes from row to row; once a matrix has more rows
+# than the branch predictor can learn, that exit is mispredicted on
+# almost every row, and in order of length it rarely is.  A^T y's
+# scatter loops over A's rows alike.
 # Microseconds per product into ``out``, plain against ordered with the
 # gather back, medians of 15 x 300 calls in each of two runs, one core of
 # a 2-vCPU Xeon; random rows of 1 to 2k - 1 entries, k = 5 max(m, n) / m:
@@ -70,9 +69,12 @@ DENSE_MAX_ENTRIES = 25_000
 #   32,000 x 64,000  320,000  487-519 / 337-365      553-556 / 367-378
 # (* about, for the random ones.)  The 600 x 1,500 matrix is the
 # equality-normal benchmark's, and the 10,000 x 20,000 one is
-# mps-sparse-1e5's after scaling.  The routes break even near 3,000 rows,
-# and for A^T y of a wide matrix between 4,000 and 20,000 columns; the
-# cutoff errs towards the plain route.
+# mps-sparse-1e5's after scaling.  The routes break even near 3,000 rows;
+# the cutoff errs towards the plain route.  For A^T y of a wide matrix
+# with fewer rows they break even somewhere between 4,000 and 20,000
+# columns (slower ordered at 2,000 x 4,000, faster at 1,000 x 20,000);
+# such a matrix stays on the plain route, since no benchmark measures
+# that shape end to end.
 ORDERED_MIN_ROWS = 4_000
 
 
@@ -80,7 +82,7 @@ class SparseMatrix:
     """CSR sparse matrix for both products or, for a matrix of at most
     ``DENSE_MAX_ENTRIES`` entries, one C-ordered dense copy for both.
 
-    Below ``ORDERED_MIN_ROWS`` rows and columns, A x gathers the rows of
+    Below ``ORDERED_MIN_ROWS`` rows, A x gathers the rows of
     A's canonical CSR, and A^T y scatters them: it adds each product in
     ascending row order from 0, as a gather over A's sorted columns
     does, for the same bits; its adds go to different sums and overlap.
@@ -90,12 +92,11 @@ class SparseMatrix:
 
     From ``ORDERED_MIN_ROWS`` rows on, A is stored as an ``_Ordered``
     copy, whose rows are ordered by length, in place of the canonical
-    CSR, which ``to_csr`` then rebuilds on each call; A^T y runs on an
-    ``_Ordered`` CSR copy of A^T, as it does from ``ORDERED_MIN_ROWS``
-    columns on.  A row of either copy keeps its entries in ascending
-    column order, and a row of A^T in ascending row order of A, so every
-    sum adds the same products in the same order from 0: the bits of
-    the other routes.
+    CSR, which ``to_csr`` then rebuilds on each call, and A^T y runs on
+    an ``_Ordered`` CSR copy of A^T.  A row of either copy keeps its
+    entries in ascending column order, and a row of A^T in ascending row
+    order of A, so every sum adds the same products in the same order
+    from 0: the bits of the other routes.
 
     Duplicate entries are summed one by one in input order, and indices
     sorted, at construction; the stored arrays are read-only afterwards.
@@ -116,12 +117,12 @@ class SparseMatrix:
             dense.setflags(write=False)
             self._ax, self._aty = dense, dense.T
             self._dense = dense
-        else:
+        elif m >= ORDERED_MIN_ROWS:
             # A^T's copy first, while A is held once, for a lower peak
-            self._aty = _Ordered(csr.T.tocsr()) if max(m, n) >= ORDERED_MIN_ROWS else csr.T
-            self._ax = csr
-            if m >= ORDERED_MIN_ROWS:
-                self._ax, self._csr = _Ordered(csr), None
+            self._aty = _Ordered(csr.T.tocsr())
+            self._ax, self._csr = _Ordered(csr), None
+        else:
+            self._ax, self._aty = csr, csr.T
 
     # -- constructors -------------------------------------------------
 
@@ -206,15 +207,24 @@ class _Ordered:
     The product is formed in a scratch vector, one per operand, and
     ``np.take`` puts it in order.  A call that finds the scratch vector
     in use by another thread takes a new one, so products on one matrix
-    may run in several threads at once."""
+    may run in several threads at once.  A pickled or copied operand
+    keeps the ordered arrays and gets a scratch vector and lock of its
+    own."""
 
     __slots__ = ("csr", "_inverse", "_scratch", "_lock")
 
     def __init__(self, csr: sp.csr_matrix):
         order = np.argsort(np.diff(csr.indptr), kind="stable")
-        self.csr = _read_only(csr[order])
-        self._inverse = np.empty_like(order)
-        self._inverse[order] = np.arange(order.size)
+        inverse = np.empty_like(order)
+        inverse[order] = np.arange(order.size)
+        self.__setstate__((csr[order], inverse))
+
+    def __getstate__(self):
+        return self.csr, self._inverse
+
+    def __setstate__(self, state):
+        csr, self._inverse = state
+        self.csr = _read_only(csr)
         self._scratch = np.empty(csr.shape[0])
         self._lock = threading.Lock()
 

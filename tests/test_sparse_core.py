@@ -1,3 +1,5 @@
+import copy
+import pickle
 import threading
 import tracemalloc
 
@@ -181,10 +183,10 @@ def test_lambda_estimate_zero_matrix_raises():
 
 def _assert_transpose_of_csr(A):
     """A^T y runs on a CSC view of A's CSR mirror: its own read-only
-    arrays, no copy; or, from ``ORDERED_MIN_ROWS`` rows or columns on, on
-    a CSR copy of A^T ordered by row length, which holds A's canonical
-    CSC arrays in another row order."""
-    if max(A.shape) >= hprlp.sparse.ORDERED_MIN_ROWS:
+    arrays, no copy; or, from ``ORDERED_MIN_ROWS`` rows on, on a CSR
+    copy of A^T ordered by row length, which holds A's canonical CSC
+    arrays in another row order."""
+    if A.shape[0] >= hprlp.sparse.ORDERED_MIN_ROWS:
         _assert_ordered(A._aty, A.to_csc())
         return
     csr, at = A.to_csr(), A._aty
@@ -419,14 +421,13 @@ def _varied_rows(rng, m, n):
 
 @pytest.mark.parametrize("m, n, cutoff", [
     (60, 45, 0),  # both operands ordered
-    (60, 45, 50),  # m above the cutoff and n below: both ordered, as A is
-    (45, 60, 50),  # n above and m below: A^T ordered, A canonical
-    (45, 60, 61),  # neither
-], ids=["both", "rows", "columns", "neither"])
+    (60, 45, 50),  # m above the cutoff and n below: both ordered
+    (45, 60, 50),  # n above and m below: neither, as rows decide
+], ids=["both", "rows", "columns"])
 @pytest.mark.parametrize("duplicates", [False, True], ids=["entries", "duplicates"])
 def test_ordered_products_are_bit_exact(m, n, cutoff, duplicates, monkeypatch):
-    """With either operand ordered by row length or both, ``matvec`` and
-    ``rmatvec`` give the bits of ``to_csr() @ x`` and ``to_csc().T @ y``,
+    """With both operands ordered by row length or neither, ``matvec``
+    and ``rmatvec`` give the bits of ``to_csr() @ x`` and ``to_csc().T @ y``,
     with ``out`` and without, and those of the plain CSR route: rows of
     many lengths, empty rows and columns, and duplicate entries summed at
     construction included.  Whatever ``out`` held before is overwritten."""
@@ -434,8 +435,7 @@ def test_ordered_products_are_bit_exact(m, n, cutoff, duplicates, monkeypatch):
     dense = _varied_rows(rng, m, n)
     matrix = _with_duplicates(rng, dense) if duplicates else dense
     plain, A = _plain_and_ordered(matrix, cutoff, monkeypatch)
-    assert isinstance(A._ax, _Ordered) == (m >= cutoff)
-    assert isinstance(A._aty, _Ordered) == (max(m, n) >= cutoff)
+    assert isinstance(A._ax, _Ordered) == isinstance(A._aty, _Ordered) == (m >= cutoff)
     csr, csc = A.to_csr(), A.to_csc()
     for _ in range(3):
         x, y = rng.standard_normal(n), rng.standard_normal(m)
@@ -521,3 +521,26 @@ def test_ordered_products_in_two_threads(monkeypatch):
             op._scratch.fill(np.nan)
             assert product(v).tobytes() == bits
             assert np.isnan(op._scratch).all()
+
+
+@pytest.mark.parametrize("clone", [lambda A: pickle.loads(pickle.dumps(A)), copy.deepcopy],
+                         ids=["pickle", "deepcopy"])
+def test_ordered_matrix_pickles_and_copies(clone, monkeypatch):
+    """A matrix stored ordered pickles and deep-copies, alone or inside
+    an LpProblem: the clone keeps the ordered, read-only arrays and gives
+    both products' bits, with a scratch vector and a lock of its own."""
+    rng = np.random.default_rng(53)
+    m, n = 80, 60
+    _, A = _plain_and_ordered(_with_duplicates(rng, _varied_rows(rng, m, n)), 0, monkeypatch)
+    prob = LpProblem(np.ones(n), A, -np.ones(m), np.ones(m), np.zeros(n), np.ones(n))
+    assert clone(prob).A.matvec(np.ones(n)).tobytes() == A.matvec(np.ones(n)).tobytes()
+    B = clone(A)
+    for mine, theirs in ((B._ax, A._ax), (B._aty, A._aty)):
+        _assert_ordered(mine, theirs.natural())
+        assert mine._scratch is not theirs._scratch and mine._lock is not theirs._lock
+        assert not mine._lock.locked()
+    x, y = rng.standard_normal(n), rng.standard_normal(m)
+    ax, aty = np.empty(m), np.empty(n)
+    assert B.matvec(x, out=ax).tobytes() == A.matvec(x).tobytes()
+    assert B.rmatvec(y, out=aty).tobytes() == A.rmatvec(y).tobytes()
+    assert B.to_csr().data.tobytes() == A.to_csr().data.tobytes()

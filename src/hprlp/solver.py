@@ -12,6 +12,12 @@ iteration count; the candidate becomes the new start and anchor, and
 the penalty parameter is re-fit to the observed primal/dual
 displacements.  The global iteration counter never resets.
 
+From ``sparse.ORDERED_MIN_ROWS`` rows above the dense cutoff, the loop
+runs on the scaled problem ordered by row and column length
+(``_order_by_length``); the scaling carries both orders, and every point
+that crosses between the spaces goes through ``scale_iterate`` or
+``unscale_iterate``.
+
 Termination is decided on the proximal (bar) sequence against the
 relative gap / primal / dual measures of the ORIGINAL, unscaled data,
 every ``check_interval`` iterations and at restarts.  Where it fails,
@@ -57,6 +63,7 @@ from .model import (
     project_box,
     relative_residuals,
 )
+from . import sparse
 from .sparse import SparseMatrix, _check_out, estimate_lambda_A
 
 __all__ = [
@@ -178,10 +185,14 @@ class SolveResult:
 @dataclass(frozen=True)
 class RuizScaling:
     """Positive diagonal scalings: the working matrix is
-    diag(row) @ A @ diag(col)."""
+    diag(row) @ A @ diag(col), with, where ``row_order`` and
+    ``col_order`` are set (``_order_by_length``), its rows and columns
+    taken in those orders."""
 
     row: np.ndarray
     col: np.ndarray
+    row_order: np.ndarray | None = None
+    col_order: np.ndarray | None = None
 
     @classmethod
     def identity(cls, m: int, n: int) -> "RuizScaling":
@@ -278,12 +289,49 @@ def apply_scaling(prob: LpProblem, method: str = "ruiz") -> tuple[LpProblem, Rui
 
 def unscale_iterate(w: Iterate, scaling: RuizScaling) -> Iterate:
     """Map a working-space iterate back to the original space."""
-    return Iterate(w.y * scaling.row, w.z / scaling.col, w.x * scaling.col)
+    y, z, x = w.y, w.z, w.x
+    if scaling.row_order is not None:
+        rows, cols = scaling.row_order, scaling.col_order
+        y, z, x = _unorder(y, rows), _unorder(z, cols), _unorder(x, cols)
+    return Iterate(y * scaling.row, z / scaling.col, x * scaling.col)
 
 
 def scale_iterate(w: Iterate, scaling: RuizScaling) -> Iterate:
     """Map an original-space iterate into the working space."""
-    return Iterate(w.y / scaling.row, w.z * scaling.col, w.x / scaling.col)
+    y, z, x = w.y / scaling.row, w.z * scaling.col, w.x / scaling.col
+    if scaling.row_order is not None:
+        y, z, x = y[scaling.row_order], z[scaling.col_order], x[scaling.col_order]
+    return Iterate(y, z, x)
+
+
+def _unorder(v: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """``v``, whose entries were taken in ``order``, with each put back in
+    its place."""
+    out = np.empty_like(v)
+    out[order] = v
+    return out
+
+
+def _order_by_length(work: LpProblem, scaling: RuizScaling) -> tuple[LpProblem, RuizScaling]:
+    """The working problem with its rows ordered by length and its columns
+    by their count of entries (both stable), and ``scaling`` with those
+    orders, so that A x and A^T y gather their rows in order of length
+    (see ``sparse.ORDERED_MIN_ROWS``).  A row keeps its entries in
+    ascending column order, in the new order of the columns."""
+    csr = work.A.to_csr()
+    n = csr.shape[1]
+    rows = np.argsort(np.diff(csr.indptr), kind="stable")
+    cols = np.argsort(np.bincount(csr.indices, minlength=n), kind="stable")
+    new_col = np.empty(n, dtype=csr.indices.dtype)
+    new_col[cols] = np.arange(n)
+    A = csr[rows]  # new arrays, each row's entries in their order
+    A.indices = new_col[A.indices]
+    A.has_sorted_indices = False
+    A.sort_indices()
+    ordered = dataclasses.replace(
+        work, c=work.c[cols], A=SparseMatrix(A), l_con=work.l_con[rows], u_con=work.u_con[rows],
+        l_var=work.l_var[cols], u_var=work.u_var[cols])
+    return ordered, dataclasses.replace(scaling, row_order=rows, col_order=cols)
 
 
 # ---------------------------------------------------------------------
@@ -490,6 +538,8 @@ def _setup(
     factor when that y-step applies, the working-space start, and a
     message that says why that y-step does not apply when asked for."""
     work, scaling = apply_scaling(prob, cfg.scaling)
+    if work.A.dense is None and work.m >= sparse.ORDERED_MIN_ROWS:
+        work, scaling = _order_by_length(work, scaling)
 
     # normal-equations path only for pure equality rows
     normal_eq = None

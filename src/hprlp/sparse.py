@@ -2,11 +2,11 @@
 
 A is stored in compressed sparse row form.  A x gathers its rows; A^T y,
 on a matrix of fewer than ``ORDERED_MIN_ROWS`` rows, scatters them
-through ``csr.T``, scipy's CSC view of A^T on the same read-only arrays.
-From ``ORDERED_MIN_ROWS`` rows on, A is stored with its rows ordered by
-length instead, and A^T y gathers the rows of a CSR copy of A^T stored
-the same way; a product on such a copy is formed in a scratch vector
-and put back in natural row order.  Backed by
+through ``csr.T``, scipy's CSC view of A^T on the same read-only arrays,
+and from ``ORDERED_MIN_ROWS`` rows on gathers the rows of an explicit
+CSR copy of A^T.  ``solve`` runs on such a matrix with its rows and
+columns ordered by length (``solver._order_by_length``), so both
+products gather rows in order of length.  Backed by
 scipy.sparse.  A matrix of at most ``DENSE_MAX_ENTRIES`` entries also
 keeps a dense copy, and both products run on it through BLAS dgemv
 instead, called by ``ndarray.dot``, which gives the bits of ``@`` for
@@ -16,15 +16,12 @@ give the bits of scipy's ``csr @ x`` and ``csr.T @ y``.
 Either product can write into a given vector (``out=``) instead of a new
 one.  On CSR both call the kernel that ``csr @ x`` and ``csr.T @ y``
 call, ``csr_matvec`` or ``csc_matvec`` of ``scipy.sparse._sparsetools``
-(private scipy API), on the stored arrays (on an ordered copy, into its
-scratch vector), without scipy's dispatch and with the same bits; the
-bit tests in ``tests/test_sparse_core.py`` guard
+(private scipy API), on the stored arrays, without scipy's dispatch and
+with the same bits; the bit tests in ``tests/test_sparse_core.py`` guard
 that on other scipy versions.
 """
 
 from __future__ import annotations
-
-import threading
 
 import numpy as np
 import scipy.sparse as sp
@@ -47,16 +44,20 @@ __all__ = ["SparseMatrix", "estimate_lambda_A"]
 # matrices break even later, so the cutoff errs towards CSR.
 DENSE_MAX_ENTRIES = 25_000
 
-# Above DENSE_MAX_ENTRIES, from this many rows of A, A x runs on a copy
-# of A whose rows are ordered by length, and A^T y on such a copy of
-# A^T (see SparseMatrix).  The kernel leaves a row through a branch
-# whose trip count changes from row to row; once a matrix has more rows
-# than the branch predictor can learn, that exit is mispredicted on
-# almost every row, and in order of length it rarely is.  A^T y's
-# scatter loops over A's rows alike.
-# Microseconds per product into ``out``, plain against ordered with the
-# gather back, medians of 15 x 300 calls in each of two runs, one core of
-# a 2-vCPU Xeon; random rows of 1 to 2k - 1 entries, k = 5 max(m, n) / m:
+# Above DENSE_MAX_ENTRIES, from this many rows of A, A^T y gathers the
+# rows of a CSR copy of A^T (see SparseMatrix), and ``solve`` orders the
+# working problem's rows and columns by length, so that both products
+# take their rows in that order.  The kernel leaves a row through a
+# branch whose trip count changes from row to row; once a matrix has
+# more rows than the branch predictor can learn, that exit is
+# mispredicted on almost every row, and in order of length it rarely is.
+# A^T y's scatter loops over A's rows alike.
+# Microseconds per product into ``out``, plain against ordered, medians
+# of 15 x 300 calls in each of two runs, one core of a 2-vCPU Xeon;
+# random rows of 1 to 2k - 1 entries, k = 5 max(m, n) / m.  The ordered
+# column was read on copies ordered per product, with a gather back to
+# natural order after each, which the ordered working problem does not
+# need, so it overstates the ordered cost:
 #   shape            nnz*     A x: plain / ordered   A^T y: scatter / ordered
 #   600 x 1,500      5,989    4.9-5.0 / 6.9-7.2      6.2-7.3 / 8.2-10.7
 #   2,000 x 4,000    20,000   14.7-15.0 / 16.6-17.8  16.4-18.1 / 19.4-19.9
@@ -90,13 +91,12 @@ class SparseMatrix:
     2-vCPU Xeon, best of 5 x 300 calls, the scatter took 169-177 us
     against 222-240 us for that gather in natural column order.
 
-    From ``ORDERED_MIN_ROWS`` rows on, A is stored as an ``_Ordered``
-    copy, whose rows are ordered by length, in place of the canonical
-    CSR, which ``to_csr`` then rebuilds on each call, and A^T y runs on
-    an ``_Ordered`` CSR copy of A^T.  A row of either copy keeps its
-    entries in ascending column order, and a row of A^T in ascending row
+    From ``ORDERED_MIN_ROWS`` rows on, A^T y gathers the rows of a CSR
+    copy of A^T instead: a row of A^T keeps its entries in ascending row
     order of A, so every sum adds the same products in the same order
-    from 0: the bits of the other routes.
+    from 0, for the bits of the scatter.  Gathered in natural column
+    order it is slower than the scatter (222-240 us above); it pays on
+    a matrix whose columns ``solve`` has ordered by length.
 
     Duplicate entries are summed one by one in input order, and indices
     sorted, at construction; the stored arrays are read-only afterwards.
@@ -111,18 +111,17 @@ class SparseMatrix:
         # the shapes the products check their vectors against
         self._x_shape, self._y_shape = (n,), (m,)
         self._csr, self._dense = _read_only(csr), None
-        # the operands of A x (_ax) and A^T y (_aty)
+        # the operands of A x (_ax) and A^T y (_aty), and A^T y's kernel
         if m * n <= DENSE_MAX_ENTRIES:
             dense = csr.toarray(order="C")
             dense.setflags(write=False)
             self._ax, self._aty = dense, dense.T
             self._dense = dense
         elif m >= ORDERED_MIN_ROWS:
-            # A^T's copy first, while A is held once, for a lower peak
-            self._aty = _Ordered(csr.T.tocsr())
-            self._ax, self._csr = _Ordered(csr), None
+            self._ax, self._aty = csr, _read_only(csr.T.tocsr())
+            self._rmv = _sparsetools.csr_matvec
         else:
-            self._ax, self._aty = csr, csr.T
+            self._ax, self._aty, self._rmv = csr, csr.T, _sparsetools.csc_matvec
 
     # -- constructors -------------------------------------------------
 
@@ -151,10 +150,8 @@ class SparseMatrix:
         return _read_only(self.to_csr().tocsc())
 
     def to_csr(self) -> sp.csr_matrix:
-        """A in canonical CSR form, read-only: the stored arrays, or, from
-        ``ORDERED_MIN_ROWS`` rows on, rebuilt from the ordered copy on
-        each call."""
-        return self._csr if self._csr is not None else self._ax.natural()
+        """A in canonical CSR form, read-only: the stored arrays."""
+        return self._csr
 
     def __repr__(self):
         m, n = self.shape
@@ -174,8 +171,6 @@ class SparseMatrix:
         a = self._ax
         if self._dense is not None:
             return a.dot(x, out=out)
-        if a.__class__ is _Ordered:
-            return a.matvec(x, out)
         out = _zeroed(out, self._y_shape)
         _sparsetools.csr_matvec(*a.shape, a.indptr, a.indices, a.data, x, out)
         return out
@@ -192,59 +187,9 @@ class SparseMatrix:
         at = self._aty
         if self._dense is not None:
             return at.dot(y, out=out)
-        if at.__class__ is _Ordered:
-            return at.matvec(y, out)
-        out = _zeroed(out, self._x_shape)  # at: the CSC form of A^T on the CSR arrays, n x m
-        _sparsetools.csc_matvec(*at.shape, at.indptr, at.indices, at.data, y, out)
+        out = _zeroed(out, self._x_shape)  # at: A^T, n x m, in CSC on A's arrays or a CSR copy
+        self._rmv(*at.shape, at.indptr, at.indices, at.data, y, out)
         return out
-
-
-class _Ordered:
-    """A CSR operand stored with its rows in ascending order of length,
-    each row's entries in the order of the input's, and its product put
-    back in natural row order.
-
-    The product is formed in a scratch vector, one per operand, and
-    ``np.take`` puts it in order.  A call that finds the scratch vector
-    in use by another thread takes a new one, so products on one matrix
-    may run in several threads at once.  A pickled or copied operand
-    keeps the ordered arrays and gets a scratch vector and lock of its
-    own."""
-
-    __slots__ = ("csr", "_inverse", "_scratch", "_lock")
-
-    def __init__(self, csr: sp.csr_matrix):
-        order = np.argsort(np.diff(csr.indptr), kind="stable")
-        inverse = np.empty_like(order)
-        inverse[order] = np.arange(order.size)
-        self.__setstate__((csr[order], inverse))
-
-    def __getstate__(self):
-        return self.csr, self._inverse
-
-    def __setstate__(self, state):
-        csr, self._inverse = state
-        self.csr = _read_only(csr)
-        self._scratch = np.empty(csr.shape[0])
-        self._lock = threading.Lock()
-
-    def natural(self) -> sp.csr_matrix:
-        """The operand in natural row order, a new read-only copy."""
-        return _read_only(self.csr[self._inverse])
-
-    def matvec(self, v: np.ndarray, out: np.ndarray | None) -> np.ndarray:
-        a = self.csr
-        mine = self._lock.acquire(blocking=False)
-        scratch = self._scratch if mine else np.empty(a.shape[0])
-        try:
-            scratch.fill(0.0)
-            _sparsetools.csr_matvec(*a.shape, a.indptr, a.indices, a.data, v, scratch)
-            # mode="clip" writes into out directly; the default "raise"
-            # goes through a temporary copy
-            return np.take(scratch, self._inverse, out=out, mode="clip")
-        finally:
-            if mine:
-                self._lock.release()
 
 
 def _zeroed(out, shape: tuple[int]) -> np.ndarray:
@@ -346,9 +291,11 @@ def estimate_lambda_A(
         v = np.ones(m)
         nrm = np.sqrt(m)
     v /= nrm
+    u, w = np.empty(n), np.empty(m)  # A^T v and A A^T v
     lam = 0.0
     for _ in range(5000):
-        w = A.matvec(A.rmatvec(v))
+        A.rmatvec(v, out=u, _prechecked=True)
+        A.matvec(u, out=w, _prechecked=True)
         lam_new = float(np.dot(v, w))
         nrm = float(np.linalg.norm(w))
         if nrm == 0.0:
@@ -356,7 +303,7 @@ def estimate_lambda_A(
             v = rng.standard_normal(m)
             v /= np.linalg.norm(v)
             continue
-        v = w / nrm
+        np.divide(w, nrm, out=v)
         if abs(lam_new - lam) <= rel_tol * max(lam_new, np.finfo(float).tiny):
             lam = lam_new
             break

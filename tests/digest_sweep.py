@@ -9,11 +9,13 @@ every trajectory and every parsed problem prints the same 626 lines.
 The first 360 lines are solves.  They cover the five modes, both y-step
 routes (the proximal step on two-sided and one-sided rows, the normal
 equations on equality rows), the three product routes (the dense copy;
-CSR with the dense cutoff switched off; and CSR on copies of A and A^T
-whose rows are ordered by length, with the dense cutoff off and
-``ORDERED_MIN_ROWS`` set to 0), and LPs with fewer and with
-more rows than columns (where the normal equations are rank deficient
-and the solve falls back to the proximal step), six seeds each.  Each
+CSR with the dense cutoff switched off; and, with the dense cutoff off
+and ``ORDERED_MIN_ROWS`` set to 0, the working problem ordered by row
+and column length with a CSR copy of A^T, on LPs with half their
+entries dropped, so that the order moves rows and columns), and LPs
+with fewer and with more rows than columns (where the normal equations
+are rank deficient and the solve falls back to the proximal step), six
+seeds each.  Each
 line holds the case, the status, the iteration count and a digest of
 the bits of x, y and z, the objective, the message, every trace field
 but the time, and the restart events.
@@ -34,11 +36,13 @@ loop: the start's scaling into the working space, the product it carries,
 and the report of a solve that takes no step.
 
 Only the public API and the two cutoffs are used, so the script runs
-unchanged on older checkouts.  On a checkout without ``ORDERED_MIN_ROWS``
-its assignment has no effect, and the ordered lines read as the CSR
-ones: the same lines from both checkouts show that the ordered copies
-keep the bits.  Its name does not start with ``test_``: pytest does not
-collect it.
+unchanged on older checkouts.  The ordered lines move, by design, on a
+checkout that changes how the working problem is ordered: the loop's
+sums then add in another order.  On one that runs the same loop in
+natural order they read as that route's solves of the same LPs, and
+the warm lines at limit 0 keep their bits wherever the map between the
+spaces adds no rounding.  Its name does not start with ``test_``:
+pytest does not collect it.
 """
 
 import contextlib
@@ -66,7 +70,9 @@ SEEDS = range(6)
 WARM_LIMITS = (0, 1, 7, 2000)
 
 
-def _problem(shape: str, route: str, seed: int):
+def _problem(shape: str, route: str, seed: int, products: str):
+    """A seeded LP; on the ordered route half its entries are dropped, so
+    that its rows and columns have different lengths to be ordered by."""
     rng = np.random.default_rng(1000 + seed)
     n = 10 + 3 * seed
     m = n // 2 + 1 if shape == "wide" else n + 4 + seed
@@ -74,7 +80,7 @@ def _problem(shape: str, route: str, seed: int):
         style = "equality"
     else:
         style = "two_sided" if seed % 2 == 0 else "upper"
-    return random_lp(rng, n, m, style=style)
+    return random_lp(rng, n, m, style=style, density=0.5 if products == "ordered" else 1.0)
 
 
 def _digest(res) -> str:
@@ -134,7 +140,7 @@ def main():
     for products, shape, route, mode, seed in itertools.product(
             PRODUCTS, SHAPES, ROUTES, MODES, SEEDS):
         with _products(products):
-            prob = _problem(shape, route, seed)
+            prob = _problem(shape, route, seed, products)
             engine = EngineConfig(mode=mode, gamma=0.5, t1_zero_path=route == "normal")
             res = solve(prob, SolverConfig(tol=1e-8, iter_limit=2000, engine=engine))
         case = f"{products}-{shape}-{route}-{mode}-{seed} {prob.m}x{prob.n}"
@@ -148,7 +154,7 @@ def main():
     for products, shape, route, mode, (seed, limit) in itertools.product(
             PRODUCTS, SHAPES, ROUTES, MODES, enumerate(WARM_LIMITS)):
         with _products(products):
-            prob = _problem(shape, route, seed)
+            prob = _problem(shape, route, seed, products)
             rng = np.random.default_rng(3000 + seed)
             start = Iterate(rng.standard_normal(prob.m), np.zeros(prob.n),
                             rng.standard_normal(prob.n))

@@ -212,6 +212,71 @@ def test_scale_unscale_round_trip():
     npt.assert_allclose(back.x, w.x, rtol=1e-15)
 
 
+def _ordered_lp(monkeypatch):
+    """A 40 x 25 LP of rows and columns of many lengths, on CSR, with the
+    ``ORDERED_MIN_ROWS`` cutoff below its rows, so that ``solve`` runs on
+    it ordered by length."""
+    import hprlp.sparse
+
+    monkeypatch.setattr(hprlp.sparse, "DENSE_MAX_ENTRIES", -1)
+    monkeypatch.setattr(hprlp.sparse, "ORDERED_MIN_ROWS", 10)
+    rng = np.random.default_rng(61)
+    base = random_lp(rng, 25, 40, density=0.3)
+    dense = base.A.to_csr().toarray()
+    dense[rng.uniform(size=dense.shape) < rng.uniform(0.0, 0.8, size=(40, 1))] = 0.0
+    dense[np.arange(40), rng.integers(25, size=40)] = 1.0  # no empty row
+    b = dense @ rng.uniform(0.0, 1.0, 25)
+    return LpProblem(base.c, SparseMatrix(dense), b - 0.4, b + 0.6, base.l_var, base.u_var)
+
+
+@pytest.mark.parametrize("scaling", ["ruiz", "none"])
+def test_ordered_working_problem_maps_back(scaling, monkeypatch):
+    """From the ``ORDERED_MIN_ROWS`` cutoff, with either scaling, ``solve``
+    runs on the scaled problem with its rows ordered by length and its
+    columns by count, and the map carries both orders: it adds no
+    rounding to the round trip, a warm start from the optimum ends
+    optimal at the first checkpoint, and x, y and z come back in the
+    original order, optimal on the original data."""
+    prob = _ordered_lp(monkeypatch)
+    m, n = prob.A.shape
+    cfg = SolverConfig(tol=1e-8, scaling=scaling)
+    work, sc, *_ = solver_module._setup(prob, cfg)
+    rows, cols = sc.row_order, sc.col_order
+    csr = work.A.to_csr()
+    assert np.all(np.diff(np.diff(csr.indptr)) >= 0)
+    assert np.all(np.diff(np.bincount(csr.indices, minlength=n)) >= 0)
+    assert not np.array_equal(rows, np.arange(m)) and not np.array_equal(cols, np.arange(n))
+    scaled, _ = apply_scaling(prob, scaling)
+    want = scaled.A.to_csr().toarray()[rows][:, cols]
+    assert csr.has_canonical_format and np.array_equal(csr.toarray(), want)
+    for got, orig, order in ((work.c, scaled.c, cols), (work.l_con, scaled.l_con, rows),
+                             (work.u_var, scaled.u_var, cols)):
+        assert np.array_equal(got, orig[order])
+
+    rng = np.random.default_rng(62)
+    w = Iterate(rng.standard_normal(m), rng.standard_normal(n), rng.standard_normal(n))
+    plain = dataclasses.replace(sc, row_order=None, col_order=None)
+    back = unscale_iterate(scale_iterate(w, sc), sc)
+    assert back.buf.tobytes() == unscale_iterate(scale_iterate(w, plain), plain).buf.tobytes()
+    if scaling == "none":
+        assert back.buf.tobytes() == w.buf.tobytes()
+    assert scale_iterate(w, sc).y.tobytes() == scale_iterate(w, plain).y[rows].tobytes()
+
+    res = solve(prob, cfg)
+    assert res.status == "optimal"
+    point = Iterate(res.y, res.z, res.x)
+    assert max(solver_module.relative_residuals(point, prob)) <= cfg.tol
+    warm = solve(prob, dataclasses.replace(cfg, initial_iterate=point))
+    assert warm.status == "optimal" and len(warm.trace) == 1
+    monkeypatch.setattr(solver_module.sparse, "ORDERED_MIN_ROWS", m + 1)
+    unordered = solve(prob, cfg)
+    assert unordered.status == "optimal"
+    assert [r.merit for r in unordered.trace] != [r.merit for r in res.trace]
+    npt.assert_allclose(res.x, unordered.x, atol=1e-5)
+    npt.assert_allclose(res.y, unordered.y, atol=1e-5)
+    npt.assert_allclose(res.z, unordered.z, atol=1e-5)
+
+
 def test_scaled_solve_matches_unscaled():
     rng = np.random.default_rng(77)
     prob = random_lp(rng, 5, 3, scale=10.0)
@@ -715,13 +780,15 @@ def test_loop_step_allocates_no_vector(mode):
 
 @pytest.mark.parametrize("mode", ["hpr", "hdr", "rhpdhg", "pr", "epr"])
 def test_loop_step_on_two_ordered_operands_allocates_no_vector(mode, monkeypatch):
-    """The same on an LP whose A and A^T are both stored with their rows
-    ordered by length: the products take no vector for their result."""
+    """The same on an LP at the ``ORDERED_MIN_ROWS`` cutoff, whose working
+    problem is ordered by row and column length and whose A^T y gathers
+    the rows of a CSR copy of A^T: the products take no vector for their
+    result."""
     import hprlp.sparse
 
     monkeypatch.setattr(hprlp.sparse, "ORDERED_MIN_ROWS", 2_000)
     A = SparseMatrix(sp.random(2_000, 4_000, density=0.002, random_state=0, format="csr"))
-    assert isinstance(A._ax, hprlp.sparse._Ordered) and isinstance(A._aty, hprlp.sparse._Ordered)
+    assert A._aty.format == "csr"
     test_loop_step_allocates_no_vector(mode)
 
 

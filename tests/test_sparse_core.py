@@ -10,7 +10,7 @@ import scipy.sparse as sp
 
 import hprlp.sparse
 from hprlp import LpProblem, SolverConfig, SparseMatrix, solve
-from hprlp.sparse import DENSE_MAX_ENTRIES, ORDERED_MIN_ROWS, _Ordered, estimate_lambda_A
+from hprlp.sparse import DENSE_MAX_ENTRIES, ORDERED_MIN_ROWS, estimate_lambda_A
 
 from conftest import random_lp
 
@@ -184,10 +184,9 @@ def test_lambda_estimate_zero_matrix_raises():
 def _assert_transpose_of_csr(A):
     """A^T y runs on a CSC view of A's CSR mirror: its own read-only
     arrays, no copy; or, from ``ORDERED_MIN_ROWS`` rows on, on a CSR
-    copy of A^T ordered by row length, which holds A's canonical CSC
-    arrays in another row order."""
+    copy of A^T, which holds A's canonical CSC arrays."""
     if A.shape[0] >= hprlp.sparse.ORDERED_MIN_ROWS:
-        _assert_ordered(A._aty, A.to_csc())
+        _assert_copy_of_csc(A._aty, A.to_csc())
         return
     csr, at = A.to_csr(), A._aty
     assert at.format == "csc" and at.shape == A.shape[::-1]
@@ -238,20 +237,14 @@ def test_rmatvec_matches_csc_transpose_bitwise():
         _assert_transpose_of_csr(A)
 
 
-def _assert_ordered(op, want):
-    """``op`` is an ``_Ordered`` copy of the compressed arrays of ``want``:
-    read-only, its rows ordered by length and each row's indices
-    ascending, and in natural order the bits of ``want``."""
-    assert isinstance(op, _Ordered)
-    csr = op.csr
-    assert np.all(np.diff(np.diff(csr.indptr)) >= 0)
-    for lo, hi in zip(csr.indptr[:-1], csr.indptr[1:]):
-        assert np.all(np.diff(csr.indices[lo:hi]) > 0)
-    for arr in (csr.data, csr.indices, csr.indptr):
+def _assert_copy_of_csc(at, want):
+    """``at`` is a read-only CSR matrix of A^T whose compressed arrays
+    hold the bits of ``want``, A's canonical CSC form."""
+    assert at.format == "csr" and at.shape == want.shape[::-1]
+    for arr in (at.data, at.indices, at.indptr):
         assert not arr.flags.writeable
-    got = op.natural()
-    assert np.array_equal(got.indptr, want.indptr) and np.array_equal(got.indices, want.indices)
-    assert got.data.tobytes() == want.data.tobytes()
+    assert np.array_equal(at.indptr, want.indptr) and np.array_equal(at.indices, want.indices)
+    assert at.data.tobytes() == want.data.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -281,10 +274,7 @@ def test_products_agree_across_routes(shape):
     is_dense = isinstance(A._ax, np.ndarray)
     assert is_dense == (m * n <= DENSE_MAX_ENTRIES)
     if not is_dense:
-        if m < ORDERED_MIN_ROWS:
-            assert A._ax is A.to_csr()
-        else:
-            assert isinstance(A._ax, _Ordered)
+        assert A._ax is A.to_csr()
         _assert_transpose_of_csr(A)
         x, y = rng.standard_normal(n), rng.standard_normal(m)
         assert A.matvec(x).tobytes() == (A.to_csr() @ x).tobytes()
@@ -330,7 +320,7 @@ def test_small_lp_solves_on_both_routes(monkeypatch):
 
 def _on_route(dense, route, monkeypatch):
     """``dense`` as a SparseMatrix on the dense copy, on CSR, or on CSR
-    copies of A and A^T ordered by row length."""
+    with a CSR copy of A^T (the ``ORDERED_MIN_ROWS`` route)."""
     if route != "dense":
         monkeypatch.setattr(hprlp.sparse, "DENSE_MAX_ENTRIES", -1)
     if route == "ordered":
@@ -344,8 +334,8 @@ def _on_route(dense, route, monkeypatch):
 @pytest.mark.parametrize("shape", [(30, 12), (12, 30), (1, 7), (7, 1), (0, 4), (4, 0)])
 @pytest.mark.parametrize("empty", [False, True], ids=["entries", "nnz0"])
 def test_products_into_out_are_bit_exact(route, shape, empty, monkeypatch):
-    """``out=`` gives the bits of the call without it, and on CSR, ordered
-    or not, those of scipy's ``csr @ x`` and ``csr.T @ y``, on the dense
+    """``out=`` gives the bits of the call without it, and on CSR, with a
+    copy of A^T or not, those of scipy's ``csr @ x`` and ``csr.T @ y``, on the dense
     copy those of ``dense @ x``: empty rows and columns, and a matrix with
     no entries, included.  Whatever ``out`` held before is overwritten."""
     m, n = shape
@@ -400,12 +390,12 @@ def test_products_refuse_an_out_they_cannot_write(route, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# copies of A and A^T with their rows ordered by length
+# a CSR copy of A^T, from ORDERED_MIN_ROWS rows on
 
 
 def _plain_and_ordered(matrix, cutoff, monkeypatch):
-    """``matrix`` as a SparseMatrix on plain CSR and on CSR with the
-    ordered cutoff at ``cutoff``, both above the dense cutoff."""
+    """``matrix`` as a SparseMatrix on plain CSR and on CSR with
+    ``ORDERED_MIN_ROWS`` at ``cutoff``, both above the dense cutoff."""
     monkeypatch.setattr(hprlp.sparse, "DENSE_MAX_ENTRIES", -1)
     plain = SparseMatrix(matrix)
     assert plain._ax is plain.to_csr()
@@ -420,22 +410,24 @@ def _varied_rows(rng, m, n):
 
 
 @pytest.mark.parametrize("m, n, cutoff", [
-    (60, 45, 0),  # both operands ordered
-    (60, 45, 50),  # m above the cutoff and n below: both ordered
-    (45, 60, 50),  # n above and m below: neither, as rows decide
+    (60, 45, 0),  # A^T copied
+    (60, 45, 50),  # m above the cutoff and n below: A^T copied
+    (45, 60, 50),  # n above and m below: the scatter, as rows decide
 ], ids=["both", "rows", "columns"])
 @pytest.mark.parametrize("duplicates", [False, True], ids=["entries", "duplicates"])
 def test_ordered_products_are_bit_exact(m, n, cutoff, duplicates, monkeypatch):
-    """With both operands ordered by row length or neither, ``matvec``
-    and ``rmatvec`` give the bits of ``to_csr() @ x`` and ``to_csc().T @ y``,
-    with ``out`` and without, and those of the plain CSR route: rows of
-    many lengths, empty rows and columns, and duplicate entries summed at
-    construction included.  Whatever ``out`` held before is overwritten."""
+    """With A^T y on a CSR copy of A^T or on the scatter, ``matvec`` and
+    ``rmatvec`` give the bits of ``to_csr() @ x`` and ``to_csc().T @ y``
+    (scipy's ``csr.T @ y``), with ``out`` and without, and those of the
+    plain CSR route: rows of many lengths, empty rows and columns, and
+    duplicate entries summed at construction included.  Whatever ``out``
+    held before is overwritten."""
     rng = np.random.default_rng(m * 1000 + n + cutoff)
     dense = _varied_rows(rng, m, n)
     matrix = _with_duplicates(rng, dense) if duplicates else dense
     plain, A = _plain_and_ordered(matrix, cutoff, monkeypatch)
-    assert isinstance(A._ax, _Ordered) == isinstance(A._aty, _Ordered) == (m >= cutoff)
+    assert A._ax is A.to_csr()
+    assert (A._aty.format == "csr") == (m >= cutoff)
     csr, csc = A.to_csr(), A.to_csc()
     for _ in range(3):
         x, y = rng.standard_normal(n), rng.standard_normal(m)
@@ -443,19 +435,21 @@ def test_ordered_products_are_bit_exact(m, n, cutoff, duplicates, monkeypatch):
         assert A.matvec(x, out=ax) is ax and A.rmatvec(y, out=aty) is aty
         assert ax.tobytes() == (csr @ x).tobytes() == A.matvec(x).tobytes()
         assert aty.tobytes() == (csc.T @ y).tobytes() == A.rmatvec(y).tobytes()
+        assert aty.tobytes() == (csr.T @ y).tobytes()
         assert ax.tobytes() == plain.matvec(x).tobytes()
         assert aty.tobytes() == plain.rmatvec(y).tobytes()
 
 
 def test_ordered_matrix_gives_its_canonical_forms(monkeypatch):
-    """Stored ordered, A gives from ``to_csr`` and ``to_csc`` the canonical
-    forms the plain route gives, read-only, rebuilt on each call."""
+    """With a copy of A^T, A gives from ``to_csr`` and ``to_csc`` the
+    canonical forms the plain route gives, read-only: ``to_csr`` the
+    stored arrays that A x runs on, and the copy of A^T holds those of
+    ``to_csc``."""
     rng = np.random.default_rng(41)
     matrix = _with_duplicates(rng, _varied_rows(rng, 50, 70))
     plain, A = _plain_and_ordered(matrix, 0, monkeypatch)
-    _assert_ordered(A._ax, plain.to_csr())
-    _assert_ordered(A._aty, plain.to_csc())
-    assert A.to_csr() is not A.to_csr()
+    assert A._ax is A.to_csr() is A.to_csr()
+    _assert_copy_of_csc(A._aty, plain.to_csc())
     for got, want in ((A.to_csr(), plain.to_csr()), (A.to_csc(), plain.to_csc())):
         assert got.format == want.format and got.shape == want.shape
         assert got.has_canonical_format
@@ -469,9 +463,9 @@ def test_ordered_matrix_gives_its_canonical_forms(monkeypatch):
 
 
 def test_ordered_products_into_out_allocate_nothing(monkeypatch):
-    """Into ``out``, a product on an ordered copy uses the copy's own
-    scratch vector: 100 of each keep the traced peak below one vector of
-    the smaller side."""
+    """Into ``out``, a product on the route with a copy of A^T takes no
+    vector: 100 of each keep the traced peak below one vector of the
+    smaller side."""
     rng = np.random.default_rng(43)
     m, n = 300, 500
     _, A = _plain_and_ordered(_varied_rows(rng, m, n), 0, monkeypatch)
@@ -490,9 +484,9 @@ def test_ordered_products_into_out_allocate_nothing(monkeypatch):
 
 
 def test_ordered_products_in_two_threads(monkeypatch):
-    """Two threads that multiply with one matrix at once both get the
-    bits of one thread: a call that finds the copy's scratch vector in
-    use takes a vector of its own, and leaves the scratch vector alone."""
+    """Two threads that multiply with one matrix with a copy of A^T at
+    once both get the bits of one thread: the products keep no state
+    between calls."""
     rng = np.random.default_rng(47)
     m, n = 3_000, 2_000
     matrix = sp.random(m, n, density=0.005, random_state=rng, format="csr")
@@ -513,32 +507,28 @@ def test_ordered_products_in_two_threads(monkeypatch):
     for thread in threads:
         thread.start()
     for thread in threads:
-        thread.join()
+        thread.join(timeout=120)
+        assert not thread.is_alive()
     assert wrong == []
-    for op, product, v, bits in ((A._ax, A.matvec, xs[0], want[0][0]),
-                                 (A._aty, A.rmatvec, ys[0], want[0][1])):
-        with op._lock:
-            op._scratch.fill(np.nan)
-            assert product(v).tobytes() == bits
-            assert np.isnan(op._scratch).all()
 
 
 @pytest.mark.parametrize("clone", [lambda A: pickle.loads(pickle.dumps(A)), copy.deepcopy],
                          ids=["pickle", "deepcopy"])
 def test_ordered_matrix_pickles_and_copies(clone, monkeypatch):
-    """A matrix stored ordered pickles and deep-copies, alone or inside
-    an LpProblem: the clone keeps the ordered, read-only arrays and gives
-    both products' bits, with a scratch vector and a lock of its own."""
+    """A matrix with a copy of A^T pickles and deep-copies, alone or
+    inside an LpProblem: the clone keeps the copy's arrays and gives
+    both products' bits."""
     rng = np.random.default_rng(53)
     m, n = 80, 60
     _, A = _plain_and_ordered(_with_duplicates(rng, _varied_rows(rng, m, n)), 0, monkeypatch)
     prob = LpProblem(np.ones(n), A, -np.ones(m), np.ones(m), np.zeros(n), np.ones(n))
     assert clone(prob).A.matvec(np.ones(n)).tobytes() == A.matvec(np.ones(n)).tobytes()
     B = clone(A)
-    for mine, theirs in ((B._ax, A._ax), (B._aty, A._aty)):
-        _assert_ordered(mine, theirs.natural())
-        assert mine._scratch is not theirs._scratch and mine._lock is not theirs._lock
-        assert not mine._lock.locked()
+    assert B._aty.format == "csr" and B._ax is B.to_csr()
+    for mine, theirs in ((B._aty, A._aty), (B._ax, A._ax)):
+        assert np.array_equal(mine.indptr, theirs.indptr)
+        assert np.array_equal(mine.indices, theirs.indices)
+        assert mine.data.tobytes() == theirs.data.tobytes()
     x, y = rng.standard_normal(n), rng.standard_normal(m)
     ax, aty = np.empty(m), np.empty(n)
     assert B.matvec(x, out=ax).tobytes() == A.matvec(x).tobytes()

@@ -1,5 +1,5 @@
 """Pinned trajectories: the iteration count, the bits of the primal
-objective and a digest of the checkpoint trace of 31 seeded solves.
+objective and a digest of the checkpoint trace of 33 seeded solves.
 
 Every mode runs on both y-step routes (proximal on a two-sided LP, normal
 equations on an equality LP) with both product routes (the dense copy,
@@ -7,7 +7,9 @@ and CSR with the dense cutoff switched off), and on one LP above
 ``DENSE_MAX_ENTRIES``, which runs on CSR by itself.  Those three LPs have
 fewer rows than columns; the anchored modes also run on one with more
 rows than columns, where the carried A x is longer than x, on both
-product routes.  A change that only
+product routes.  hpr and rhpdhg also run on one LP of
+``ORDERED_MIN_ROWS`` rows, whose working problem ``solve`` orders by
+row and column length.  A change that only
 trims call overhead keeps every pin; one that reorders floating-point
 work, even in the last bit of one product or of the restart merit,
 moves some of them.  A change
@@ -26,10 +28,11 @@ import hashlib
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.linalg.blas import daxpy
 
 import hprlp.sparse
-from hprlp import EngineConfig, SolverConfig, solve
+from hprlp import EngineConfig, LpProblem, SolverConfig, SparseMatrix, solve
 
 from conftest import random_lp
 
@@ -70,6 +73,8 @@ PINS = {
     ("tall", "sparse", "hpr"): (100, "0x1.1d741aa8254e8p+0", "04f098fe6076"),
     ("tall", "sparse", "hdr"): (200, "0x1.1d741aa8254e7p+0", "7336e17c32f7"),
     ("tall", "sparse", "rhpdhg"): (200, "0x1.1d741aa8254e8p+0", "e5837a4e111a"),
+    ("ordered", "sparse", "hpr"): (1564, "-0x1.9087702c51fffp+9", "4062aefad33d"),
+    ("ordered", "sparse", "rhpdhg"): (2000, "-0x1.9087702f860d2p+9", "446845bf8ac8"),
 }
 
 
@@ -97,7 +102,23 @@ def _trace_digest(res) -> str:
     return hashlib.sha256(repr(fields).encode()).hexdigest()[:12]
 
 
+def _ordered_lp():
+    """A two-sided LP of 4,000 rows of 1 to 3 entries at random columns of
+    3,000, feasible at a point in the box [0, 1]^n."""
+    rng = np.random.default_rng(45)
+    m, n = 4_000, 3_000
+    rows = np.repeat(np.arange(m), rng.integers(1, 4, size=m))
+    cols = rng.integers(n, size=rows.size)
+    A = SparseMatrix(sp.coo_matrix((rng.standard_normal(rows.size), (rows, cols)), shape=(m, n)))
+    b = A.matvec(rng.uniform(0.0, 1.0, n))
+    prob = LpProblem(rng.standard_normal(n), A, b - 0.4, b + 0.6, np.zeros(n), np.ones(n))
+    assert prob.A.dense is None and m >= hprlp.sparse.ORDERED_MIN_ROWS
+    return prob
+
+
 def _problem(name):
+    if name == "ordered":
+        return _ordered_lp()
     if name == "general":
         return random_lp(np.random.default_rng(41), 12, 7)
     if name == "equality":

@@ -29,6 +29,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import ddot
 
 from .engine import EngineConfig, _dot
 from .model import Iterate
@@ -67,11 +68,13 @@ def m_norm_squared(w: Iterate, cfg: EngineConfig, A: SparseMatrix) -> float:
     empty one of ``Iterate(y, z, x)``, the form makes the product A^T w.y.
     """
     x, sigma, product = w.x, cfg.sigma, w.p
+    # BLAS ddot straight where neither block is empty, which it refuses
+    dot = ddot if w.y.size and x.size else _dot
     if cfg.t1_zero_path:
         aty = product if product.size == x.size else A.rmatvec(w.y)
-        return sigma * _dot(aty, aty) + 2.0 * _dot(aty, x) + _dot(x, x) / sigma
-    cross = _dot(w.y, product) if product.size == w.y.size else _dot(A.rmatvec(w.y), x)
-    return sigma * cfg.lambda_A * _dot(w.y, w.y) + 2.0 * cross + _dot(x, x) / sigma
+        return sigma * dot(aty, aty) + 2.0 * dot(aty, x) + dot(x, x) / sigma
+    cross = dot(w.y, product) if product.size == w.y.size else dot(A.rmatvec(w.y), x)
+    return sigma * cfg.lambda_A * dot(w.y, w.y) + 2.0 * cross + dot(x, x) / sigma
 
 
 def m_norm(w: Iterate, cfg: EngineConfig, A: SparseMatrix) -> float:

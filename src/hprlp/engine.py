@@ -167,7 +167,8 @@ class StepWorkspace:
     any of them.
     """
 
-    __slots__ = ("w_bar", "hat", "w_hat", "xi", "zeta", "sigma", "_xi", "_zeta", "_gw")
+    __slots__ = ("w_bar", "hat", "w_hat", "xi", "zeta", "sigma", "_xi", "_zeta", "_gw",
+                 "_sigma", "_slam")
 
     def __init__(self, m: int, n: int, p: int | None = None):
         p = m if p is None else p
@@ -177,6 +178,9 @@ class StepWorkspace:
         self._xi, self._zeta = np.empty(n), np.empty(m)
         self.w_hat = self.xi = self.zeta = self.sigma = None
         self._gw = None  # g (y, x) of a partial reflection, allocated by its first step
+        # each step's sigma and sigma * lambda_A as 0-d arrays, which numpy
+        # multiplies and divides by for less call overhead than by a float
+        self._sigma, self._slam = np.zeros(()), np.zeros(())
 
 
 class NormalEquationSolver:
@@ -266,7 +270,7 @@ def y_update_t1_zero(
     return factor.solve(rhs, aty)
 
 
-def _z_bar(out: np.ndarray, x_bar: np.ndarray, xi: np.ndarray, sigma: float):
+def _z_bar(out: np.ndarray, x_bar: np.ndarray, xi: np.ndarray, sigma: float | np.ndarray):
     """z_bar = (x_bar - xi) / sigma into ``out``."""
     np.subtract(x_bar, xi, out=out)
     np.divide(out, sigma, out=out)
@@ -328,18 +332,19 @@ def pr_step(
         _check_step(w, prob, work, normal)
     bar, hat = work.w_bar, work.hat
     sigma, xi = cfg.sigma, work._xi
+    work._sigma[()] = sigma
     if normal:
         np.subtract(w.p, prob.c, out=xi)
     else:
         prob.A.rmatvec(w.y, out=xi, _prechecked=True)
         np.subtract(xi, prob.c, out=xi)
-    np.multiply(sigma, xi, out=xi)
+    np.multiply(work._sigma, xi, out=xi)
     np.add(w.x, xi, out=xi)
     project_box(xi, prob.l_var, prob.u_var, out=bar.x, _prechecked=True)
     if cfg.t1_zero_path or cfg.ergodic:  # the y-step or the ergodic mean reads z_bar
-        _z_bar(bar.z, bar.x, xi, sigma)
+        _z_bar(bar.z, bar.x, xi, work._sigma)
     # 2 x_bar - x: the row product's argument and, under full reflection, x_hat
-    x2 = np.multiply(2.0, bar.x, out=hat.x)
+    x2 = np.add(bar.x, bar.x, out=hat.x)
     np.subtract(x2, w.x, out=x2)
 
     if normal:
@@ -348,7 +353,8 @@ def pr_step(
     else:
         if cfg.lambda_A is None:
             raise ValueError("lambda_A is unresolved; the proximal y-step needs a value")
-        slam = sigma * cfg.lambda_A
+        slam = work._slam
+        slam[()] = sigma * cfg.lambda_A
         ax2 = prob.A.matvec(x2, out=hat.p, _prechecked=True)
         zeta = np.multiply(slam, w.y, out=work._zeta)
         np.subtract(ax2, zeta, out=zeta)
@@ -360,7 +366,7 @@ def pr_step(
     # x_hat = 2 x_bar - x, so it reflects y alone, and g = 0 is w_bar itself
     gamma = cfg.reflection
     if gamma == 1.0:
-        np.multiply(2.0, bar.y, out=hat.y)
+        np.add(bar.y, bar.y, out=hat.y)
         np.subtract(hat.y, w.y, out=hat.y)
         w_hat = hat
     elif gamma == 0.0:
@@ -393,6 +399,7 @@ def proximal_point(step: StepWorkspace, out: Iterate | None = None) -> Iterate:
 def halpern_step(
     w_anchor: np.ndarray | Iterate, w_hat: np.ndarray | Iterate, t: int,
     out: np.ndarray | Iterate | None = None, *, _prechecked: bool = False,
+    _coef: np.ndarray | None = None,
 ) -> np.ndarray | Iterate:
     """Anchored average 1/(t+2) * w_anchor + (t+1)/(t+2) * w_hat of two
     vectors, or of two iterates over all their blocks.
@@ -406,6 +413,8 @@ def halpern_step(
     and w_anchor, or ValueError is raised: daxpy would write any other
     array into a copy.  ``_prechecked``, for three vectors, skips the checks
     of t and ``out`` (``solver._LoopState`` runs ``_check_out`` once on its own).
+    ``_coef``, a 0-d float64 array of the caller's, receives 1 - beta,
+    which numpy multiplies by for less call overhead than by a float.
     """
     a, h, o = w_anchor, w_hat, out
     if not _prechecked:
@@ -419,7 +428,11 @@ def halpern_step(
         # daxpy reads it, or entries of w_anchor still to be read
         _check_out(o, h.shape, h, a)
     beta = (t + 1.0) / (t + 2.0)
-    np.multiply(1.0 - beta, a, out=o)
+    if _coef is None:
+        np.multiply(1.0 - beta, a, out=o)
+    else:
+        _coef[()] = 1.0 - beta
+        np.multiply(_coef, a, out=o)
     if o.size:  # scipy's daxpy refuses length 0
         daxpy(h, o, a=beta)
     return out

@@ -15,6 +15,7 @@ variable-bound box C.  Maximization problems are stored in minimize form
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -269,10 +270,10 @@ def dual_objective(y: np.ndarray, z: np.ndarray, prob: LpProblem) -> float:
     """
     inf_con, inf_var = prob._infinite_bounds
     sk = box_support(-np.asarray(y, dtype=np.float64), prob.l_con, prob.u_con, inf_con)
-    if np.isinf(sk):
+    if math.isinf(sk):
         return float("inf")
     sc = box_support(-np.asarray(z, dtype=np.float64), prob.l_var, prob.u_var, inf_var)
-    if np.isinf(sc):
+    if math.isinf(sc):
         return float("inf")
     return sk + sc
 
@@ -294,7 +295,7 @@ def relative_residuals(w: Iterate, prob: LpProblem) -> tuple[float, float, float
     """
     cx = float(np.dot(prob.c, w.x))
     dual = dual_objective(w.y, w.z, prob)
-    if np.isinf(dual):
+    if math.isinf(dual):
         rel_gap = float("inf")
     else:
         rel_gap = abs(dual + cx) / (1.0 + abs(dual) + abs(cx))
@@ -302,8 +303,9 @@ def relative_residuals(w: Iterate, prob: LpProblem) -> tuple[float, float, float
     primal_scale, dual_scale = prob._residual_scales
     ax = prob.A.matvec(w.x)
     pviol = ax - project_box(ax, prob.l_con, prob.u_con)
-    rel_primal = float(np.linalg.norm(pviol)) / primal_scale
+    # the 2-norms as np.linalg.norm forms them, for less call overhead
+    rel_primal = math.sqrt(pviol.dot(pviol)) / primal_scale
 
     dviol = prob.c - prob.A.rmatvec(w.y) - w.z
-    rel_dual = float(np.linalg.norm(dviol)) / dual_scale
+    rel_dual = math.sqrt(dviol.dot(dviol)) / dual_scale
     return rel_gap, rel_primal, rel_dual

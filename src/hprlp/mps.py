@@ -6,27 +6,43 @@ comments, and section headers start in column one.  Supported sections:
 NAME, OBJSENSE, ROWS, COLUMNS (with INTORG/INTEND markers), RHS, RANGES,
 BOUNDS, ENDATA.
 
-The source is read in blocks of about 64K characters, each cut after its
-last newline, so a block holds whole lines.  A block is tokenized with
-one ``str.split``, and one numpy pass over its characters gives each
-token's line, from which come the per-line token counts and the comment,
-blank and header lines.  The data lines between two headers are then
-handled a section at a time: names map to indices through dicts, bound
-keys to small integer codes, and the numeric fields of a block convert
-with one ``np.array(tokens, dtype=np.float64)``, which parses each token
-as ``float()`` does.  Every section but ROWS is kept as arrays of row or
-column indices, key codes and values (see ``MpsDocument``), from which
+The source is read in blocks of about 64K bytes (characters, from a text
+stream), each cut after its last newline, so a block holds whole lines.
+A path and a .gz path are read in binary mode.  A block is tokenized as
+bytes, with one ``bytes.split``, and one numpy pass over its bytes gives
+each token's line, from which come the per-line token counts and the
+comment, blank and header lines; no token is decoded to ``str``.
+``bytes.split`` splits on the six ASCII whitespace bytes only, where
+``str.split`` also splits on U+001C-U+001F and on whitespace beyond
+ASCII, and a path read as text would end a line at a lone carriage
+return.  So a block that holds a byte above 0x7f or in 0x1c-0x1f, or,
+from a path, a carriage return outside CRLF, is decoded first, its line
+ends read as universal newlines read them (path sources only), the
+separators ``bytes.split`` does not know replaced by spaces, and
+encoded again (``_tokenizable``): its tokens and lines are those
+``str.split`` finds in its text.  A text stream's block is encoded the
+same way.  The data lines between two headers are then handled a section
+at a time: names map to indices through dicts keyed by the raw tokens,
+each name decoded once, where it is declared; a column's name is looked
+up once per run of lines that repeat it; bound keys map to small integer
+codes; and the numeric fields of a block convert with one
+``np.array(tokens, dtype=np.float64)``, which parses each ASCII token as
+``float()`` parses its text (a block with any other is converted from
+its text).  Every section but ROWS is kept as arrays of row or column
+indices, key codes and values (see ``MpsDocument``), from which
 ``build_problem`` forms the objective, the CSC matrix and the row and
 variable bounds with numpy, with no loop over entries, rows or bounds.
 Every ``MpsParseError`` names the 1-based line of the first fault in the
-file.
+file, with its tokens as text.
 
 On the benchmark's 5.1 MB, 174,651-line mps-sparse-1e5 ``model.mps``
-(seed 1), best of 15 runs on one core of a 2-vCPU Xeon, parsing takes
-167-174 ms (about 30 MB/s): tokenizing 49-51 ms, ROWS 3 ms, COLUMNS
-84-87 ms, RHS and RANGES 7 ms, BOUNDS 18 ms for 31,826 lines.  Building
-takes 15 ms.  The traced heap of parsing and building peaks at 2.4x the
-file's size.
+(seed 1), on one core of a 2-vCPU Xeon, parsing takes 156 ms (about
+33 MB/s) against 164 ms when every block was decoded and split as text
+(medians of 20 interleaved runs, lower in 17): tokenizing 52 ms against
+58, ROWS 4 ms, COLUMNS 86 ms against 90, RHS and RANGES 6 ms, BOUNDS
+16 ms for 31,826 lines (medians of 15 instrumented runs).  Building
+takes 14-16 ms.  The traced heap of parsing and building peaks at 2.4x
+the file's size.
 
 Row types map to activity intervals (rhs r, default 0):
 
@@ -43,10 +59,11 @@ recorded but relaxed: the built problem is the continuous relaxation.
 
 from __future__ import annotations
 
-import codecs
 import contextlib
 import gzip
+import operator
 import os
+import re
 import warnings as _warnings
 from dataclasses import dataclass, field
 from itertools import repeat
@@ -69,15 +86,20 @@ _BOUND_CODES = {key: code for code, key in enumerate(BOUND_KEYS)}
 _ARRAYS = ("entry_cols", "entry_rows", "entry_values", "rhs_rows", "rhs_values",
            "range_rows", "range_values", "bound_keys", "bound_cols", "bound_values")
 
-# Characters read per block.  Smaller blocks cost more numpy calls per
-# line, larger ones hold more token strings at once.
+# Characters (bytes, from a path or a bytes stream) read per block.
+# Smaller blocks cost more numpy calls per line, larger ones hold more
+# token objects at once.
 _BLOCK_CHARS = 1 << 16
-# str.isspace of the code points below 256, as bools and as a
-# bytes.translate table; str.split splits on these
-_SPACE = np.array([chr(i).isspace() for i in range(256)])
-_SPACE_BYTES = _SPACE.tobytes()
+# bytes.split splits on these six ASCII bytes, as a bytes.translate table
+_SPACE = bytes(bytes([i]).isspace() for i in range(256))
+# str.split splits on these as well, bytes.split does not: U+001C-U+001F
+# and the whitespace beyond ASCII
+_UNIT_SEPARATORS = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+_WIDE_SPACE = re.compile(r"[^\S \t\n\r\x0b\x0c]")
 _NEWLINE, _STAR = ord("\n"), ord("*")
-_NUMBER_LEADS = frozenset("+-.0123456789iInN")
+# the first bytes from which float() may read an ASCII token: a sign, a
+# digit, '.' or inf/nan
+_NUMBER_LEADS = frozenset(b"+-.0123456789iInN")
 
 
 class MpsParseError(Exception):
@@ -136,16 +158,35 @@ def _is_number(token: str) -> bool:
     return True
 
 
-def _numbers(tokens: list[str]) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """The tokens as float64, parsed as ``float()`` parses them, and
-    ``None``; or ``None`` and the mask of the malformed tokens."""
+def _str(token: bytes) -> str:
+    """A token as text; a text source's lone surrogates come back too."""
+    return token.decode("utf-8", "surrogatepass")
+
+
+def _strs(tokens: list[bytes]) -> list[str]:
+    """``[_str(t) for t in tokens]`` in one decode: no token holds a space."""
+    return _str(b" ".join(tokens)).split(" ") if tokens else []
+
+
+def _numbers(tokens: list[bytes]) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """The tokens as float64, parsed as ``float()`` parses their text,
+    and ``None``; or ``None`` and the mask of the malformed tokens.
+    ``float()`` reads a token of bytes as it reads its text where the
+    token is ASCII, and fails on any other, whose text it may read (it
+    takes digits beyond ASCII from text alone), so only a failure is
+    parsed again from the text."""
     try:
         return np.array(tokens, dtype=np.float64), None
     except ValueError:
-        return None, np.array([not _is_number(t) for t in tokens], dtype=bool)
+        pass
+    text = _strs(tokens)
+    try:
+        return np.array(text, dtype=np.float64), None
+    except ValueError:
+        return None, np.array([not _is_number(t) for t in text], dtype=bool)
 
 
-def _take(toks: list[str], at: np.ndarray) -> list[str]:
+def _take(toks: list, at: np.ndarray) -> list:
     """``[toks[i] for i in at]``; one slice when ``at`` steps evenly, as
     it does over a run of lines with equal token counts."""
     if at.size > 1:
@@ -164,41 +205,64 @@ def _stride(start: np.ndarray, count: np.ndarray) -> np.ndarray:
 
 
 def _chunks(source):
-    """The source's text, read ``_BLOCK_CHARS`` characters or bytes at a
-    time: a path, a .gz path, or an open text or bytes stream, which is
-    left open.  Bytes decode as UTF-8, a character split between two
-    reads included, so a chunk may be empty."""
+    """The source read ``_BLOCK_CHARS`` characters or bytes at a time: a
+    path or a .gz path, read as bytes, or an open text or bytes stream,
+    which is left open."""
     if hasattr(source, "read"):
         stream = contextlib.nullcontext(source)
     elif os.fspath(source).endswith(".gz"):
-        stream = gzip.open(source, "rt", encoding="utf-8")
+        stream = gzip.open(source, "rb")
     else:
-        stream = open(source, "r", encoding="utf-8")
-    decoder = codecs.getincrementaldecoder("utf-8")()
+        stream = open(source, "rb")
     with stream as fh:
         while data := fh.read(_BLOCK_CHARS):
-            yield data if isinstance(data, str) else decoder.decode(data)
-    yield decoder.decode(b"", final=True)
+            yield data
 
 
 def _blocks(chunks):
-    """The text of ``chunks`` in blocks of whole lines; only the last
-    block may lack a final newline."""
+    """The text or bytes of ``chunks`` in blocks of whole lines; only the
+    last block may lack a final newline."""
     parts = []
     for chunk in chunks:
-        cut = chunk.rfind("\n") + 1
+        cut = chunk.rfind(b"\n" if isinstance(chunk, bytes) else "\n") + 1
         if not cut:
             parts.append(chunk)
             continue
         parts.append(chunk[:cut])
-        yield "".join(parts)
+        yield chunk[:0].join(parts)
         parts = [chunk[cut:]]
     if any(parts):
-        yield "".join(parts)
+        yield parts[0][:0].join(parts)
+
+
+def _tokenizable(block: bytes | str, universal: bool) -> bytes:
+    """``block`` as UTF-8 bytes that ``bytes.split`` splits into the
+    tokens ``str.split`` finds in its text, line for line.
+
+    A block of bytes, or of ASCII text, is that already unless it holds
+    a byte above 0x7f (a character beyond ASCII, or a fault that
+    decoding raises), a byte in 0x1c-0x1f, or, for a path
+    (``universal``), a carriage return outside CRLF.  Those blocks, and
+    text beyond ASCII, are decoded, a path's line ends read as universal
+    newlines read them (CRLF and a lone CR end a line), each separator
+    that only ``str.split`` splits on replaced by a space, and encoded."""
+    if isinstance(block, str):
+        if not block.isascii():
+            return _WIDE_SPACE.sub(" ", block).encode("utf-8", "surrogatepass")
+        block = block.encode("ascii")
+    if block.isascii() and not any(sep in block for sep in _UNIT_SEPARATORS) and not (
+            universal and b"\r" in block and block.count(b"\r") != block.count(b"\r\n")):
+        return block
+    text = block.decode("utf-8")
+    if universal:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return _WIDE_SPACE.sub(" ", text).encode("utf-8", "surrogatepass")
 
 
 class _Reader:
-    """The parse state carried from block to block."""
+    """The parse state carried from block to block.  Rows and columns
+    are keyed by their raw tokens; each name is decoded once, where it
+    is declared."""
 
     def __init__(self):
         self.doc = MpsDocument()
@@ -206,30 +270,27 @@ class _Reader:
         self.done = False  # ENDATA seen
         self.lines = 0  # lines in the blocks already read
         self.in_integer_block = False
-        self.row_pos: dict[str, int] = {}  # declaration index of each row
+        self.row_pos: dict[bytes, int] = {}  # declaration index of each row
         self.n_rows: list[int] = []  # declaration indices of the N rows
-        self.col_pos: dict[str, int] = {}
+        self.col_pos: dict[bytes, int] = {}
         self.parts: dict[str, list] = {name: [] for name in _ARRAYS}
 
-    def feed(self, text: str):
-        """Parse one block of whole lines, up to ENDATA."""
-        toks = text.split()
-        if text.isascii():
-            raw = text.encode("ascii")
-            codes = np.frombuffer(raw, dtype=np.uint8)
-            space = np.frombuffer(raw.translate(_SPACE_BYTES), dtype=bool)
-        else:
-            codes = np.frombuffer(text.encode("utf-32-le"), dtype=np.uint32)
-            space = _SPACE[np.minimum(codes, 255)]
-            wide = np.flatnonzero(codes > 255)
-            space[wide] = [chr(ch).isspace() for ch in codes[wide].tolist()]
-        # a token starts at a non-space character after a space or at 0
-        starts = np.flatnonzero(~space & np.concatenate(([True], space[:-1])))
+    def feed(self, raw: bytes):
+        """Parse one block of whole lines (see ``_tokenizable``), up to
+        ENDATA."""
+        toks = raw.split()
+        codes = np.frombuffer(raw, dtype=np.uint8)
+        space = np.frombuffer(raw.translate(_SPACE), dtype=bool)
+        # a token starts at a non-space byte after a space, or at 0
+        starts = np.flatnonzero(space[:-1] > space[1:])
+        starts += 1
+        if raw and not space[0]:
+            starts = np.concatenate(([0], starts))
         # the tokens before each line's end: its newline, or the end of
         # a last line without one
         newlines = np.flatnonzero(codes == _NEWLINE)
         ends = np.searchsorted(starts, newlines)
-        if not text.endswith("\n"):
+        if not raw.endswith(b"\n"):
             ends = np.append(ends, starts.size)
         n_lines = ends.size
         count = np.diff(ends, prepend=0)
@@ -250,11 +311,11 @@ class _Reader:
             if hi > lo:
                 at = data[lo:hi]
                 self._data(toks, first[at], count[at], self.lines + at + 1,
-                           "'" in text and "'MARKER'" in text)
+                           b"'" in raw and b"'MARKER'" in raw)
             lo = hi
             if h == n_lines:
                 break
-            self._header(toks[first[h]:first[h] + count[h]], self.lines + h + 1)
+            self._header(_strs(toks[first[h]:first[h] + count[h]]), self.lines + h + 1)
             if self.done:
                 return
         self.lines += n_lines
@@ -292,7 +353,7 @@ class _Reader:
             raise MpsParseError("unexpected data line in NAME section", int(line_no[0]))
         if section == "OBJSENSE":
             for f, ln in zip(first.tolist(), line_no.tolist()):
-                self.doc.obj_sense = _parse_sense(toks[f], ln)
+                self.doc.obj_sense = _parse_sense(_str(toks[f]), ln)
         elif section == "ROWS":
             self._rows(toks, first, count, line_no)
         elif section == "COLUMNS":
@@ -311,7 +372,10 @@ class _Reader:
     def _rows(self, toks, first, count, line_no):
         doc, row_pos = self.doc, self.row_pos
         short = count < 2
-        kinds = list(map(str.upper, _take(toks, first)))
+        raw = _take(toks, first)
+        # the type tokens are few distinct ones: each is decoded once
+        kind_of = {kind: _str(kind).upper() for kind in set(raw)}
+        kinds = list(map(kind_of.__getitem__, raw))
         # a short line's name is its own type token: the line faults first
         names = _take(toks, first + (count >= 2))
         codes = np.fromiter(map(_ROW_TYPES.get, kinds, repeat(-1)), np.int8, len(kinds))
@@ -320,14 +384,16 @@ class _Reader:
         if short.any() or (codes < 0).any() or len(row_pos) < before + len(names):
             # find the first fault in file order (the raise drops the state)
             seen = set(list(row_pos)[:before])
-            for f, k, name, ln in zip(first.tolist(), short.tolist(), names, line_no.tolist()):
+            for k, kind, code, name, ln in zip(short.tolist(), raw, codes.tolist(), names,
+                                               line_no.tolist()):
                 if k:
                     raise MpsParseError("ROWS line needs a type and a name", ln)
-                if toks[f].upper() not in _ROW_TYPES:
-                    raise MpsParseError(f"unknown row type {toks[f]!r}", ln)
+                if code < 0:
+                    raise MpsParseError(f"unknown row type {_str(kind)!r}", ln)
                 if name in seen:
-                    raise MpsParseError(f"duplicate row name {name!r}", ln)
+                    raise MpsParseError(f"duplicate row name {_str(name)!r}", ln)
                 seen.add(name)
+        names = _strs(names)
         doc.row_types.update(zip(names, kinds))
         objective = np.flatnonzero(codes == 0)
         self.n_rows.extend((before + objective).tolist())
@@ -340,14 +406,14 @@ class _Reader:
         if has_marker:
             long = np.flatnonzero(count >= 3)
             marks = [p for p, t in zip(long.tolist(), (first[long] + 1).tolist())
-                     if toks[t] == "'MARKER'"]
+                     if toks[t] == b"'MARKER'"]
         lo = 0
         for p in marks + [first.size]:
             if p > lo:
                 self._column_entries(toks, first[lo:p], count[lo:p], line_no[lo:p])
             if p == first.size:
                 break
-            token = toks[first[p] + count[p] - 1]
+            token = _str(toks[first[p] + count[p] - 1])
             marker = token.strip("'").upper()
             if marker == "INTORG":
                 self.in_integer_block = True
@@ -364,14 +430,20 @@ class _Reader:
             "COLUMNS line needs a column name and row/value pairs", line_no,
         )
         names = _take(toks, first)
+        # a column's lines come in a run: its name is looked up once per run
+        run = np.flatnonzero(np.fromiter(map(operator.ne, names[1:], names), bool,
+                                         len(names) - 1))
+        run += 1
+        heads = [names[0], *_take(names, run)]
         col_pos = self.col_pos
-        new = [name for name in dict.fromkeys(names) if name not in col_pos]
+        new = [name for name in dict.fromkeys(heads) if name not in col_pos]
         col_pos.update(zip(new, range(len(col_pos), len(col_pos) + len(new))))
+        new = _strs(new)
         self.doc.column_order.extend(new)
         if self.in_integer_block:
             self.doc.integer_columns.extend(new)
-        cols = np.fromiter(map(col_pos.__getitem__, names), np.int32, len(names))
-        self.parts["entry_cols"].append(np.repeat(cols, pairs))
+        cols = np.fromiter(map(col_pos.__getitem__, heads), np.int32, len(heads))
+        self.parts["entry_cols"].append(np.repeat(cols, np.add.reduceat(pairs, np.append(0, run))))
         self.parts["entry_rows"].append(rows)
         self.parts["entry_values"].append(values)
 
@@ -405,13 +477,14 @@ class _Reader:
             if bad_lines.size and bad_lines[0] < line:
                 raise MpsParseError(line_message, int(line_no[bad_lines[0]]))
             ln = int(line_no[line])
+            name = _str(names[p])
             if rows[p] < 0:
-                raise MpsParseError(f"unknown row {names[p]!r} in {section}", ln)
+                raise MpsParseError(f"unknown row {name!r} in {section}", ln)
             if malformed is not None and malformed[p]:
                 raise MpsParseError(
-                    f"malformed numeric field {toks[row_tok[p] + 1]!r}", ln
+                    f"malformed numeric field {_str(toks[row_tok[p] + 1])!r}", ln
                 )
-            raise MpsParseError(f"RANGES entry on objective/free row {names[p]!r}", ln)
+            raise MpsParseError(f"RANGES entry on objective/free row {name!r}", ln)
         return rows, values
 
     def _bounds(self, toks, first, count, line_no):
@@ -422,8 +495,8 @@ class _Reader:
         section = np.array(toks[lo:int(first[-1] + count[-1])], dtype=object)
         first = first - lo
         raw = section[first].tolist()
-        # the key tokens are few distinct strings: each is upper-cased once
-        code_of = {key: _BOUND_CODES.get(key.upper(), -1) for key in set(raw)}
+        # the key tokens are few distinct ones: each is decoded once
+        code_of = {key: _BOUND_CODES.get(_str(key).upper(), -1) for key in set(raw)}
         keys = np.fromiter(map(code_of.__getitem__, raw), np.int8, len(raw))
         known = keys >= 0
         valued = known & (keys < _VALUED_KEYS)
@@ -435,10 +508,9 @@ class _Reader:
         # trailing number, which is skipped
         col_tok = last - (valued & ~short)
         flags = np.flatnonzero(known & ~valued & (count >= 3))
-        # float() reads an ASCII token only from a sign, a digit, '.' or
-        # inf/nan, so most column names are ruled out without a call
+        # most column names are ruled out by their first byte
         trailing = [
-            (tok[0] in _NUMBER_LEADS or not tok.isascii()) and _is_number(tok)
+            (tok[0] in _NUMBER_LEADS or not tok.isascii()) and _is_number(_str(tok))
             for tok in section[last[flags]].tolist()
         ]
         col_tok[flags[np.array(trailing, dtype=bool)]] -= 1
@@ -454,12 +526,12 @@ class _Reader:
             i = int(np.flatnonzero(fault)[0])
             ln = int(line_no[i])
             if not known[i]:
-                raise MpsParseError(f"unknown bound key {raw[i]!r}", ln)
+                raise MpsParseError(f"unknown bound key {_str(raw[i])!r}", ln)
             if short[i]:
                 raise MpsParseError(f"bound {BOUND_KEYS[keys[i]]} needs a value", ln)
             if bad_value[i]:
-                raise MpsParseError(f"malformed numeric field {section[last[i]]!r}", ln)
-            raise MpsParseError(f"unknown column {section[col_tok[i]]!r} in BOUNDS", ln)
+                raise MpsParseError(f"malformed numeric field {_str(section[last[i]])!r}", ln)
+            raise MpsParseError(f"unknown column {_str(section[col_tok[i]])!r} in BOUNDS", ln)
         bound = np.full(len(raw), np.nan)
         bound[value_at] = values
         self.parts["bound_keys"].append(keys)
@@ -476,9 +548,10 @@ def parse_mps(source) -> MpsDocument:
     ENDATA only warns.
     """
     reader = _Reader()
+    universal = not hasattr(source, "read")
     with contextlib.closing(_chunks(source)) as chunks:
-        for text in _blocks(chunks):
-            reader.feed(text)
+        for block in _blocks(chunks):
+            reader.feed(_tokenizable(block, universal))
             if reader.done:
                 break
     return reader.finish()

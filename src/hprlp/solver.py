@@ -316,8 +316,9 @@ def _order_by_length(work: LpProblem, scaling: RuizScaling) -> tuple[LpProblem, 
     """The working problem with its rows ordered by length and its columns
     by their count of entries (both stable), and ``scaling`` with those
     orders, so that A x and A^T y gather their rows in order of length
-    (see ``sparse.ORDERED_MIN_ROWS``).  A row keeps its entries in
-    ascending column order, in the new order of the columns."""
+    (see ``sparse.ORDERED_MIN_ROWS``), A^T y those of the CSR copy of A^T
+    that its matrix alone holds.  A row keeps its entries in ascending
+    column order, in the new order of the columns."""
     csr = work.A.to_csr()
     n = csr.shape[1]
     rows = np.argsort(np.diff(csr.indptr), kind="stable")
@@ -329,8 +330,8 @@ def _order_by_length(work: LpProblem, scaling: RuizScaling) -> tuple[LpProblem, 
     A.has_sorted_indices = False
     A.sort_indices()
     ordered = dataclasses.replace(
-        work, c=work.c[cols], A=SparseMatrix(A), l_con=work.l_con[rows], u_con=work.u_con[rows],
-        l_var=work.l_var[cols], u_var=work.u_var[cols])
+        work, c=work.c[cols], A=SparseMatrix._with_transpose(A), l_con=work.l_con[rows],
+        u_con=work.u_con[rows], l_var=work.l_var[cols], u_var=work.u_var[cols])
     return ordered, dataclasses.replace(scaling, row_order=rows, col_order=cols)
 
 
@@ -614,8 +615,11 @@ class _LoopState:
         self.point = Iterate.empty(m, n)
         self.mean = Iterate.empty(m, n) if ecfg.ergodic else None
         self.hat = step.w_bar if ecfg.reflection == 0.0 else step.hat
-        self.f = (1.0 + ecfg.reflection) * (1.0 if normal else 0.5)
-        self.reflect_p = self.f != 1.0
+        f = (1.0 + ecfg.reflection) * (1.0 if normal else 0.5)
+        self.reflect_p = f != 1.0
+        # f and the average's 1 - beta as 0-d arrays, which numpy
+        # multiplies by for less call overhead than by a float
+        self.f, self.coef = np.array(f), np.zeros(())
         # where the step leaves its product
         self.step_p = (step.w_bar if normal else step.hat).p
         # w - w_hat: formed in w itself, which the average rewrites next,
@@ -649,7 +653,8 @@ class _LoopState:
         if not merit < math.inf:
             raise ArithmeticError("iterate diverged (non-finite or overflowing step)")
         if self.anchored:
-            halpern_step(self.anchor.state, hat.state, t, out=w.state, _prechecked=True)
+            halpern_step(self.anchor.state, hat.state, t, out=w.state, _prechecked=True,
+                         _coef=self.coef)
         else:
             np.copyto(w.state, hat.state)
         if self.ergodic:

@@ -1,12 +1,12 @@
 """Immutable sparse-matrix wrapper and a power-method norm estimate.
 
-A is stored in compressed sparse row form.  A x gathers its rows; A^T y,
-on a matrix of fewer than ``ORDERED_MIN_ROWS`` rows, scatters them
-through ``csr.T``, scipy's CSC view of A^T on the same read-only arrays,
-and from ``ORDERED_MIN_ROWS`` rows on gathers the rows of an explicit
-CSR copy of A^T.  ``solve`` runs on such a matrix with its rows and
-columns ordered by length (``solver._order_by_length``), so both
-products gather rows in order of length.  Backed by
+A is stored in compressed sparse row form.  A x gathers its rows; A^T y
+scatters them through ``csr.T``, scipy's CSC view of A^T on the same
+read-only arrays.  Only the working matrix that ``solve`` orders by row
+and column length from ``ORDERED_MIN_ROWS`` rows
+(``solver._order_by_length``) also holds an explicit CSR copy of A^T
+(``SparseMatrix._with_transpose``), whose rows A^T y gathers, so that
+both of its products gather rows in order of length.  Backed by
 scipy.sparse.  A matrix of at most ``DENSE_MAX_ENTRIES`` entries also
 keeps a dense copy, and both products run on it through BLAS dgemv
 instead, called by ``ndarray.dot``, which gives the bits of ``@`` for
@@ -44,10 +44,10 @@ __all__ = ["SparseMatrix", "estimate_lambda_A"]
 # matrices break even later, so the cutoff errs towards CSR.
 DENSE_MAX_ENTRIES = 25_000
 
-# Above DENSE_MAX_ENTRIES, from this many rows of A, A^T y gathers the
-# rows of a CSR copy of A^T (see SparseMatrix), and ``solve`` orders the
-# working problem's rows and columns by length, so that both products
-# take their rows in that order.  The kernel leaves a row through a
+# Above DENSE_MAX_ENTRIES, from this many rows of A, ``solve`` orders the
+# working problem's rows and columns by length and gives its matrix a
+# CSR copy of A^T (``SparseMatrix._with_transpose``), so that both
+# products take their rows in that order.  The kernel leaves a row through a
 # branch whose trip count changes from row to row; once a matrix has
 # more rows than the branch predictor can learn, that exit is
 # mispredicted on almost every row, and in order of length it rarely is.
@@ -83,20 +83,22 @@ class SparseMatrix:
     """CSR sparse matrix for both products or, for a matrix of at most
     ``DENSE_MAX_ENTRIES`` entries, one C-ordered dense copy for both.
 
-    Below ``ORDERED_MIN_ROWS`` rows, A x gathers the rows of
-    A's canonical CSR, and A^T y scatters them: it adds each product in
-    ascending row order from 0, as a gather over A's sorted columns
-    does, for the same bits; its adds go to different sums and overlap.
-    On the scaled mps-sparse-1e5 matrix (99,978 entries), one core of a
-    2-vCPU Xeon, best of 5 x 300 calls, the scatter took 169-177 us
-    against 222-240 us for that gather in natural column order.
+    A x gathers the rows of A's canonical CSR, and A^T y scatters them:
+    it adds each product in ascending row order from 0, as a gather over
+    A's sorted columns does, for the same bits; its adds go to different
+    sums and overlap.  On the scaled mps-sparse-1e5 matrix (99,978
+    entries), one core of a 2-vCPU Xeon, best of 5 x 300 calls, the
+    scatter took 169-177 us against 222-240 us for that gather in
+    natural column order.
 
-    From ``ORDERED_MIN_ROWS`` rows on, A^T y gathers the rows of a CSR
-    copy of A^T instead: a row of A^T keeps its entries in ascending row
-    order of A, so every sum adds the same products in the same order
-    from 0, for the bits of the scatter.  Gathered in natural column
-    order it is slower than the scatter (222-240 us above); it pays on
-    a matrix whose columns ``solve`` has ordered by length.
+    On the working matrix that ``solve`` orders by length
+    (``_with_transpose``), A^T y gathers the rows of a CSR copy of A^T
+    instead: a row of A^T keeps its entries in ascending row order of A,
+    so every sum adds the same products in the same order from 0, for
+    the bits of the scatter.  Gathered in natural column order it is
+    slower than the scatter (222-240 us above); it pays on a matrix
+    whose columns are ordered by length.  A matrix from the constructor,
+    such as the parsed or the scaled problem's, holds no copy.
 
     Duplicate entries are summed one by one in input order, and indices
     sorted, at construction; the stored arrays are read-only afterwards.
@@ -117,9 +119,6 @@ class SparseMatrix:
             dense.setflags(write=False)
             self._ax, self._aty = dense, dense.T
             self._dense = dense
-        elif m >= ORDERED_MIN_ROWS:
-            self._ax, self._aty = csr, _read_only(csr.T.tocsr())
-            self._rmv = _sparsetools.csr_matvec
         else:
             self._ax, self._aty, self._rmv = csr, csr.T, _sparsetools.csc_matvec
 
@@ -128,6 +127,17 @@ class SparseMatrix:
     @classmethod
     def from_dense(cls, array) -> "SparseMatrix":
         return cls(np.asarray(array, dtype=np.float64))
+
+    @classmethod
+    def _with_transpose(cls, matrix) -> "SparseMatrix":
+        """``cls(matrix)`` whose A^T y, above ``DENSE_MAX_ENTRIES``
+        entries, gathers the rows of an explicit read-only CSR copy of
+        A^T: the working matrix of ``solve`` ordered by length
+        (``solver._order_by_length``)."""
+        A = cls(matrix)
+        if A._dense is None:
+            A._aty, A._rmv = _read_only(A._csr.T.tocsr()), _sparsetools.csr_matvec
+        return A
 
     # -- structure ----------------------------------------------------
 

@@ -1,3 +1,4 @@
+import dataclasses
 import gzip
 import io
 import warnings
@@ -190,9 +191,16 @@ def test_stream_input(fixtures_dir):
 
 
 def perr(text):
-    with pytest.raises(MpsParseError) as ei:
-        parse_mps(io.StringIO(text))
-    return ei.value
+    """The MpsParseError of ``text``, which a text stream and a bytes
+    stream of its UTF-8 raise alike."""
+    errors = []
+    for source in (io.StringIO(text), io.BytesIO(text.encode("utf-8"))):
+        with pytest.raises(MpsParseError) as ei:
+            parse_mps(source)
+        errors.append(ei.value)
+    text_error, bytes_error = errors
+    assert (str(text_error), text_error.line_no) == (str(bytes_error), bytes_error.line_no)
+    return text_error
 
 
 def test_error_unknown_section():
@@ -238,19 +246,34 @@ def test_rows_report_their_first_fault(rows, line_no, message):
     assert str(err) == f"line {line_no}: {message}"
 
 
-def test_rows_past_the_first_block_clash_with_earlier_rows():
-    """A row name repeated across read blocks is a duplicate, and the
-    types of a long ROWS section keep their declaration order."""
-    from hprlp.mps import _BLOCK_CHARS
+# the default read block and a small one, under which a file spans many
+SMALL_BLOCK = 256
 
-    count = _BLOCK_CHARS // 8
-    kinds = "NLGE"
-    text = "ROWS\n" + "".join(f" {kinds[i % 4].lower()}  R{i}\n" for i in range(count))
-    doc = parse_mps(io.StringIO(text))
-    assert list(doc.row_types.items()) == [(f"R{i}", kinds[i % 4]) for i in range(count)]
-    assert doc.objective_row == "R0"
-    err = perr(text + " L  R5\n")
-    assert str(err) == f"line {count + 2}: duplicate row name 'R5'"
+
+def _block_sizes(monkeypatch):
+    """Set ``_BLOCK_CHARS`` to the default and then to ``SMALL_BLOCK``,
+    yielding each."""
+    import hprlp.mps
+
+    for block in (hprlp.mps._BLOCK_CHARS, SMALL_BLOCK):
+        monkeypatch.setattr(hprlp.mps, "_BLOCK_CHARS", block)
+        yield block
+
+
+def test_rows_past_the_first_block_clash_with_earlier_rows(monkeypatch):
+    """A row name repeated across read blocks is a duplicate, and the
+    types of a long ROWS section keep their declaration order, from a
+    text and a bytes stream at the default and a small block size."""
+    for block in _block_sizes(monkeypatch):
+        count = block // 8
+        kinds = "NLGE"
+        text = "ROWS\n" + "".join(f" {kinds[i % 4].lower()}  R{i}\n" for i in range(count))
+        for source in (io.StringIO(text), io.BytesIO(text.encode())):
+            doc = parse_mps(source)
+            assert list(doc.row_types.items()) == [(f"R{i}", kinds[i % 4]) for i in range(count)]
+            assert doc.objective_row == "R0"
+        err = perr(text + " L  R5\n")
+        assert str(err) == f"line {count + 2}: duplicate row name 'R5'"
 
 
 def test_error_unknown_row_in_columns():
@@ -477,10 +500,11 @@ EDGE_LINES = (
 )
 
 
-def test_format_edges_read_as_the_plain_file(tmp_path):
+def test_format_edges_read_as_the_plain_file(tmp_path, monkeypatch):
     """CRLF endings, tab separators, blank lines and '*' comments (in
     column 1 and indented) change nothing: the document and the problem
-    equal those of the same file without them, bit for bit."""
+    equal those of the same file without them, bit for bit, at the
+    default and a small block size."""
     plain = [(" " if line[0].isspace() else "") + " ".join(line.split())
              for line in EDGE_LINES if line.strip() and not line.lstrip().startswith("*")]
     ref_doc = parse_mps(io.StringIO("\n".join(plain) + "\n"))
@@ -497,7 +521,8 @@ def test_format_edges_read_as_the_plain_file(tmp_path):
     crlf = ("\r\n".join(EDGE_LINES) + "\r\n").encode()
     path = tmp_path / "edges.mps"
     path.write_bytes(crlf)
-    for source in (path, io.BytesIO(crlf)):
+    for source in (src for _ in _block_sizes(monkeypatch)
+                   for src in (path, io.BytesIO(crlf), io.StringIO(crlf.decode()))):
         doc = parse_mps(source)
         assert doc.name == "EDGES"
         assert list(doc.row_types.items()) == list(ref_doc.row_types.items())
@@ -603,29 +628,31 @@ def test_three_duplicates_sum_in_file_order():
     npt.assert_array_equal(prob.c, [in_order])
 
 
-def test_round_trip_across_read_blocks():
-    """A file several read blocks long comes back bit for bit."""
-    from hprlp.mps import _BLOCK_CHARS
-
+def test_round_trip_across_read_blocks(tmp_path, monkeypatch):
+    """A file several read blocks long comes back bit for bit, from a
+    text stream and from a path, at the default and a small block size."""
     prob = sparse_lp(np.random.default_rng(7), 300, 500, 6_000)
     text = emit_mps(prob)
-    assert len(text) > 3 * _BLOCK_CHARS
-    assert_same_problem(build_problem(parse_mps(io.StringIO(text))), prob)
+    path = tmp_path / "blocks.mps"
+    path.write_text(text)
+    for block in _block_sizes(monkeypatch):
+        assert len(text) > 3 * block
+        for source in (io.StringIO(text), path):
+            assert_same_problem(build_problem(parse_mps(source)), prob)
 
 
-def test_error_past_the_first_block_has_its_line_number():
-    from hprlp.mps import _BLOCK_CHARS
-
-    lines = emit_mps(sparse_lp(np.random.default_rng(8), 200, 400, 6_000)).splitlines()
-    ends = np.cumsum([len(line) + 1 for line in lines])
-    # the first matrix entry that starts past two blocks
-    at = next(i for i in range(1, len(lines)) if ends[i - 1] > 2 * _BLOCK_CHARS
-              and lines[i].split()[0].startswith("C") and "R" in lines[i])
-    tok = lines[at].split()
-    lines[at] = f"    {tok[0]}  NOPE  {tok[2]}"
-    err = perr("\n".join(lines) + "\n")
-    assert err.line_no == at + 1
-    assert str(err) == f"line {at + 1}: unknown row 'NOPE' in COLUMNS"
+def test_error_past_the_first_block_has_its_line_number(monkeypatch):
+    for block in _block_sizes(monkeypatch):
+        lines = emit_mps(sparse_lp(np.random.default_rng(8), 200, 400, 6_000)).splitlines()
+        ends = np.cumsum([len(line) + 1 for line in lines])
+        # the first matrix entry that starts past two blocks
+        at = next(i for i in range(1, len(lines)) if ends[i - 1] > 2 * block
+                  and lines[i].split()[0].startswith("C") and "R" in lines[i])
+        tok = lines[at].split()
+        lines[at] = f"    {tok[0]}  NOPE  {tok[2]}"
+        err = perr("\n".join(lines) + "\n")
+        assert err.line_no == at + 1
+        assert str(err) == f"line {at + 1}: unknown row 'NOPE' in COLUMNS"
 
 
 SECTION_FAULTS = (
@@ -643,11 +670,10 @@ SECTION_FAULTS = (
 
 
 @pytest.mark.parametrize("section, line, message", SECTION_FAULTS)
-def test_section_error_past_the_first_block_has_its_line_number(section, line, message):
+def test_section_error_past_the_first_block_has_its_line_number(section, line, message,
+                                                                 monkeypatch):
     """A fault in an RHS, RANGES or BOUNDS line three blocks into the
     file names that line, and a second fault after it is not reported."""
-    from hprlp.mps import _BLOCK_CHARS
-
     lines = emit_mps(sparse_lp(np.random.default_rng(8), 200, 400, 6_000)).splitlines()
     at = lines.index("BOUNDS")
     lines[at:at] = ["RANGES"] + [f"    RNG  R{i}  1.5" for i in range(200)]
@@ -657,10 +683,11 @@ def test_section_error_past_the_first_block_has_its_line_number(section, line, m
     at = (start + end) // 2
     lines[at] = line
     lines[at + 3] = line
-    assert sum(len(text) + 1 for text in lines[:at]) > 3 * _BLOCK_CHARS
-    err = perr("\n".join(lines) + "\n")
-    assert str(err) == f"line {at + 1}: {message}"
-    assert err.line_no == at + 1
+    for block in _block_sizes(monkeypatch):
+        assert sum(len(text) + 1 for text in lines[:at]) > 3 * block
+        err = perr("\n".join(lines) + "\n")
+        assert str(err) == f"line {at + 1}: {message}"
+        assert err.line_no == at + 1
 
 
 def test_error_malformed_number_in_rhs():
@@ -748,3 +775,153 @@ def test_streams_read_in_blocks_as_the_path(tmp_path):
         for name in ("name", "row_types", "warnings"):
             assert getattr(doc, name) == getattr(ref, name), name
         assert_same_problem(build_problem(doc), want)
+
+
+# ---------------------------------------------------------------------------
+# the reader's routes: bytes split as they are, or decoded text
+
+
+def _state(doc):
+    """Every field of a document; arrays as dtype, shape and bytes, so
+    that NaNs compare in place."""
+    state = {f.name: getattr(doc, f.name) for f in dataclasses.fields(doc)}
+    for name in ARRAY_FIELDS:
+        a = state[name]
+        state[name] = (a.dtype.str, a.shape, a.tobytes())
+    state["row_types"] = list(doc.row_types.items())
+    return state
+
+
+def _read(source):
+    """The document's state, or the parse error's message and line."""
+    try:
+        return _state(parse_mps(source))
+    except MpsParseError as err:
+        return str(err), err.line_no
+
+
+SOURCE_KINDS = ("path", "gz", "bytes", "text")
+
+
+def _read_each_kind(raw: bytes, tmp_path) -> dict:
+    """``raw`` read from each kind of source: a path, a .gz path, a bytes
+    stream, and a text stream of its UTF-8 text."""
+    path, gz = tmp_path / "in.mps", tmp_path / "in.mps.gz"
+    path.write_bytes(raw)
+    with gzip.open(gz, "wb") as fh:
+        fh.write(raw)
+    sources = (path, gz, io.BytesIO(raw), io.StringIO(raw.decode("utf-8")))
+    return dict(zip(SOURCE_KINDS, map(_read, sources)))
+
+
+def _plain(text: str) -> str:
+    """``text`` with single spaces between tokens and a leading space on
+    each line that does not start with a token."""
+    return "".join((" " if line[:1].isspace() else "") + " ".join(line.split()) + "\n"
+                   for line in text.split("\n")[:-1])
+
+
+ROUTE_TEXT = """NAME ROUTES
+ROWS
+ N COST
+ L LIM
+ G DEM
+ E BAL
+COLUMNS
+ X1 COST 1.5 LIM 2.0
+ MARKER 'MARKER' 'INTORG'
+ X2 COST -1.0
+ X2 DEM 1.0
+ MARKER 'MARKER' 'INTEND'
+ X3 BAL 4.0
+RHS
+ RHS LIM 10.0 DEM 1.0
+ RHS BAL 3.0
+RANGES
+ RNG LIM 4.0
+BOUNDS
+ UP BND X1 8.0
+ MI BND X2
+ FR BND X3
+ENDATA
+"""
+
+# str.split splits on each of these, bytes.split on the first four alone
+SEPARATORS = ("\t", "\x0b", "\x0c", "\t \t", "\x1c", "\x1d", "\x1e", "\x1f",
+              "\u00a0", "\u0085", "\u2003", " \u3000 ")
+
+
+@pytest.mark.parametrize("block", [1 << 16, 61], ids=["default-block", "small-block"])
+def test_reader_routes_agree(block, fixtures_dir, tmp_path, monkeypatch):
+    """Every kind of source (path, .gz, bytes stream, text stream) gives
+    one document, bit for bit with NaNs in place, names, orders and
+    warnings included, for every fixture, the emitted MPS of seeded
+    random LPs, and hand-made files whose tokens are separated by tabs,
+    vertical tabs, form feeds, U+001C-U+001F, or spaces beyond ASCII, or
+    whose lines end in CRLF: the document of the same file with plain
+    spaces and newlines.  Names and numbers beyond ASCII, a three-byte
+    character split between two reads, and a parse error in such a file
+    come out alike too.  With small blocks a file mixes blocks that are
+    split as bytes with blocks that are decoded first."""
+    import hprlp.mps
+
+    monkeypatch.setattr(hprlp.mps, "_BLOCK_CHARS", block)
+
+    def agree(raw, want=None):
+        got = _read_each_kind(raw, tmp_path)
+        want = got["text"] if want is None else want
+        assert got == dict.fromkeys(SOURCE_KINDS, want)
+        return want
+
+    for fixture in sorted(fixtures_dir.glob("*.mps")):
+        assert isinstance(agree(fixture.read_bytes()), dict), fixture.name
+    rng = np.random.default_rng(71)
+    for m, n, nnz in ((3, 4, 8), (40, 60, 300)):
+        agree(emit_mps(sparse_lp(rng, m, n, nnz)).encode())
+
+    plain = _read(io.StringIO(ROUTE_TEXT))
+    assert plain["column_order"] == ["X1", "X2", "X3"] and plain["integer_columns"] == ["X2"]
+    assert np.isnan(parse_mps(io.StringIO(ROUTE_TEXT)).bound_values).sum() == 2
+    for sep in SEPARATORS:
+        agree(ROUTE_TEXT.replace(" ", sep).encode(), plain)
+    agree(ROUTE_TEXT.replace("\n", "\r\n").encode(), plain)
+    agree(ROUTE_TEXT[:-1].encode() + b"\r", plain)  # a last line ended by a lone CR
+
+    # names, a numeric field and separators beyond ASCII
+    wide = ROUTE_TEXT.replace("X2", "X€").replace("LIM", "LÍM").replace("1.5", "１.５")
+    for sep in ("\u00a0", "\u2003"):
+        raw = wide.replace(" ", sep).encode()
+        doc = agree(raw, _read(io.StringIO(_plain(wide))))
+        assert doc["column_order"] == ["X1", "X€", "X3"] and doc["objective_row"] == "COST"
+        assert list(dict(doc["row_types"])) == ["COST", "LÍM", "DEM", "BAL"]
+        assert agree(wide.replace("X3 BAL", "X3 BÄL").replace(" ", sep).encode()) == (
+            "line 13: unknown row 'BÄL' in COLUMNS", 13)
+
+    # a euro sign split between two reads, in a file of ASCII blocks and
+    # blocks that hold it
+    lines = emit_mps(sparse_lp(rng, 30, 40, 200)).splitlines(keepends=True)
+    lines[5:5] = ["*" + "-" * (block - 2 - len("".join(lines[:5]))) + "€\n"]
+    raw = "".join(lines).encode()
+    assert raw[block - 1:block + 2] == "€".encode()
+    agree(raw, _read(io.StringIO(_plain("".join(lines).replace("€", "-")))))
+
+
+@pytest.mark.parametrize("block", [1 << 16, 5], ids=["default-block", "small-block"])
+def test_lone_carriage_return_ends_a_line_of_a_path_alone(block, tmp_path, monkeypatch):
+    """A path or a .gz path reads its lines as universal newlines do, so
+    a lone CR ends a line there; a stream keeps it inside its line, as
+    a separator."""
+    import hprlp.mps
+
+    monkeypatch.setattr(hprlp.mps, "_BLOCK_CHARS", block)
+    text = "NAME T\rROWS\n N OBJ\n L R1\nCOLUMNS\n X1 OBJ 1.0\r X1 R1 2.0\nENDATA\n"
+    got = _read_each_kind(text.encode(), tmp_path)
+    want = _read(io.StringIO(text.replace("\r", "\n")))
+    assert want["name"] == "T" and want["entry_rows"][1] == (2,)
+    assert got["path"] == got["gz"] == want
+    assert got["bytes"] == got["text"] == ("line 2: unexpected data line in NAME section", 2)
+
+    text = "ROWS\n N OBJ\r L R1\nCOLUMNS\n X1 R1 1.0\n X1 NOPE 1.0\n"
+    got = _read_each_kind(text.encode(), tmp_path)
+    assert got["path"] == got["gz"] == ("line 6: unknown row 'NOPE' in COLUMNS", 6)
+    assert got["bytes"] == got["text"] == ("line 4: unknown row 'R1' in COLUMNS", 4)

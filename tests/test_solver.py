@@ -787,8 +787,11 @@ def test_loop_step_on_two_ordered_operands_allocates_no_vector(mode, monkeypatch
     import hprlp.sparse
 
     monkeypatch.setattr(hprlp.sparse, "ORDERED_MIN_ROWS", 2_000)
-    A = SparseMatrix(sp.random(2_000, 4_000, density=0.002, random_state=0, format="csr"))
-    assert A._aty.format == "csr"
+    m, n = 2_000, 4_000
+    A = SparseMatrix(sp.random(m, n, density=0.002, random_state=0, format="csr"))
+    prob = LpProblem(np.zeros(n), A, -np.ones(m), np.ones(m), np.zeros(n), np.ones(n))
+    work = solver_module._setup(prob, SolverConfig())[0]
+    assert A._aty.format == "csc" and work.A._aty.format == "csr"
     test_loop_step_allocates_no_vector(mode)
 
 

@@ -183,11 +183,7 @@ def test_lambda_estimate_zero_matrix_raises():
 
 def _assert_transpose_of_csr(A):
     """A^T y runs on a CSC view of A's CSR mirror: its own read-only
-    arrays, no copy; or, from ``ORDERED_MIN_ROWS`` rows on, on a CSR
-    copy of A^T, which holds A's canonical CSC arrays."""
-    if A.shape[0] >= hprlp.sparse.ORDERED_MIN_ROWS:
-        _assert_copy_of_csc(A._aty, A.to_csc())
-        return
+    arrays, no copy, at any number of rows."""
     csr, at = A.to_csr(), A._aty
     assert at.format == "csc" and at.shape == A.shape[::-1]
     for mine, theirs in ((at.data, csr.data), (at.indices, csr.indices),
@@ -320,12 +316,11 @@ def test_small_lp_solves_on_both_routes(monkeypatch):
 
 def _on_route(dense, route, monkeypatch):
     """``dense`` as a SparseMatrix on the dense copy, on CSR, or on CSR
-    with a CSR copy of A^T (the ``ORDERED_MIN_ROWS`` route)."""
+    with a CSR copy of A^T (the route of the working matrix that ``solve``
+    orders from ``ORDERED_MIN_ROWS`` rows)."""
     if route != "dense":
         monkeypatch.setattr(hprlp.sparse, "DENSE_MAX_ENTRIES", -1)
-    if route == "ordered":
-        monkeypatch.setattr(hprlp.sparse, "ORDERED_MIN_ROWS", 0)
-    A = SparseMatrix.from_dense(dense)
+    A = (SparseMatrix._with_transpose if route == "ordered" else SparseMatrix.from_dense)(dense)
     assert (A.dense is not None) == (route == "dense")
     return A
 
@@ -390,17 +385,45 @@ def test_products_refuse_an_out_they_cannot_write(route, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# a CSR copy of A^T, from ORDERED_MIN_ROWS rows on
+# a CSR copy of A^T, on the working matrix ordered from ORDERED_MIN_ROWS rows
+
+
+def test_only_the_working_matrix_holds_a_copy_of_the_transpose():
+    """From ``ORDERED_MIN_ROWS`` rows above the dense cutoff, the public
+    constructor keeps A^T y on the scatter, with no copy of A^T, for the
+    bits of ``to_csc().T @ y``; so do the parsed problem's matrix and the
+    scaled one.  Only the working matrix that ``solve`` orders by length
+    holds the CSR copy of A^T, whose A^T y has the same bits of its own
+    ``to_csc()``."""
+    from hprlp.solver import _setup, apply_scaling
+
+    rng = np.random.default_rng(59)
+    m, n = ORDERED_MIN_ROWS, 500
+    matrix = sp.random(m, n, density=0.01, random_state=rng, format="csr")
+    prob = LpProblem(rng.standard_normal(n), SparseMatrix(matrix), -np.ones(m), np.ones(m),
+                     np.zeros(n), np.ones(n))
+    scaled = apply_scaling(prob)[0]
+    work = _setup(prob, SolverConfig())[0]
+    for A in (prob.A, scaled.A, work.A):
+        assert A.dense is None and A.shape == (m, n)
+        y = rng.standard_normal(m)
+        assert A.rmatvec(y).tobytes() == (A.to_csc().T @ y).tobytes()
+    for A in (prob.A, scaled.A):
+        _assert_transpose_of_csr(A)
+    _assert_copy_of_csc(work.A._aty, work.A.to_csc())
 
 
 def _plain_and_ordered(matrix, cutoff, monkeypatch):
-    """``matrix`` as a SparseMatrix on plain CSR and on CSR with
-    ``ORDERED_MIN_ROWS`` at ``cutoff``, both above the dense cutoff."""
+    """``matrix`` as a SparseMatrix on plain CSR, and as ``solve`` holds
+    a working matrix of its shape with ``ORDERED_MIN_ROWS`` at ``cutoff``:
+    with the CSR copy of A^T from ``cutoff`` rows on, and plain below;
+    both above the dense cutoff."""
     monkeypatch.setattr(hprlp.sparse, "DENSE_MAX_ENTRIES", -1)
     plain = SparseMatrix(matrix)
     assert plain._ax is plain.to_csr()
-    monkeypatch.setattr(hprlp.sparse, "ORDERED_MIN_ROWS", cutoff)
-    return plain, SparseMatrix(matrix)
+    if matrix.shape[0] < cutoff:
+        return plain, SparseMatrix(matrix)
+    return plain, SparseMatrix._with_transpose(matrix)
 
 
 def _varied_rows(rng, m, n):

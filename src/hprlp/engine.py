@@ -65,7 +65,7 @@ from scipy.linalg.blas import daxpy, ddot, dtpsv
 from scipy.linalg.lapack import dtrttp
 
 from .model import Iterate, LpProblem, project_box
-from .sparse import SparseMatrix, _check_out, _shares_memory
+from .sparse import SparseMatrix, _check_out
 
 __all__ = [
     "EngineConfig",
@@ -294,7 +294,7 @@ def _check_step(w: Iterate, prob: LpProblem, work: StepWorkspace, normal: bool):
                          "w.p, which must have n entries")
     bar, hat = work.w_bar, work.hat
     mine = (bar.buf, bar.p, hat.buf, hat.p, work._xi, work._zeta, work._gw)
-    if any(_shares_memory(v, own) for v in (w.buf, w.p) for own in mine):
+    if any(np.shares_memory(v, own) for v in (w.buf, w.p) for own in mine):
         raise ValueError("w must not share memory with the workspace")
 
 
@@ -308,23 +308,26 @@ def pr_step(
     """One proximal-reflection step at w, written into ``work`` (a new
     workspace when None), which it returns.
 
-    With ``cfg.t1_zero_path`` and a prepared ``normal_eq`` solver the
-    y-step is computed exactly through A A^T and ``zeta`` is None.  That
-    route forms xi from ``w.p``, the carried A^T w.y, instead of a
-    product, and leaves A^T y_bar in ``work.w_bar.p``; both must have n
-    entries.
+    With ``cfg.t1_zero_path`` the y-step is computed exactly through
+    A A^T by the prepared ``normal_eq`` solver, which must then be given,
+    and ``zeta`` is None.  That route forms xi from ``w.p``, the carried
+    A^T w.y, instead of a product, and leaves A^T y_bar in
+    ``work.w_bar.p``; both must have n entries.
     See ``StepWorkspace`` for what the step writes there, which a later
     step on the same workspace overwrites.
     Raises ArithmeticError when the normal-equations y-step misses its
     bound, a non-finite right-hand side among them; the step checks no
     other value for overflow, which ``solve`` reads from its merit.
-    Raises ValueError when the proximal y-step finds ``cfg.lambda_A``
+    Raises ValueError when ``cfg.t1_zero_path`` comes without
+    ``normal_eq``, when the proximal y-step finds ``cfg.lambda_A``
     unresolved, or where ``_check_step`` does; its check of the inputs
     covers the step's products and projections, which run unchecked.  A
     caller that ran it once on vectors of its own (``solver._LoopState``)
     skips it with ``_prechecked``.
     """
-    normal = cfg.t1_zero_path and normal_eq is not None
+    normal = cfg.t1_zero_path
+    if normal and normal_eq is None:
+        raise ValueError("the normal-equations y-step (t1_zero_path) needs a normal_eq solver")
     if work is None:
         m, n = prob.A.shape
         work = StepWorkspace(m, n, n if normal else m)
@@ -341,7 +344,7 @@ def pr_step(
     np.multiply(work._sigma, xi, out=xi)
     np.add(w.x, xi, out=xi)
     project_box(xi, prob.l_var, prob.u_var, out=bar.x, _prechecked=True)
-    if cfg.t1_zero_path or cfg.ergodic:  # the y-step or the ergodic mean reads z_bar
+    if normal or cfg.ergodic:  # the y-step or the ergodic mean reads z_bar
         _z_bar(bar.z, bar.x, xi, work._sigma)
     # 2 x_bar - x: the row product's argument and, under full reflection, x_hat
     x2 = np.add(bar.x, bar.x, out=hat.x)

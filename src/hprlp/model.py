@@ -61,11 +61,8 @@ def project_box(
 def _check_box(v, lo, hi) -> np.ndarray:
     """v as a float64 array; raises ValueError unless lo and hi have its shape."""
     v = np.asarray(v, dtype=np.float64)
-    shape = v.shape  # np.shape only for bounds that are not arrays, or do not match
-    if (getattr(lo, "shape", None) != shape or getattr(hi, "shape", None) != shape) and (
-        np.shape(lo) != shape or np.shape(hi) != shape
-    ):
-        raise ValueError(f"shape mismatch: v {shape}, lo {np.shape(lo)}, hi {np.shape(hi)}")
+    if np.shape(lo) != v.shape or np.shape(hi) != v.shape:
+        raise ValueError(f"shape mismatch: v {v.shape}, lo {np.shape(lo)}, hi {np.shape(hi)}")
     return v
 
 

@@ -22,10 +22,12 @@ separators ``bytes.split`` does not know replaced by spaces, and
 encoded again (``_tokenizable``): its tokens and lines are those
 ``str.split`` finds in its text.  A text stream's block is encoded the
 same way.  The data lines between two headers are then handled a section
-at a time: names map to indices through dicts keyed by the raw tokens,
-each name decoded once, where it is declared; a column's name is looked
-up once per run of lines that repeat it; bound keys map to small integer
-codes; and the numeric fields of a block convert with one
+at a time: every section but BOUNDS gathers its tokens with ``_take``
+(BOUNDS, whose lines of three and four tokens alternate, indexes one
+object array of its tokens); names map to indices through dicts keyed
+by the raw tokens, each name decoded once, where it is declared, and
+looked up once per line; bound keys map to small integer codes; and
+the numeric fields of a block convert with one
 ``np.array(tokens, dtype=np.float64)``, which parses each ASCII token as
 ``float()`` parses its text (a block with any other is converted from
 its text).  Every section but ROWS is kept as arrays of row or column
@@ -61,7 +63,6 @@ from __future__ import annotations
 
 import contextlib
 import gzip
-import operator
 import os
 import re
 import warnings as _warnings
@@ -430,20 +431,15 @@ class _Reader:
             "COLUMNS line needs a column name and row/value pairs", line_no,
         )
         names = _take(toks, first)
-        # a column's lines come in a run: its name is looked up once per run
-        run = np.flatnonzero(np.fromiter(map(operator.ne, names[1:], names), bool,
-                                         len(names) - 1))
-        run += 1
-        heads = [names[0], *_take(names, run)]
         col_pos = self.col_pos
-        new = [name for name in dict.fromkeys(heads) if name not in col_pos]
+        new = [name for name in dict.fromkeys(names) if name not in col_pos]
         col_pos.update(zip(new, range(len(col_pos), len(col_pos) + len(new))))
         new = _strs(new)
         self.doc.column_order.extend(new)
         if self.in_integer_block:
             self.doc.integer_columns.extend(new)
-        cols = np.fromiter(map(col_pos.__getitem__, heads), np.int32, len(heads))
-        self.parts["entry_cols"].append(np.repeat(cols, np.add.reduceat(pairs, np.append(0, run))))
+        cols = np.fromiter(map(col_pos.__getitem__, names), np.int32, len(names))
+        self.parts["entry_cols"].append(np.repeat(cols, pairs))
         self.parts["entry_rows"].append(rows)
         self.parts["entry_values"].append(values)
 

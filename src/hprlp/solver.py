@@ -414,6 +414,12 @@ class _RunLog:
         )
 
 
+# The face finish runs on working matrices of at most this many rows:
+# it keeps storage for a dense m x m G (32 MB at 2,000 rows) and factors
+# G of the active rows on each new pattern.
+FACE_MAX_ROWS = 2_000
+
+
 class _FaceFinish:
     """The face solve, tried at each failed checkpoint.
 
@@ -747,7 +753,7 @@ def solve(prob: LpProblem, cfg: SolverConfig | None = None) -> SolveResult:
     state = _LoopState(work, ecfg, normal_eq, start)
     face = None
     can_restart = restart_cfg.enabled or restart_cfg.fixed_period is not None
-    if ecfg.anchored and can_restart and work.m <= NormalEquationSolver.MAX_ROWS:
+    if ecfg.anchored and can_restart and work.m <= FACE_MAX_ROWS:
         face = _FaceFinish(work, log, tol)
     # k counts all steps, r restarts, t steps since the last restart
     k = r = t = 0

@@ -71,7 +71,14 @@ DENSE_MAX_ENTRIES = 25_000
 # (* about, for the random ones.)  The 600 x 1,500 matrix is the
 # equality-normal benchmark's, and the 10,000 x 20,000 one is
 # mps-sparse-1e5's after scaling.  The routes break even near 3,000 rows;
-# the cutoff errs towards the plain route.  For A^T y of a wide matrix
+# the cutoff errs towards the plain route.  On equality-normal's scaled
+# matrix, ordered as ``solve`` orders its working matrix, with no gather
+# back, the products tie (ten runs as above): A x 4.7-5.3 / 4.9-5.5 and
+# A^T y 5.6-5.9 / 5.4-6.1; the ordering itself takes 0.44 ms of its
+# setup.  Ordered from 600 rows, that benchmark kept its 2,700
+# iterations, its setup_s rose by 0.5-0.7 ms of about 6.5 and its
+# solve_s did not move beyond the spread of its runs, so the cutoff
+# stays above it.  For A^T y of a wide matrix
 # with fewer rows they break even somewhere between 4,000 and 20,000
 # columns (slower ordered at 2,000 x 4,000, faster at 1,000 x 20,000);
 # such a matrix stays on the plain route, since no benchmark measures
@@ -211,11 +218,6 @@ def _zeroed(out, shape: tuple[int]) -> np.ndarray:
     out.fill(0.0)
     return out
 
-_F64 = np.dtype(np.float64)
-# np.shares_memory without its __array_function__ dispatch, which takes
-# about twice as long as the test itself on short vectors
-_shares_memory = getattr(np.shares_memory, "_implementation", np.shares_memory)
-
 
 def _check_out(out, shape: tuple[int], *operands) -> None:
     """Raise ValueError unless ``out`` is a writable C-contiguous float64
@@ -226,10 +228,10 @@ def _check_out(out, shape: tuple[int], *operands) -> None:
     its shape check too): its caller ran them once on vectors of its own."""
     # flags.carray: C-contiguous, aligned and writable
     if not (isinstance(out, np.ndarray) and out.shape == shape
-            and (out.dtype is _F64 or out.dtype == _F64) and out.flags.carray):
+            and out.dtype == np.float64 and out.flags.carray):
         raise ValueError(f"out must be a writable C-contiguous float64 array of shape {shape}")
     for operand in operands:
-        if _shares_memory(out, operand):
+        if np.shares_memory(out, operand):
             raise ValueError("out must not share memory with a vector it is formed from")
 
 

@@ -312,6 +312,13 @@ def test_trace_plotdata_rejects_non_trace(tmp_path, capsys):
     assert "not a trace" in capsys.readouterr().err
 
 
+def test_trace_plotdata_names_a_missing_series_column(tmp_path, capsys):
+    partial = tmp_path / "partial.csv"
+    partial.write_text("k,sigma,rel_gap,rel_primal\n1,1.0,0.1,0.2\n")
+    assert main(["trace-plotdata", str(partial)]) == EXIT_DATA
+    assert "missing columns rel_dual, merit" in capsys.readouterr().err
+
+
 def test_trace_plotdata_unwritable_out_exits_65(fixtures_dir, tmp_path, capsys):
     trace = make_trace(fixtures_dir, tmp_path, "t1.csv")
     capsys.readouterr()

@@ -115,6 +115,16 @@ def test_unresolved_lambda_is_the_default_and_the_proximal_step_rejects_it():
     assert step.zeta is None and np.isfinite(step.w_hat.y).all()
 
 
+def test_normal_route_without_a_factor_is_refused():
+    """``cfg.t1_zero_path`` alone picks the y-step, as it picks the
+    merit's seminorm: without a factor the step raises, where it once
+    took the proximal step and formed a z_bar that nothing read."""
+    prob = random_lp(np.random.default_rng(5), 6, 3, style="equality")
+    cfg = EngineConfig(lambda_A=50.0, t1_zero_path=True)
+    with pytest.raises(ValueError, match="normal_eq"):
+        pr_step(with_product(Iterate.zeros(3, 6), np.zeros(6)), prob, cfg)
+
+
 # ---------------------------------------------------------------------------
 # pr_step hand values
 
@@ -437,6 +447,18 @@ def test_normal_equation_rejects_nonfinite_rhs(bad):
     rhs[2] = bad
     with pytest.raises(ArithmeticError):
         solver.solve(rhs, np.empty(7))
+
+
+def test_normal_equation_solver_raises_when_refinement_misses_its_bound():
+    """Through the factor of 2A each sweep solves 4 A A^T y = rhs, so each
+    residual check finds 3/4 of the last residual: both refinements miss
+    the bound."""
+    rng = np.random.default_rng(11)
+    dense = rng.standard_normal((4, 7))
+    solver = NormalEquationSolver(SparseMatrix.from_dense(dense))
+    solver._packed = NormalEquationSolver(SparseMatrix.from_dense(2.0 * dense))._packed
+    with pytest.raises(ArithmeticError, match="residual tolerance"):
+        solver.solve(rng.standard_normal(4), np.empty(7))
 
 
 def test_pr_step_t1_path_matches_projection_path():

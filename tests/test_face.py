@@ -6,6 +6,7 @@ import hashlib
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.optimize
 
 import hprlp.solver as solver_module
@@ -17,7 +18,6 @@ from hprlp import (
     SparseMatrix,
     solve,
 )
-from hprlp.engine import NormalEquationSolver
 
 from conftest import random_lp
 from oracle import oracle_solve
@@ -150,7 +150,7 @@ def test_face_solve_never_tried_without_anchored_restarts(mode, restart, monkeyp
 def test_no_face_finish_above_the_row_limit(extra_rows, built, monkeypatch):
     made = []
     monkeypatch.setattr(solver_module, "_FaceFinish", lambda *args: made.append(1))
-    m = NormalEquationSolver.MAX_ROWS + extra_rows
+    m = solver_module.FACE_MAX_ROWS + extra_rows
     prob = random_lp(np.random.default_rng(72), 40, m, density=0.05)
     assert prob.A.dense is None
     res = solve(prob, SolverConfig(tol=1e-6, iter_limit=20))
@@ -185,6 +185,18 @@ def test_rank_deficient_face_is_dropped(monkeypatch):
     assert dropped and all(dropped)
     assert res.status == "optimal" and not res.face_finish
     assert max(numpy_residuals(prob, res.x, res.y, res.z)) <= 1e-8
+
+
+def test_face_corrections_drop_a_solve_that_is_not_finite(monkeypatch):
+    """A face whose G factors, but whose solve through that factor is not
+    finite, is dropped like a singular one."""
+    a_rf = np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 3.0]])
+    rx, ry, buf = np.array([1.0, 2.0]), np.array([1.0, 0.0, 1.0]), np.empty(4)
+    dx, dy = solver_module._face_corrections(a_rf, rx, ry, buf)
+    np.testing.assert_allclose(a_rf @ dx, rx)
+    monkeypatch.setattr(scipy.linalg, "cho_solve",
+                        lambda factor, b, **kwargs: np.full_like(b, np.nan))
+    assert solver_module._face_corrections(a_rf, rx, ry, buf) is None
 
 
 def test_refuted_face_is_not_solved_again(monkeypatch):

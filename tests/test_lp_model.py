@@ -196,6 +196,18 @@ def test_problem_rejects_nonfinite_objective():
         )
 
 
+def test_problem_rejects_nonfinite_objective_constant():
+    with pytest.raises(ValueError, match="objective constant must be finite"):
+        LpProblem(c=[0.0], A=SparseMatrix.from_dense([[1.0]]), l_con=[0.0], u_con=[1.0],
+                  l_var=[0.0], u_var=[1.0], obj_constant=np.nan)
+
+
+def test_problem_rejects_a_vector_of_the_wrong_shape():
+    with pytest.raises(ValueError, match=re.escape(r"u_var must have shape (1,), got (2,)")):
+        LpProblem(c=[0.0], A=SparseMatrix.from_dense([[1.0]]), l_con=[0.0], u_con=[1.0],
+                  l_var=[0.0], u_var=[1.0, 1.0])
+
+
 def test_problem_rejects_bad_sense():
     with pytest.raises(ValueError, match="obj_sense"):
         LpProblem(

@@ -1,14 +1,18 @@
 import dataclasses
 import gzip
 import io
+import string
 import warnings
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hprlp import LpProblem, MpsParseError, SparseMatrix, build_problem, parse_mps
+from hprlp.mps import _NUMBER_LEADS
 
 from conftest import random_lp
 
@@ -324,9 +328,54 @@ def test_error_unknown_marker():
     assert "marker" in str(err)
 
 
+def test_objsense_on_its_header_line_and_min():
+    """A sense on the OBJSENSE header line is read as one on a data line,
+    MIN as MINIMIZE; a later data line overrides the header's."""
+    rows = "ROWS\n N  OBJ\nCOLUMNS\n    X1 OBJ 1.0\nENDATA\n"
+    assert parse_mps(io.StringIO("OBJSENSE MAX\n" + rows)).obj_sense == "maximize"
+    assert parse_mps(io.StringIO("OBJSENSE MAXIMIZE\n    MIN\n" + rows)).obj_sense == "minimize"
+
+
+def test_no_objective_row_warns():
+    doc = parse_mps(io.StringIO("ROWS\n L  R1\nCOLUMNS\n    X1 R1 1.0\nRHS\n    RHS R1 2.0\n"
+                                "ENDATA\n"))
+    assert doc.objective_row is None
+    assert doc.warnings == ["no objective (N) row; objective is constant zero"]
+    prob = build_problem(doc)
+    npt.assert_array_equal(prob.c, [0.0])
+    assert prob.obj_constant == 0.0
+
+
 def test_error_bad_objsense():
     err = perr("OBJSENSE\n    SIDEWAYS\n")
     assert err.line_no == 2
+
+
+# what may follow a token's first byte in a number float() accepts:
+# digits with underscores, a point, an exponent, or a tail of a signed
+# inf, infinity or nan, in any case
+_NUMBER_TAIL = st.one_of(
+    st.from_regex(r"[0-9]*(_[0-9]+)*\.?[0-9]*([eE][+-]?[0-9]+)?", fullmatch=True),
+    st.sampled_from([word[i:] for word in ("+inf", "+infinity", "-nan")
+                     for i in range(1, len(word))])
+    .flatmap(lambda tail: st.sampled_from([tail, tail.upper(), tail.title()])),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_NUMBER_TAIL)
+def test_number_leads_hold_every_float_token(tail):
+    """Every ASCII token that ``float()`` accepts starts with a byte of
+    ``_NUMBER_LEADS``, the prefilter that spares the BOUNDS reader the
+    failing ``float()`` call on most column names: each printable ASCII
+    byte is tried before each tail."""
+    for lead in string.printable.strip():
+        token = lead + tail
+        try:
+            float(token)
+        except ValueError:
+            continue
+        assert token.encode("ascii")[0] in _NUMBER_LEADS, token
 
 
 def test_build_rejects_crossed_bounds():

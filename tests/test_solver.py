@@ -51,6 +51,8 @@ def test_solver_config_validation():
         SolverConfig(iter_limit=-1)
     with pytest.raises(ValueError):
         SolverConfig(check_interval=0)
+    with pytest.raises(ValueError, match="time_limit"):
+        SolverConfig(time_limit=0)
     with pytest.raises(ValueError):
         SolverConfig(scaling="fancy")
     with pytest.raises(TypeError):  # fixed at estimate_lambda_A's 1.05
@@ -199,6 +201,11 @@ def test_scaling_none_is_identity():
     scaled, sc = apply_scaling(prob, "none")
     assert scaled is prob
     assert np.all(sc.row == 1.0) and np.all(sc.col == 1.0)
+
+
+def test_scaling_rejects_an_unknown_method():
+    with pytest.raises(ValueError, match="unknown scaling method 'fancy'"):
+        apply_scaling(prob_corner(), "fancy")
 
 
 def test_scale_unscale_round_trip():

@@ -175,6 +175,34 @@ def test_lambda_estimate_dominates_norm():
         assert est <= true_sq * 1.05 * (1.0 + 1e-3)
 
 
+def test_lambda_estimate_rejects_a_safety_factor_that_is_not_positive():
+    with pytest.raises(ValueError, match="safety factor must be positive"):
+        estimate_lambda_A(SparseMatrix.from_dense([[3.0]]), safety=0)
+
+
+def test_lambda_estimate_restarts_after_a_zero_product(monkeypatch):
+    """A start vector whose product is zero, here forced on the first
+    A^T v, is replaced by the generator's next vector, from which the
+    power iteration converges."""
+    A = SparseMatrix.from_dense(np.diag([1.0, 2.0]))
+    rmatvec, calls = A.rmatvec, []
+
+    def zero_first(y, out=None, **kwargs):
+        calls.append(1)
+        out = rmatvec(y, out=out, **kwargs)
+        if len(calls) == 1:
+            out.fill(0.0)
+        return out
+
+    monkeypatch.setattr(A, "rmatvec", zero_first)
+    assert estimate_lambda_A(A, safety=1.0) == pytest.approx(4.0, rel=1e-3)
+    assert len(calls) > 2
+
+
+def test_repr_names_the_shape_and_the_stored_entries():
+    assert repr(SparseMatrix.from_dense([[1.0, 0.0, 2.0]])) == "SparseMatrix(1x3, nnz=2)"
+
+
 def test_lambda_estimate_zero_matrix_raises():
     A = SparseMatrix(sp.coo_matrix((2, 2)))
     with pytest.raises(ValueError, match="all-zero"):

@@ -12,8 +12,8 @@ iteration count; the candidate becomes the new start and anchor, and
 the penalty parameter is re-fit to the observed primal/dual
 displacements.  The global iteration counter never resets.
 
-From ``sparse.ORDERED_MIN_ROWS`` rows above the dense cutoff, the loop
-runs on the scaled problem ordered by row and column length
+Above the dense cutoff, whatever its shape, the loop runs on the scaled
+problem ordered by row and column length
 (``_order_by_length``); the scaling carries both orders, and every point
 that crosses between the spaces goes through ``scale_iterate`` or
 ``unscale_iterate``.
@@ -63,7 +63,6 @@ from .model import (
     project_box,
     relative_residuals,
 )
-from . import sparse
 from .sparse import SparseMatrix, _check_out, estimate_lambda_A
 
 __all__ = [
@@ -315,10 +314,11 @@ def _unorder(v: np.ndarray, order: np.ndarray) -> np.ndarray:
 def _order_by_length(work: LpProblem, scaling: RuizScaling) -> tuple[LpProblem, RuizScaling]:
     """The working problem with its rows ordered by length and its columns
     by their count of entries (both stable), and ``scaling`` with those
-    orders, so that A x and A^T y gather their rows in order of length
-    (see ``sparse.ORDERED_MIN_ROWS``), A^T y those of the CSR copy of A^T
-    that its matrix alone holds.  A row keeps its entries in ascending
-    column order, in the new order of the columns."""
+    orders, so that A x and A^T y gather their rows in order of length,
+    A^T y those of the CSR copy of A^T that its matrix alone holds: the
+    layout of every working matrix above the dense cutoff.  A row keeps
+    its entries in ascending column order, in the new order of the
+    columns."""
     csr = work.A.to_csr()
     n = csr.shape[1]
     rows = np.argsort(np.diff(csr.indptr), kind="stable")
@@ -545,7 +545,7 @@ def _setup(
     factor when that y-step applies, the working-space start, and a
     message that says why that y-step does not apply when asked for."""
     work, scaling = apply_scaling(prob, cfg.scaling)
-    if work.A.dense is None and work.m >= sparse.ORDERED_MIN_ROWS:
+    if work.A.dense is None:
         work, scaling = _order_by_length(work, scaling)
 
     # normal-equations path only for pure equality rows
@@ -562,7 +562,8 @@ def _setup(
                 message = f"normal-equations path unavailable ({exc}); using proximal y-step"
     lam = None
     if normal_eq is None:
-        lam = estimate_lambda_A(work.A) if work.A.nnz else 1.0
+        # a matrix whose entries are all 0.0 has no norm to estimate either
+        lam = estimate_lambda_A(work.A) if work.A.to_csr().data.any() else 1.0
     ecfg = dataclasses.replace(cfg.engine, sigma=float(cfg.engine.sigma), lambda_A=lam,
                                t1_zero_path=normal_eq is not None)
     m, n = work.A.shape

@@ -3,8 +3,8 @@
 A is stored in compressed sparse row form.  A x gathers its rows; A^T y
 scatters them through ``csr.T``, scipy's CSC view of A^T on the same
 read-only arrays.  Only the working matrix that ``solve`` orders by row
-and column length from ``ORDERED_MIN_ROWS`` rows
-(``solver._order_by_length``) also holds an explicit CSR copy of A^T
+and column length (``solver._order_by_length``), whatever its shape,
+also holds an explicit CSR copy of A^T
 (``SparseMatrix._with_transpose``), whose rows A^T y gathers, so that
 both of its products gather rows in order of length.  Backed by
 scipy.sparse.  A matrix of at most ``DENSE_MAX_ENTRIES`` entries also
@@ -31,59 +31,30 @@ __all__ = ["SparseMatrix", "estimate_lambda_A"]
 
 # Up to this many entries (m * n) the products run on a dense copy of A.
 # There a product is mostly call overhead, and numpy's dgemv call costs
-# less than scipy's sparse dispatch; above it the dense arithmetic costs
-# more.  Microseconds per product, CSR against dense, best of 9 repeats
-# in two runs on one OpenBLAS thread of a 2-vCPU Xeon:
-#   shape       nnz    A x: CSR / dense    A^T y: CSR / dense
-#   60 x 150    1,800  5.9-6.4 / 2.5-3.8   9.9 / 4.4-4.7
-#   100 x 250   1,250  8.1-8.4 / 6.6-7.4   7.8-9.6 / 5.2-8.1
-#   120 x 250   1,500  6.2-8.0 / 6.9-7.7   7.3-8.0 / 6.2-7.1
-#   200 x 400   1,600  7.8 / 10.8-15.6     9.8-10.7 / 16.3-16.4
-#   600 x 1500  6,030  12-15 / 390         17 / 395
-# The routes break even near 25,000 entries at low density; denser
-# matrices break even later, so the cutoff errs towards CSR.
+# about what the CSR kernel's call costs; above it the dense arithmetic
+# costs more.  Microseconds per product into ``out`` (``_prechecked``, as
+# the loop calls them), CSR against dense, best of 9 x 2,000 calls in two
+# runs on one OpenBLAS thread of a 2-vCPU Xeon:
+#   shape       nnz    A x: CSR / dense     A^T y: CSR / dense
+#   60 x 150    1,800  2.0-2.1 / 1.5        2.3-2.4 / 1.5-1.9
+#   100 x 250   1,250  1.9-2.1 / 3.3-4.2    2.0-2.2 / 3.6-3.9
+#   120 x 250   1,500  2.0-2.3 / 3.8-4.2    2.1-2.4 / 4.3-4.4
+#   200 x 400   1,600  2.0-2.5 / 8.7-10.7   2.3-2.7 / 7.0-11.1
+#   600 x 1500  6,030  5.0-5.2 / 274-338    5.8-5.9 / 290-292
+# At 5-10% density the routes break even between 9,000 and 16,000
+# entries; at 20% (100 x 250, 5,000 entries: A x 4.4 / 3.5) past 25,000.
+# A lower cutoff would move small-corpus trajectories, and no whole
+# solve has been timed at one, so it stays at 25,000.
 DENSE_MAX_ENTRIES = 25_000
 
-# Above DENSE_MAX_ENTRIES, from this many rows of A, ``solve`` orders the
-# working problem's rows and columns by length and gives its matrix a
-# CSR copy of A^T (``SparseMatrix._with_transpose``), so that both
-# products take their rows in that order.  The kernel leaves a row through a
-# branch whose trip count changes from row to row; once a matrix has
-# more rows than the branch predictor can learn, that exit is
-# mispredicted on almost every row, and in order of length it rarely is.
-# A^T y's scatter loops over A's rows alike.
-# Microseconds per product into ``out``, plain against ordered, medians
-# of 15 x 300 calls in each of two runs, one core of a 2-vCPU Xeon;
-# random rows of 1 to 2k - 1 entries, k = 5 max(m, n) / m.  The ordered
-# column was read on copies ordered per product, with a gather back to
-# natural order after each, which the ordered working problem does not
-# need, so it overstates the ordered cost:
-#   shape            nnz*     A x: plain / ordered   A^T y: scatter / ordered
-#   600 x 1,500      5,989    4.9-5.0 / 6.9-7.2      6.2-7.3 / 8.2-10.7
-#   2,000 x 4,000    20,000   14.7-15.0 / 16.6-17.8  16.4-18.1 / 19.4-19.9
-#   4,000 x 2,000    20,000   25.6-25.7 / 19.4-22.4  25.3-36.6 / 16.2-23.9
-#   3,000 x 6,000    30,000   29.8-30.6 / 23.5-25.2  35.4-38.6 / 29.9-30.5
-#   8,000 x 4,000    40,000   69.5-70.0 / 35.4-36.4  72.6-72.9 / 32.0-32.4
-#   1,000 x 20,000   100,000  70.4-73.2 / 72.2-77.8  114.7-115.9 / 87.8-93.0
-#   20,000 x 1,000   100,000  203-211 / 84-86        201-208 / 75-76
-#   10,000 x 20,000  99,978   136 / 86-90            149-154 / 95-101
-#   32,000 x 64,000  320,000  487-519 / 337-365      553-556 / 367-378
-# (* about, for the random ones.)  The 600 x 1,500 matrix is the
-# equality-normal benchmark's, and the 10,000 x 20,000 one is
-# mps-sparse-1e5's after scaling.  The routes break even near 3,000 rows;
-# the cutoff errs towards the plain route.  On equality-normal's scaled
-# matrix, ordered as ``solve`` orders its working matrix, with no gather
-# back, the products tie (ten runs as above): A x 4.7-5.3 / 4.9-5.5 and
-# A^T y 5.6-5.9 / 5.4-6.1; the ordering itself takes 0.44 ms of its
-# setup.  Ordered from 600 rows, that benchmark kept its 2,700
-# iterations, its setup_s rose by 0.5-0.7 ms of about 6.5 and its
-# solve_s did not move beyond the spread of its runs, so the cutoff
-# stays above it.  For A^T y of a wide matrix
-# with fewer rows they break even somewhere between 4,000 and 20,000
-# columns (slower ordered at 2,000 x 4,000, faster at 1,000 x 20,000);
-# such a matrix stays on the plain route, since no benchmark measures
-# that shape end to end.
-ORDERED_MIN_ROWS = 4_000
+# Above DENSE_MAX_ENTRIES ``solve`` orders every working problem by row
+# and column length, whatever its row count.  Per iteration, natural
+# order against ordered, on ``perfbench/generate.general_lp`` LPs of
+# 5 n entries (three runs of medians of 7 solves, one BLAS thread of a
+# 2-vCPU Xeon): 1,000 x 2,000 44.1-44.7 / 42.8-45.1 us, 2,000 x 4,000
+# 80.6-90.8 / 71.1-75.5 us, 3,000 x 6,000 131-137 / 100-110 us.  The
+# equality-normal benchmark (600 x 1,500) kept its 2,700 iterations;
+# the ordering adds about 0.8 ms to its 6.3 ms setup_s.
 
 
 class SparseMatrix:
@@ -292,7 +263,7 @@ def estimate_lambda_A(
     least ||A||^2 is required.
     """
     m, n = A.shape
-    if A.nnz == 0:
+    if not A.to_csr().data.any():  # no entry, or only stored zeros
         raise ValueError("cannot estimate the norm of an all-zero matrix")
     if safety <= 0:
         raise ValueError("safety factor must be positive")

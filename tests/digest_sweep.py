@@ -9,16 +9,16 @@ every trajectory and every parsed problem prints the same 626 lines.
 The first 360 lines are solves.  They cover the five modes, both y-step
 routes (the proximal step on two-sided and one-sided rows, the normal
 equations on equality rows), the three product routes (the dense copy;
-CSR with the dense cutoff switched off; and, with the dense cutoff off
-and ``ORDERED_MIN_ROWS`` set to 0, the working problem ordered by row
-and column length with a CSR copy of A^T, on LPs with half their
-entries dropped, so that the order moves rows and columns), and LPs
-with fewer and with more rows than columns (where the normal equations
-are rank deficient and the solve falls back to the proximal step), six
-seeds each.  Each
-line holds the case, the status, the iteration count and a digest of
-the bits of x, y and z, the objective, the message, every trace field
-but the time, and the restart events.
+and CSR with the dense cutoff switched off, where ``solve`` orders the
+working problem by row and column length and gives its matrix a CSR copy
+of A^T: "sparse" on full LPs, whose orders are the identity, and
+"ordered" on LPs with half their entries dropped, so that the order
+moves rows and columns), and LPs with fewer and with more rows than
+columns (where the normal equations are rank deficient and the solve
+falls back to the proximal step), six seeds each.  Each line holds the
+case, the status, the iteration count and a digest of the bits of x, y
+and z, the objective, the message, every trace field but the time, and
+the restart events.
 
 The next 26 lines read MPS files through ``parse_mps`` and
 ``build_problem``: each file in ``tests/fixtures`` and twelve seeded
@@ -35,14 +35,13 @@ routes and both shapes; each reads as a solve line above.  They pin the start of
 loop: the start's scaling into the working space, the product it carries,
 and the report of a solve that takes no step.
 
-Only the public API and the two cutoffs are used, so the script runs
+Only the public API and the dense cutoff are used, so the script runs
 unchanged on older checkouts.  The ordered lines move, by design, on a
-checkout that changes how the working problem is ordered: the loop's
-sums then add in another order.  On one that runs the same loop in
-natural order they read as that route's solves of the same LPs, and
-the warm lines at limit 0 keep their bits wherever the map between the
-spaces adds no rounding.  Its name does not start with ``test_``:
-pytest does not collect it.
+checkout that runs these LPs in another order (one that orders the
+working problem another way, or only from some row count on): the loop's
+sums then add in another order.  The warm lines at limit 0 keep their
+bits wherever the map between the spaces adds no rounding.  Its name
+does not start with ``test_``: pytest does not collect it.
 """
 
 import contextlib
@@ -122,18 +121,14 @@ def _problem_digest(prob, notes) -> str:
 @contextlib.contextmanager
 def _products(route: str):
     """The matrices built inside run on the product route named: the
-    dense copy (the default cutoffs), CSR, or ordered CSR."""
-    names = ("DENSE_MAX_ENTRIES", "ORDERED_MIN_ROWS")
-    saved = {name: getattr(hprlp.sparse, name, None) for name in names}
+    dense copy (the default cutoff), or CSR for "sparse" and "ordered"."""
+    saved = hprlp.sparse.DENSE_MAX_ENTRIES
     if route != "dense":
         hprlp.sparse.DENSE_MAX_ENTRIES = -1
-    if route == "ordered":
-        hprlp.sparse.ORDERED_MIN_ROWS = 0
     try:
         yield
     finally:
-        for name, value in saved.items():
-            setattr(hprlp.sparse, name, value)
+        hprlp.sparse.DENSE_MAX_ENTRIES = saved
 
 
 def main():

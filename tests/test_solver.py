@@ -220,13 +220,12 @@ def test_scale_unscale_round_trip():
 
 
 def _ordered_lp(monkeypatch):
-    """A 40 x 25 LP of rows and columns of many lengths, on CSR, with the
-    ``ORDERED_MIN_ROWS`` cutoff below its rows, so that ``solve`` runs on
-    it ordered by length."""
+    """A 40 x 25 LP of rows and columns of many lengths, on CSR with the
+    dense cutoff switched off, so that ``solve`` runs on it ordered by
+    length."""
     import hprlp.sparse
 
     monkeypatch.setattr(hprlp.sparse, "DENSE_MAX_ENTRIES", -1)
-    monkeypatch.setattr(hprlp.sparse, "ORDERED_MIN_ROWS", 10)
     rng = np.random.default_rng(61)
     base = random_lp(rng, 25, 40, density=0.3)
     dense = base.A.to_csr().toarray()
@@ -238,12 +237,13 @@ def _ordered_lp(monkeypatch):
 
 @pytest.mark.parametrize("scaling", ["ruiz", "none"])
 def test_ordered_working_problem_maps_back(scaling, monkeypatch):
-    """From the ``ORDERED_MIN_ROWS`` cutoff, with either scaling, ``solve``
-    runs on the scaled problem with its rows ordered by length and its
-    columns by count, and the map carries both orders: it adds no
-    rounding to the round trip, a warm start from the optimum ends
-    optimal at the first checkpoint, and x, y and z come back in the
-    original order, optimal on the original data."""
+    """Above the dense cutoff, with either scaling, ``solve`` runs on the
+    scaled problem with its rows ordered by length and its columns by
+    count, and the map carries both orders: it adds no rounding to the
+    round trip, a warm start from the optimum ends optimal at the first
+    checkpoint, and x, y and z come back in the original order, optimal
+    on the original data, near the solve of the same LP on its dense
+    copy, which is not ordered."""
     prob = _ordered_lp(monkeypatch)
     m, n = prob.A.shape
     cfg = SolverConfig(tol=1e-8, scaling=scaling)
@@ -275,13 +275,65 @@ def test_ordered_working_problem_maps_back(scaling, monkeypatch):
     assert max(solver_module.relative_residuals(point, prob)) <= cfg.tol
     warm = solve(prob, dataclasses.replace(cfg, initial_iterate=point))
     assert warm.status == "optimal" and len(warm.trace) == 1
-    monkeypatch.setattr(solver_module.sparse, "ORDERED_MIN_ROWS", m + 1)
-    unordered = solve(prob, cfg)
+    monkeypatch.undo()
+    on_dense = dataclasses.replace(prob, A=SparseMatrix(prob.A.to_csr()))
+    assert on_dense.A.dense is not None
+    unordered = solve(on_dense, cfg)
     assert unordered.status == "optimal"
     assert [r.merit for r in unordered.trace] != [r.merit for r in res.trace]
     npt.assert_allclose(res.x, unordered.x, atol=1e-5)
     npt.assert_allclose(res.y, unordered.y, atol=1e-5)
     npt.assert_allclose(res.z, unordered.z, atol=1e-5)
+
+
+def _lp_of_few_lines(shape):
+    """A seeded LP above the dense cutoff, feasible at a point of the box
+    [0, 1]^n: 200 x 200 with no stored entry, 300 x 400 with 30 rows
+    and 40 columns emptied, or one row of 3,000 entries in 30,000
+    columns."""
+    m, n = shape
+    rng = np.random.default_rng(m + n)
+    if m == 200:
+        A = sp.csr_matrix((m, n))
+    elif m == 300:
+        A = sp.random(m, n, density=0.02, random_state=rng, format="lil")
+        A[rng.choice(m, 30, replace=False), :] = 0.0
+        A[:, rng.choice(n, 40, replace=False)] = 0.0
+    else:
+        A = sp.random(m, n, density=0.1, random_state=rng,
+                      data_rvs=lambda k: rng.uniform(0.5, 1.5, k))
+    A = SparseMatrix(A)
+    assert A.dense is None
+    b = A.matvec(rng.uniform(0.0, 1.0, n))
+    return LpProblem(rng.standard_normal(n), A, b - rng.uniform(0.0, 1.0, m),
+                     b + rng.uniform(0.0, 1.0, m), np.zeros(n), np.ones(n))
+
+
+@pytest.mark.parametrize("shape", [(200, 200), (300, 400), (1, 30_000)],
+                         ids=["no-entry", "empty-lines", "one-row"])
+def test_lps_of_few_lines_solve_ordered(shape):
+    """Every working problem above the dense cutoff is ordered by length,
+    whatever its rows: one with no stored entry, one with empty rows and
+    columns and one of a single row each round-trip through the map
+    between the spaces and end optimal within tol of HiGHS."""
+    from test_oracle import linprog_reference
+
+    prob = _lp_of_few_lines(shape)
+    m, n = shape
+    cfg = SolverConfig(tol=1e-6)
+    sc = solver_module._setup(prob, cfg)[1]
+    assert sc.row_order is not None and sc.col_order is not None
+    rng = np.random.default_rng(63)
+    w = Iterate(rng.standard_normal(m), rng.standard_normal(n), rng.standard_normal(n))
+    plain = dataclasses.replace(sc, row_order=None, col_order=None)
+    back = unscale_iterate(scale_iterate(w, sc), sc)
+    assert back.buf.tobytes() == unscale_iterate(scale_iterate(w, plain), plain).buf.tobytes()
+    npt.assert_allclose(back.buf, w.buf, rtol=1e-15)
+
+    res = solve(prob, cfg)
+    ref = linprog_reference(prob)
+    assert res.status == "optimal" and ref.status == 0
+    assert abs(res.primal_obj - ref.fun) <= cfg.tol * (1.0 + abs(ref.fun))
 
 
 def test_scaled_solve_matches_unscaled():
@@ -465,6 +517,51 @@ def test_lambda_A_is_fitted_only_off_the_normal_equations_route(case, monkeypatc
         assert res.status == "optimal" and res.message == fallback
     else:
         assert res.status == "iter_limit" and res.message.startswith(fallback + "; blocking")
+
+
+_ZERO_VALUED_MPS = """NAME ZEROS
+ROWS
+ N obj
+ L r1
+COLUMNS
+ x obj 1 r1 0
+ y obj -1
+RHS
+ rhs r1 1
+BOUNDS
+ UP bnd x 1
+ UP bnd y 2
+ENDATA
+"""
+
+
+@pytest.mark.parametrize("products", ["dense", "sparse"])
+def test_matrix_of_stored_zeros_solves_unscaled(products, monkeypatch):
+    """A matrix whose stored entries are all 0.0, from scipy or from a
+    COLUMNS value of 0, has no norm to estimate: unscaled it takes
+    lambda_A = 1.0 like a matrix with no entry, as Ruiz scaling, which
+    drops the zeros, does, and both solves end optimal at the box's
+    optimum."""
+    import io
+
+    import hprlp.sparse
+    from hprlp import build_problem, parse_mps
+
+    if products == "sparse":
+        monkeypatch.setattr(hprlp.sparse, "DENSE_MAX_ENTRIES", -1)
+    A = SparseMatrix(sp.coo_matrix(([0.0, 0.0], ([0, 1], [0, 2])), shape=(2, 3)))
+    from_scipy = LpProblem(np.array([1.0, -1.0, 0.0]), A, np.array([-1.0, -np.inf]),
+                           np.array([1.0, 2.0]), np.zeros(3), np.array([1.0, 2.0, 3.0]))
+    from_mps = build_problem(parse_mps(io.StringIO(_ZERO_VALUED_MPS)))
+    for prob in (from_scipy, from_mps):
+        assert prob.A.nnz > 0 and not prob.A.to_csr().data.any()
+        assert (prob.A.dense is None) == (products == "sparse")
+        with pytest.raises(ValueError, match="all-zero"):
+            solver_module.estimate_lambda_A(prob.A)
+        for scaling in ("none", "ruiz"):
+            res = solve(prob, quick_cfg(scaling=scaling))
+            assert res.status == "optimal"
+            assert res.primal_obj == pytest.approx(-2.0, abs=1e-8)
 
 
 def test_default_engine_config_estimates_lambda():
@@ -754,12 +851,12 @@ def test_complexity_requires_resolved_config():
 
 
 @pytest.mark.parametrize("mode", ["hpr", "hdr", "rhpdhg", "pr", "epr"])
-def test_loop_step_allocates_no_vector(mode):
+def test_loop_step_allocates_no_vector(mode, scaling="ruiz"):
     """After warm-up, a step of the loop on the CSR route writes its two
     products, zeta, the partial reflection, w - w_hat, the merit and the
     average or copy into preallocated vectors: 200 steps on a
-    2,000 x 4,000 LP keep the traced peak below one n-vector of 8 n
-    bytes."""
+    2,000 x 4,000 LP, whose working problem is ordered by length, keep
+    the traced peak below one n-vector of 8 n bytes."""
     import tracemalloc
 
     rng = np.random.default_rng(23)
@@ -771,7 +868,7 @@ def test_loop_step_allocates_no_vector(mode):
                      np.zeros(n), np.ones(n))
     assert prob.A.dense is None
     work, _, ecfg, normal_eq, start, _ = solver_module._setup(
-        prob, SolverConfig(engine=EngineConfig(mode=mode, gamma=0.5)))
+        prob, SolverConfig(scaling=scaling, engine=EngineConfig(mode=mode, gamma=0.5)))
     state = solver_module._LoopState(work, ecfg, normal_eq, start)
     for t in range(5):
         state.step(ecfg, t)
@@ -786,20 +883,17 @@ def test_loop_step_allocates_no_vector(mode):
 
 
 @pytest.mark.parametrize("mode", ["hpr", "hdr", "rhpdhg", "pr", "epr"])
-def test_loop_step_on_two_ordered_operands_allocates_no_vector(mode, monkeypatch):
-    """The same on an LP at the ``ORDERED_MIN_ROWS`` cutoff, whose working
-    problem is ordered by row and column length and whose A^T y gathers
-    the rows of a CSR copy of A^T: the products take no vector for their
-    result."""
-    import hprlp.sparse
-
-    monkeypatch.setattr(hprlp.sparse, "ORDERED_MIN_ROWS", 2_000)
+def test_loop_step_on_two_ordered_operands_allocates_no_vector(mode):
+    """The same unscaled: the working problem is the caller's LP ordered
+    by row and column length, and its A^T y gathers the rows of a CSR copy
+    of A^T while the caller's matrix keeps the scatter; the products take
+    no vector for their result."""
     m, n = 2_000, 4_000
     A = SparseMatrix(sp.random(m, n, density=0.002, random_state=0, format="csr"))
     prob = LpProblem(np.zeros(n), A, -np.ones(m), np.ones(m), np.zeros(n), np.ones(n))
-    work = solver_module._setup(prob, SolverConfig())[0]
+    work = solver_module._setup(prob, SolverConfig(scaling="none"))[0]
     assert A._aty.format == "csc" and work.A._aty.format == "csr"
-    test_loop_step_allocates_no_vector(mode)
+    test_loop_step_allocates_no_vector(mode, scaling="none")
 
 
 @pytest.mark.parametrize("normal", [False, True], ids=["proximal", "normal"])

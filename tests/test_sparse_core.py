@@ -10,7 +10,7 @@ import scipy.sparse as sp
 
 import hprlp.sparse
 from hprlp import LpProblem, SolverConfig, SparseMatrix, solve
-from hprlp.sparse import DENSE_MAX_ENTRIES, ORDERED_MIN_ROWS, estimate_lambda_A
+from hprlp.sparse import DENSE_MAX_ENTRIES, estimate_lambda_A
 
 from conftest import random_lp
 
@@ -242,7 +242,7 @@ def _with_duplicates(rng, dense):
 
 
 def test_rmatvec_matches_csc_transpose_bitwise():
-    """Above the dense cutoff and below ``ORDERED_MIN_ROWS`` A^T y, a
+    """Above the dense cutoff, on a matrix from the constructor, A^T y, a
     scatter over A's CSR rows, gives exactly what the gather of
     csc.T @ y gives: empty rows and columns, and duplicate entries summed
     at construction, included."""
@@ -284,8 +284,7 @@ def _sparse_matrix(rng, m, n, density=0.3):
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (7, 3), (40, 90), (100, 250), (0, 5),
-                                   (5, 0), (101, 250), (160, 300),
-                                   (ORDERED_MIN_ROWS, 8), (8, ORDERED_MIN_ROWS)])
+                                   (5, 0), (101, 250), (160, 300)])
 def test_products_agree_across_routes(shape):
     """Up to DENSE_MAX_ENTRIES entries both products run on one dense,
     read-only copy and agree with the CSR products to a few ulps of
@@ -344,8 +343,8 @@ def test_small_lp_solves_on_both_routes(monkeypatch):
 
 def _on_route(dense, route, monkeypatch):
     """``dense`` as a SparseMatrix on the dense copy, on CSR, or on CSR
-    with a CSR copy of A^T (the route of the working matrix that ``solve``
-    orders from ``ORDERED_MIN_ROWS`` rows)."""
+    with a CSR copy of A^T (the route of every working matrix that
+    ``solve`` orders by length)."""
     if route != "dense":
         monkeypatch.setattr(hprlp.sparse, "DENSE_MAX_ENTRIES", -1)
     A = (SparseMatrix._with_transpose if route == "ordered" else SparseMatrix.from_dense)(dense)
@@ -413,21 +412,20 @@ def test_products_refuse_an_out_they_cannot_write(route, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# a CSR copy of A^T, on the working matrix ordered from ORDERED_MIN_ROWS rows
+# a CSR copy of A^T, on the working matrix ordered by length
 
 
 def test_only_the_working_matrix_holds_a_copy_of_the_transpose():
-    """From ``ORDERED_MIN_ROWS`` rows above the dense cutoff, the public
-    constructor keeps A^T y on the scatter, with no copy of A^T, for the
-    bits of ``to_csc().T @ y``; so do the parsed problem's matrix and the
-    scaled one.  Only the working matrix that ``solve`` orders by length
+    """Above the dense cutoff, the public constructor keeps A^T y on the
+    scatter, with no copy of A^T, for the bits of ``to_csc().T @ y``; so
+    do the parsed problem's matrix and the scaled one.  Only the working matrix that ``solve`` orders by length
     holds the CSR copy of A^T, whose A^T y has the same bits of its own
     ``to_csc()``."""
     from hprlp.solver import _setup, apply_scaling
 
     rng = np.random.default_rng(59)
-    m, n = ORDERED_MIN_ROWS, 500
-    matrix = sp.random(m, n, density=0.01, random_state=rng, format="csr")
+    m, n = 300, 200
+    matrix = sp.random(m, n, density=0.02, random_state=rng, format="csr")
     prob = LpProblem(rng.standard_normal(n), SparseMatrix(matrix), -np.ones(m), np.ones(m),
                      np.zeros(n), np.ones(n))
     scaled = apply_scaling(prob)[0]
@@ -441,16 +439,13 @@ def test_only_the_working_matrix_holds_a_copy_of_the_transpose():
     _assert_copy_of_csc(work.A._aty, work.A.to_csc())
 
 
-def _plain_and_ordered(matrix, cutoff, monkeypatch):
+def _plain_and_ordered(matrix, monkeypatch):
     """``matrix`` as a SparseMatrix on plain CSR, and as ``solve`` holds
-    a working matrix of its shape with ``ORDERED_MIN_ROWS`` at ``cutoff``:
-    with the CSR copy of A^T from ``cutoff`` rows on, and plain below;
-    both above the dense cutoff."""
+    a working matrix, with the CSR copy of A^T; both above the dense
+    cutoff."""
     monkeypatch.setattr(hprlp.sparse, "DENSE_MAX_ENTRIES", -1)
     plain = SparseMatrix(matrix)
     assert plain._ax is plain.to_csr()
-    if matrix.shape[0] < cutoff:
-        return plain, SparseMatrix(matrix)
     return plain, SparseMatrix._with_transpose(matrix)
 
 
@@ -460,25 +455,20 @@ def _varied_rows(rng, m, n):
     return _sparse_matrix(rng, m, n, density=rng.uniform(size=(m, 1)))
 
 
-@pytest.mark.parametrize("m, n, cutoff", [
-    (60, 45, 0),  # A^T copied
-    (60, 45, 50),  # m above the cutoff and n below: A^T copied
-    (45, 60, 50),  # n above and m below: the scatter, as rows decide
-], ids=["both", "rows", "columns"])
+@pytest.mark.parametrize("m, n", [(60, 45), (45, 60)], ids=["tall", "wide"])
 @pytest.mark.parametrize("duplicates", [False, True], ids=["entries", "duplicates"])
-def test_ordered_products_are_bit_exact(m, n, cutoff, duplicates, monkeypatch):
-    """With A^T y on a CSR copy of A^T or on the scatter, ``matvec`` and
-    ``rmatvec`` give the bits of ``to_csr() @ x`` and ``to_csc().T @ y``
-    (scipy's ``csr.T @ y``), with ``out`` and without, and those of the
-    plain CSR route: rows of many lengths, empty rows and columns, and
+def test_ordered_products_are_bit_exact(m, n, duplicates, monkeypatch):
+    """With A^T y on a CSR copy of A^T, ``matvec`` and ``rmatvec`` give
+    the bits of ``to_csr() @ x`` and ``to_csc().T @ y`` (scipy's
+    ``csr.T @ y``), with ``out`` and without, and those of the plain CSR
+    route, on a tall and a wide matrix: rows of many lengths, empty rows and columns, and
     duplicate entries summed at construction included.  Whatever ``out``
     held before is overwritten."""
-    rng = np.random.default_rng(m * 1000 + n + cutoff)
+    rng = np.random.default_rng(m * 1000 + n)
     dense = _varied_rows(rng, m, n)
     matrix = _with_duplicates(rng, dense) if duplicates else dense
-    plain, A = _plain_and_ordered(matrix, cutoff, monkeypatch)
-    assert A._ax is A.to_csr()
-    assert (A._aty.format == "csr") == (m >= cutoff)
+    plain, A = _plain_and_ordered(matrix, monkeypatch)
+    assert A._ax is A.to_csr() and A._aty.format == "csr"
     csr, csc = A.to_csr(), A.to_csc()
     for _ in range(3):
         x, y = rng.standard_normal(n), rng.standard_normal(m)
@@ -498,7 +488,7 @@ def test_ordered_matrix_gives_its_canonical_forms(monkeypatch):
     ``to_csc``."""
     rng = np.random.default_rng(41)
     matrix = _with_duplicates(rng, _varied_rows(rng, 50, 70))
-    plain, A = _plain_and_ordered(matrix, 0, monkeypatch)
+    plain, A = _plain_and_ordered(matrix, monkeypatch)
     assert A._ax is A.to_csr() is A.to_csr()
     _assert_copy_of_csc(A._aty, plain.to_csc())
     for got, want in ((A.to_csr(), plain.to_csr()), (A.to_csc(), plain.to_csc())):
@@ -519,7 +509,7 @@ def test_ordered_products_into_out_allocate_nothing(monkeypatch):
     smaller side."""
     rng = np.random.default_rng(43)
     m, n = 300, 500
-    _, A = _plain_and_ordered(_varied_rows(rng, m, n), 0, monkeypatch)
+    _, A = _plain_and_ordered(_varied_rows(rng, m, n), monkeypatch)
     x, y, ax, aty = rng.standard_normal(n), rng.standard_normal(m), np.empty(m), np.empty(n)
     A.matvec(x, out=ax)
     A.rmatvec(y, out=aty)
@@ -541,7 +531,7 @@ def test_ordered_products_in_two_threads(monkeypatch):
     rng = np.random.default_rng(47)
     m, n = 3_000, 2_000
     matrix = sp.random(m, n, density=0.005, random_state=rng, format="csr")
-    _, A = _plain_and_ordered(matrix, 0, monkeypatch)
+    _, A = _plain_and_ordered(matrix, monkeypatch)
     xs, ys = rng.standard_normal((2, n)), rng.standard_normal((2, m))
     want = [(A.matvec(x).tobytes(), A.rmatvec(y).tobytes()) for x, y in zip(xs, ys)]
     start, wrong = threading.Barrier(2), []
@@ -571,7 +561,7 @@ def test_ordered_matrix_pickles_and_copies(clone, monkeypatch):
     both products' bits."""
     rng = np.random.default_rng(53)
     m, n = 80, 60
-    _, A = _plain_and_ordered(_with_duplicates(rng, _varied_rows(rng, m, n)), 0, monkeypatch)
+    _, A = _plain_and_ordered(_with_duplicates(rng, _varied_rows(rng, m, n)), monkeypatch)
     prob = LpProblem(np.ones(n), A, -np.ones(m), np.ones(m), np.zeros(n), np.ones(n))
     assert clone(prob).A.matvec(np.ones(n)).tobytes() == A.matvec(np.ones(n)).tobytes()
     B = clone(A)

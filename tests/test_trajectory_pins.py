@@ -7,9 +7,9 @@ and CSR with the dense cutoff switched off), and on one LP above
 ``DENSE_MAX_ENTRIES``, which runs on CSR by itself.  Those three LPs have
 fewer rows than columns; the anchored modes also run on one with more
 rows than columns, where the carried A x is longer than x, on both
-product routes.  hpr and rhpdhg also run on one LP of
-``ORDERED_MIN_ROWS`` rows, whose working problem ``solve`` orders by
-row and column length.  A change that only
+product routes.  hpr and rhpdhg also run on one LP of 4,000 short rows.
+On CSR ``solve`` runs on the working problem ordered by row and column
+length, so every "sparse" pin reads that layout.  A change that only
 trims call overhead keeps every pin; one that reorders floating-point
 work, even in the last bit of one product or of the restart merit,
 moves some of them.  A change
@@ -62,11 +62,11 @@ PINS = {
     ("equality", "sparse", "pr"): (2000, "-0x1.2215c8617644cp+1", "c8a3d33e51af"),
     ("equality", "sparse", "epr"): (200, "-0x1.1fd4587164213p+1", "ec6aa1007a7a"),
     ("equality", "sparse", "rhpdhg"): (48, "-0x1.1fd45870510fdp+1", "6538b121b2c6"),
-    ("large", "sparse", "hpr"): (409, "-0x1.bc834fb43e6cfp+5", "1154b091a7a6"),
-    ("large", "sparse", "hdr"): (900, "-0x1.bc834fb43e6cfp+5", "b7c6cfe8976e"),
-    ("large", "sparse", "pr"): (2000, "-0x1.bc6dc0bef15cbp+5", "57af77508e49"),
-    ("large", "sparse", "epr"): (2000, "-0x1.bc8224015fdfdp+5", "04ea7c6593b5"),
-    ("large", "sparse", "rhpdhg"): (600, "-0x1.bc834fb43e6cfp+5", "1078c86c0f1e"),
+    ("large", "sparse", "hpr"): (410, "-0x1.bc834fb43e6cfp+5", "05dec8a654fc"),
+    ("large", "sparse", "hdr"): (900, "-0x1.bc834fb43e6cfp+5", "2c57ff5d2066"),
+    ("large", "sparse", "pr"): (2000, "-0x1.bc5db9e0720f4p+5", "c0131eeab2c1"),
+    ("large", "sparse", "epr"): (2000, "-0x1.bc822541daf7cp+5", "9669007eadeb"),
+    ("large", "sparse", "rhpdhg"): (600, "-0x1.bc834fb43e6cfp+5", "7bee81368d56"),
     ("tall", "dense", "hpr"): (100, "0x1.1d741aa8254e8p+0", "4eb7b4867061"),
     ("tall", "dense", "hdr"): (200, "0x1.1d741aa8254e7p+0", "4c7eee889431"),
     ("tall", "dense", "rhpdhg"): (200, "0x1.1d741aa8254e8p+0", "82317ba40b46"),
@@ -112,7 +112,7 @@ def _ordered_lp():
     A = SparseMatrix(sp.coo_matrix((rng.standard_normal(rows.size), (rows, cols)), shape=(m, n)))
     b = A.matvec(rng.uniform(0.0, 1.0, n))
     prob = LpProblem(rng.standard_normal(n), A, b - 0.4, b + 0.6, np.zeros(n), np.ones(n))
-    assert prob.A.dense is None and m >= hprlp.sparse.ORDERED_MIN_ROWS
+    assert prob.A.dense is None
     return prob
 
 
